@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import intervals, serialize, suites
@@ -366,10 +367,26 @@ def _error_doc(kind: str, exc: Exception) -> str:
     return json.dumps({"error": kind, "detail": str(exc)}, sort_keys=True)
 
 
+# a grid whose first point is negative: -3, -1/2, -.5, -inf, -oo
+_NEGATIVE_GRID = re.compile(r"-(\d|\.\d|inf|oo)")
+
+
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid -1/2,1`` as ``--grid=-1/2,1``: argparse takes a
+    value that starts with ``-`` for an option unless it is a bare number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and _NEGATIVE_GRID.match(arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -323,24 +323,27 @@ class _FrameEngine:
         return u
 
     def enumerate_carrier(self) -> list[int]:
-        fixed = {self.close(0)}
-        for i in range(self.n):
-            fixed.add(self.close(1 << i))
-        elements = sorted(fixed, key=lambda m: (bin(m).count("1"), m))
-        k = 0
-        while k < len(elements):
-            cur = elements[k]
-            for other in elements[: k + 1]:
-                u = cur | other
+        """All fixed sets of ``close``, sorted by size then mask.
+
+        Every fixed set is the join of the principal closures below it, so
+        closing each element's union with each principal reaches them all."""
+        principals = sorted({self.close(1 << i) for i in range(self.n)})
+        fixed = {self.close(0), *principals}
+        if len(fixed) > self.max_carrier:
+            raise LatticeError("presented frame exceeds oracle scale")
+        queue = list(fixed)
+        while queue:
+            cur = queue.pop()
+            for p in principals:
+                u = cur | p
                 if u in fixed:
                     continue
                 c = self.close(u)
                 if c not in fixed:
                     fixed.add(c)
-                    elements.append(c)
+                    queue.append(c)
                     if len(fixed) > self.max_carrier:
                         raise LatticeError("presented frame exceeds oracle scale")
-            k += 1
         return sorted(fixed, key=lambda m: (bin(m).count("1"), m))
 
 
@@ -407,6 +410,17 @@ def _require_kind_domain(p: Presentation):
         raise EvaluationError(f"{p.kind.value} evaluation needs {need[1]}")
 
 
+def _frame_engine(p: Presentation, max_carrier: int) -> tuple[_MeetCarrier, _FrameEngine]:
+    """The formal meets of ``p``'s generators and the closure engine whose
+    fixed sets are the presented frame."""
+    _require_kind_domain(p)
+    use_meets = p.domain.meet_semilattice and p.kind is not PresentationKind.PREFRAME
+    M = _MeetCarrier(p.domain, use_meets)
+    covers, meet_eqs = _relation_rules(p, M)
+    covers.extend(_structural_rules(p, M))
+    return M, _FrameEngine(M, covers, meet_eqs, max_carrier)
+
+
 def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     """The presented frame: formal meets of generators, quotiented by the
     least nucleus forcing the relations and the kind's structure.
@@ -414,12 +428,7 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     Generator meets are semantic exactly when the domain declares meet
     structure; preframe generators only carry join structure, so their
     meets stay formal."""
-    _require_kind_domain(p)
-    use_meets = p.domain.meet_semilattice and p.kind is not PresentationKind.PREFRAME
-    M = _MeetCarrier(p.domain, use_meets)
-    covers, meet_eqs = _relation_rules(p, M)
-    covers.extend(_structural_rules(p, M))
-    eng = _FrameEngine(M, covers, meet_eqs, max_carrier)
+    M, eng = _frame_engine(p, max_carrier)
     masks = eng.enumerate_carrier()
     index = {m: i for i, m in enumerate(masks)}
 
@@ -447,9 +456,7 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
         for j, mj in enumerate(masks)
         if mi & ~mj == 0
     ]
-    carrier = FiniteLattice.from_poset(
-        FinitePoset.from_pairs(labels, pairs), distributive_hint=True
-    )
+    carrier = FiniteLattice.from_poset(FinitePoset.from_pairs(labels, pairs))
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 

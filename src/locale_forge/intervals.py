@@ -368,8 +368,15 @@ def real_presentation() -> Presentation:
     """The frame of reals over interval generators, in meet-stable form:
     the top interval is the unit, bounded joins of overlapping intervals
     concatenate, and every interval is the join of its strict
-    subintervals.  Empty intervals are the domain bottom, so no separate
-    collapse relation is emitted."""
+    subintervals.
+
+    Empty intervals all meet to the domain bottom ``OI()``, which is still
+    a generator that no relation here equates with 0.  Evaluated on the
+    grid {0,1} without the refinement schema, the frame keeps ``OI()`` as
+    an atom and has 14 elements, not the 13 open sets of the grid
+    topology; adding ``OI() = 0`` gives the 13.  That relation is not
+    emitted because the circle presentations and their goldens are built
+    from this one."""
     dom = OpenIntervalDomain()
     p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
     oi = lambda a, b: GenPattern("OI", (a, b))

@@ -26,6 +26,7 @@ from .lattice import (
     check_laws,
     check_quotient_operator,
     fixed_points,
+    join_irreducibles,
     kleene_closure,
     poset_isomorphism,
 )
@@ -217,17 +218,8 @@ def rand_dcpo_presentation(rng: random.Random) -> Presentation:
 # random operators
 
 
-def join_irreducibles(L: FiniteLattice) -> list[int]:
-    out = []
-    for x in range(L.n):
-        below = [y for y in range(L.n) if y != x and L.leq(y, x)]
-        if L.join_all(below) != x:
-            out.append(x)
-    return out
-
-
 def rand_join_endo(rng: random.Random, L: FiniteLattice) -> MonotoneMap:
-    ji = join_irreducibles(L)
+    ji = join_irreducibles(L.poset)
     target = {x: rng.randrange(L.n) for x in ji}
     table = tuple(
         L.join_all(target[x] for x in ji if L.leq(x, u)) for u in range(L.n)

@@ -72,3 +72,20 @@ def galois_right_oracle(f: MonotoneMap):
     ]
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def real_line_on_grid(points, *extra):
+    """``real_presentation`` without its refinement schema (the only one
+    with a bound join), plus ``extra`` relations, instantiated on ``points``."""
+    from locale_forge.intervals import real_presentation
+    from locale_forge.presentation import Presentation, RelationSchema, instantiate_schemas
+    from locale_forge.rationals import rat
+
+    rp = real_presentation()
+    kept = tuple(
+        r
+        for r in rp.relations
+        if not (isinstance(r, RelationSchema) and any(cl.bound for cl in r.rhs.clauses))
+    )
+    assert len(kept) == len(rp.relations) - 1
+    return instantiate_schemas(Presentation(rp.kind, rp.domain, kept + extra), [rat(x) for x in points])

@@ -72,6 +72,15 @@ class TestVerbs:
         assert rc == 0
         json.loads(out)
 
+    @pytest.mark.parametrize("verb", ["eval", "check"])
+    def test_grid_starting_with_a_negative_point(self, tmp_path, verb):
+        f = tmp_path / "reals.pres"
+        f.write_text("domain interval-R\nkind sup\ninclude standard\n")
+        spaced = run_cli(verb, str(f), "--grid", "-1/2,1/3,2")
+        joined = run_cli(verb, str(f), "--grid=-1/2,1/3,2")
+        assert spaced[0] == joined[0] == 0, spaced[2]
+        assert spaced[1] == joined[1] != ""
+
     def test_transform_and_roundtrip(self, two_point_file, swap_spec_file, tmp_path):
         rc, out, err = run_cli(
             "transform", two_point_file, "--spec", swap_spec_file, "--format", "json"

@@ -5,6 +5,7 @@ import pytest
 
 from locale_forge.evaluate import (
     KindCheckError,
+    _frame_engine,
     eval_dcpo,
     eval_frame,
     eval_preframe,
@@ -22,6 +23,8 @@ from locale_forge.presentation import (
 )
 from locale_forge.suites import rand_preframe_presentation, rand_sup_presentation
 from locale_forge.terms import Meet, TERM_ONE, TERM_ZERO, Term, gen_term, join_of, meet_of
+
+from conftest import real_line_on_grid
 
 
 def diamond_domain():
@@ -184,3 +187,34 @@ class TestVerifyCoverage:
         rng = random.Random(43)
         for _ in range(10):
             assert verify_coverage(rand_preframe_presentation(rng)).verdict
+
+
+class TestEnumerateCarrier:
+    """The enumerated carrier is exactly the set of closures of all subsets
+    of the engine's elements."""
+
+    @staticmethod
+    def carrier_and_all_closures(p):
+        _, eng = _frame_engine(p, 1 << 12)
+        closures = {eng.close(s) for s in range(1 << eng.n)}
+        return eng.enumerate_carrier(), sorted(closures, key=lambda m: (bin(m).count("1"), m))
+
+    @pytest.mark.parametrize(
+        "points, collapse_empty, size",
+        [([0, 1], False, 14), ([0, 1], True, 13), ([-1, 0, 1], False, 35), ([-1, 0, 1], True, 34)],
+    )
+    def test_real_line_grids(self, points, collapse_empty, size):
+        extra = (Relation(gen_term("OI()"), TERM_ZERO),) if collapse_empty else ()
+        carrier, closures = self.carrier_and_all_closures(real_line_on_grid(points, *extra))
+        assert carrier == closures
+        assert len(carrier) == size
+
+    def test_seeded_suite_presentations(self):
+        rng = random.Random(4242)
+        sizes = set()
+        for _ in range(20):
+            for p in (rand_sup_presentation(rng), rand_preframe_presentation(rng)):
+                carrier, closures = self.carrier_and_all_closures(p)
+                assert carrier == closures
+                sizes.add(len(carrier))
+        assert max(sizes) >= 5

@@ -20,9 +20,11 @@ from locale_forge.intervals import (
     unit_interval_presentation,
 )
 from locale_forge.lattice import poset_isomorphism
-from locale_forge.presentation import check_kind, instantiate_schemas
+from locale_forge.presentation import Relation, check_kind, instantiate_schemas
 from locale_forge.rationals import NEG_INF, POS_INF, rat
 from locale_forge.terms import FamilyJoin, Meet, Term, TERM_ZERO, gen_term
+
+from conftest import real_line_on_grid
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -63,10 +65,18 @@ class TestRealPresentation:
         assert rp.relations[0].rhs.is_unit
 
     def test_no_explicit_zero_collapse_relation(self):
-        # the empty-interval collapse is the domain's job
+        # kept without one: the circle presentations are built from it
         rp = real_presentation()
         for r in rp.concrete_relations():
             assert r.lhs != gen_term("OI()")
+
+    def test_empty_interval_needs_its_own_collapse(self):
+        # without refinement, grid {0,1}: OI() stays an atom above 0 until
+        # OI() = 0 is added, which leaves the 13 open sets of the grid topology
+        kept = eval_frame(real_line_on_grid([0, 1])).carrier
+        assert kept.n == 14 and kept.elements[1] == "OI()"
+        collapsed = eval_frame(real_line_on_grid([0, 1], Relation(gen_term("OI()"), TERM_ZERO)))
+        assert collapsed.carrier.n == 13
 
     def test_grid_instantiation_checks(self):
         grid = [rat(0), rat(Fraction(1, 2)), rat(1)]

@@ -16,6 +16,7 @@ from locale_forge.lattice import (
     classify_open,
     classify_proper,
     downsets,
+    join_irreducibles,
     left_adjoint,
     order_isomorphic,
     recheck_witness,
@@ -78,6 +79,122 @@ class TestDownsets:
     def test_downsets_always_a_frame(self, seed):
         lat = downsets(rand_poset(seed, 1 + seed % 5))
         assert lat.frame
+
+
+def subset_poset(masks: list[int]) -> FinitePoset:
+    """A family of sets (bitmasks) ordered by inclusion."""
+    return FinitePoset.from_pairs(
+        [f"s{m}" for m in masks],
+        [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if a & ~b == 0],
+    )
+
+
+def brute_force_lattice(masks: list[int]):
+    """Meet and join tables of a family of sets under inclusion, read off
+    the common lower and upper bounds, and distributivity by the cubic
+    a∧(b∨c) = (a∧b)∨(a∧c) scan; ``None`` when some meet or join is missing."""
+    n = len(masks)
+    sub = lambda x, y: masks[x] & ~masks[y] == 0
+
+    def extreme(cands, above):
+        # the candidate every other candidate lies below (above=True) or over
+        for c in cands:
+            if all(sub(d, c) if above else sub(c, d) for d in cands):
+                return c
+        return None
+
+    meet, join = {}, {}
+    for a in range(n):
+        for b in range(n):
+            meet[a, b] = extreme([x for x in range(n) if sub(x, a) and sub(x, b)], True)
+            join[a, b] = extreme([x for x in range(n) if sub(a, x) and sub(b, x)], False)
+            if meet[a, b] is None or join[a, b] is None:
+                return None
+    distributive = all(
+        meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+    return meet, join, distributive
+
+
+def rand_family(rng: random.Random) -> list[int]:
+    k = rng.randint(2, 5)
+    fam = {rng.getrandbits(k) for _ in range(rng.randint(1, 12))}
+    if rng.random() < 0.5:
+        # closed under intersection, plus the whole set: always a lattice
+        fam.add((1 << k) - 1)
+        while True:
+            extra = {a & b for a in fam for b in fam} - fam
+            if not extra:
+                break
+            fam |= extra
+    return sorted(fam)
+
+
+def m3_on_powerset(k: int, tail: list[tuple[int, int]]) -> FinitePoset:
+    """The 2**k powerset, then three elements a, b, c above the full set
+    (ordered among themselves by ``tail``, pairs of indices 0..2), then a
+    new top: the ordinal sum 2**k ⊕ (a, b, c) ⊕ 1."""
+    full = (1 << k) - 1
+    labels = [f"s{m}" for m in range(1 << k)] + ["a", "b", "c", "top"]
+    a = 1 << k
+    pairs = [(m, m | (1 << i)) for m in range(1 << k) for i in range(k) if not m >> i & 1]
+    pairs += [(full, a + x) for x in range(3)] + [(a + x, a + 3) for x in range(3)]
+    pairs += [(a + x, a + y) for x, y in tail]
+    return FinitePoset.from_pairs(labels, pairs)
+
+
+class TestExactKernel:
+    def test_agrees_with_brute_force_on_random_families(self):
+        rng = random.Random(20240611)
+        outcomes = {"distributive": 0, "not distributive": 0, "not a lattice": 0}
+        for _ in range(300):
+            masks = rand_family(rng)
+            expected = brute_force_lattice(masks)
+            if expected is None:
+                with pytest.raises(NotALatticeError):
+                    FiniteLattice.from_poset(subset_poset(masks))
+                outcomes["not a lattice"] += 1
+                continue
+            meet, join, distributive = expected
+            lat = FiniteLattice.from_poset(subset_poset(masks))
+            assert lat.distributive is distributive, masks
+            for (a, b), m in meet.items():
+                assert lat.meet(a, b) == m and lat.join(a, b) == join[a, b], masks
+            outcomes["distributive" if distributive else "not distributive"] += 1
+        # the sample reaches every verdict
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_m3_and_n5_are_not_distributive(self):
+        m3 = FinitePoset.from_pairs(list("0abc1"), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        n5 = FinitePoset.from_pairs(list("0acb1"), [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+        for p in (m3, n5):
+            lat = FiniteLattice.from_poset(p)
+            assert not lat.distributive and not lat.frame
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_powersets_and_chains_are_distributive(self, k):
+        power = FiniteLattice.from_poset(subset_poset(list(range(1 << k))))
+        chain = FiniteLattice.from_poset(subset_poset([(1 << i) - 1 for i in range(k + 1)]))
+        assert power.distributive and chain.distributive
+        assert join_irreducibles(power.poset) == [power.poset.index(f"s{1 << i}") for i in range(k)]
+        assert join_irreducibles(chain.poset) == list(range(1, k + 1))
+
+    def test_m3_above_a_large_powerset_is_caught(self):
+        # 516 elements whose only distributivity failures involve a, b, c at
+        # indices 512..514: a check that samples triples can miss them all
+        lat = FiniteLattice.from_poset(m3_on_powerset(9, []))
+        assert lat.n == 516
+        assert lat.distributive is False
+        a, b, c = (lat.poset.index(x) for x in "abc")
+        assert lat.meet(a, lat.join(b, c)) == a
+        assert lat.join(lat.meet(a, b), lat.meet(a, c)) == lat.poset.index("s511")
+
+    def test_chain_above_a_large_powerset_is_distributive(self):
+        lat = FiniteLattice.from_poset(m3_on_powerset(9, [(0, 1), (1, 2)]))
+        assert lat.n == 516 and lat.distributive
 
 
 class TestAdjoints:
