@@ -57,6 +57,7 @@ from .transform import (
     TransformedPresentation,
     derive_spec_from_coinserter,
     identity_spec,
+    present,
     present_open,
     present_proper,
     present_semi_open,

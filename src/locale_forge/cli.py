@@ -46,7 +46,7 @@ from .terms import TermError
 from .transform import (
     TransformError,
     derive_spec_from_coinserter,
-    present_open,
+    present,
 )
 
 
@@ -122,20 +122,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    from . import transform as tr
-
     p = _load(args.input)
     spec = _load(args.spec)
-    mode = QuotientMode.parse(args.mode) if args.mode else spec.mode
-    fn = {
-        QuotientMode.SEMI_OPEN: tr.present_semi_open,
-        QuotientMode.OPEN: tr.present_open,
-        QuotientMode.SEMI_PROPER: tr.present_semi_proper,
-        QuotientMode.PROPER: tr.present_proper,
-        QuotientMode.SEMI_TRIQUOTIENT: tr.present_semi_triquotient,
-        QuotientMode.TRIQUOTIENT: tr.present_triquotient,
-    }[mode]
-    out = fn(p, spec, check=not args.no_check)
+    if args.mode:
+        mode = QuotientMode.parse(args.mode)
+        if mode is not spec.mode:
+            raise TransformError(
+                f"spec mode {spec.mode.value} does not match transformer {mode.value}"
+            )
+    out = present(p, spec, check=not args.no_check)
     if args.format == "json":
         _emit_json(serialize.presentation_to_jsonable(out))
     else:
@@ -212,7 +207,7 @@ def _z2_swap_artifact():
     swap = as_frame_hom(MonotoneMap(X, X, tuple(idx[swap_lab[e]] for e in X.elements)))
     ident = as_frame_hom(MonotoneMap(X, X, tuple(range(X.n))))
     spec = derive_spec_from_coinserter(frame, ident, swap, QuotientMode.OPEN, coequaliser=True)
-    out = present_open(parent, spec)
+    out = present(parent, spec)
     quotient = eval_frame(out)
     closure = kleene_closure(MonotoneMap(X, X, swap.table))
     sub, retr = fixed_points(closure)
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transform", help="apply a quotient spec")
     sp.add_argument("input")
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--mode", help="override the spec's mode")
+    sp.add_argument("--mode", help="the spec's mode; any other mode is an error")
     sp.add_argument("--no-check", action="store_true")
     add_common(sp)
     sp.set_defaults(fn=cmd_transform)

@@ -10,8 +10,13 @@ nucleus forcing the relations.  Joins are computed by re-closing unions.
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the corresponding weaker category: downsets / upsets / the
 generator poset itself, quotiented by the least congruence containing the
-relations.  ``verify_coverage`` then asserts the canonical comparison with
-the frame evaluation is an order isomorphism.
+relations.  The suplattice and preframe evaluations are one body: union is
+the join of downsets and the meet of upsets, so they differ only in the
+direction of the order.  ``verify_coverage`` then asserts the canonical
+comparison with the frame evaluation is an order isomorphism.
+
+Every evaluation returns a frozen ``PresentedObject`` built in one piece,
+with the function that evaluates terms in it.
 
 Everything here is oracle-scale: carriers are capped (default 2**12) and
 the algorithms favour being obviously exhaustive over being clever.
@@ -31,6 +36,7 @@ from .lattice import (
     OperatorReport,
     _bits,
     poset_isomorphism,
+    subset_lattice,
 )
 from .presentation import (
     Presentation,
@@ -53,62 +59,34 @@ class KindCheckError(EvaluationError):
         self.report = report
 
 
-@dataclass
+@dataclass(frozen=True)
 class PresentedObject:
     """A presentation evaluated in some category.
 
     ``carrier`` is a FiniteLattice except for dcpo results, which may be a
     bare FinitePoset.  ``interp`` maps generator keys to carrier indices.
+    ``term_value`` maps a term over the generators to its carrier index,
+    or to None where the term has no value (a dcpo side that is not a
+    directed family of generators with a greatest element).
     """
 
     category: str
     carrier: Union[FiniteLattice, FinitePoset]
     interp: dict[str, int]
-    domain: GeneratorDomain = None  # type: ignore[assignment]
-    _term_value: Optional[Callable[[Term], int]] = field(default=None, repr=False)
-    _dcpo_order: Optional[tuple[tuple[int, ...], dict[str, int]]] = field(
-        default=None, repr=False
-    )
+    domain: GeneratorDomain
+    term_value: Callable[[Term], Optional[int]] = field(repr=False)
 
     @property
     def carrier_poset(self) -> FinitePoset:
         return self.carrier.poset if isinstance(self.carrier, FiniteLattice) else self.carrier
 
-    def term_value(self, t: Term) -> int:
-        if self._term_value is None:
-            raise EvaluationError(f"term evaluation unsupported for {self.category}")
-        return self._term_value(t)
-
     def relation_holds(self, rel: Relation) -> bool:
-        if self.category == "dcpo":
-            return self._dcpo_relation_holds(rel)
         l, r = self.term_value(rel.lhs), self.term_value(rel.rhs)
-        if rel.op == "=":
-            return l == r
-        return self.carrier.leq(l, r)
-
-    def _dcpo_relation_holds(self, rel: Relation) -> bool:
-        reach, gen_idx = self._dcpo_order
-
-        def side(t: Term) -> Optional[int]:
-            idxs = []
-            for cl in t.clauses:
-                if not isinstance(cl, Meet) or len(cl.gens) > 1:
-                    return None
-                idxs.append(gen_idx[cl.gens[0]] if cl.gens else gen_idx["__top__"])
-            if not t.clauses:
-                return gen_idx.get("__bottom__")
-            for m in idxs:
-                if all((reach[a] >> m) & 1 for a in idxs):
-                    return m
-            return None
-
-        l, r = side(rel.lhs), side(rel.rhs)
         if l is None or r is None:
             return False
-        le = bool((reach[l] >> r) & 1)
-        ge = bool((reach[r] >> l) & 1)
-        return (le and ge) if rel.op == "=" else le
+        if rel.op == "=":
+            return l == r
+        return self.carrier_poset.leq(l, r)
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +420,7 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
             return "0"
         return " | ".join(sorted(eng.labels[e] for e in maxs))
 
-    labels = []
-    taken: set[str] = set()
-    for m in masks:
-        lab = elem_label(m)
-        while lab in taken:
-            lab += "'"
-        taken.add(lab)
-        labels.append(lab)
-    pairs = [
-        (i, j)
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if mi & ~mj == 0
-    ]
-    carrier = FiniteLattice.from_poset(FinitePoset.from_pairs(labels, pairs))
+    carrier = subset_lattice(masks, elem_label)
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 
@@ -500,7 +464,7 @@ def _gen_poset(domain: GeneratorDomain) -> tuple[list[str], list[int]]:
     return gens, down
 
 
-def _all_closed(seed_masks: list[int], n: int) -> list[int]:
+def _all_closed(seed_masks: list[int]) -> list[int]:
     """All unions of the seed masks (including the empty union)."""
     out = {0}
     for s in seed_masks:
@@ -545,168 +509,97 @@ class _UnionFindQuotient:
         return agg
 
 
-def _quotient_object(
-    category: str,
-    family: list[int],
-    uf: _UnionFindQuotient,
-    gen_masks: dict[str, int],
-    reverse_order: bool,
-    label_of_mask,
-) -> PresentedObject:
-    cls = uf.class_unions()
-    closure = {i: cls[uf.find(i)] for i in range(len(family))}
-    fixed = sorted(set(closure.values()), key=lambda m: (bin(m).count("1"), m))
-    pos = {m: i for i, m in enumerate(fixed)}
+def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
+    """Downsets of the generator poset under inclusion, or upsets under
+    reverse inclusion, modulo the least congruence containing the
+    relations that respects union with the principal ones.
 
-    def le(a: int, b: int) -> bool:
-        return (a & ~b == 0) if not reverse_order else (b & ~a == 0)
-
-    labels = []
-    taken: set[str] = set()
-    for m in fixed:
-        lab = label_of_mask(m)
-        while lab in taken:
-            lab += "'"
-        taken.add(lab)
-        labels.append(lab)
-    pairs = [
-        (i, j) for i, mi in enumerate(fixed) for j, mj in enumerate(fixed) if le(mi, mj)
-    ]
-    carrier = FiniteLattice.from_poset(FinitePoset.from_pairs(labels, pairs))
-    interp = {g: pos[closure[uf.index[m]]] for g, m in gen_masks.items()}
-
-    def nu(mask: int) -> int:
-        return pos[closure[uf.index[mask]]]
-
-    return PresentedObject(category, carrier, interp, None, None), nu, pos, closure
-
-
-def eval_suplattice(p: Presentation) -> PresentedObject:
-    """Downsets of the generator poset modulo the least join-congruence
-    containing the relations.  A bare poset of generators suffices."""
+    Union is the join of downsets and the meet of upsets.  So over
+    downsets a term (a join of meets) must join single generators, and
+    over upsets each meet is a union and the join an intersection."""
+    category = "preframe" if upsets else "suplattice"
     if not p.domain.finite:
         raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    gens, down = _gen_poset(p.domain)
-    gen_masks = {g: down[i] for i, g in enumerate(gens)}
-    family = _all_closed(list(down), len(gens))
+    gens, seeds = _gen_poset(p.domain)
+    if upsets:
+        down, seeds = seeds, [0] * len(gens)
+        for i, m in enumerate(down):
+            for j in _bits(m):
+                seeds[j] |= 1 << i
+    family = _all_closed(seeds)
     if len(family) > (1 << 12):
-        raise EvaluationError("free suplattice exceeds oracle scale")
-    uf = _UnionFindQuotient(family, list(down))
+        raise EvaluationError(f"free {category} exceeds oracle scale")
+    uf = _UnionFindQuotient(family, seeds)
+    gen_masks = {g: seeds[i] for i, g in enumerate(gens)}
     full = 0
-    for m in down:
+    for m in seeds:
         full |= m
+    top, bottom = (0, full) if upsets else (full, 0)
 
-    def term_mask(t: Term) -> int:
-        u = 0
-        for cl in t.clauses:
-            if not isinstance(cl, Meet):
-                raise EvaluationError("schematic clause reached the evaluator")
-            if not cl.gens:
-                u |= full
-            elif len(cl.gens) == 1:
-                u |= gen_masks[cl.gens[0]]
-            else:
-                raise EvaluationError("suplattice evaluation needs joins of generators")
-        return u
-
-    pairs = []
-    for rel in p.concrete_relations():
-        l, r = term_mask(rel.lhs), term_mask(rel.rhs)
-        if rel.op == "=":
-            pairs.append((uf.index[l], uf.index[r]))
-        else:
-            pairs.append((uf.index[l | r], uf.index[r]))
-    uf.merge_all(pairs)
-
-    def label_of(mask: int) -> str:
-        if not mask:
-            return "0"
-        maxs = [
-            gens[i]
-            for i in _bits(mask)
-            if all(not ((down[j] >> i) & 1) or j == i for j in _bits(mask))
-        ]
-        return " | ".join(sorted(maxs))
-
-    obj, nu, pos, closure = _quotient_object(
-        "suplattice", family, uf, gen_masks, False, label_of
-    )
-    obj.domain = p.domain
-
-    def term_value(t: Term) -> int:
-        return nu(term_mask(t))
-
-    obj._term_value = term_value
-    return obj
-
-
-def eval_preframe(p: Presentation) -> PresentedObject:
-    """Upsets of the generator poset under reverse inclusion, modulo the
-    least finite-meet congruence containing the relations."""
-    if not p.domain.finite:
-        raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    gens, down = _gen_poset(p.domain)
-    n = len(gens)
-    up = [0] * n
-    for i in range(n):
-        for j in _bits(down[i]):
-            up[j] |= 1 << i
-    gen_masks = {g: up[i] for i, g in enumerate(gens)}
-    family = _all_closed(list(up), n)
-    if len(family) > (1 << 12):
-        raise EvaluationError("free preframe exceeds oracle scale")
-    uf = _UnionFindQuotient(family, list(up))
-    full = 0
-    for m in up:
-        full |= m
-
-    def clause_mask(cl: Meet) -> int:
+    def clause_mask(cl) -> int:
+        if not isinstance(cl, Meet):
+            raise EvaluationError("schematic clause reached the evaluator")
+        if not cl.gens:
+            return top
+        if len(cl.gens) > 1 and not upsets:
+            raise EvaluationError("suplattice evaluation needs joins of generators")
         u = 0
         for g in cl.gens:
             u |= gen_masks[g]
-        return u  # empty meet = empty upset = top
+        return u
 
     def term_mask(t: Term) -> int:
         if not t.clauses:
-            return full  # bottom is the largest upset
-        acc = None
-        for cl in t.clauses:
-            if not isinstance(cl, Meet):
-                raise EvaluationError("schematic clause reached the evaluator")
+            return bottom
+        acc = clause_mask(t.clauses[0])
+        for cl in t.clauses[1:]:
             m = clause_mask(cl)
-            acc = m if acc is None else (acc & m)
+            acc = (acc & m) if upsets else (acc | m)
         return acc
 
     pairs = []
     for rel in p.concrete_relations():
         l, r = term_mask(rel.lhs), term_mask(rel.rhs)
-        if rel.op == "=":
-            pairs.append((uf.index[l], uf.index[r]))
-        else:
-            # l <= r in the reverse order means l contains r
-            pairs.append((uf.index[l | r], uf.index[l]))
+        if rel.op == "<=":
+            # l <= r says that the union of l and r is r over downsets
+            # (their join) and l over upsets (their meet)
+            l, r = l | r, (l if upsets else r)
+        pairs.append((uf.index[l], uf.index[r]))
     uf.merge_all(pairs)
 
     def label_of(mask: int) -> str:
-        if not mask:
-            return "1"
-        mins = [
+        # the maximal generators of a downset, the minimal ones of an upset
+        ends = [
             gens[i]
             for i in _bits(mask)
-            if all(not ((up[j] >> i) & 1) or j == i for j in _bits(mask))
+            if all(not ((seeds[j] >> i) & 1) or j == i for j in _bits(mask))
         ]
-        return " & ".join(sorted(mins))
+        if not ends:
+            return "1" if upsets else "0"
+        return (" & " if upsets else " | ").join(sorted(ends))
 
-    obj, nu, pos, closure = _quotient_object(
-        "preframe", family, uf, gen_masks, True, label_of
-    )
-    obj.domain = p.domain
+    cls = uf.class_unions()
+    fixed = sorted(set(cls.values()), key=lambda m: (bin(m).count("1"), m))
+    pos = {m: i for i, m in enumerate(fixed)}
+    carrier = subset_lattice(fixed, label_of, reverse=upsets)
 
-    def term_value(t: Term) -> int:
-        return nu(term_mask(t))
+    def value(mask: int) -> int:
+        return pos[cls[uf.find(uf.index[mask])]]
 
-    obj._term_value = term_value
-    return obj
+    interp = {g: value(m) for g, m in gen_masks.items()}
+    return PresentedObject(category, carrier, interp, p.domain, lambda t: value(term_mask(t)))
+
+
+def eval_suplattice(p: Presentation) -> PresentedObject:
+    """Downsets of the generator poset modulo the least join-congruence
+    containing the relations.  A bare poset of generators suffices."""
+    return _eval_union_quotient(p, upsets=False)
+
+
+def eval_preframe(p: Presentation) -> PresentedObject:
+    """Upsets of the generator poset under reverse inclusion, modulo the
+    least finite-meet congruence containing the relations."""
+    return _eval_union_quotient(p, upsets=True)
 
 
 def eval_dcpo(p: Presentation) -> PresentedObject:
@@ -816,7 +709,22 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
         for j in _bits(reach[i]):
             reach_q[assigned[i]] |= 1 << assigned[j]
     gi = {g: assigned[i] for g, i in gen_idx.items()}
-    return PresentedObject("dcpo", poset, interp, p.domain, None, (tuple(reach_q), gi))
+
+    def term_value(t: Term) -> Optional[int]:
+        """The class of the side's greatest generator, if it has one."""
+        idxs = []
+        for cl in t.clauses:
+            if not isinstance(cl, Meet) or len(cl.gens) > 1:
+                return None
+            idxs.append(gi[cl.gens[0]] if cl.gens else gi["__top__"])
+        if not t.clauses:
+            return gi.get("__bottom__")
+        for m in idxs:
+            if all((reach_q[a] >> m) & 1 for a in idxs):
+                return m
+        return None
+
+    return PresentedObject("dcpo", poset, interp, p.domain, term_value)
 
 
 _EVALUATORS = {

@@ -2,7 +2,7 @@
 
 This is the exact kernel every symbolic construction is checked against:
 downset frames, Galois adjoints, open/proper map classification, Kleene
-closures, interior operators, quotient-operator law suites often and fixed-point
+closures, interior operators, quotient-operator law suites and fixed-point
 subframes.  Everything is verified exhaustively on the finite carrier; no
 law is ever assumed.
 
@@ -89,13 +89,6 @@ class FinitePoset:
                     )
         return FinitePoset(tuple(elements), tuple(up))
 
-    @staticmethod
-    def from_leq(elements: Sequence[str], leq) -> "FinitePoset":
-        """Build from a callable leq(a, b) on labels."""
-        idx = range(len(elements))
-        pairs = [(i, j) for i in idx for j in idx if leq(elements[i], elements[j])]
-        return FinitePoset.from_pairs(elements, pairs)
-
     def __post_init__(self):
         n = len(self.elements)
         for i in range(n):
@@ -141,7 +134,6 @@ class Role(str, Enum):
     SUPLATTICE_HOM = "suplatticeHom"
     PREFRAME_HOM = "preframeHom"
     FRAME_HOM = "frameHom"
-    NUCLEUS = "nucleus"
     CLOSURE_OP = "closureOp"
     INTERIOR_OP = "interiorOp"
     DCPO_IDEMPOTENT = "dcpoIdempotent"
@@ -279,16 +271,8 @@ class MonotoneMap:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    @property
-    def endo(self) -> bool:
-        return self.source is self.target or self.source == self.target
-
     def with_role(self, role: Role) -> "MonotoneMap":
         return replace(self, role=role)
-
-
-def identity_map(lat: FiniteLattice) -> MonotoneMap:
-    return MonotoneMap(lat, lat, tuple(range(lat.n)), Role.FRAME_HOM)
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
@@ -394,6 +378,10 @@ def check_laws(f: MonotoneMap, laws: Sequence[str]) -> OperatorReport:
     return OperatorReport(not witnesses, tuple(witnesses))
 
 
+_CLOSURE_LAWS = ("inflationary", "idempotent", "preserves-empty-join", "preserves-binary-join")
+_INTERIOR_LAWS = ("deflationary", "idempotent", "preserves-empty-meet", "preserves-binary-meet")
+
+
 def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> bool:
     """True when the witness still violates its law (i.e. it is genuine).
 
@@ -415,28 +403,8 @@ def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> boo
     return tuple(labels) in {tuple(w) for w in failures}
 
 
-def preserves_all_joins(f: MonotoneMap) -> bool:
-    return check_laws(f, ["preserves-empty-join", "preserves-binary-join"]).verdict
-
-
 def preserves_all_meets(f: MonotoneMap) -> bool:
     return check_laws(f, ["preserves-empty-meet", "preserves-binary-meet"]).verdict
-
-
-def as_suplattice_hom(f: MonotoneMap) -> MonotoneMap:
-    rep = check_laws(f, ["preserves-empty-join", "preserves-binary-join"])
-    if not rep:
-        raise OperatorLawError(rep)
-    return f.with_role(Role.SUPLATTICE_HOM)
-
-
-def as_preframe_hom(f: MonotoneMap) -> MonotoneMap:
-    # Scott-continuity is monotonicity on a finite carrier, so a preframe
-    # homomorphism is exactly a finite-meet-preserving monotone map.
-    rep = check_laws(f, ["preserves-empty-meet", "preserves-binary-meet"])
-    if not rep:
-        raise OperatorLawError(rep)
-    return f.with_role(Role.PREFRAME_HOM)
 
 
 def as_frame_hom(f: MonotoneMap) -> MonotoneMap:
@@ -452,6 +420,44 @@ def as_frame_hom(f: MonotoneMap) -> MonotoneMap:
     if not rep:
         raise OperatorLawError(rep)
     return f.with_role(Role.FRAME_HOM)
+
+
+def subset_lattice(masks: Sequence[int], label, reverse: bool = False) -> FiniteLattice:
+    """The lattice of distinct subsets, given as bitmasks in element order,
+    under inclusion (reverse inclusion when ``reverse``).  ``label(mask)``
+    names each element; a repeated name gets primes appended.
+
+    The up-masks come straight from the subsets: with ``has[e]`` the
+    elements whose subset contains ``e``, the elements above ``m`` are the
+    intersection of ``has[e]`` over ``e`` in ``m``.  Reverse inclusion is
+    inclusion of the complements."""
+    if len(set(masks)) != len(masks):
+        raise InvalidPosetError("repeated subset")
+    labels = []
+    taken: set[str] = set()
+    for m in masks:
+        lab = label(m)
+        while lab in taken:
+            lab += "'"
+        taken.add(lab)
+        labels.append(lab)
+    if reverse:
+        full = 0
+        for m in masks:
+            full |= m
+        masks = [full & ~m for m in masks]
+    has: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for e in _bits(m):
+            has[e] = has.get(e, 0) | 1 << i
+    everything = (1 << len(masks)) - 1
+    up = []
+    for m in masks:
+        acc = everything
+        for e in _bits(m):
+            acc &= has[e]
+        up.append(acc)
+    return FiniteLattice.from_poset(FinitePoset(tuple(labels), tuple(up)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +481,12 @@ def downsets(poset: FinitePoset, cap: int = 1 << 13) -> FiniteLattice:
                     seen.add(nd)
                     frontier.append(nd)
     masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
-
-    def lab(mask: int) -> str:
-        return "{" + ",".join(poset.elements[i] for i in _bits(mask)) + "}"
-
-    labels = [lab(m) for m in masks]
-    pairs = [
-        (i, j)
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if mi & ~mj == 0
-    ]
-    lat = FiniteLattice.from_poset(FinitePoset.from_pairs(labels, pairs))
+    lat = subset_lattice(
+        masks, lambda mask: "{" + ",".join(poset.elements[i] for i in _bits(mask)) + "}"
+    )
     if not lat.frame:
         raise LatticeError("downset lattice failed the frame check")
     return lat
-
-
-def downset_index(lat: FiniteLattice, poset: FinitePoset, members: Iterable[str]) -> int:
-    """Index in a downsets() lattice of the downset generated by labels."""
-    mask = 0
-    down = poset.down
-    for m in members:
-        mask |= down[poset.index(m)]
-    return lat.poset.index("{" + ",".join(p for p in poset.elements if (mask >> poset.index(p)) & 1) + "}")
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +596,7 @@ def kleene_closure(j: MonotoneMap) -> MonotoneMap:
             break
         cur = nxt
     out = MonotoneMap(L, L, tuple(cur))
-    rep = check_laws(
-        out,
-        ["inflationary", "idempotent", "preserves-empty-join", "preserves-binary-join"],
-    )
+    rep = check_laws(out, _CLOSURE_LAWS)
     if not rep:
         raise OperatorLawError(rep)
     return out.with_role(Role.CLOSURE_OP)
@@ -667,10 +652,7 @@ def interior_from_pair(
     X = fstar.source
     table = tuple(X.meet(gstar_radj(fstar(x)), x) for x in range(X.n))
     cand = MonotoneMap(X, X, table)
-    rep = check_laws(
-        cand,
-        ["deflationary", "idempotent", "preserves-empty-meet", "preserves-binary-meet"],
-    )
+    rep = check_laws(cand, _INTERIOR_LAWS)
     if rep:
         cand = cand.with_role(Role.INTERIOR_OP)
     return cand, rep
@@ -733,15 +715,17 @@ class QuotientMode(str, Enum):
     TRIQUOTIENT = "triquotient"
 
     @property
+    def info(self) -> "ModeInfo":
+        return _MODE_INFO[self]
+
+    @property
     def cli_name(self) -> str:
-        return {
-            QuotientMode.SEMI_OPEN: "semi-open",
-            QuotientMode.OPEN: "open",
-            QuotientMode.SEMI_PROPER: "semi-proper",
-            QuotientMode.PROPER: "proper",
-            QuotientMode.SEMI_TRIQUOTIENT: "semi-triquotient",
-            QuotientMode.TRIQUOTIENT: "triquotient",
-        }[self]
+        return ("semi-" if self.info.semi else "") + self.info.family.name
+
+    @property
+    def semi_variant(self) -> "QuotientMode":
+        """The semi mode of this mode's family (the mode itself if semi)."""
+        return next(m for m in QuotientMode if m.info.semi and m.info.family is self.info.family)
 
     @staticmethod
     def parse(text: str) -> "QuotientMode":
@@ -751,47 +735,65 @@ class QuotientMode(str, Enum):
         raise ValueError(f"unknown quotient mode {text!r}")
 
 
-_MODE_LAWS = {
-    QuotientMode.SEMI_OPEN: [
-        "inflationary",
-        "idempotent",
-        "preserves-empty-join",
-        "preserves-binary-join",
-    ],
-    QuotientMode.OPEN: [
-        "inflationary",
-        "idempotent",
-        "preserves-empty-join",
-        "preserves-binary-join",
-        "open-meet-law",
-    ],
-    QuotientMode.SEMI_PROPER: [
-        "deflationary",
-        "idempotent",
-        "preserves-empty-meet",
-        "preserves-binary-meet",
-    ],
-    QuotientMode.PROPER: [
-        "deflationary",
-        "idempotent",
-        "preserves-empty-meet",
-        "preserves-binary-meet",
-        "proper-join-law",
-    ],
-    QuotientMode.SEMI_TRIQUOTIENT: [
-        "idempotent",
-        "preserves-empty-join",
-        "preserves-empty-meet",
-        "weak-meet-law",
-        "weak-join-law",
-    ],
-    QuotientMode.TRIQUOTIENT: [
-        "idempotent",
-        "preserves-empty-join",
-        "preserves-empty-meet",
-        "open-meet-law",
-        "proper-join-law",
-    ],
+@dataclass(frozen=True)
+class QuotientFamily:
+    """What the strict mode and the semi variant of a family share.
+
+    ``tag`` prefixes the quotient's generators and ``kind`` is the value of
+    the ``PresentationKind`` the parent presentation must have.  ``role``
+    is the type of the operator: a closure (open), an interior (proper) or
+    a bare idempotent (triquotient).  It fixes the shape of the generator
+    images (joins of generators, joins of finite meets, single
+    generators), how they are read back off an operator, how an operator
+    is derived from coinserter data and how random ones are drawn.
+    ``ops`` are the lattice operations the pair relations are stated for;
+    a family with meet relations also gets the unit relation
+    ``tag top = 1``, one with join relations the zero relation
+    ``tag bottom = 0``.
+    """
+
+    name: str
+    tag: str
+    kind: str
+    role: Role
+    ops: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ModeInfo:
+    """Every fact that sets one quotient mode apart.
+
+    A semi mode relates the images of both generators of a pair, once per
+    unordered pair; a strict mode relates one generator with the image of
+    the other, in both orders.  ``laws`` is the law suite of the mode's
+    operator."""
+
+    family: QuotientFamily
+    semi: bool
+    laws: tuple[str, ...]
+
+
+_OPEN = QuotientFamily("open", "dia", "sup", Role.CLOSURE_OP, ("meet",))
+_PROPER = QuotientFamily("proper", "box", "preframe", Role.INTERIOR_OP, ("join",))
+_TRIQUOTIENT = QuotientFamily(
+    "triquotient", "boxtimes", "dcpo", Role.DCPO_IDEMPOTENT, ("meet", "join")
+)
+
+_MODE_INFO = {
+    QuotientMode.SEMI_OPEN: ModeInfo(_OPEN, True, _CLOSURE_LAWS),
+    QuotientMode.OPEN: ModeInfo(_OPEN, False, _CLOSURE_LAWS + ("open-meet-law",)),
+    QuotientMode.SEMI_PROPER: ModeInfo(_PROPER, True, _INTERIOR_LAWS),
+    QuotientMode.PROPER: ModeInfo(_PROPER, False, _INTERIOR_LAWS + ("proper-join-law",)),
+    QuotientMode.SEMI_TRIQUOTIENT: ModeInfo(
+        _TRIQUOTIENT,
+        True,
+        ("idempotent", "preserves-empty-join", "preserves-empty-meet", "weak-meet-law", "weak-join-law"),
+    ),
+    QuotientMode.TRIQUOTIENT: ModeInfo(
+        _TRIQUOTIENT,
+        False,
+        ("idempotent", "preserves-empty-join", "preserves-empty-meet", "open-meet-law", "proper-join-law"),
+    ),
 }
 
 
@@ -800,15 +802,7 @@ def check_quotient_operator(e: MonotoneMap, mode: QuotientMode) -> OperatorRepor
     given mode.  e(1)=1 / e(0)=0 are phrased as empty meet/join
     preservation."""
     _require_endo(e, "check_quotient_operator")
-    return check_laws(e, _MODE_LAWS[mode])
-
-
-def operator_role_for_mode(mode: QuotientMode) -> Role:
-    if mode in (QuotientMode.SEMI_OPEN, QuotientMode.OPEN):
-        return Role.CLOSURE_OP
-    if mode in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER):
-        return Role.INTERIOR_OP
-    return Role.DCPO_IDEMPOTENT
+    return check_laws(e, mode.info.laws)
 
 
 def fixed_points(e: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:

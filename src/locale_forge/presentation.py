@@ -111,13 +111,6 @@ class RelationSchema:
 AnyRelation = Union[Relation, RelationSchema]
 
 
-_KIND_NEEDS = {
-    PresentationKind.SUP: "meet_semilattice",
-    PresentationKind.PREFRAME: "join_semilattice",
-    PresentationKind.DCPO: "distributive_lattice",
-}
-
-
 @dataclass(frozen=True)
 class Presentation:
     """The kind's structural requirement on the domain (sup needs a meet
@@ -129,10 +122,6 @@ class Presentation:
     domain: GeneratorDomain
     relations: tuple[AnyRelation, ...]
 
-    def kind_domain_ok(self) -> bool:
-        need = _KIND_NEEDS.get(self.kind)
-        return not need or bool(getattr(self.domain, need))
-
     @property
     def schematic(self) -> bool:
         return any(isinstance(r, RelationSchema) for r in self.relations) or any(
@@ -142,11 +131,6 @@ class Presentation:
 
     def concrete_relations(self) -> list[Relation]:
         return [r for r in self.relations if isinstance(r, Relation)]
-
-    def generator_count(self) -> Optional[int]:
-        if self.domain.finite:
-            return len(self.domain.enumerate_gens())
-        return None
 
     def schema_count(self) -> int:
         return sum(1 for r in self.relations if isinstance(r, RelationSchema))

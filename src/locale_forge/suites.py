@@ -23,6 +23,7 @@ from .lattice import (
     FinitePoset,
     MonotoneMap,
     QuotientMode,
+    Role,
     check_laws,
     check_quotient_operator,
     fixed_points,
@@ -37,16 +38,7 @@ from .presentation import (
     saturate,
 )
 from .terms import Meet, Term, TERM_ONE, TERM_ZERO
-from .transform import (
-    TransformedPresentation,
-    present_open,
-    present_proper,
-    present_semi_open,
-    present_semi_proper,
-    present_semi_triquotient,
-    present_triquotient,
-    spec_from_operator,
-)
+from .transform import TransformedPresentation, present, spec_from_operator
 
 DEFAULT_SEED = 271828
 
@@ -214,6 +206,13 @@ def rand_dcpo_presentation(rng: random.Random) -> Presentation:
     return saturate(p, PresentationKind.DCPO)
 
 
+_RAND_BY_KIND = {
+    PresentationKind.SUP: rand_sup_presentation,
+    PresentationKind.PREFRAME: rand_preframe_presentation,
+    PresentationKind.DCPO: rand_dcpo_presentation,
+}
+
+
 # ---------------------------------------------------------------------------
 # random operators
 
@@ -291,17 +290,16 @@ def rand_quotient_operator(
 
     The triquotient modes also draw bare monotone idempotents, so the suite
     sees operators that are neither inflationary nor deflationary."""
-    closure_modes = (QuotientMode.SEMI_OPEN, QuotientMode.OPEN)
-    interior_modes = (QuotientMode.SEMI_PROPER, QuotientMode.PROPER)
+    role = mode.info.family.role
     for _ in range(tries):
         style = rng.randrange(3)
-        if mode in closure_modes:
+        if role is Role.CLOSURE_OP:
             cand = (
                 kleene_closure(rand_join_endo(rng, L))
                 if style == 0
                 else closure_onto_sublattice(L, rand_sublattice(rng, L))
             )
-        elif mode in interior_modes:
+        elif role is Role.INTERIOR_OP:
             cand = interior_onto_sublattice(L, rand_sublattice(rng, L))
         elif style >= 1:
             cand = rand_monotone_idempotent(rng, L)
@@ -317,29 +315,14 @@ def rand_quotient_operator(
         if check_quotient_operator(cand, mode):
             return cand
     keep = rand_sublattice(rng, L)
-    cand = closure_onto_sublattice(L, keep) if mode in closure_modes else interior_onto_sublattice(L, keep)
+    cand = (
+        closure_onto_sublattice(L, keep)
+        if role is Role.CLOSURE_OP
+        else interior_onto_sublattice(L, keep)
+    )
     if not check_quotient_operator(cand, mode):
         raise AssertionError("sublattice retraction failed its own laws")
     return cand
-
-
-_PRESENTERS = {
-    QuotientMode.SEMI_OPEN: present_semi_open,
-    QuotientMode.OPEN: present_open,
-    QuotientMode.SEMI_PROPER: present_semi_proper,
-    QuotientMode.PROPER: present_proper,
-    QuotientMode.SEMI_TRIQUOTIENT: present_semi_triquotient,
-    QuotientMode.TRIQUOTIENT: present_triquotient,
-}
-
-_RAND_PRESENTATION = {
-    QuotientMode.SEMI_OPEN: rand_sup_presentation,
-    QuotientMode.OPEN: rand_sup_presentation,
-    QuotientMode.SEMI_PROPER: rand_preframe_presentation,
-    QuotientMode.PROPER: rand_preframe_presentation,
-    QuotientMode.SEMI_TRIQUOTIENT: rand_dcpo_presentation,
-    QuotientMode.TRIQUOTIENT: rand_dcpo_presentation,
-}
 
 
 def check_equivalence(
@@ -349,7 +332,7 @@ def check_equivalence(
     against the fixed points of the operator.  Also asserts the size
     bounds: generator count preserved, schema count grows by at most 3."""
     spec = spec_from_operator(parent, e, mode)
-    out = _PRESENTERS[mode](p, spec)
+    out = present(p, spec)
     if p.domain.finite:
         if len(out.domain.enumerate_gens()) != len(p.domain.enumerate_gens()):
             return False, "generator count changed", out
@@ -376,19 +359,14 @@ def suite_oracle_equivalence(mode: QuotientMode, seed: int, count: int) -> Suite
     rng = random.Random(seed)
     res = SuiteResult(f"oracle-equivalence[{mode.cli_name}]")
     for k in range(count):
-        p = _RAND_PRESENTATION[mode](rng)
+        p = _RAND_BY_KIND[PresentationKind(mode.info.family.kind)](rng)
         parent = eval_frame(p)
         e = rand_quotient_operator(rng, parent.carrier, mode)
         ok, why, _ = check_equivalence(p, parent, e, mode)
         # mode coherence: the semi variant of a strict mode presents the
         # same frame
-        strict_pairs = {
-            QuotientMode.OPEN: QuotientMode.SEMI_OPEN,
-            QuotientMode.PROPER: QuotientMode.SEMI_PROPER,
-            QuotientMode.TRIQUOTIENT: QuotientMode.SEMI_TRIQUOTIENT,
-        }
-        if ok and mode in strict_pairs:
-            ok2, why2, _ = check_equivalence(p, parent, e, strict_pairs[mode])
+        if ok and not mode.info.semi:
+            ok2, why2, _ = check_equivalence(p, parent, e, mode.semi_variant)
             ok, why = ok and ok2, why2
         res.record(k, ok, why)
     return res
@@ -461,13 +439,6 @@ def suite_cross_mode(seed: int, count: int) -> SuiteResult:
             why_all = why_all or why1 or why2 or why3
         res.record(k, ok_all, why_all)
     return res
-
-
-_RAND_BY_KIND = {
-    PresentationKind.SUP: rand_sup_presentation,
-    PresentationKind.PREFRAME: rand_preframe_presentation,
-    PresentationKind.DCPO: rand_dcpo_presentation,
-}
 
 
 def suite_coverage(kind: PresentationKind, seed: int, count: int) -> SuiteResult:

@@ -220,10 +220,6 @@ class Term:
         return " v ".join(str(c) for c in self.clauses)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.clauses
-
-    @property
     def is_unit(self) -> bool:
         return len(self.clauses) == 1 and isinstance(self.clauses[0], Meet) and not self.clauses[0].gens
 
@@ -367,14 +363,3 @@ def rename_clause(cl: SchemaClause, mapping: dict[str, str], pin: dict[str, ExtR
         cl.int_var,
         cl.directed,
     )
-
-
-def concrete_schema_term(term: Term) -> SchemaTerm:
-    """View a concrete generator term as a (parameterless) schema term."""
-    out = []
-    for c in term.clauses:
-        if isinstance(c, FamilyJoin):
-            out.append(SchemaClause(c.body, conds=c.conds, int_var=c.var, directed=c.directed))
-        else:
-            out.append(SchemaClause(tuple(GenPattern(name=g) for g in c.gens)))
-    return SchemaTerm(tuple(out))

@@ -1,11 +1,14 @@
 """Presentation-to-presentation quotient transformers.
 
 Given a presentation of a frame and the restriction of a quotient operator
-to generators (a QuotientSpec), these emit the presentation of the
+to generators (a QuotientSpec), ``present`` emits the presentation of the
 quotient frame over tagged generators: the original relations transported
-verbatim, the unit relation(s), and one meet/join relation per generator
-pair expanded through the chosen representations.  The six entry points
-differ only in which relation family they emit and which side expands.
+verbatim, the unit and/or zero relation, and one meet and/or join relation
+per generator pair expanded through the chosen representations.  One
+engine serves all six modes; it reads every difference between them (tag,
+parent kind, unit/zero relations, pair family, image shape) from
+``mode.info``.  The six ``present_<mode>`` functions are the same engine
+with the mode fixed.
 
 ``derive_spec_from_coinserter`` goes the other way: it computes the
 quotient operator of a coinserter or coequaliser of finite frame maps,
@@ -24,6 +27,7 @@ from .lattice import (
     MonotoneMap,
     OperatorLawError,
     QuotientMode,
+    Role,
     check_quotient_operator,
     compose,
     interior_from_pair,
@@ -107,26 +111,21 @@ class QuotientSpec:
 
 
 def _check_image_shape(mode: QuotientMode, t: Term):
-    singles = mode in (
-        QuotientMode.SEMI_OPEN,
-        QuotientMode.OPEN,
-        QuotientMode.SEMI_TRIQUOTIENT,
-        QuotientMode.TRIQUOTIENT,
-    )
+    role = mode.info.family.role
+    if role is Role.INTERIOR_OP:
+        return  # any join of finite meets
     for cl in t.clauses:
         if isinstance(cl, FamilyJoin):
-            if singles and len(cl.body) > 1:
+            if len(cl.body) > 1:
                 raise TransformError("image family must join single generators")
-            continue
-        if singles and len(cl.gens) != 1:
+        elif len(cl.gens) != 1:
             raise TransformError(
                 f"{mode.value} image must be a join of generators, got meet {cl}"
             )
-    if mode in (QuotientMode.SEMI_TRIQUOTIENT, QuotientMode.TRIQUOTIENT):
-        if len(t.clauses) != 1:
-            raise TransformError(
-                f"{mode.value} image must be a single generator (finite directed join)"
-            )
+    if role is Role.DCPO_IDEMPOTENT and len(t.clauses) != 1:
+        raise TransformError(
+            f"{mode.value} image must be a single generator (finite directed join)"
+        )
 
 
 def identity_spec(domain: GeneratorDomain, mode: QuotientMode) -> QuotientSpec:
@@ -144,25 +143,6 @@ class Provenance:
 @dataclass(frozen=True)
 class TransformedPresentation(Presentation):
     provenance: Provenance = None  # type: ignore[assignment]
-
-
-_MODE_TAG = {
-    QuotientMode.SEMI_OPEN: "dia",
-    QuotientMode.OPEN: "dia",
-    QuotientMode.SEMI_PROPER: "box",
-    QuotientMode.PROPER: "box",
-    QuotientMode.SEMI_TRIQUOTIENT: "boxtimes",
-    QuotientMode.TRIQUOTIENT: "boxtimes",
-}
-
-_MODE_KIND = {
-    QuotientMode.SEMI_OPEN: PresentationKind.SUP,
-    QuotientMode.OPEN: PresentationKind.SUP,
-    QuotientMode.SEMI_PROPER: PresentationKind.PREFRAME,
-    QuotientMode.PROPER: PresentationKind.PREFRAME,
-    QuotientMode.SEMI_TRIQUOTIENT: PresentationKind.DCPO,
-    QuotientMode.TRIQUOTIENT: PresentationKind.DCPO,
-}
 
 
 def _transport_relation(rel, tagged: TaggedDomain):
@@ -218,77 +198,37 @@ def _image_lists(spec: QuotientSpec, g: str) -> list[tuple[str, ...]]:
 def _finite_pair_relations(
     p: Presentation, spec: QuotientSpec, tagged: TaggedDomain
 ) -> list[Relation]:
-    # The symmetric (semi) relation families are emitted once per unordered
-    # pair; the asymmetric ones expand only the second slot, and dropping
-    # the mirrored relation loses forcing on small finite instances, so
-    # both orders are kept there.
+    # The semi relation families are symmetric and emitted once per
+    # unordered pair; the strict ones expand only the second slot, and
+    # dropping the mirrored relation loses forcing on small finite
+    # instances, so both orders are kept there.  Each relation equates the
+    # meet (join) of the pair with the join over the pair's image clauses
+    # a, b of the meet of x ^ y (x v y) for x in a, y in b.
     domain = p.domain
     gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
-    mode = spec.mode
-    symmetric = mode in (
-        QuotientMode.SEMI_OPEN,
-        QuotientMode.SEMI_PROPER,
-        QuotientMode.SEMI_TRIQUOTIENT,
-    )
+    info = spec.mode.info
     out = []
     for i, s in enumerate(gens):
-        partners = gens[i:] if symmetric else gens
-        for t in partners:
-            lhs_join_modes = mode in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER)
-            if lhs_join_modes:
-                lhs = normalize(join_of([tagged.wrap(s), tagged.wrap(t)]), tagged)
-            else:
-                lhs = normalize(Term((Meet(tuple(sorted({tagged.wrap(s), tagged.wrap(t)}))),)), tagged)
-            rels = []
-            if mode in (QuotientMode.SEMI_OPEN, QuotientMode.OPEN):
-                if mode is QuotientMode.SEMI_OPEN:
-                    keys = [
-                        domain.meet(a[0], b[0])
-                        for a in _image_lists(spec, s)
-                        for b in _image_lists(spec, t)
-                    ]
+        for t in gens[i:] if info.semi else gens:
+            ws, wt = tagged.wrap(s), tagged.wrap(t)
+            left = _image_lists(spec, s) if info.semi else [(s,)]
+            right = _image_lists(spec, t)
+            for op in info.family.ops:
+                combine = getattr(domain, op)
+                if op == "meet":
+                    lhs = Term((Meet(tuple(sorted({ws, wt}))),))
                 else:
-                    keys = [domain.meet(s, b[0]) for b in _image_lists(spec, t)]
-                rhs = normalize(join_of([tagged.wrap(k) for k in keys]), tagged)
-                rels.append(Relation(lhs, rhs))
-            elif lhs_join_modes:
-                clauses = []
-                if mode is QuotientMode.SEMI_PROPER:
-                    pairs = [
-                        (a, b)
-                        for a in _image_lists(spec, s)
-                        for b in _image_lists(spec, t)
-                    ]
-                    for a, b in pairs:
-                        ms = [domain.join(x, y) for x in a for y in b]
-                        clauses.append(Meet(tuple(sorted(set(tagged.wrap(k) for k in ms)))))
-                else:
-                    for b in _image_lists(spec, t):
-                        ms = [domain.join(s, y) for y in b]
-                        clauses.append(Meet(tuple(sorted(set(tagged.wrap(k) for k in ms)))))
-                rhs = normalize(Term(tuple(clauses)), tagged)
-                rels.append(Relation(lhs, rhs))
-            else:
-                # triquotient modes: a meet family and a join family
-                img_s = [c[0] for c in _image_lists(spec, s)]
-                img_t = [c[0] for c in _image_lists(spec, t)]
-                if mode is QuotientMode.SEMI_TRIQUOTIENT:
-                    meets = [domain.meet(a, b) for a in img_s for b in img_t]
-                    joins = [domain.join(a, b) for a in img_s for b in img_t]
-                else:
-                    meets = [domain.meet(s, b) for b in img_t]
-                    joins = [domain.join(s, b) for b in img_t]
-                lhs_meet = normalize(
-                    Term((Meet(tuple(sorted({tagged.wrap(s), tagged.wrap(t)}))),)), tagged
+                    lhs = join_of([ws, wt])
+                rhs = Term(
+                    tuple(
+                        Meet(tuple(sorted({tagged.wrap(combine(x, y)) for x in a for y in b})))
+                        for a in left
+                        for b in right
+                    )
                 )
-                lhs_join = normalize(join_of([tagged.wrap(s), tagged.wrap(t)]), tagged)
-                rels.append(
-                    Relation(lhs_meet, normalize(join_of([tagged.wrap(k) for k in meets]), tagged))
-                )
-                rels.append(
-                    Relation(lhs_join, normalize(join_of([tagged.wrap(k) for k in joins]), tagged))
-                )
-            out.extend(r for r in rels if not r.trivial())
+                rel = Relation(normalize(lhs, tagged), normalize(rhs, tagged))
+                if not rel.trivial():
+                    out.append(rel)
     return out
 
 
@@ -297,16 +237,19 @@ def _symbolic_pair_schemas(
 ) -> list[RelationSchema]:
     domain = p.domain
     pp = domain.pattern_params
-    mode = spec.mode
+    info = spec.mode.info
     t_names = {name: name + "'" for name in pp}
     s_generic = domain.generic_pattern()
     s_pat = s_generic.tagged(tagged.tag)
     out = []
 
-    if mode not in (QuotientMode.OPEN, QuotientMode.PROPER):
+    if info.semi or len(info.family.ops) != 1:
         raise TransformError(
-            f"schematic images are supported for the open and proper transformers, not {mode.value}"
+            "schematic images are supported for the open and proper transformers, "
+            f"not {spec.mode.value}"
         )
+    (op,) = info.family.ops
+    combine = domain.meet_patterns if op == "meet" else domain.join_patterns
 
     for case in spec.cases:
         pin = {t_names[k]: v for k, v in case.pin}
@@ -315,20 +258,11 @@ def _symbolic_pair_schemas(
         rhs_clauses = []
         for cl in case.term.clauses:
             renamed = rename_clause(cl, t_names, pin)
-            if mode is QuotientMode.OPEN:
-                body = tuple(
-                    domain.meet_patterns(s_generic, pat).tagged(tagged.tag)
-                    for pat in renamed.meet
-                )
-            else:
-                body = tuple(
-                    domain.join_patterns(s_generic, pat).tagged(tagged.tag)
-                    for pat in renamed.meet
-                )
+            body = tuple(combine(s_generic, pat).tagged(tagged.tag) for pat in renamed.meet)
             rhs_clauses.append(
                 SchemaClause(body, renamed.bound, renamed.conds, renamed.int_var, renamed.directed)
             )
-        if mode is QuotientMode.OPEN:
+        if op == "meet":
             lhs = SchemaTerm((SchemaClause((s_pat, t_pat)),))
         else:
             lhs = SchemaTerm((SchemaClause((s_pat,)), SchemaClause((t_pat,))))
@@ -340,9 +274,9 @@ def _symbolic_pair_schemas(
 def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: bool) -> TransformedPresentation:
     if spec.mode is not mode:
         raise TransformError(f"spec mode {spec.mode.value} does not match transformer {mode.value}")
-    want_kind = _MODE_KIND[mode]
-    if p.kind is not want_kind:
-        raise TransformError(f"{mode.value} transformer needs a {want_kind.value} presentation")
+    family = mode.info.family
+    if p.kind is not PresentationKind(family.kind):
+        raise TransformError(f"{mode.value} transformer needs a {family.kind} presentation")
     if spec.domain != p.domain:
         raise TransformError("spec and presentation disagree on the generator domain")
     if check and not p.schematic and p.domain.finite:
@@ -350,14 +284,14 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
         if not report.ok:
             raise KindCheckError(report)
 
-    tagged = TaggedDomain(_MODE_TAG[mode], p.domain)
+    tagged = TaggedDomain(family.tag, p.domain)
     rels: list = []
-    if mode in (QuotientMode.SEMI_OPEN, QuotientMode.OPEN, QuotientMode.SEMI_TRIQUOTIENT, QuotientMode.TRIQUOTIENT):
+    if "meet" in family.ops:
         top = p.domain.top()
         if top is None:
             raise TransformError("domain top needed for the unit relation")
         rels.append(Relation(gen_term(tagged.wrap(top)), TERM_ONE))
-    if mode in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER, QuotientMode.SEMI_TRIQUOTIENT, QuotientMode.TRIQUOTIENT):
+    if "join" in family.ops:
         bottom = p.domain.bottom()
         if bottom is None:
             raise TransformError("domain bottom needed for the zero relation")
@@ -410,54 +344,53 @@ def present_triquotient(p: Presentation, spec: QuotientSpec, check: bool = True)
     return _present(p, spec, QuotientMode.TRIQUOTIENT, check)
 
 
+# ``present`` calls the entry point of the mode through this table, so that
+# a wrapper put on a ``present_<mode>`` function sees every call.
+_PRESENTERS = {mode: globals()[f"present_{mode.name.lower()}"] for mode in QuotientMode}
+
+
+def present(p: Presentation, spec: QuotientSpec, check: bool = True) -> TransformedPresentation:
+    """The presentation of the quotient that ``spec`` describes, built by
+    the transformer of ``spec.mode``.  ``check`` runs the parent's kind
+    check first (finite, non-schematic parents only)."""
+    return _PRESENTERS[spec.mode](p, spec, check)
+
+
 # ---------------------------------------------------------------------------
 # operator derivation from coinserter / coequaliser data
 
 
-def _readback_join(parent: PresentedObject, target: int) -> Term:
-    """target as a join of generators, preferring fine generators: redundant
-    members are pruned from the top of the carrier order down."""
+def _readback(parent: PresentedObject, target: int, join: bool) -> Term:
+    """target as a join of the generators below it (``join``) or as a meet
+    of those above it.  Redundant members are pruned starting from the ones
+    nearest to target, so a join keeps fine generators."""
     X = parent.carrier
     domain = parent.domain
-    cands = [g for g in parent.interp if X.leq(parent.interp[g], target)]
-    if X.join_all(parent.interp[g] for g in cands) != target:
-        raise TransformError("carrier element is not a join of generators")
+    interp = parent.interp
+    if join:
+        cands = [g for g in interp if X.leq(interp[g], target)]
+        combine = X.join_all
+    else:
+        cands = [g for g in interp if X.leq(target, interp[g])]
+        combine = X.meet_all
+    if combine(interp[g] for g in cands) != target:
+        raise TransformError(f"carrier element is not a {'join' if join else 'meet'} of generators")
     down = X.poset.down
+    sign = -1 if join else 1
 
     def height(g: str) -> int:
-        return bin(down[parent.interp[g]]).count("1")
-
-    kept = sorted(cands, key=lambda g: (-height(g), domain.sort_key(g)))
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1:]
-        if rest and X.join_all(parent.interp[g] for g in rest) == target:
-            kept = rest
-        else:
-            i += 1
-    return join_of(sorted(kept, key=domain.sort_key))
-
-
-def _readback_meet(parent: PresentedObject, target: int) -> Term:
-    X = parent.carrier
-    domain = parent.domain
-    cands = [g for g in parent.interp if X.leq(target, parent.interp[g])]
-    if X.meet_all(parent.interp[g] for g in cands) != target:
-        raise TransformError("carrier element is not a meet of generators")
-    down = X.poset.down
-
-    def height(g: str) -> int:
-        return bin(down[parent.interp[g]]).count("1")
+        return sign * bin(down[interp[g]]).count("1")
 
     kept = sorted(cands, key=lambda g: (height(g), domain.sort_key(g)))
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1:]
-        if rest and X.meet_all(parent.interp[g] for g in rest) == target:
+        if rest and combine(interp[g] for g in rest) == target:
             kept = rest
         else:
             i += 1
-    return Term((Meet(tuple(sorted(kept, key=domain.sort_key))),))
+    kept.sort(key=domain.sort_key)
+    return join_of(kept) if join else Term((Meet(tuple(kept)),))
 
 
 def _readback_generator(parent: PresentedObject, target: int) -> Term:
@@ -493,7 +426,8 @@ def derive_spec_from_coinserter(
     if gstar.source.poset.elements != X.poset.elements:
         raise TransformError("gstar must start at the parent carrier")
 
-    if mode in (QuotientMode.SEMI_OPEN, QuotientMode.OPEN):
+    role = mode.info.family.role
+    if role is Role.CLOSURE_OP:
         f_sh = left_adjoint(fstar)
         if f_sh is None:
             raise TransformError("missing adjoint: f* has no left adjoint")
@@ -505,7 +439,7 @@ def derive_spec_from_coinserter(
             other = compose(g_sh, fstar)
             j = MonotoneMap(X, X, tuple(X.join(j(x), other(x)) for x in range(X.n)))
         op = kleene_closure(j)
-    elif mode in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER):
+    elif role is Role.INTERIOR_OP:
         g_st = right_adjoint(gstar)
         if g_st is None:
             raise TransformError("missing adjoint: g* has no right adjoint")
@@ -516,7 +450,7 @@ def derive_spec_from_coinserter(
             a, b = compose(g_st, fstar), compose(f_st, gstar)
             table = tuple(X.meet(X.meet(a(x), b(x)), x) for x in range(X.n))
             op = MonotoneMap(X, X, table)
-            rep = check_quotient_operator(op, QuotientMode.SEMI_PROPER)
+            rep = check_quotient_operator(op, mode.semi_variant)
             if not rep:
                 raise OperatorLawError(rep)
         else:
@@ -544,17 +478,17 @@ def spec_from_operator(
         if not rep:
             raise OperatorLawError(rep)
     domain = parent.domain
+    family = mode.info.family
+    # preframe generators carry no meets, so their meets stay formal
+    fold = PresentationKind(family.kind) is not PresentationKind.PREFRAME
     image = []
     for g in sorted(parent.interp, key=domain.sort_key):
         target = op(parent.interp[g])
         if target == parent.interp[g]:
             term = gen_term(g)
-        elif mode in (QuotientMode.SEMI_OPEN, QuotientMode.OPEN):
-            term = _readback_join(parent, target)
-        elif mode in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER):
-            term = _readback_meet(parent, target)
-        else:
+        elif family.role is Role.DCPO_IDEMPOTENT:
             term = _readback_generator(parent, target)
-        fold = mode not in (QuotientMode.SEMI_PROPER, QuotientMode.PROPER)
+        else:
+            term = _readback(parent, target, join=family.role is Role.CLOSURE_OP)
         image.append((g, normalize(term, domain, fold)))
     return QuotientSpec(mode, domain, tuple(image))

@@ -30,6 +30,7 @@ from locale_forge.transform import (
     TransformError,
     derive_spec_from_coinserter,
     identity_spec,
+    present,
     present_open,
     present_proper,
     present_semi_open,
@@ -75,17 +76,43 @@ def swap_closure_on(frame):
     return kleene_closure(MonotoneMap(X, X, tuple(table)))
 
 
+def diamond_dcpo():
+    dom = FiniteGeneratorDomain(
+        FinitePoset.from_pairs(["z", "a", "b", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        use_meet=True,
+        use_join=True,
+    )
+    return Presentation(PresentationKind.DCPO, dom, ())
+
+
 class TestFiniteTransformers:
     def test_identity_spec_presents_the_same_frame(self):
-        p = two_point_presentation()
-        parent = eval_frame(p)
-        for mode, present in (
-            (QuotientMode.SEMI_OPEN, present_semi_open),
-            (QuotientMode.OPEN, present_open),
-        ):
+        # mode, its CLI name, its generator tag, a parent of the kind it
+        # needs.  The tagged generators of a quotient form a bare poset, so
+        # the unit relation, the zero relation and the pair relations each
+        # decide the presented frame here.
+        cases = [
+            (QuotientMode.SEMI_OPEN, "semi-open", "dia", two_point_presentation),
+            (QuotientMode.OPEN, "open", "dia", two_point_presentation),
+            (QuotientMode.SEMI_PROPER, "semi-proper", "box", sierpinski_preframe),
+            (QuotientMode.PROPER, "proper", "box", sierpinski_preframe),
+            (QuotientMode.SEMI_TRIQUOTIENT, "semi-triquotient", "boxtimes", diamond_dcpo),
+            (QuotientMode.TRIQUOTIENT, "triquotient", "boxtimes", diamond_dcpo),
+        ]
+        assert [c[0] for c in cases] == list(QuotientMode)
+        for mode, cli_name, tag, make in cases:
+            assert mode.cli_name == cli_name
+            assert QuotientMode.parse(mode.value) is mode
+            assert QuotientMode.parse(cli_name) is mode
+            p = make()
+            parent = eval_frame(p)
+            assert parent.carrier.n > 2
             out = present(p, identity_spec(p.domain, mode))
+            assert out.domain.tag == tag
             quotient = eval_frame(out)
-            assert poset_isomorphism(quotient.carrier.poset, parent.carrier.poset) is not None
+            pinned = [(quotient.interp[f"{tag} {g}"], parent.interp[g]) for g in parent.interp]
+            iso = poset_isomorphism(quotient.carrier.poset, parent.carrier.poset, pinned)
+            assert iso is not None, mode
 
     def test_swap_presents_the_two_chain(self):
         p = two_point_presentation()
@@ -120,14 +147,9 @@ class TestFiniteTransformers:
             assert eval_frame(out).carrier.n == 2
 
     def test_triquotient_identity_is_a_renaming(self):
-        dom = FiniteGeneratorDomain(
-            FinitePoset.from_pairs(["z", "a", "b", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)]),
-            use_meet=True,
-            use_join=True,
-        )
-        p = Presentation(PresentationKind.DCPO, dom, ())
+        p = diamond_dcpo()
         parent = eval_frame(p)
-        out = present_semi_triquotient(p, identity_spec(dom, QuotientMode.SEMI_TRIQUOTIENT))
+        out = present_semi_triquotient(p, identity_spec(p.domain, QuotientMode.SEMI_TRIQUOTIENT))
         quotient = eval_frame(out)
         assert poset_isomorphism(quotient.carrier.poset, parent.carrier.poset) is not None
 
