@@ -193,16 +193,17 @@ def _z2_swap_artifact():
     from .presentation import Presentation, Relation
     from .terms import TERM_ZERO, gen_term, join_of
 
-    poset = FinitePoset.from_pairs(["bot", "a", "b", "top"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    # labels must have a text form: "top" is a reserved word of the DSL
+    poset = FinitePoset.from_pairs(["bot", "a", "b", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)])
     domain = FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
     parent = Presentation(
         PresentationKind.SUP,
         domain,
-        (Relation(join_of(["a", "b"]), gen_term("top")), Relation(gen_term("bot"), TERM_ZERO)),
+        (Relation(join_of(["a", "b"]), gen_term("t")), Relation(gen_term("bot"), TERM_ZERO)),
     )
     frame = eval_frame(parent)
     X = frame.carrier
-    swap_lab = {"bot": "bot", "a": "b", "b": "a", "top": "top"}
+    swap_lab = {"bot": "bot", "a": "b", "b": "a", "t": "t"}
     idx = {e: i for i, e in enumerate(X.elements)}
     swap = as_frame_hom(MonotoneMap(X, X, tuple(idx[swap_lab[e]] for e in X.elements)))
     ident = as_frame_hom(MonotoneMap(X, X, tuple(range(X.n))))

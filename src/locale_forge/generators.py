@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lattice import FinitePoset, _bits
@@ -45,10 +46,17 @@ class GeneratorDomain:
 
     @property
     def distributive_lattice(self) -> bool:
-        return self.meet_semilattice and self.join_semilattice and self._distributive()
+        return self.meet_semilattice and self.join_semilattice and self._distributive
 
-    def _distributive(self) -> bool:
-        return False
+    _distributive: bool = False
+
+    @cached_property
+    def memo(self) -> dict:
+        """Facts derived from this domain object alone: normal forms
+        (``terms.normalize``) and generator polynomial images
+        (``presentation.generator_polynomial``).  Created on first use; it
+        belongs to the object, never to an equal domain, and dies with it."""
+        return {}
 
     # -- generator algebra ------------------------------------------------
     def contains(self, key: str) -> bool:
@@ -107,6 +115,8 @@ class FiniteGeneratorDomain(GeneratorDomain):
 
     Meets and joins are the glb/lub of the poset when these are total;
     declared partial operations (from the DSL) are verified against them.
+    Distributivity is decided once per object, over all triples of the
+    index tables, and cached on it.
     """
 
     def __init__(
@@ -186,14 +196,17 @@ class FiniteGeneratorDomain(GeneratorDomain):
                 if op(op(a, b), c) != op(a, op(b, c)):
                     raise DomainError(f"{opname} not associative at {a!r},{b!r},{c!r}")
 
+    @cached_property
     def _distributive(self) -> bool:
-        els = self.poset.elements
-        return all(
-            self.meet(a, self.join(b, c)) == self.join(self.meet(a, b), self.meet(a, c))
-            for a in els
-            for b in els
-            for c in els
-        )
+        meets, joins, n = self._meets, self._joins, self.poset.n
+        for a in range(n):
+            row = a * n
+            for b in range(n):
+                ab = meets[row + b]
+                for c in range(n):
+                    if meets[row + joins[b * n + c]] != joins[ab * n + meets[row + c]]:
+                        return False
+        return True
 
     def contains(self, key: str) -> bool:
         return key in self._index

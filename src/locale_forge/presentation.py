@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
 from .lattice import FinitePoset
@@ -135,6 +136,11 @@ class Presentation:
     def schema_count(self) -> int:
         return sum(1 for r in self.relations if isinstance(r, RelationSchema))
 
+    @cached_property
+    def _kind_reports(self) -> dict[bool, "StabilityReport"]:
+        """``check_kind``'s reports on this object, keyed by ``oracle``."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # stability checking
@@ -208,6 +214,29 @@ def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
     return all(clause_ok(c) for c in rel.lhs.clauses + rel.rhs.clauses)
 
 
+def generator_polynomial(
+    domain: GeneratorDomain, meet_with: Optional[str], join_with: Optional[str]
+) -> Callable[[str], str]:
+    """The map g -> (g ^ v) v u on the domain's generators, where v is
+    ``meet_with`` and u is ``join_with`` (``None`` leaves that step out).
+    Images are memoized per (v, u) in ``domain.memo``, the domain object's
+    own memo, as they are first asked for."""
+    table = domain.memo.setdefault(("polynomial", meet_with, join_with), {})
+
+    def image(g: str) -> str:
+        out = table.get(g)
+        if out is None:
+            out = g
+            if meet_with is not None:
+                out = domain.meet(out, meet_with)
+            if join_with is not None:
+                out = domain.join(out, join_with)
+            table[g] = out
+        return out
+
+    return image
+
+
 def _apply_polynomial(
     domain: GeneratorDomain,
     rel: Relation,
@@ -219,19 +248,11 @@ def _apply_polynomial(
 
     One-step stability instances are u=None (meet only) / v=None (join
     only); the dcpo saturation family uses both.  The empty meet (term 1)
-    counts as the domain top, empty joins stay empty.
+    counts as the domain top, empty joins stay empty.  Generator images
+    come from ``generator_polynomial``, memoized on the domain object, and
+    each side is normalized once, through the domain's normal-form memo.
     """
-
-    def apply_gen(g: str) -> str:
-        out = g
-        if meet_with is not None:
-            out = domain.meet(out, meet_with)
-        if join_with is not None:
-            out = domain.join(out, join_with)
-        return out
-
-    def apply_gen_from(v: str) -> str:
-        return domain.join(v, join_with) if join_with is not None else v
+    image = generator_polynomial(domain, meet_with, join_with)
 
     def apply_term(t: Term) -> Term:
         out: list[Meet] = []
@@ -244,12 +265,13 @@ def _apply_polynomial(
                     out.append(cl)
                 else:
                     # (1 ^ v) v u
-                    out.append(Meet((apply_gen_from(meet_with),)))
+                    v = meet_with if join_with is None else domain.join(meet_with, join_with)
+                    out.append(Meet((v,)))
             else:
-                out.append(Meet(tuple(apply_gen(g) for g in cl.gens)))
+                out.append(Meet(tuple(map(image, cl.gens))))
         return normalize(Term(tuple(out)), domain, fold_meets)
 
-    return Relation(apply_term(rel.lhs), apply_term(rel.rhs), rel.op).normalized(domain, fold_meets)
+    return Relation(apply_term(rel.lhs), apply_term(rel.rhs), rel.op)
 
 
 def _stability_instances(
@@ -276,14 +298,23 @@ def check_kind(
 
     Schematic presentations are first instantiated on the caller's grid.
     ``oracle=False`` restricts to the syntactic discipline, turning
-    derivable-but-absent instances into failures.
+    derivable-but-absent instances into failures.  The report of a
+    non-schematic presentation is memoized on the presentation object,
+    per ``oracle``, so each presentation is checked once.
     """
     if p.kind == PresentationKind.PLAIN:
         raise PresentationError("plain presentations have no kind discipline to check")
     if p.schematic:
         if grid is None:
             raise PresentationError("schematic presentation: supply a grid to check_kind")
-        p = instantiate_schemas(p, grid)
+        return _check_kind(instantiate_schemas(p, grid), oracle)
+    reports = p._kind_reports
+    if oracle not in reports:
+        reports[oracle] = _check_kind(p, oracle)
+    return reports[oracle]
+
+
+def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
     fold = p.kind is not PresentationKind.PREFRAME
@@ -301,14 +332,9 @@ def check_kind(
         if not oracle:
             return False
         if evaluated is None:
-            from . import evaluate
+            from .evaluate import _EVALUATORS
 
-            if p.kind == PresentationKind.SUP:
-                evaluated = evaluate.eval_suplattice(p)
-            elif p.kind == PresentationKind.PREFRAME:
-                evaluated = evaluate.eval_preframe(p)
-            else:
-                evaluated = evaluate.eval_dcpo(p)
+            evaluated = _EVALUATORS[p.kind](p)
         return evaluated.relation_holds(rel)
 
     verdicts = []

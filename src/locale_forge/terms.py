@@ -263,8 +263,15 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
     ``fold_meets=False`` keeps generator meets formal; preframe-style
     presentations need this, since there the frame meet of two generators
     is not a generator operation.  Raises on foreign generators.
-    Idempotent either way.
+    Idempotent either way.  Results are memoized in ``domain.memo``, the
+    domain object's own memo, under ``(raw, fold_meets)`` and, since the
+    form is idempotent, under ``(result, fold_meets)`` too.
     """
+    memo = domain.memo
+    key = (raw, fold_meets)
+    out = memo.get(key)
+    if out is not None:
+        return out
     clauses: list[Clause] = []
     for c in raw.clauses:
         if isinstance(c, FamilyJoin):
@@ -281,11 +288,12 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
             gens = [acc]
         clauses.append(Meet(tuple(sorted(gens))))
     # a clause equal to 1 absorbs the whole join
-    for c in clauses:
-        if isinstance(c, Meet) and not c.gens:
-            return TERM_ONE
-    uniq = sorted(set(clauses), key=_clause_sort_key)
-    return Term(tuple(uniq))
+    if any(isinstance(c, Meet) and not c.gens for c in clauses):
+        out = TERM_ONE
+    else:
+        out = Term(tuple(sorted(set(clauses), key=_clause_sort_key)))
+    memo[key] = memo[(out, fold_meets)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

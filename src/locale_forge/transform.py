@@ -42,6 +42,7 @@ from .presentation import (
     Relation,
     RelationSchema,
     check_kind,
+    generator_polynomial,
 )
 from .rationals import ExtRat
 from .terms import (
@@ -203,10 +204,15 @@ def _finite_pair_relations(
     # dropping the mirrored relation loses forcing on small finite
     # instances, so both orders are kept there.  Each relation equates the
     # meet (join) of the pair with the join over the pair's image clauses
-    # a, b of the meet of x ^ y (x v y) for x in a, y in b.
+    # a, b of the meet of x ^ y (x v y) for x in a, y in b, read off the
+    # domain's memoized polynomial tables.
     domain = p.domain
     gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
     info = spec.mode.info
+    pair_ops = {
+        "meet": lambda x, y: generator_polynomial(domain, y, None)(x),
+        "join": lambda x, y: generator_polynomial(domain, None, y)(x),
+    }
     out = []
     for i, s in enumerate(gens):
         for t in gens[i:] if info.semi else gens:
@@ -214,7 +220,7 @@ def _finite_pair_relations(
             left = _image_lists(spec, s) if info.semi else [(s,)]
             right = _image_lists(spec, t)
             for op in info.family.ops:
-                combine = getattr(domain, op)
+                combine = pair_ops[op]
                 if op == "meet":
                     lhs = Term((Meet(tuple(sorted({ws, wt}))),))
                 else:

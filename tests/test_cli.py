@@ -126,6 +126,18 @@ class TestExamples:
         doc = json.loads(out)
         assert doc["quotientIsTwoChain"] and doc["matchesFixedPoints"]
 
+    def test_z2_swap_text_reads_back(self):
+        from locale_forge.dsl import parse
+        from locale_forge.serialize import presentation_from_jsonable
+
+        rc, out, err = run_cli("example", "z2-swap")
+        assert rc == 0, err
+        text = out.split("transformed presentation:\n", 1)[1].split("\nquotient frame:", 1)[0]
+        read = parse(text)
+        rc, out, _ = run_cli("example", "z2-swap", "--format", "json")
+        want = presentation_from_jsonable(json.loads(out)["transformed"])
+        assert (read.kind, read.domain, read.relations) == (want.kind, want.domain, want.relations)
+
     def test_nat_reverse(self):
         rc, out, _ = run_cli("example", "nat-reverse")
         assert rc == 0

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from locale_forge.generators import FiniteGeneratorDomain
+from locale_forge.generators import FiniteGeneratorDomain, domain_from_descriptor
 from locale_forge.intervals import real_presentation
 from locale_forge.lattice import FinitePoset
 from locale_forge.presentation import (
@@ -16,7 +17,8 @@ from locale_forge.presentation import (
 )
 from locale_forge.rationals import rat
 from locale_forge.serialize import presentation_from_jsonable, presentation_to_jsonable
-from locale_forge.terms import Meet, Term, TERM_ZERO, gen_term, join_of, meet_of
+from locale_forge.suites import _RAND_BY_KIND
+from locale_forge.terms import Meet, Term, TERM_ZERO, gen_term, join_of, meet_of, normalize
 
 
 def diamond_domain():
@@ -38,10 +40,41 @@ class TestCheckKind:
     def test_fully_saturated_passes_syntactically(self):
         dom = diamond_domain()
         base = Relation(join_of(["a", "b"]), gen_term("t"))
-        p = Presentation(PresentationKind.SUP, dom, tuple(with_meet_instances(dom, base)))
-        rep = check_kind(p, oracle=False)
-        assert rep.ok
-        assert all(v.verdict == "syntacticPass" for v in rep.verdicts)
+        by_hand = Presentation(PresentationKind.SUP, dom, tuple(with_meet_instances(dom, base)))
+        # saturate promises the same of every presentation it returns
+        saturated = [make(random.Random(seed)) for make in _RAND_BY_KIND.values() for seed in range(100)]
+        for p in [by_hand] + saturated:
+            rep = check_kind(p, oracle=False)
+            assert rep.ok
+            assert all(v.verdict == "syntacticPass" for v in rep.verdicts), (p.kind, str(rep))
+
+    def test_memos_match_a_fresh_structural_copy(self):
+        """Kind reports and normal forms served from the memos equal those
+        computed on a copy whose domain, rebuilt from its descriptor, shares
+        no memo with the original."""
+        for make in _RAND_BY_KIND.values():
+            for seed in range(40):
+                p = make(random.Random(seed))
+                fold = p.kind is not PresentationKind.PREFRAME
+                reports = {oracle: check_kind(p, oracle=oracle) for oracle in (False, True)}
+                assert all(check_kind(p, oracle=o) is rep for o, rep in reports.items())
+                raw = []
+                for r in p.concrete_relations():
+                    gens = sorted(r.lhs.gens_used() | r.rhs.gens_used(), reverse=True)
+                    raw += [r.lhs, r.rhs, Term(tuple(reversed(r.lhs.clauses + r.rhs.clauses))), meet_of(gens)]
+                queries = [(t, f) for t in raw for f in (fold, not fold)]
+                first = [normalize(t, p.domain, f) for t, f in queries]
+                served = [normalize(t, p.domain, f) for t, f in queries]
+
+                fresh = domain_from_descriptor(p.domain.descriptor())
+                assert fresh == p.domain and "memo" not in vars(fresh)
+                copy = Presentation(p.kind, fresh, p.relations)
+                # the other order on the copy, so a memo that mixed up the
+                # oracle or the fold setting would disagree
+                for oracle, rep in reversed(reports.items()):
+                    assert check_kind(copy, oracle=oracle) == rep
+                recomputed = [normalize(t, fresh, f) for t, f in reversed(queries)][::-1]
+                assert served == first == recomputed
 
     def test_oracle_disabled_fails_with_witness(self):
         dom = diamond_domain()
