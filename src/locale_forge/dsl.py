@@ -32,7 +32,7 @@ from .generators import (
     GeneratorDomain,
     TaggedDomain,
 )
-from .lattice import FinitePoset, QuotientMode, _bits
+from .lattice import FinitePoset, QuotientMode, _bits, maximal
 from .presentation import (
     Presentation,
     PresentationError,
@@ -638,16 +638,8 @@ def _print_domain(domain: GeneratorDomain) -> str:
     items = ["gens " + ", ".join(poset.elements)]
     down = poset.down
     for j, e in enumerate(poset.elements):
-        covers = [
-            i
-            for i in _bits(down[j])
-            if i != j
-            and all(
-                not (poset.leq(i, k) and poset.leq(k, j)) or k in (i, j)
-                for k in range(poset.n)
-            )
-        ]
-        for i in covers:
+        # the lower covers of e: the maximal elements strictly below it
+        for i in _bits(maximal(down[j] ^ (1 << j), down)):
             items.append(f"leq {poset.elements[i]} <= {e}")
     ops = [x for x, on in (("meet", domain.has_meet), ("join", domain.has_join)) if on]
     items.append("ops " + (" ".join(ops) if ops else "poset"))

@@ -35,8 +35,10 @@ from .lattice import (
     LatticeError,
     OperatorReport,
     _bits,
+    maximal,
     poset_isomorphism,
     subset_lattice,
+    unions,
 )
 from .presentation import (
     Presentation,
@@ -118,37 +120,16 @@ class _MeetCarrier:
             for j, b in enumerate(gens):
                 if domain.leq(a, b):
                     up[i] |= 1 << j
-        masks = {0}
-        frontier = [0]
-        while frontier:
-            m = frontier.pop()
-            for i in range(g_n):
-                nm = m | up[i]
-                if nm not in masks:
-                    if len(masks) >= (1 << 15):
-                        raise LatticeError(
-                            "formal meet semilattice exceeds oracle scale"
-                        )
-                    masks.add(nm)
-                    frontier.append(nm)
-        ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+        ordered = unions(up, 1 << 15, "formal meet semilattice")
         self._masks = ordered
         self._mask_idx = {m: i for i, m in enumerate(ordered)}
         self.n = len(ordered)
         self.top = self._mask_idx[0]
         self.gen_index = {g: self._mask_idx[up[i]] for i, g in enumerate(gens)}
-
-        def label(mask: int) -> str:
-            mins = [
-                gens[i]
-                for i in _bits(mask)
-                if all(not ((up[j] >> i) & 1) or j == i for j in _bits(mask))
-            ]
-            if not mins:
-                return "1"
-            return "^".join(sorted(mins))
-
-        self.labels = [label(m) for m in ordered]
+        # a formal meet is named by the minimal generators of its upset
+        self.labels = [
+            "^".join(sorted(gens[i] for i in _bits(maximal(m, up)))) or "1" for m in ordered
+        ]
         self._meet_cache = {}
 
     def meet(self, i: int, j: int) -> int:
@@ -411,14 +392,8 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     index = {m: i for i, m in enumerate(masks)}
 
     def elem_label(mask: int) -> str:
-        maxs = [
-            e
-            for e in _bits(mask)
-            if all(not ((eng.down[f] >> e) & 1) or f == e for f in _bits(mask))
-        ]
-        if not maxs:
-            return "0"
-        return " | ".join(sorted(eng.labels[e] for e in maxs))
+        maxs = _bits(maximal(mask, eng.down))
+        return " | ".join(sorted(eng.labels[e] for e in maxs)) or "0"
 
     carrier = subset_lattice(masks, elem_label)
     if not carrier.frame:
@@ -462,14 +437,6 @@ def _gen_poset(domain: GeneratorDomain) -> tuple[list[str], list[int]]:
             if domain.leq(b, a):
                 down[i] |= 1 << j
     return gens, down
-
-
-def _all_closed(seed_masks: list[int]) -> list[int]:
-    """All unions of the seed masks (including the empty union)."""
-    out = {0}
-    for s in seed_masks:
-        out |= {m | s for m in out}
-    return sorted(out, key=lambda m: (bin(m).count("1"), m))
 
 
 class _UnionFindQuotient:
@@ -526,9 +493,7 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
         for i, m in enumerate(down):
             for j in _bits(m):
                 seeds[j] |= 1 << i
-    family = _all_closed(seeds)
-    if len(family) > (1 << 12):
-        raise EvaluationError(f"free {category} exceeds oracle scale")
+    family = unions(seeds, 1 << 12, f"free {category}")
     uf = _UnionFindQuotient(family, seeds)
     gen_masks = {g: seeds[i] for i, g in enumerate(gens)}
     full = 0
@@ -569,14 +534,8 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
 
     def label_of(mask: int) -> str:
         # the maximal generators of a downset, the minimal ones of an upset
-        ends = [
-            gens[i]
-            for i in _bits(mask)
-            if all(not ((seeds[j] >> i) & 1) or j == i for j in _bits(mask))
-        ]
-        if not ends:
-            return "1" if upsets else "0"
-        return (" & " if upsets else " | ").join(sorted(ends))
+        ends = sorted(gens[i] for i in _bits(maximal(mask, seeds)))
+        return (" & " if upsets else " | ").join(ends) or ("1" if upsets else "0")
 
     cls = uf.class_unions()
     fixed = sorted(set(cls.values()), key=lambda m: (bin(m).count("1"), m))
@@ -699,15 +658,13 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
             assigned[i] = len(classes)
             classes.append([i])
     labels = [" ~ ".join(sorted(gens[i] for i in cl)) for cl in classes]
-    pairs = [
-        (assigned[i], assigned[j]) for i in range(n) for j in _bits(reach[i])
-    ]
-    poset = FinitePoset.from_pairs(labels, pairs)
-    interp = {g: assigned[i] for g, i in gen_idx.items() if not g.startswith("__")}
+    # reach is a transitive preorder, so its quotient is the class order
     reach_q = [0] * len(classes)
     for i in range(n):
         for j in _bits(reach[i]):
             reach_q[assigned[i]] |= 1 << assigned[j]
+    poset = FinitePoset(tuple(labels), tuple(reach_q))
+    interp = {g: assigned[i] for g, i in gen_idx.items() if not g.startswith("__")}
     gi = {g: assigned[i] for g, i in gen_idx.items()}
 
     def term_value(t: Term) -> Optional[int]:

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
-from .lattice import FinitePoset
+from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
 from .rationals import ExtRat
 from .terms import (
     Cond,
@@ -365,89 +365,23 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
 # saturation
 
 
-def _fresh(label: str, taken: set[str]) -> str:
-    while label in taken:
-        label += "'"
-    taken.add(label)
-    return label
-
-
-def _meet_completion(domain: FiniteGeneratorDomain) -> tuple[FiniteGeneratorDomain, dict[str, str]]:
-    """Free meet-semilattice with top on the generator poset: finitely
-    generated upsets under reverse inclusion."""
+def _completion(domain: FiniteGeneratorDomain, meets: bool) -> tuple[FiniteGeneratorDomain, dict[str, str]]:
+    """Free meet-semilattice with top on the generator poset (``meets``):
+    finitely generated upsets under reverse inclusion; otherwise the free
+    join-semilattice with bottom: finitely generated downsets.  Each element
+    is named by its minimal (maximal) generators."""
     poset = domain.poset
-    n = poset.n
-    up = poset.up
-    upsets = {0}
-    frontier = [0]
-    while frontier:
-        m = frontier.pop()
-        for g in range(n):
-            nm = m | up[g]
-            if nm not in upsets:
-                upsets.add(nm)
-                frontier.append(nm)
-    masks = sorted(upsets, key=lambda m: (bin(m).count("1"), m))
-    taken: set[str] = set()
-    labels = []
-    for m in masks:
-        mins = [
-            poset.elements[i]
-            for i in range(n)
-            if (m >> i) & 1 and all(not poset.leq(j, i) or j == i for j in range(n) if (m >> j) & 1)
-        ]
-        if not mins:
-            labels.append(_fresh("unit", taken))
-        elif len(mins) == 1 and m == up[poset.elements.index(mins[0])]:
-            labels.append(_fresh(mins[0], taken))
-        else:
-            labels.append(_fresh(".".join(sorted(mins)), taken))
-    # order: A <= B iff A contains B (reverse inclusion of upsets)
-    pairs = [
-        (i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mj & ~mi == 0
-    ]
-    new = FiniteGeneratorDomain(FinitePoset.from_pairs(labels, pairs))
-    mapping = {
-        poset.elements[g]: labels[masks.index(up[g])] for g in range(n)
-    }
-    return new, mapping
+    principal = poset.up if meets else poset.down
+    masks = unions(principal, 1 << 15, "free meet-semilattice" if meets else "free join-semilattice")
 
+    def label(m: int) -> str:
+        ends = sorted(poset.elements[i] for i in _bits(maximal(m, principal)))
+        return ".".join(ends) or ("unit" if meets else "zero")
 
-def _join_completion(domain: FiniteGeneratorDomain) -> tuple[FiniteGeneratorDomain, dict[str, str]]:
-    """Free join-semilattice with bottom: finitely generated downsets."""
-    poset = domain.poset
-    n = poset.n
-    down = poset.down
-    downsets = {0}
-    frontier = [0]
-    while frontier:
-        m = frontier.pop()
-        for g in range(n):
-            nm = m | down[g]
-            if nm not in downsets:
-                downsets.add(nm)
-                frontier.append(nm)
-    masks = sorted(downsets, key=lambda m: (bin(m).count("1"), m))
-    taken: set[str] = set()
-    labels = []
-    for m in masks:
-        maxs = [
-            poset.elements[i]
-            for i in range(n)
-            if (m >> i) & 1 and all(not poset.leq(i, j) or j == i for j in range(n) if (m >> j) & 1)
-        ]
-        if not maxs:
-            labels.append(_fresh("zero", taken))
-        elif len(maxs) == 1 and m == down[poset.elements.index(maxs[0])]:
-            labels.append(_fresh(maxs[0], taken))
-        else:
-            labels.append(_fresh(".".join(sorted(maxs)), taken))
-    pairs = [
-        (i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mi & ~mj == 0
-    ]
-    new = FiniteGeneratorDomain(FinitePoset.from_pairs(labels, pairs))
-    mapping = {poset.elements[g]: labels[masks.index(down[g])] for g in range(n)}
-    return new, mapping
+    completed = subset_poset(masks, label, reverse=meets)
+    pos = {m: k for k, m in enumerate(masks)}
+    mapping = {g: completed.elements[pos[principal[i]]] for i, g in enumerate(poset.elements)}
+    return FiniteGeneratorDomain(completed), mapping
 
 
 def _map_term(t: Term, mapping: dict[str, str]) -> Term:
@@ -472,15 +406,15 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     domain = p.domain
     mapping = {g: g for g in domain.enumerate_gens()}
     if target == PresentationKind.SUP and not domain.meet_semilattice:
-        domain, mapping = _meet_completion(domain)
+        domain, mapping = _completion(domain, meets=True)
     elif target == PresentationKind.PREFRAME and not domain.join_semilattice:
-        domain, mapping = _join_completion(domain)
+        domain, mapping = _completion(domain, meets=False)
     elif target == PresentationKind.DCPO and not domain.distributive_lattice:
         if not domain.meet_semilattice:
-            domain, m1 = _meet_completion(domain)
+            domain, m1 = _completion(domain, meets=True)
             mapping = {g: m1[g] for g in mapping}
         if not domain.join_semilattice or not domain.distributive_lattice:
-            domain, m2 = _join_completion(domain)
+            domain, m2 = _completion(domain, meets=False)
             mapping = {g: m2[v] for g, v in mapping.items()}
         if not domain.distributive_lattice:
             raise PresentationError("completion did not reach a distributive lattice")
@@ -672,14 +606,11 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
                     pool.add(c)
                     changed = True
     ordered = sorted(pool, key=domain.sort_key)
-    idx = {g: i for i, g in enumerate(ordered)}
-    pairs = [
-        (idx[a], idx[b]) for a in ordered for b in ordered if domain.leq(a, b)
-    ]
+    up = [sum(1 << j for j, b in enumerate(ordered) if domain.leq(a, b)) for a in ordered]
     # inherit exactly the parent's structure: accidental glbs/lubs of the
     # restricted poset are not generator operations
     restricted = FiniteGeneratorDomain(
-        FinitePoset.from_pairs(ordered, pairs),
+        FinitePoset(tuple(ordered), tuple(up)),
         use_meet=domain.has_meet,
         use_join=domain.has_join,
     )

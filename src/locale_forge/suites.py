@@ -30,6 +30,8 @@ from .lattice import (
     join_irreducibles,
     kleene_closure,
     poset_isomorphism,
+    subset_poset,
+    unions,
 )
 from .presentation import (
     Presentation,
@@ -98,14 +100,8 @@ def _subset_domain(rng: random.Random, max_gens: int, closed_under: str) -> Fini
         if len(fams) <= max_gens:
             break
     ordered = sorted(fams, key=lambda s: (len(s), sorted(s)))
-    labels = {s: f"g{i}" for i, s in enumerate(ordered)}
-    pairs = [
-        (i, j)
-        for i, a in enumerate(ordered)
-        for j, b in enumerate(ordered)
-        if a <= b
-    ]
-    poset = FinitePoset.from_pairs([labels[s] for s in ordered], pairs)
+    masks = [sum(1 << x for x in s) for s in ordered]
+    poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
     if closed_under == "meet":
         return FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
     return FiniteGeneratorDomain(poset, use_meet=False, use_join=True)
@@ -122,29 +118,12 @@ def rand_join_semilattice_domain(rng: random.Random, max_gens: int = 5) -> Finit
 def rand_distributive_domain(rng: random.Random, max_gens: int = 8) -> FiniteGeneratorDomain:
     for _ in range(64):
         base = rand_poset(rng, rng.randint(1, 3))
-        down = base.down
-        masks = {0}
-        frontier = [0]
-        while frontier:
-            m = frontier.pop()
-            for g in range(base.n):
-                nm = m | down[g]
-                if nm not in masks:
-                    masks.add(nm)
-                    frontier.append(nm)
+        # every downset of a poset with n elements: never more than 2**n
+        masks = unions(base.down, 1 << base.n, "random distributive domain")
         if len(masks) <= max_gens:
             break
-    ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-    labels = [f"g{i}" for i in range(len(ordered))]
-    pairs = [
-        (i, j)
-        for i, a in enumerate(ordered)
-        for j, b in enumerate(ordered)
-        if a & ~b == 0
-    ]
-    return FiniteGeneratorDomain(
-        FinitePoset.from_pairs(labels, pairs), use_meet=True, use_join=True
-    )
+    poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
+    return FiniteGeneratorDomain(poset, use_meet=True, use_join=True)
 
 
 def _rand_join_term(rng: random.Random, gens: list[str]) -> Term:

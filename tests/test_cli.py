@@ -101,6 +101,14 @@ class TestVerbs:
         rc, out, err = run_cli("frobnicate")
         assert rc == 2
 
+    def test_scale_limit_is_a_module_error(self, tmp_path):
+        f = tmp_path / "antichain.pres"
+        gens = ", ".join(f"g{i}" for i in range(13))
+        f.write_text(f"domain finite {{ gens {gens}; }}\nkind sup\n")
+        rc, out, err = run_cli("eval", str(f), "--category", "sup")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "module", "detail": "free suplattice exceeds oracle scale"}
+
 
 class TestExamples:
     def test_circle_open_matches_golden_and_deterministic(self):

@@ -13,7 +13,7 @@ from locale_forge.evaluate import (
     verify_coverage,
 )
 from locale_forge.generators import FiniteGeneratorDomain
-from locale_forge.lattice import FinitePoset, poset_isomorphism
+from locale_forge.lattice import FinitePoset, LatticeError, poset_isomorphism
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -80,6 +80,45 @@ class TestEvalFrame:
         p = Presentation(PresentationKind.SUP, dom, ())
         with pytest.raises(PresentationError):
             eval_frame(p)
+
+
+def antichain_domain(k: int) -> FiniteGeneratorDomain:
+    return FiniteGeneratorDomain(FinitePoset.from_pairs([f"g{i}" for i in range(k)], []))
+
+
+class TestScaleLimits:
+    """Each oracle-scale cap raises a diagnostic at its value, before the
+    enumeration behind it grows any further."""
+
+    def test_formal_meets_of_sixteen_generators(self):
+        p = Presentation(PresentationKind.PLAIN, antichain_domain(16), ())
+        with pytest.raises(LatticeError, match="formal meet semilattice exceeds oracle scale"):
+            eval_frame(p)
+
+    @pytest.mark.parametrize(
+        "kind, evaluate, category",
+        [
+            (PresentationKind.SUP, eval_suplattice, "suplattice"),
+            (PresentationKind.PREFRAME, eval_preframe, "preframe"),
+        ],
+    )
+    def test_free_suplattice_and_preframe(self, kind, evaluate, category):
+        # 2**13 unions of 13 principal masks against a cap of 2**12
+        with pytest.raises(LatticeError, match=f"free {category} exceeds oracle scale"):
+            evaluate(Presentation(kind, antichain_domain(13), ()))
+
+    @pytest.mark.parametrize("evaluate", [eval_suplattice, eval_preframe, eval_dcpo])
+    def test_seventeen_generators(self, evaluate):
+        p = Presentation(PresentationKind.PLAIN, antichain_domain(17), ())
+        with pytest.raises(PresentationError, match="generator poset exceeds oracle scale"):
+            evaluate(p)
+
+    def test_presented_frame_cap(self):
+        p = two_point_presentation()
+        n = eval_frame(p).carrier.n
+        assert eval_frame(p, max_carrier=n).carrier.n == n
+        with pytest.raises(LatticeError, match="presented frame exceeds oracle scale"):
+            eval_frame(p, max_carrier=n - 1)
 
 
 class TestEvalSuplattice:

@@ -8,6 +8,7 @@ from locale_forge.lattice import (
     FiniteLattice,
     FinitePoset,
     InvalidPosetError,
+    LatticeError,
     MonotoneMap,
     NotALatticeError,
     Role,
@@ -18,9 +19,12 @@ from locale_forge.lattice import (
     downsets,
     join_irreducibles,
     left_adjoint,
+    mask_table,
+    maximal,
     order_isomorphic,
     recheck_witness,
     right_adjoint,
+    unions,
 )
 
 from conftest import galois_left_oracle, galois_right_oracle
@@ -79,6 +83,12 @@ class TestDownsets:
     def test_downsets_always_a_frame(self, seed):
         lat = downsets(rand_poset(seed, 1 + seed % 5))
         assert lat.frame
+
+    def test_cap_counts_every_downset(self):
+        antichain = FinitePoset.from_pairs([f"a{i}" for i in range(4)], [])
+        assert downsets(antichain, cap=1 << 4).n == 1 << 4
+        with pytest.raises(LatticeError, match="downset lattice exceeds oracle scale"):
+            downsets(antichain, cap=(1 << 4) - 1)
 
 
 def subset_poset(masks: list[int]) -> FinitePoset:
@@ -195,6 +205,57 @@ class TestExactKernel:
     def test_chain_above_a_large_powerset_is_distributive(self):
         lat = FiniteLattice.from_poset(m3_on_powerset(9, [(0, 1), (1, 2)]))
         assert lat.n == 516 and lat.distributive
+
+
+class TestMaskVocabulary:
+    """``unions``, ``maximal`` and ``mask_table`` against their quadratic or
+    exponential definitions, on seeded random posets."""
+
+    def test_unions_of_principal_downsets_are_the_downsets(self):
+        for seed in range(60):
+            p = rand_poset(seed, 1 + seed % 7)
+            closed = [
+                m
+                for m in range(1 << p.n)
+                if all(p.down[i] & ~m == 0 for i in range(p.n) if m >> i & 1)
+            ]
+            assert unions(p.down, 1 << p.n, "test") == sorted(
+                closed, key=lambda m: (bin(m).count("1"), m)
+            )
+
+    def test_maximal_and_minimal_elements(self):
+        for seed in range(60):
+            p = rand_poset(seed, 1 + seed % 7)
+            for mask in range(1 << p.n):
+                members = [i for i in range(p.n) if mask >> i & 1]
+                tops = sum(1 << i for i in members if not any(j != i and p.leq(i, j) for j in members))
+                bottoms = sum(1 << i for i in members if not any(j != i and p.leq(j, i) for j in members))
+                assert maximal(mask, p.down) == tops
+                assert maximal(mask, p.up) == bottoms
+
+    def test_mask_table_gives_glb_and_lub_or_none(self):
+        seen_missing = 0
+        for seed in range(60):
+            p = rand_poset(seed, 1 + seed % 7)
+
+            def greatest(cands, below):
+                # the candidate that every other candidate lies below
+                # (below=True) or above
+                for c in cands:
+                    if all(p.leq(d, c) if below else p.leq(c, d) for d in cands):
+                        return c
+                return None
+
+            meets, joins = mask_table(p.down), mask_table(p.up)
+            for a in range(p.n):
+                for b in range(p.n):
+                    lower = [x for x in range(p.n) if p.leq(x, a) and p.leq(x, b)]
+                    upper = [x for x in range(p.n) if p.leq(a, x) and p.leq(b, x)]
+                    assert meets[a * p.n + b] == greatest(lower, True)
+                    assert joins[a * p.n + b] == greatest(upper, False)
+            seen_missing += None in meets
+        # the sample has posets with and without every glb
+        assert 0 < seen_missing < 60
 
 
 class TestAdjoints:

@@ -5,7 +5,7 @@ import pytest
 
 from locale_forge.generators import FiniteGeneratorDomain, domain_from_descriptor
 from locale_forge.intervals import real_presentation
-from locale_forge.lattice import FinitePoset
+from locale_forge.lattice import FinitePoset, LatticeError
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -141,6 +141,16 @@ class TestSaturate:
         twice = saturate(once, PresentationKind.SUP)
         assert once.domain == twice.domain
         assert tuple(once.relations) == tuple(twice.relations)
+
+    @pytest.mark.parametrize(
+        "target, what",
+        [(PresentationKind.SUP, "meet"), (PresentationKind.PREFRAME, "join")],
+    )
+    def test_completion_cap(self, target, what):
+        # 2**16 upsets or downsets of a 16-antichain against a cap of 2**15
+        dom = FiniteGeneratorDomain(FinitePoset.from_pairs([f"g{i}" for i in range(16)], []))
+        with pytest.raises(LatticeError, match=f"free {what}-semilattice exceeds oracle scale"):
+            saturate(Presentation(PresentationKind.PLAIN, dom, ()), target)
 
     def test_symbolic_domains_ship_presaturated(self):
         rp = real_presentation()
