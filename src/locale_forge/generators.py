@@ -52,9 +52,11 @@ class GeneratorDomain:
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this domain object alone: normal forms
-        (``terms.normalize``) and generator polynomial images
-        (``presentation.generator_polynomial``).  Created on first use; it
-        belongs to the object, never to an equal domain, and dies with it."""
+        (``terms.normalize``), generator polynomial images
+        (``presentation.generator_polynomial``) and, on the interval
+        domains, the parsed endpoints of each generator key (under the key
+        string itself).  Created on first use; it belongs to the object,
+        never to an equal domain, and dies with it."""
         return {}
 
     # -- generator algebra ------------------------------------------------

@@ -108,6 +108,27 @@ def _simplify_expr(e: EExpr, lo: ExtRat, hi: ExtRat) -> EExpr:
 
 
 # ---------------------------------------------------------------------------
+# generator keys with two endpoints
+
+_OI_KEY = re.compile(r"OI\(([^,]+),([^,)]+)\)")
+_CC_KEY = re.compile(r"CC\(([^,]+),([^,)]+)\)")
+
+
+def _endpoints(domain: GeneratorDomain, key: str, pattern: re.Pattern, what: str) -> tuple[ExtRat, ExtRat]:
+    """The two endpoints written in ``key``, parsed once per domain object
+    and kept in its memo under the key itself.  A malformed key raises on
+    every call and is never memoized."""
+    memo = domain.memo
+    out = memo.get(key)
+    if out is None:
+        m = pattern.fullmatch(key)
+        if not m:
+            raise TermError(f"not {what}: {key!r}")
+        out = memo[key] = parse_extrat(m.group(1)), parse_extrat(m.group(2))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # interval-R
 
 
@@ -131,10 +152,7 @@ class OpenIntervalDomain(GeneratorDomain):
     def key_endpoints(self, key: str) -> Optional[tuple[ExtRat, ExtRat]]:
         if key == self.BOTTOM:
             return None
-        m = re.fullmatch(r"OI\(([^,]+),([^,)]+)\)", key)
-        if not m:
-            raise TermError(f"not an interval generator: {key!r}")
-        return parse_extrat(m.group(1)), parse_extrat(m.group(2))
+        return _endpoints(self, key, _OI_KEY, "an interval generator")
 
     def contains(self, key: str) -> bool:
         if key == self.BOTTOM:
@@ -223,10 +241,7 @@ class ClosedComplementDomain(GeneratorDomain):
         return f"CC({p},{q})"
 
     def key_endpoints(self, key: str) -> tuple[ExtRat, ExtRat]:
-        m = re.fullmatch(r"CC\(([^,]+),([^,)]+)\)", key)
-        if not m:
-            raise TermError(f"not a closed-complement generator: {key!r}")
-        return parse_extrat(m.group(1)), parse_extrat(m.group(2))
+        return _endpoints(self, key, _CC_KEY, "a closed-complement generator")
 
     @staticmethod
     def _in_range(x: ExtRat) -> bool:

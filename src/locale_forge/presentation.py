@@ -34,6 +34,7 @@ from .terms import (
     SchemaClause,
     SchemaTerm,
     Term,
+    TermError,
     normalize,
 )
 
@@ -459,11 +460,45 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
 # schema instantiation
 
 
-def _assignments(params, values, conds):
-    for combo in itertools.product(values, repeat=len(params)):
-        env = dict(zip(params, combo))
-        if all(c.holds(env) for c in conds if c.free_params() <= set(env)):
-            yield env
+def _bindings(
+    params: Sequence[str],
+    values: Sequence[ExtRat],
+    conds: Iterable[Cond],
+    env: Optional[dict[str, ExtRat]] = None,
+) -> Iterable[dict[str, ExtRat]]:
+    """Every extension of ``env`` that binds ``params`` to ``values`` and
+    satisfies ``conds``, in the lexicographic order of ``values`` taken
+    parameter by parameter (``itertools.product`` order).
+
+    Parameters are bound in declaration order and each condition is checked
+    once, as soon as the last of its free parameters is bound (a parameter
+    listed again, or shadowing one of ``env``, counts from its last
+    binding), so a partial binding that fails is never extended.  A
+    condition that mentions a parameter bound nowhere is skipped.  Each
+    yielded environment is a fresh dict.
+    """
+    env = dict(env or {})
+    level = {name: 0 for name in env}
+    level.update((name, i + 1) for i, name in enumerate(params))
+    checks: list[list[Cond]] = [[] for _ in range(len(params) + 1)]
+    for c in conds:
+        free = c.free_params()
+        if all(name in level for name in free):
+            checks[max((level[name] for name in free), default=0)].append(c)
+    if not all(c.holds(env) for c in checks[0]):
+        return
+
+    def extend(i: int):
+        if i == len(params):
+            yield dict(env)
+            return
+        name, tests = params[i], checks[i + 1]
+        for v in values:
+            env[name] = v
+            if all(c.holds(env) for c in tests):
+                yield from extend(i + 1)
+
+    yield from extend(0)
 
 
 def _family_window(values: list[ExtRat]) -> range:
@@ -480,27 +515,23 @@ def _instantiate_clause(
     cl: SchemaClause,
     env: dict[str, ExtRat],
     values: list[ExtRat],
+    window: range,
     pool_values: set[ExtRat],
 ) -> list[Meet]:
     out = []
     if cl.int_var is not None:
-        for n in _family_window(values):
-            sub_env = dict(env)
-            if not all(c.holds(sub_env, n) for c in cl.conds):
+        for n in window:
+            if not all(c.holds(env, n) for c in cl.conds):
                 continue
             try:
-                keys = [domain.instantiate_pattern(pat, sub_env, n) for pat in cl.meet]
+                keys = [domain.instantiate_pattern(pat, env, n) for pat in cl.meet]
             except TermError:
                 continue
             if all(_key_in_pool(domain, k, pool_values) for k in keys):
                 out.append(Meet(tuple(keys)))
         return out
     if cl.bound:
-        for combo in itertools.product(values, repeat=len(cl.bound)):
-            sub_env = dict(env)
-            sub_env.update(zip(cl.bound, combo))
-            if not all(c.holds(sub_env) for c in cl.conds):
-                continue
+        for sub_env in _bindings(cl.bound, values, cl.conds, env):
             keys = [domain.instantiate_pattern(pat, sub_env) for pat in cl.meet]
             out.append(Meet(tuple(keys)))
         return out
@@ -528,6 +559,7 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
     if not grid:
         raise PresentationError("empty instantiation grid")
     values = sorted(set(p.domain.grid_values(list(grid))))
+    window = _family_window(values)
     pool_values = set(values)
     relations: list[Relation] = []
     mentioned: set[str] = set()
@@ -555,7 +587,7 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
                         else:
                             sc = SchemaClause(cl.body, conds=cl.conds, int_var=cl.var)
                             meets.extend(
-                                _instantiate_clause(p.domain, sc, {}, values, pool_values)
+                                _instantiate_clause(p.domain, sc, {}, values, window, pool_values)
                             )
                     return meets
 
@@ -565,13 +597,13 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
                 relations.append(rel)
                 mentioned.update(rel.lhs.gens_used() | rel.rhs.gens_used())
             continue
-        for env in _assignments(r.params, values, r.conds):
+        for env in _bindings(r.params, values, r.conds):
             lhs_meets = []
             for cl in r.lhs.clauses:
-                lhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, pool_values))
+                lhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, window, pool_values))
             rhs_meets = []
             for cl in r.rhs.clauses:
-                rhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, pool_values))
+                rhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, window, pool_values))
             emit(lhs_meets, rhs_meets, r.op)
 
     # dedupe, preserving first occurrence
@@ -594,17 +626,20 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
     for extreme in (domain.top(), domain.bottom()):
         if extreme is not None:
             pool.add(extreme)
-    changed = True
-    while changed:
-        changed = False
-        for op_ok, op in ((domain.has_meet, domain.meet), (domain.has_join, domain.join)):
-            if not op_ok:
-                continue
-            for a, b in itertools.combinations(sorted(pool), 2):
+    # close under the declared operations: each key is combined once with
+    # every key taken before it, so each pair of keys is combined once
+    ops = [op for op_ok, op in ((domain.has_meet, domain.meet), (domain.has_join, domain.join)) if op_ok]
+    work = sorted(pool)
+    done: list[str] = []
+    while work:
+        a = work.pop()
+        for op in ops:
+            for b in done:
                 c = op(a, b)
                 if c not in pool:
                     pool.add(c)
-                    changed = True
+                    work.append(c)
+        done.append(a)
     ordered = sorted(pool, key=domain.sort_key)
     up = [sum(1 << j for j, b in enumerate(ordered) if domain.leq(a, b)) for a in ordered]
     # inherit exactly the parent's structure: accidental glbs/lubs of the

@@ -48,8 +48,8 @@ class ExtRat:
         return other <= self
 
     def __add__(self, shift: int) -> "ExtRat":
-        # Shifting by an integer; infinities absorb.
-        if self.sign != 0:
+        # Shifting by an integer; infinities and a zero shift leave it as is.
+        if self.sign != 0 or not shift:
             return self
         return ExtRat(0, self.value + shift)
 

@@ -12,6 +12,7 @@ owning domain gives them meaning.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -96,6 +97,15 @@ def econst(x, offset: int = 0, with_index: bool = False) -> EAtom:
 # ---------------------------------------------------------------------------
 # side conditions
 
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
 
 @dataclass(frozen=True)
 class Cond:
@@ -116,15 +126,7 @@ class Cond:
         rv = tuple(e.evaluate(env, n) for e in self.right)
         if self.op == "pairneq":
             return lv != rv
-        l, r = lv[0], rv[0]
-        return {
-            "<": l < r,
-            "<=": l <= r,
-            "=": l == r,
-            "!=": l != r,
-            ">": l > r,
-            ">=": l >= r,
-        }[self.op]
+        return _COMPARE[self.op](lv[0], rv[0])
 
     def __str__(self) -> str:
         if self.op == "pairneq":

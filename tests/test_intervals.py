@@ -22,7 +22,8 @@ from locale_forge.intervals import (
 from locale_forge.lattice import poset_isomorphism
 from locale_forge.presentation import Relation, check_kind, instantiate_schemas
 from locale_forge.rationals import NEG_INF, POS_INF, rat
-from locale_forge.terms import FamilyJoin, Meet, Term, TERM_ZERO, gen_term
+from locale_forge.generators import TaggedDomain
+from locale_forge.terms import FamilyJoin, Meet, Term, TermError, TERM_ZERO, gen_term
 
 from conftest import real_line_on_grid
 
@@ -56,6 +57,57 @@ class TestOpenIntervalDomain:
     def test_half_lines_meet_to_bounded(self):
         dom = OpenIntervalDomain()
         assert dom.meet("OI(0,+inf)", "OI(-inf,1)") == "OI(0,1)"
+
+
+class TestEndpointMemo:
+    """Both interval domains parse a generator key once per domain object."""
+
+    DOMAINS = {
+        OpenIntervalDomain: ["OI(0,1)", "OI(-inf,1/2)", "OI(-3/4,+inf)", "OI(2,1)"],
+        ClosedComplementDomain: ["CC(0,1)", "CC(1/3,1/2)", "CC(1,0)", "CC(2,-1)"],
+    }
+    @pytest.mark.parametrize("make", list(DOMAINS))
+    def test_malformed_keys_raise_every_time_and_stay_out(self, make):
+        dom = make()
+        other = "CC" if make is OpenIntervalDomain else "OI"
+        malformed = [f"{dom.ctor}(0)", f"{dom.ctor}(0,1)x", f"{other}(0,1)", "N(<=1)", ""]
+        bad_numbers = [f"{dom.ctor}(a,1)", f"{dom.ctor}(0,1/0)"]
+        for keys, error in ((malformed, TermError), (bad_numbers, ValueError)):
+            for key in keys:
+                for _ in range(3):
+                    with pytest.raises(error):
+                        dom.key_endpoints(key)
+                    assert not dom.contains(key)
+                assert key not in dom.memo
+
+    @pytest.mark.parametrize("make", list(DOMAINS))
+    def test_memoized_endpoints_match_a_fresh_domain(self, make):
+        dom = make()
+        keys = self.DOMAINS[make]
+        first = [dom.key_endpoints(k) for k in keys]
+        assert all(dom.memo[k] == eps for k, eps in zip(keys, first))
+        served = [dom.key_endpoints(k) for k in keys]
+        fresh = make()
+        assert "memo" not in vars(fresh)
+        assert served == first == [fresh.key_endpoints(k) for k in keys]
+        assert [dom.sort_key(k) for k in keys] == [fresh.sort_key(k) for k in keys]
+
+    def test_bottom_has_no_endpoints(self):
+        dom = OpenIntervalDomain()
+        assert dom.key_endpoints(dom.BOTTOM) is None
+        assert dom.BOTTOM not in dom.memo
+
+    def test_tagged_domain_reads_its_parents_memo(self):
+        parent = ClosedComplementDomain()
+        tagged = TaggedDomain("box", parent)
+        assert tagged.key_endpoints("box CC(1/4,1/2)") == (rat(Fraction(1, 4)), rat(Fraction(1, 2)))
+        assert "CC(1/4,1/2)" in parent.memo
+        assert "box CC(1/4,1/2)" not in tagged.memo and "CC(1/4,1/2)" not in tagged.memo
+        with pytest.raises(TermError):
+            tagged.key_endpoints("dia CC(1/4,1/2)")
+        with pytest.raises(TermError):
+            tagged.key_endpoints("box CC(1/4)")
+        assert "CC(1/4)" not in parent.memo
 
 
 class TestRealPresentation:

@@ -1,24 +1,55 @@
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from locale_forge.dsl import print_presentation
 from locale_forge.generators import FiniteGeneratorDomain, domain_from_descriptor
-from locale_forge.intervals import real_presentation
-from locale_forge.lattice import FinitePoset, LatticeError
+from locale_forge.intervals import (
+    ClosedComplementDomain,
+    OpenIntervalDomain,
+    circle_open_presentation,
+    circle_proper_presentation,
+    real_presentation,
+    unit_interval_presentation,
+)
+from locale_forge.lattice import FinitePoset, LatticeError, downsets
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
     PresentationKind,
     Relation,
+    _bindings,
+    _restrict_domain,
+    _family_window,
+    _instantiate_clause,
     check_kind,
     instantiate_schemas,
     saturate,
 )
-from locale_forge.rationals import rat
+from locale_forge.rationals import NEG_INF, POS_INF, rat
 from locale_forge.serialize import presentation_from_jsonable, presentation_to_jsonable
-from locale_forge.suites import _RAND_BY_KIND
-from locale_forge.terms import Meet, Term, TERM_ZERO, gen_term, join_of, meet_of, normalize
+from locale_forge.suites import _RAND_BY_KIND, rand_distributive_domain
+from locale_forge.terms import (
+    Cond,
+    EAtom,
+    EOp,
+    FamilyJoin,
+    GenPattern,
+    Meet,
+    SchemaClause,
+    Term,
+    TERM_ZERO,
+    econst,
+    eparam,
+    gen_term,
+    join_of,
+    meet_of,
+    normalize,
+)
 
 
 def diamond_domain():
@@ -215,3 +246,231 @@ class TestInstantiate:
         blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
         back = presentation_from_jsonable(json.loads(blob))
         assert json.dumps(presentation_to_jsonable(back), sort_keys=True) == blob
+
+
+# ---------------------------------------------------------------------------
+# the pruned schema enumerator against product-then-filter
+
+
+def product_then_filter(params, values, conds, env=None):
+    """Reference enumeration: every tuple of values, then every condition
+    whose free parameters are all bound."""
+    out = []
+    for combo in itertools.product(values, repeat=len(params)):
+        full = dict(env or {})
+        full.update(zip(params, combo))
+        if all(c.holds(full) for c in conds if c.free_params() <= set(full)):
+            out.append(full)
+    return out
+
+
+NAMES = ("p", "q", "p'", "q'", "r")
+OPS = ("<", "<=", "=", "!=", ">", ">=")
+GRID = [NEG_INF, rat(-1), rat(Fraction(-1, 2)), rat(0), rat(Fraction(1, 3)), rat(1), POS_INF]
+
+
+def rand_expr(rng, names):
+    roll = rng.random()
+    if roll < 0.15:
+        return econst(rng.choice([NEG_INF, rat(0), rat(Fraction(1, 2)), POS_INF]), rng.randint(-1, 1))
+    if roll < 0.3:
+        return EOp(rng.choice(("max", "min")), rand_expr(rng, names), rand_expr(rng, names))
+    # "z" is a parameter that no schema binds
+    return eparam(rng.choice(names + ("z",)), rng.choice((0, 0, 0, -1, 1, 2)))
+
+
+def rand_cond(rng, names):
+    if rng.random() < 0.2:
+        return Cond(
+            "pairneq",
+            (rand_expr(rng, names), rand_expr(rng, names)),
+            (rand_expr(rng, names), rand_expr(rng, names)),
+        )
+    return Cond(rng.choice(OPS), (rand_expr(rng, names),), (rand_expr(rng, names),))
+
+
+def rand_schema(rng):
+    params = tuple(rng.sample(NAMES, rng.randint(0, 4)))
+    conds = tuple(rand_cond(rng, NAMES) for _ in range(rng.randint(0, 4)))
+    values = sorted(rng.sample(GRID, rng.randint(1, len(GRID))))
+    return params, values, conds
+
+
+class TestBindings:
+    def test_matches_product_then_filter(self):
+        """Schema parameters alone, and the ``bigvee (p', q') where ...``
+        shape: bound names extending an outer environment, which they may
+        shadow, under conditions that mix both."""
+        emitted = 0
+        for seed in range(800):
+            rng = random.Random(seed)
+            params, values, conds = rand_schema(rng)
+            outer = {name: rng.choice(GRID) for name in rng.sample(NAMES, rng.choice((0, 0, 1, 2, 3)))}
+            got = list(_bindings(params, values, conds, outer))
+            assert got == product_then_filter(params, values, conds, outer), (seed, params, outer)
+            emitted += len(got)
+        assert emitted > 1000
+
+    def test_each_condition_checked_once_per_partial_binding(self):
+        class Counting(Cond):
+            calls = 0
+
+            def holds(self, env, n=None):
+                Counting.calls += 1
+                return super().holds(env, n)
+
+        p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
+        conds = tuple(
+            Counting(op, (a,), (b,)) for a, op, b in ((p, "<=", p2), (p2, "<", q), (q, "<=", q2))
+        )
+        values = GRID[1:-1]
+        got = list(_bindings(("p", "q", "p'", "q'"), values, conds))
+        pruned_calls = Counting.calls
+        assert got == product_then_filter(("p", "q", "p'", "q'"), values, conds)
+        # the product checks at least one condition on each of 5**4 tuples;
+        # p <= p' and p' < q go once per (p, q, p'), q <= q' once per
+        # survivor and value of q'
+        assert pruned_calls < len(values) ** 4 <= Counting.calls - pruned_calls
+
+    def test_bound_clause_instances(self):
+        """The bound branch of clause instantiation emits one meet per
+        binding, in product order."""
+        dom = OpenIntervalDomain()
+        p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
+        for seed in range(200):
+            rng = random.Random(seed)
+            bound = tuple(rng.sample(("p'", "q'"), rng.randint(1, 2)))
+            conds = tuple(rand_cond(rng, ("p", "q", "p'", "q'")) for _ in range(rng.randint(0, 3)))
+            conds += (Cond("<", (p,), (p2,)), Cond("<", (q2,), (q,)))
+            cl = SchemaClause((GenPattern("OI", (p2, q2)),), bound=bound, conds=conds)
+            values = sorted(rng.sample(GRID, rng.randint(2, len(GRID))))
+            env = {"p": rng.choice(values), "q": rng.choice(values), "p'": values[0], "q'": values[-1]}
+            got = _instantiate_clause(dom, cl, env, values, _family_window(values), set(values))
+            want = [
+                Meet((dom.instantiate_pattern(cl.meet[0], sub),))
+                for sub in product_then_filter(bound, values, conds, env)
+            ]
+            assert got == want, seed
+
+    def test_family_members_outside_the_domain_are_dropped(self):
+        """A Z-indexed family over [0,1] whose members leave the interval
+        keeps the members that exist."""
+        fam = FamilyJoin("n", (GenPattern("CC", (EAtom(const=rat(0), with_index=True), econst(1))),))
+        rel = Relation(gen_term("CC(0,1)"), Term((fam,)), "<=")
+        p = Presentation(PresentationKind.PREFRAME, ClosedComplementDomain(), (rel,))
+        (out,) = instantiate_schemas(p, [rat(0), rat(1)]).relations
+        assert str(out) == "CC(0,1) <= CC(0,1) v CC(1,1)"
+
+
+def closed_pool_reference(domain, keys):
+    """Close under the declared operations by rescanning all pairs until
+    nothing new appears."""
+    pool = set(keys) | {e for e in (domain.top(), domain.bottom()) if e is not None}
+    ops = [op for ok, op in ((domain.has_meet, domain.meet), (domain.has_join, domain.join)) if ok]
+    while True:
+        new = {op(a, b) for op in ops for a, b in itertools.combinations(sorted(pool), 2)} - pool
+        if not new:
+            return pool
+        pool |= new
+
+
+class TestRestrictDomain:
+    def test_meets_of_meets_are_added(self):
+        """In the subsets of {a,b,c,d}, the three 3-sets meet pairwise to
+        {a,d}, {b,d}, {c,d}; their common meet {d} is a meet of meets."""
+        boolean = FiniteGeneratorDomain(downsets(FinitePoset.from_pairs(list("abcd"), [])).poset)
+        keys = {"{a,b,d}", "{a,c,d}", "{b,c,d}"}
+        restricted = _restrict_domain(boolean, keys)
+        assert set(restricted.poset.elements) == closed_pool_reference(boolean, keys)
+        assert "{d}" in restricted.poset.elements
+
+    def test_worklist_closure_matches_fixpoint(self):
+        rng = random.Random(5)
+        pts = [NEG_INF, rat(-1), rat(Fraction(-1, 2)), rat(0), rat(Fraction(1, 2)), rat(1), POS_INF]
+        quarters = [rat(Fraction(a, 4)) for a in range(5)]
+        for _ in range(60):
+            oi, cc = OpenIntervalDomain(), ClosedComplementDomain()
+            finite = rand_distributive_domain(rng)
+            cases = (
+                (oi, {oi.key(*rng.sample(pts, 2)) for _ in range(rng.randint(1, 8))}),
+                (cc, {cc.key(rng.choice(quarters), rng.choice(quarters)) for _ in range(rng.randint(1, 8))}),
+                (finite, set(rng.sample(finite.enumerate_gens(), rng.randint(1, min(5, finite.poset.n))))),
+            )
+            for dom, keys in cases:
+                restricted = _restrict_domain(dom, keys)
+                want = closed_pool_reference(dom, keys)
+                assert list(restricted.poset.elements) == sorted(want, key=dom.sort_key)
+                assert (restricted.has_meet, restricted.has_join) == (dom.has_meet, dom.has_join)
+
+
+# ---------------------------------------------------------------------------
+# instantiation output, pinned by digests computed before the enumerator
+# was pruned
+
+
+def instantiation_digest(p) -> str:
+    try:
+        text = print_presentation(p)
+    except PresentationError:
+        text = json.dumps(presentation_to_jsonable(p), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digest_grid(name, n, unit):
+    """n distinct rationals drawn by seed: inside (0,1) for the unit
+    interval family, from [-8, 8] otherwise."""
+    rng = random.Random(f"{name}/{n}")
+    pool = sorted(
+        {Fraction(a, b) for b in range(1, 7) for a in (range(1, b) if unit else range(-8, 9))}
+    )
+    return [rat(x) for x in sorted(rng.sample(pool, n))]
+
+
+DIGEST_CASES = {
+    "real": (real_presentation, False),
+    "unit_interval": (unit_interval_presentation, True),
+    "circle_open": (circle_open_presentation, False),
+    "circle_proper_raw": (circle_proper_presentation, True),
+    "circle_proper_simplified": (lambda: circle_proper_presentation(simplify=True), True),
+}
+
+INSTANTIATION_DIGESTS = {
+    ("real", 1): "765067925eb45977",
+    ("real", 2): "33a92abfbccdf1e5",
+    ("real", 3): "dd31005f10b24379",
+    ("real", 4): "d8852ed494ea2b3b",
+    ("real", 5): "3638f90c0460f34f",
+    ("real", 6): "8e8889d6845ac3f5",
+    ("unit_interval", 1): "44f705636994b4d3",
+    ("unit_interval", 2): "eb6e362161e76de2",
+    ("unit_interval", 3): "4608d90b2bf2e8a3",
+    ("unit_interval", 4): "adcfc46eafc7dab8",
+    ("unit_interval", 5): "ed9045da6a7108c7",
+    ("unit_interval", 6): "ff82516f14dd5e59",
+    ("circle_open", 1): "2102fdc03f96bdec",
+    ("circle_open", 2): "5fe1eeed31671a00",
+    ("circle_open", 3): "91511b9eec224cf0",
+    ("circle_open", 4): "76de98092c845331",
+    ("circle_open", 5): "da4ba5f430f847cc",
+    ("circle_open", 6): "ba88ba6bf4c45ae6",
+    ("circle_proper_raw", 1): "71a73e616b63970d",
+    ("circle_proper_raw", 2): "1a5ce2edbcd9e6d1",
+    ("circle_proper_raw", 3): "6687d23befa28337",
+    ("circle_proper_raw", 4): "8bc762becd33ca5d",
+    ("circle_proper_raw", 5): "c165f7f53a4368f3",
+    ("circle_proper_raw", 6): "c12a74c3fcb482fb",
+    ("circle_proper_simplified", 1): "a355b648781a32b4",
+    ("circle_proper_simplified", 2): "5ea8a4aff214e02c",
+    ("circle_proper_simplified", 3): "73d9a353682b9cd0",
+    ("circle_proper_simplified", 4): "06464a1f92cf0539",
+    ("circle_proper_simplified", 5): "546d01f805b8e069",
+    ("circle_proper_simplified", 6): "5991fa1362e30623",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_instantiation_output_unchanged(name):
+    make, unit = DIGEST_CASES[name]
+    for n in range(1, 7):
+        p = instantiate_schemas(make(), digest_grid(name, n, unit))
+        assert instantiation_digest(p) == INSTANTIATION_DIGESTS[(name, n)], (name, n)
