@@ -233,17 +233,18 @@ class _FrameEngine:
                     m |= 1 << j
             self.down[i] = m
 
-        # 5. trigger index for the closure operator
+        # 5. trigger index for the closure operator: each instance as the
+        # mask of its premises B and the downset of its conclusion a
         self.by_elem: list[list[int]] = [[] for _ in range(self.n)]
-        self.inst_bmask = []
-        self.inst_a = []
+        self.premises = []
+        self.conclusion = []
         self.always = 0
         for k, (a, B) in enumerate(self.instances):
             bm = 0
             for b in B:
                 bm |= 1 << b
-            self.inst_bmask.append(bm)
-            self.inst_a.append(a)
+            self.premises.append(bm)
+            self.conclusion.append(self.down[a])
             if not B:
                 self.always |= self.down[a]
             for b in B:
@@ -262,48 +263,76 @@ class _FrameEngine:
             self._meet_cache[key] = got
         return got
 
-    def close(self, mask: int) -> int:
-        u = self.always
-        for e in _bits(mask):
-            u |= self.down[e]
-        queue = list(_bits(u))
-        fired = set()
+    def close(self, mask: int, base: int = 0) -> int:
+        """The least fixed set containing ``base | mask``, where ``base``
+        is a fixed set itself (or 0).  A rule whose premises all lie in
+        ``base`` already holds there, so only the elements outside it are
+        queued.  A rule is looked at whenever one of its premises leaves
+        the queue; once it has fired, it adds nothing more."""
+        down, by_elem, premises, conclusion = self.down, self.by_elem, self.premises, self.conclusion
+        u = base | self.always
+        for e in _bits(mask & ~base):
+            u |= down[e]
+        queue = list(_bits(u & ~base))
         while queue:
-            e = queue.pop()
-            for k in self.by_elem[e]:
-                if k in fired:
-                    continue
-                if self.inst_bmask[k] & ~u == 0:
-                    fired.add(k)
-                    add = self.down[self.inst_a[k]] & ~u
+            for k in by_elem[queue.pop()]:
+                if premises[k] & ~u == 0:
+                    add = conclusion[k] & ~u
                     if add:
                         u |= add
                         queue.extend(_bits(add))
         return u
 
     def enumerate_carrier(self) -> list[int]:
-        """All fixed sets of ``close``, sorted by size then mask.
+        """All fixed sets of ``close``, sorted by size then mask, built from
+        the join-irreducible ones (Birkhoff duality).
 
         Every fixed set is the join of the principal closures below it, so
-        closing each element's union with each principal reaches them all."""
-        principals = sorted({self.close(1 << i) for i in range(self.n)})
-        fixed = {self.close(0), *principals}
-        if len(fixed) > self.max_carrier:
-            raise LatticeError("presented frame exceeds oracle scale")
-        queue = list(fixed)
-        while queue:
-            cur = queue.pop()
-            for p in principals:
-                u = cur | p
-                if u in fixed:
-                    continue
-                c = self.close(u)
-                if c not in fixed:
-                    fixed.add(c)
-                    queue.append(c)
-                    if len(fixed) > self.max_carrier:
-                        raise LatticeError("presented frame exceeds oracle scale")
-        return sorted(fixed, key=lambda m: (bin(m).count("1"), m))
+        the join-irreducible fixed sets ``J`` are the principal closures
+        that are not the closure of the union of the principal closures
+        strictly inside them.  Each fixed set ``x`` is the join of
+        ``J ∩ ↓x``, so closing the union of each downset ``D`` of ``J``
+        reaches every fixed set; each ``D`` is closed once, as its
+        largest member joined to the closure of the rest, and a union that
+        is already a known fixed set needs no closing.  The fixed sets form
+        a distributive lattice exactly when the join-irreducibles below the
+        closure of every ``D`` are ``D`` itself, that is, when no two
+        downsets close to the same set; the first repeat fails the frame
+        check.  More than ``max_carrier`` downsets of ``J`` is an
+        oracle-scale overrun."""
+        bottom = self.close(0)
+        principals = sorted({self.close(1 << i) for i in range(self.n)}, key=lambda m: (m.bit_count(), m))
+        known = {bottom, *principals}
+        # a closure strictly inside another comes before it, so J comes in
+        # an order where the highest member of a downset of J is maximal in
+        # it; ``jdown`` holds the principal downsets of J as masks over
+        # positions in J
+        irreducible, jdown, position = [], [], {}
+        for k, c in enumerate(principals):
+            below = inner = bottom
+            d = 0
+            for p in principals[:k]:
+                if p & ~c == 0:
+                    below |= p
+                    inner = p
+                    d |= position.get(p, 0)
+            if (below if below in known else self.close(below, inner)) != c:
+                position[c] = 1 << len(irreducible)
+                irreducible.append(c)
+                jdown.append(d | position[c])
+        closure = {0: bottom}
+        fixed = {bottom}
+        for d in unions(jdown, self.max_carrier, "presented frame")[1:]:
+            top = d.bit_length() - 1
+            rest = closure[d ^ (1 << top)]
+            c = rest | irreducible[top]
+            if c not in known:
+                c = self.close(irreducible[top], rest)
+            if c in fixed:
+                raise EvaluationError("presented carrier failed the frame check")
+            closure[d] = c
+            fixed.add(c)
+        return sorted(fixed, key=lambda m: (m.bit_count(), m))
 
 
 def _structural_rules(p: Presentation, M: _MeetCarrier):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lattice import FinitePoset, _bits, mask_table
+from .lattice import FinitePoset, _bits, is_distributive_lattice, missing_bound
 from .rationals import ExtRat
 from .terms import GenPattern, TermError
 
@@ -115,11 +115,13 @@ class FiniteGeneratorDomain(GeneratorDomain):
     """An explicit finite poset of generators.
 
     Meets and joins are the glb/lub of the poset when these are total, read
-    off the order (``lattice.mask_table``), so they obey the semilattice
-    laws by construction; declared operations (from the DSL) are verified
-    against them.
-    Distributivity is decided once per object, over all triples of the
-    index tables, and cached on it.
+    off the order by one lookup of a mask (``FinitePoset.by_down`` /
+    ``by_up``), so they obey the semilattice laws by construction; declared
+    operations (from the DSL) are verified against them.
+    Distributivity is Birkhoff's exact test
+    (``lattice.is_distributive_lattice``), decided once per object; a
+    distributive lattice has every glb and lub, so only a poset that fails
+    it takes the O(n²) pass for their existence.
     """
 
     def __init__(
@@ -133,47 +135,30 @@ class FiniteGeneratorDomain(GeneratorDomain):
         self.name = "finite"
         self.finite = True
         self._index = {e: i for i, e in enumerate(poset.elements)}
-        n = poset.n
-        up, down = poset.up, poset.down
-        full = (1 << n) - 1
-        meets, joins = mask_table(down), mask_table(up)
-        self._meets = meets if None not in meets else None
-        self._joins = joins if None not in joins else None
-        # structure can be suppressed: a poset whose glbs exist need not mean
-        # the generators carry meet structure (the frame meet of generators
-        # can differ from their order-theoretic glb)
-        if use_meet is False:
-            self._meets = None
-        elif use_meet is True and self._meets is None:
+        self._distributive = is_distributive_lattice(poset)
+
+        def total(use: Optional[bool], masks, index) -> bool:
+            # structure can be suppressed: a poset whose glbs exist need not
+            # mean the generators carry meet structure (the frame meet of
+            # generators can differ from their order-theoretic glb)
+            return use is not False and (self._distributive or missing_bound(masks, index) is None)
+
+        self.has_meet = total(use_meet, poset.down, poset.by_down)
+        self.has_join = total(use_join, poset.up, poset.by_up)
+        if use_meet is True and not self.has_meet:
             raise DomainError("meet structure required but some glb is missing")
-        if use_join is False:
-            self._joins = None
-        elif use_join is True and self._joins is None:
+        if use_join is True and not self.has_join:
             raise DomainError("join structure required but some lub is missing")
-        self.has_meet = self._meets is not None
-        self.has_join = self._joins is not None
-        tops = [i for i in range(n) if down[i] == full]
-        bots = [i for i in range(n) if up[i] == full]
-        self._top = poset.elements[tops[0]] if tops else None
-        self._bottom = poset.elements[bots[0]] if bots else None
+        full = (1 << poset.n) - 1
+        top, bottom = poset.by_down.get(full), poset.by_up.get(full)
+        self._top = None if top is None else poset.elements[top]
+        self._bottom = None if bottom is None else poset.elements[bottom]
         for op, a, b, c in verify_decls:
             want = self.meet(a, b) if op == "meet" else self.join(a, b)
             if want != c:
                 raise DomainError(
                     f"declared {op} {a} {b} = {c} conflicts with the order (expected {want})"
                 )
-
-    @cached_property
-    def _distributive(self) -> bool:
-        meets, joins, n = self._meets, self._joins, self.poset.n
-        for a in range(n):
-            row = a * n
-            for b in range(n):
-                ab = meets[row + b]
-                for c in range(n):
-                    if meets[row + joins[b * n + c]] != joins[ab * n + meets[row + c]]:
-                        return False
-        return True
 
     def contains(self, key: str) -> bool:
         return key in self._index
@@ -188,14 +173,16 @@ class FiniteGeneratorDomain(GeneratorDomain):
         return self.poset.leq(self._idx(a), self._idx(b))
 
     def meet(self, a: str, b: str) -> str:
-        if self._meets is None:
+        if not self.has_meet:
             raise DomainError("finite domain is not meet-closed")
-        return self.poset.elements[self._meets[self._idx(a) * self.poset.n + self._idx(b)]]
+        p = self.poset
+        return p.elements[p.by_down[p.down[self._idx(a)] & p.down[self._idx(b)]]]
 
     def join(self, a: str, b: str) -> str:
-        if self._joins is None:
+        if not self.has_join:
             raise DomainError("finite domain is not join-closed")
-        return self.poset.elements[self._joins[self._idx(a) * self.poset.n + self._idx(b)]]
+        p = self.poset
+        return p.elements[p.by_up[p.up[self._idx(a)] & p.up[self._idx(b)]]]
 
     def top(self) -> Optional[str]:
         return self._top

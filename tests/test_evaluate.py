@@ -4,7 +4,9 @@ import random
 import pytest
 
 from locale_forge.evaluate import (
+    EvaluationError,
     KindCheckError,
+    _FrameEngine,
     _frame_engine,
     eval_dcpo,
     eval_frame,
@@ -13,7 +15,7 @@ from locale_forge.evaluate import (
     verify_coverage,
 )
 from locale_forge.generators import FiniteGeneratorDomain
-from locale_forge.lattice import FinitePoset, LatticeError, poset_isomorphism
+from locale_forge.lattice import FinitePoset, LatticeError, downsets, poset_isomorphism
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -88,7 +90,10 @@ def antichain_domain(k: int) -> FiniteGeneratorDomain:
 
 class TestScaleLimits:
     """Each oracle-scale cap raises a diagnostic at its value, before the
-    enumeration behind it grows any further."""
+    enumeration behind it grows any further.  Carriers of a few thousand
+    elements are built from their join-irreducibles in well under a second;
+    an O(n²) pass over them takes many seconds, so a return to one shows in
+    the suite's durations."""
 
     def test_formal_meets_of_sixteen_generators(self):
         p = Presentation(PresentationKind.PLAIN, antichain_domain(16), ())
@@ -119,6 +124,26 @@ class TestScaleLimits:
         assert eval_frame(p, max_carrier=n).carrier.n == n
         with pytest.raises(LatticeError, match="presented frame exceeds oracle scale"):
             eval_frame(p, max_carrier=n - 1)
+
+    @pytest.mark.parametrize(
+        "kind, evaluate",
+        [(PresentationKind.SUP, eval_suplattice), (PresentationKind.PREFRAME, eval_preframe)],
+    )
+    def test_free_suplattice_and_preframe_just_under_the_cap(self, kind, evaluate):
+        obj = evaluate(Presentation(kind, antichain_domain(12), ()))
+        assert obj.carrier.n == 1 << 12 and obj.carrier.frame
+
+    def test_downsets_of_a_twelve_antichain(self):
+        lat = downsets(FinitePoset.from_pairs([f"a{i}" for i in range(12)], []))
+        assert lat.n == 1 << 12 and lat.frame
+
+    def test_seven_point_real_line_grid(self):
+        # the grid topology on 2k + 1 cells (k points and the k + 1 open
+        # intervals around them; an open set holding a point holds both
+        # intervals beside it) has Fibonacci F(2k + 3) open sets:
+        # F(17) = 1597 for k = 7, as F(7) = 13 for k = 2 and F(9) = 34 for k = 3
+        p = real_line_on_grid(list(range(7)), Relation(gen_term("OI()"), TERM_ZERO))
+        assert eval_frame(p).carrier.n == 1597
 
 
 class TestEvalSuplattice:
@@ -226,6 +251,48 @@ class TestVerifyCoverage:
         rng = random.Random(43)
         for _ in range(10):
             assert verify_coverage(rand_preframe_presentation(rng)).verdict
+
+
+class FamilyEngine(_FrameEngine):
+    """A closure engine on ``n`` points whose fixed sets are a given family
+    of subsets (bitmasks) closed under intersection and holding every
+    point: ``close`` gives the least member containing its argument."""
+
+    def __init__(self, n: int, family: list[int], max_carrier: int = 1 << 12):
+        self.n, self.family, self.max_carrier = n, family, max_carrier
+
+    def close(self, mask: int, base: int = 0) -> int:
+        out = (1 << self.n) - 1
+        for f in self.family:
+            if (mask | base) & ~f == 0:
+                out &= f
+        return out
+
+
+# fixed sets on the points a, b, c (bits 1, 2, 4)
+M3 = [0, 0b001, 0b010, 0b100, 0b111]  # three atoms with a common join
+N5 = [0, 0b001, 0b011, 0b100, 0b111]  # a < ab beside c
+CHAIN_AND_SQUARE = [0, 0b001, 0b011, 0b101, 0b111]  # a below the square ab, ac, abc
+
+
+class TestFrameCheckCanFail:
+    """``enumerate_carrier`` fails the frame check on a closure whose fixed
+    sets are not distributive, and builds the carrier of one that is."""
+
+    @pytest.mark.parametrize("family", [M3, N5], ids=["M3", "N5"])
+    def test_non_distributive_fixed_sets_fail(self, family):
+        with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
+            FamilyEngine(3, family).enumerate_carrier()
+
+    @pytest.mark.parametrize("family", [M3, N5], ids=["M3", "N5"])
+    def test_through_eval_frame(self, family, monkeypatch):
+        engine = lambda p, cap: (None, FamilyEngine(3, family, cap))
+        monkeypatch.setattr("locale_forge.evaluate._frame_engine", engine)
+        with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
+            eval_frame(two_point_presentation())
+
+    def test_distributive_fixed_sets_pass(self):
+        assert FamilyEngine(3, CHAIN_AND_SQUARE).enumerate_carrier() == [0, 0b001, 0b011, 0b101, 0b111]
 
 
 class TestEnumerateCarrier:

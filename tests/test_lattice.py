@@ -17,10 +17,11 @@ from locale_forge.lattice import (
     classify_open,
     classify_proper,
     downsets,
+    is_distributive_lattice,
     join_irreducibles,
     left_adjoint,
-    mask_table,
     maximal,
+    missing_bound,
     order_isomorphic,
     recheck_witness,
     right_adjoint,
@@ -234,6 +235,9 @@ class TestMaskVocabulary:
                 assert maximal(mask, p.up) == bottoms
 
     def test_mask_table_gives_glb_and_lub_or_none(self):
+        """The reference ``mask_table`` below and the kernel's mask lookups
+        (``by_down`` / ``by_up``, and ``missing_bound`` for the first
+        element lacking one) both give the glb and lub, or ``None``."""
         seen_missing = 0
         for seed in range(60):
             p = rand_poset(seed, 1 + seed % 7)
@@ -247,15 +251,138 @@ class TestMaskVocabulary:
                 return None
 
             meets, joins = mask_table(p.down), mask_table(p.up)
+            lacks_glb, lacks_lub = set(), set()
             for a in range(p.n):
                 for b in range(p.n):
                     lower = [x for x in range(p.n) if p.leq(x, a) and p.leq(x, b)]
                     upper = [x for x in range(p.n) if p.leq(a, x) and p.leq(b, x)]
-                    assert meets[a * p.n + b] == greatest(lower, True)
-                    assert joins[a * p.n + b] == greatest(upper, False)
+                    glb, lub = greatest(lower, True), greatest(upper, False)
+                    assert meets[a * p.n + b] == glb == p.by_down.get(p.down[a] & p.down[b])
+                    assert joins[a * p.n + b] == lub == p.by_up.get(p.up[a] & p.up[b])
+                    if glb is None:
+                        lacks_glb.add(a)
+                    if lub is None:
+                        lacks_lub.add(a)
+            assert missing_bound(p.down, p.by_down) == min(lacks_glb, default=None)
+            assert missing_bound(p.up, p.by_up) == min(lacks_lub, default=None)
             seen_missing += None in meets
         # the sample has posets with and without every glb
         assert 0 < seen_missing < 60
+
+
+# ---------------------------------------------------------------------------
+# reference copy of the O(n²) kernel that ``FiniteLattice.from_poset``
+# replaced: meet and join tables by mask lookup, and distributivity by
+# Birkhoff's criterion φ(x∨y) = φ(x) ∪ φ(y) over all pairs
+
+
+def mask_table(masks):
+    """Row-major table of the element whose mask is ``masks[i] & masks[j]``,
+    ``None`` where no element has it."""
+    get = {m: i for i, m in enumerate(masks)}.get
+    return [get(a & b) for a in masks for b in masks]
+
+
+def reference_lattice(poset: FinitePoset):
+    """``(distributive, meet table, join table)`` of a bounded lattice, or
+    the ``NotALatticeError`` message the kernel must raise."""
+    n = poset.n
+    up, down = poset.up, poset.down
+    meet, join = mask_table(down), mask_table(up)
+    if None in meet or None in join:
+        i = min(t.index(None) for t in (meet, join) if None in t) // n
+        return f"missing meet or join involving {poset.elements[i]!r}"
+    full = (1 << n) - 1
+    if [d for d in down if d == full] != [full] or [u for u in up if u == full] != [full]:
+        return "lattice must be bounded"
+    principal = set(down)
+    irreducible = [x for x in range(n) if down[x] ^ (1 << x) in principal]
+    phi = [0] * n
+    for k, x in enumerate(irreducible):
+        for y in range(n):
+            if poset.leq(x, y):
+                phi[y] |= 1 << k
+    distributive = all(phi[join[i * n + j]] == phi[i] | phi[j] for i in range(n) for j in range(n))
+    return distributive, meet, join
+
+
+def bounded_rand_poset(rng: random.Random) -> FinitePoset:
+    """A random poset on 0..6 elements, often over a bowtie (0 and 1 both
+    below 2 and 3), and half the time with a new bottom and top added,
+    which makes lattices, non-distributive ones and bounded non-lattices
+    all common."""
+    n = rng.randint(0, 6)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    if n >= 4 and rng.random() < 0.5:
+        pairs += [(0, 2), (0, 3), (1, 2), (1, 3)]
+    labels = [f"e{i}" for i in range(n)]
+    if rng.random() < 0.5:
+        labels += ["bot", "top"]
+        pairs += [(n, i) for i in range(n)] + [(i, n + 1) for i in range(n)] + [(n, n + 1)]
+    return FinitePoset.from_pairs(labels, pairs)
+
+
+class TestAgreementWithReference:
+    """Birkhoff's O(n·|J|) test plus the existence pass only on failure
+    gives the same verdicts, meets, joins and error messages as the
+    reference O(n²) criterion, on seeded subset families and random posets."""
+
+    def test_same_lattice_or_same_error(self):
+        rng = random.Random(20261018)
+        posets = [FinitePoset((), ())]
+        for _ in range(1500):
+            masks = set(rand_family(rng))
+            if rng.random() < 0.5:
+                # the empty and the whole set bound the family, which need
+                # not be a lattice yet
+                whole = 0
+                for m in masks:
+                    whole |= m
+                masks |= {0, whole}
+            posets.append(subset_poset(sorted(masks)))
+        posets += [bounded_rand_poset(rng) for _ in range(1500)]
+        outcomes = dict.fromkeys(("distributive", "not distributive", "not a lattice", "unbounded"), 0)
+        for p in posets:
+            expected = reference_lattice(p)
+            if isinstance(expected, str):
+                with pytest.raises(NotALatticeError) as err:
+                    FiniteLattice.from_poset(p)
+                assert str(err.value) == expected, p
+                assert not is_distributive_lattice(p)
+                full = (1 << p.n) - 1
+                bounded = full in p.down and full in p.up
+                outcomes["not a lattice" if bounded else "unbounded"] += 1
+                continue
+            distributive, meet, join = expected
+            lat = FiniteLattice.from_poset(p)
+            assert lat.distributive is distributive is is_distributive_lattice(p), p
+            for a in range(p.n):
+                for b in range(p.n):
+                    assert lat.meet(a, b) == meet[a * p.n + b], p
+                    assert lat.join(a, b) == join[a * p.n + b], p
+            outcomes["distributive" if distributive else "not distributive"] += 1
+        # the sample reaches every verdict
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_each_clause_of_the_birkhoff_test_can_fail(self):
+        # M3: φ embeds the order, but its three atoms have 8 downsets, not 5
+        m3 = FinitePoset.from_pairs(list("0abc1"), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        # the powerset of {u, v, j} without ``uv <= uvj``: φ is the same
+        # bijection onto the 8 downsets of J = {u, v, j} as in the
+        # powerset, but φ(uv) ⊆ φ(uvj) no longer means uv <= uvj
+        cube = subset_poset(list(range(8)))
+        broken = FinitePoset.from_pairs(
+            cube.elements, [(i, j) for i in range(8) for j in range(8) if cube.leq(i, j) and (i, j) != (3, 7)]
+        )
+        for p in (m3, broken):
+            assert not is_distributive_lattice(p)
+        assert not FiniteLattice.from_poset(m3).distributive
+        with pytest.raises(NotALatticeError, match="missing meet or join involving 's1'"):
+            FiniteLattice.from_poset(broken)
+
+    def test_the_empty_poset_is_unbounded(self):
+        with pytest.raises(NotALatticeError, match="lattice must be bounded"):
+            FiniteLattice.from_poset(FinitePoset((), ()))
 
 
 class TestAdjoints:
