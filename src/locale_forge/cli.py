@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 
 from . import intervals, serialize, suites
 from .dsl import ParseError, parse, print_presentation, print_spec
@@ -63,6 +64,17 @@ def _parse_grid(text):
         raise UsageError(str(exc)) from None
 
 
+@contextmanager
+def _document(path: str):
+    """Reading the JSON document at ``path``: a missing key or a value of
+    the wrong shape is an input error."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise UsageError(f"malformed document {path}: {what}") from None
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,9 +83,10 @@ def _load(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from None
     if path.endswith(".json"):
         doc = json.loads(source)
-        if "mode" in doc:
-            return serialize.spec_from_jsonable(doc)
-        return serialize.presentation_from_jsonable(doc)
+        with _document(path):
+            if "mode" in doc:
+                return serialize.spec_from_jsonable(doc)
+            return serialize.presentation_from_jsonable(doc)
     return parse(source)
 
 
@@ -274,21 +287,24 @@ def cmd_example(args) -> int:
 def cmd_derive(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
-    parent = serialize.presentation_from_jsonable(bundle["parent"])
+    with _document(args.input):
+        parent = serialize.presentation_from_jsonable(bundle["parent"])
     frame = eval_frame(parent)
     X = frame.carrier
-    target = serialize.lattice_from_jsonable(bundle["target"])
+    with _document(args.input):
+        target = serialize.lattice_from_jsonable(bundle["target"])
     t_idx = {e: i for i, e in enumerate(target.elements)}
     x_idx = {e: i for i, e in enumerate(X.elements)}
 
-    def read_map(doc) -> MonotoneMap:
+    def read_map(key: str) -> MonotoneMap:
         table = [0] * X.n
-        for src_label, dst_label in doc.items():
-            table[x_idx[src_label]] = t_idx[dst_label]
+        with _document(args.input):
+            for src_label, dst_label in bundle[key].items():
+                table[x_idx[src_label]] = t_idx[dst_label]
         return as_frame_hom(MonotoneMap(X, target, tuple(table)))
 
-    fstar = read_map(bundle["fstar"])
-    gstar = read_map(bundle["gstar"])
+    fstar = read_map("fstar")
+    gstar = read_map("gstar")
     mode = QuotientMode.parse(args.mode)
     spec = derive_spec_from_coinserter(frame, fstar, gstar, mode, coequaliser=args.coequaliser)
     if args.format == "json":
@@ -299,6 +315,18 @@ def cmd_derive(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _suite_count(text: str) -> int:
+    """``verify --count``: a suite that runs no instance passes vacuously,
+    so fewer than one is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["sup", "preframe", "dcpo"])
     sp.add_argument("--mode", help="quotient mode, or 'cross'")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=_suite_count, default=100)
     add_common(sp)
     sp.set_defaults(fn=cmd_verify)
 

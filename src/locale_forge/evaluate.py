@@ -1,8 +1,11 @@
 """Brute-force evaluation of finite presentations.
 
 ``eval_frame`` builds the presented frame as the closed subsets of a
-finite meet-semilattice of formal generator meets: relations become
-covering rules ``a <| B`` (a is covered by the joins of B), the rules are
+finite meet-semilattice of generator meets, each held as a mask over the
+generators (meet is ``&``, the order is inclusion): the generators'
+down-masks when the domain's meets are semantic, the complements of the
+finitely generated upsets when they are formal.  Relations become covering
+rules ``a <| B`` (a is covered by the joins of B), the rules are
 stabilised under meets with generators, and the carrier is the family of
 downsets closed under all rules, i.e. the fixed points of the least
 nucleus forcing the relations.  Joins are computed by re-closing unions.
@@ -12,8 +15,11 @@ data in the corresponding weaker category: downsets / upsets / the
 generator poset itself, quotiented by the least congruence containing the
 relations.  The suplattice and preframe evaluations are one body: union is
 the join of downsets and the meet of upsets, so they differ only in the
-direction of the order.  ``verify_coverage`` then asserts the canonical
-comparison with the frame evaluation is an order isomorphism.
+direction of the order.  Every evaluation reads the generator order from
+the domain's ``sorted_poset``, and one congruence closure serves both the
+meet equations of ``eval_frame`` and the union quotients.
+``verify_coverage`` then asserts the canonical comparison with the frame
+evaluation is an order isomorphism.
 
 Every evaluation returns a frozen ``PresentedObject`` built in one piece,
 with the function that evaluates terms in it.
@@ -32,12 +38,12 @@ from .generators import GeneratorDomain
 from .lattice import (
     FiniteLattice,
     FinitePoset,
-    LatticeError,
     OperatorReport,
     _bits,
     maximal,
     poset_isomorphism,
     subset_lattice,
+    subset_poset,
     unions,
 )
 from .presentation import (
@@ -96,61 +102,73 @@ class PresentedObject:
 
 
 class _MeetCarrier:
-    """Either the generator domain itself (when its meets are semantic for
-    the evaluation) or its completion by finitely generated upsets of the
-    generator poset, whose unions are formal meets."""
+    """The meets of the generators, each held as a mask over the
+    generators (in ``sort_key`` order): meet is ``&`` and the order is
+    inclusion.  When the domain's meets are semantic for the evaluation
+    the elements are the generators themselves, as their down-masks;
+    otherwise they are the finitely generated upsets of the generator
+    poset, whose unions are formal meets, as the complements of those
+    upsets."""
 
     def __init__(self, domain: GeneratorDomain, use_domain_meets: bool):
-        gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
-        self.gen_keys = gens
-        g_n = len(gens)
+        P = domain.sorted_poset
+        self.gen_keys = P.elements
+        full = (1 << P.n) - 1
         if use_domain_meets and domain.meet_semilattice:
-            self.labels = list(gens)
-            self.n = g_n
-            self._direct = True
-            self._domain = domain
-            self._idx = {g: i for i, g in enumerate(gens)}
-            self.gen_index = dict(self._idx)
-            self.top = self._idx[domain.top()]
-            self._meet_cache: dict[tuple[int, int], int] = {}
-            return
-        self._direct = False
-        up = [0] * g_n
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens):
-                if domain.leq(a, b):
-                    up[i] |= 1 << j
-        ordered = unions(up, 1 << 15, "formal meet semilattice")
-        self._masks = ordered
-        self._mask_idx = {m: i for i, m in enumerate(ordered)}
-        self.n = len(ordered)
-        self.top = self._mask_idx[0]
-        self.gen_index = {g: self._mask_idx[up[i]] for i, g in enumerate(gens)}
-        # a formal meet is named by the minimal generators of its upset
-        self.labels = [
-            "^".join(sorted(gens[i] for i in _bits(maximal(m, up)))) or "1" for m in ordered
-        ]
-        self._meet_cache = {}
+            # the generators' down-masks: ordered by inclusion, they are P
+            self.masks = gen_masks = P.down
+            self.poset = P
+        else:
+            upsets = unions(P.up, 1 << 15, "formal meet semilattice")
+            self.masks = [full & ~u for u in upsets]
+            gen_masks = [full & ~u for u in P.up]
+            # a formal meet is named by the minimal generators of its upset
+            labels = {
+                full & ~u: "^".join(sorted(P.elements[i] for i in _bits(maximal(u, P.up)))) or "1"
+                for u in upsets
+            }
+            self.poset = subset_poset(self.masks, labels.__getitem__)
+        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.labels = self.poset.elements
+        self.n = len(self.masks)
+        self.top = self.index[full]
+        self.gen_index = {g: self.index[m] for g, m in zip(P.elements, gen_masks)}
 
     def meet(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        got = self._meet_cache.get(key)
-        if got is None:
-            if self._direct:
-                got = self._idx[self._domain.meet(self.labels[i], self.labels[j])]
-            else:
-                got = self._mask_idx[self._masks[i] | self._masks[j]]
-            self._meet_cache[key] = got
-        return got
+        return self.index[self.masks[i] & self.masks[j]]
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.meet(i, j) == i
+    def clause(self, gens: Sequence[str]) -> int:
+        """The meet of the named generators (the top for none)."""
+        m = self.masks[self.top]
+        for g in gens:
+            m &= self.masks[self.gen_index[g]]
+        return self.index[m]
 
 
 # ---------------------------------------------------------------------------
 # the covering engine
+
+
+def _congruence(n: int, pairs, forced) -> list[int]:
+    """The least equivalence on ``range(n)`` holding ``pairs`` in which
+    ``x ~ y`` forces ``forced(x)[k] ~ forced(y)[k]`` for each ``k``, as
+    the least member of each element's class."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = list(pairs)
+    while work:
+        x, y = work.pop()
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            work.extend(zip(forced(rx), forced(ry)))
+    return [find(x) for x in range(n)]
 
 
 class _FrameEngine:
@@ -165,45 +183,26 @@ class _FrameEngine:
         gen_idxs = sorted(set(M.gen_index.values()))
 
         # 1. meet-congruence pre-collapse (pure meet equations)
-        parent = list(range(M.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        work = list(meet_eqs)
-        while work:
-            x, y = work.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            parent[max(rx, ry)] = min(rx, ry)
-            for g in gen_idxs:
-                work.append((M.meet(rx, g), M.meet(ry, g)))
-
-        reps = sorted({find(i) for i in range(M.n)})
+        self._rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])
+        reps = sorted(set(self._rep))
         self.rep_pos = {r: k for k, r in enumerate(reps)}
         self.n = len(reps)
         self.reps = reps
         self._M = M
-        self._find = find
-        self._meet_cache: dict[tuple[int, int], int] = {}
         self.gen_pos = sorted({self.pos(g) for g in gen_idxs})
         self.top = self.pos(M.top)
 
         # labels: smallest original label in the class
         by_class: dict[int, list[str]] = {}
-        for i in range(M.n):
-            by_class.setdefault(find(i), []).append(M.labels[i])
+        for i, r in enumerate(self._rep):
+            by_class.setdefault(r, []).append(M.labels[i])
         self.labels = [min(by_class[r], key=lambda s: (len(s), s)) for r in reps]
 
         # 2. covers onto class representatives, B normalised below a
         base = []
         for a, B in covers:
-            a2 = self.pos(self._find(a))
-            B2 = frozenset(self.cmeet(self.pos(self._find(b)), a2) for b in B)
+            a2 = self.pos(a)
+            B2 = frozenset(self.cmeet(self.pos(b), a2) for b in B)
             if a2 in B2:
                 continue
             base.append((a2, B2))
@@ -224,14 +223,16 @@ class _FrameEngine:
                     queue.append(inst)
         self.instances = sorted(seen, key=lambda ab: (ab[0], sorted(ab[1])))
 
-        # 4. downward closure masks on the class semilattice
-        self.down = [0] * self.n
-        for i in range(self.n):
+        # 4. downward closure masks on the classes: class j lies below
+        # class i (cmeet(i, j) == j) exactly when some member of j lies
+        # below the representative of i, for the meet of the two
+        # representatives is one, and any such m has r_i ^ r_j ~ r_i ^ m = m
+        self.down = []
+        for r in reps:
             m = 0
-            for j in range(self.n):
-                if self.cmeet(i, j) == j:
-                    m |= 1 << j
-            self.down[i] = m
+            for j in _bits(M.poset.down[r]):
+                m |= 1 << self.pos(j)
+            self.down.append(m)
 
         # 5. trigger index for the closure operator: each instance as the
         # mask of its premises B and the downset of its conclusion a
@@ -251,17 +252,10 @@ class _FrameEngine:
                 self.by_elem[b].append(k)
 
     def pos(self, m_index: int) -> int:
-        return self.rep_pos[self._find(m_index)]
+        return self.rep_pos[self._rep[m_index]]
 
     def cmeet(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        got = self._meet_cache.get(key)
-        if got is None:
-            got = self.pos(self._M.meet(self.reps[i], self.reps[j]))
-            self._meet_cache[key] = got
-        return got
+        return self.pos(self._M.meet(self.reps[i], self.reps[j]))
 
     def close(self, mask: int, base: int = 0) -> int:
         """The least fixed set containing ``base | mask``, where ``base``
@@ -299,9 +293,11 @@ class _FrameEngine:
         closure of every ``D`` are ``D`` itself, that is, when no two
         downsets close to the same set; the first repeat fails the frame
         check.  More than ``max_carrier`` downsets of ``J`` is an
-        oracle-scale overrun."""
+        oracle-scale overrun.  The principal closures are kept, by
+        element, in ``principal``."""
         bottom = self.close(0)
-        principals = sorted({self.close(1 << i) for i in range(self.n)}, key=lambda m: (m.bit_count(), m))
+        self.principal = [self.close(1 << i) for i in range(self.n)]
+        principals = sorted(set(self.principal), key=lambda m: (m.bit_count(), m))
         known = {bottom, *principals}
         # a closure strictly inside another comes before it, so J comes in
         # an order where the highest member of a downset of J is maximal in
@@ -359,19 +355,13 @@ def _relation_rules(p: Presentation, M: _MeetCarrier):
     covers: list[tuple[int, frozenset[int]]] = []
     meet_eqs: list[tuple[int, int]] = []
 
-    def clause_elem(cl: Meet) -> int:
-        acc = M.top
-        for g in cl.gens:
-            acc = M.meet(acc, M.gen_index[g])
-        return acc
-
     for rel in p.concrete_relations():
         if rel.lhs.has_family() or rel.rhs.has_family():
             raise EvaluationError(
                 "presentation has schematic content; instantiate on a grid first"
             )
-        lhs = [clause_elem(c) for c in rel.lhs.clauses]
-        rhs = [clause_elem(c) for c in rel.rhs.clauses]
+        lhs = [M.clause(c.gens) for c in rel.lhs.clauses]
+        rhs = [M.clause(c.gens) for c in rel.rhs.clauses]
         if rel.op == "=" and len(lhs) == 1 and len(rhs) == 1:
             meet_eqs.append((lhs[0], rhs[0]))
             continue
@@ -402,8 +392,7 @@ def _frame_engine(p: Presentation, max_carrier: int) -> tuple[_MeetCarrier, _Fra
     """The formal meets of ``p``'s generators and the closure engine whose
     fixed sets are the presented frame."""
     _require_kind_domain(p)
-    use_meets = p.domain.meet_semilattice and p.kind is not PresentationKind.PREFRAME
-    M = _MeetCarrier(p.domain, use_meets)
+    M = _MeetCarrier(p.domain, p.kind.folds_meets)
     covers, meet_eqs = _relation_rules(p, M)
     covers.extend(_structural_rules(p, M))
     return M, _FrameEngine(M, covers, meet_eqs, max_carrier)
@@ -428,20 +417,14 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 
-    def gen_value(g: str) -> int:
-        return index[eng.close(1 << eng.pos(M.gen_index[g]))]
-
-    interp = {g: gen_value(g) for g in M.gen_keys}
+    interp = {g: index[eng.principal[eng.pos(M.gen_index[g])]] for g in M.gen_keys}
 
     def term_value(t: Term) -> int:
         u = 0
         for cl in t.clauses:
             if not isinstance(cl, Meet):
                 raise EvaluationError("schematic clause reached the evaluator")
-            acc = M.top
-            for g in cl.gens:
-                acc = M.meet(acc, M.gen_index[g])
-            u |= 1 << eng.pos(acc)
+            u |= 1 << eng.pos(M.clause(cl.gens))
         return index[eng.close(u)]
 
     obj = PresentedObject("frame", carrier, interp, p.domain, term_value)
@@ -455,54 +438,13 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
 # suplattice / preframe / dcpo evaluations
 
 
-def _gen_poset(domain: GeneratorDomain) -> tuple[list[str], list[int]]:
-    gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
-    n = len(gens)
-    if n > 16:
+def _gen_poset(domain: GeneratorDomain) -> FinitePoset:
+    if not domain.finite:
+        raise EvaluationError("evaluation needs a finite domain; instantiate first")
+    P = domain.sorted_poset
+    if P.n > 16:
         raise EvaluationError("generator poset exceeds oracle scale for this category")
-    down = [0] * n
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if domain.leq(b, a):
-                down[i] |= 1 << j
-    return gens, down
-
-
-class _UnionFindQuotient:
-    """Congruence closure on a family of subsets closed under union, where
-    merging x ~ y forces (x u s) ~ (y u s) for every seed s."""
-
-    def __init__(self, family: list[int], seeds: list[int]):
-        self.family = family
-        self.index = {m: i for i, m in enumerate(family)}
-        self.parent = list(range(len(family)))
-        self.seeds = seeds
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def merge_all(self, pairs: list[tuple[int, int]]):
-        work = list(pairs)
-        while work:
-            x, y = work.pop()
-            rx, ry = self.find(x), self.find(y)
-            if rx == ry:
-                continue
-            self.parent[max(rx, ry)] = min(rx, ry)
-            mx, my = self.family[rx], self.family[ry]
-            for s in self.seeds:
-                work.append((self.index[mx | s], self.index[my | s]))
-
-    def class_unions(self) -> dict[int, int]:
-        agg: dict[int, int] = {}
-        for i, m in enumerate(self.family):
-            r = self.find(i)
-            agg[r] = agg.get(r, 0) | m
-        return agg
+    return P
 
 
 def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
@@ -514,20 +456,12 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
     downsets a term (a join of meets) must join single generators, and
     over upsets each meet is a union and the join an intersection."""
     category = "preframe" if upsets else "suplattice"
-    if not p.domain.finite:
-        raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    gens, seeds = _gen_poset(p.domain)
-    if upsets:
-        down, seeds = seeds, [0] * len(gens)
-        for i, m in enumerate(down):
-            for j in _bits(m):
-                seeds[j] |= 1 << i
+    P = _gen_poset(p.domain)
+    gens, seeds = P.elements, (P.up if upsets else P.down)
     family = unions(seeds, 1 << 12, f"free {category}")
-    uf = _UnionFindQuotient(family, seeds)
-    gen_masks = {g: seeds[i] for i, g in enumerate(gens)}
-    full = 0
-    for m in seeds:
-        full |= m
+    index = {m: i for i, m in enumerate(family)}
+    gen_masks = dict(zip(gens, seeds))
+    full = (1 << P.n) - 1
     top, bottom = (0, full) if upsets else (full, 0)
 
     def clause_mask(cl) -> int:
@@ -558,21 +492,24 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
             # l <= r says that the union of l and r is r over downsets
             # (their join) and l over upsets (their meet)
             l, r = l | r, (l if upsets else r)
-        pairs.append((uf.index[l], uf.index[r]))
-    uf.merge_all(pairs)
+        pairs.append((index[l], index[r]))
+    rep = _congruence(len(family), pairs, lambda x: [index[family[x] | s] for s in seeds])
 
     def label_of(mask: int) -> str:
         # the maximal generators of a downset, the minimal ones of an upset
         ends = sorted(gens[i] for i in _bits(maximal(mask, seeds)))
         return (" & " if upsets else " | ").join(ends) or ("1" if upsets else "0")
 
-    cls = uf.class_unions()
-    fixed = sorted(set(cls.values()), key=lambda m: (bin(m).count("1"), m))
+    # each class is named by the union of its members
+    cls: dict[int, int] = {}
+    for m, r in zip(family, rep):
+        cls[r] = cls.get(r, 0) | m
+    fixed = sorted(set(cls.values()), key=lambda m: (m.bit_count(), m))
     pos = {m: i for i, m in enumerate(fixed)}
     carrier = subset_lattice(fixed, label_of, reverse=upsets)
 
     def value(mask: int) -> int:
-        return pos[cls[uf.find(uf.index[mask])]]
+        return pos[cls[rep[index[mask]]]]
 
     interp = {g: value(m) for g, m in gen_masks.items()}
     return PresentedObject(category, carrier, interp, p.domain, lambda t: value(term_mask(t)))
@@ -594,15 +531,10 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     """The generator poset modulo the preorder collapse generated by the
     relations; each directed-join side is interpreted through its greatest
     element, recomputed as the preorder grows."""
-    if not p.domain.finite:
-        raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    gens, down = _gen_poset(p.domain)
-    n = len(gens)
+    P = _gen_poset(p.domain)
+    gens, n = P.elements, P.n
     gen_idx = {g: i for i, g in enumerate(gens)}
-    reach = [0] * n
-    for i in range(n):
-        for j in _bits(down[i]):
-            reach[j] |= 1 << i  # j <= i
+    reach = list(P.up)  # reach[i] holds j when i <= j
 
     top = p.domain.top()
     bottom = p.domain.bottom()

@@ -13,11 +13,10 @@ joins and never fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lattice import FinitePoset, _bits, is_distributive_lattice, missing_bound
+from .lattice import FinitePoset, _bits, is_distributive_lattice, missing_bound, subset_poset
 from .rationals import ExtRat
 from .terms import GenPattern, TermError
 
@@ -83,6 +82,12 @@ class GeneratorDomain:
 
     def sort_key(self, key: str):
         return key
+
+    @property
+    def sorted_poset(self) -> FinitePoset:
+        """The generators in ``sort_key`` order under their order, on
+        finite domains: the one order the evaluators index them by."""
+        raise DomainError(f"domain {self.name!r} is not finite")
 
     # -- schematic support --------------------------------------------------
     def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
@@ -193,6 +198,12 @@ class FiniteGeneratorDomain(GeneratorDomain):
     def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
         return list(self.poset.elements)
 
+    @cached_property
+    def sorted_poset(self) -> FinitePoset:
+        # the generators' down-masks, in sort order, ordered by inclusion
+        names = dict(zip(self.poset.down, self.poset.elements))
+        return subset_poset(sorted(names, key=lambda m: self.sort_key(names[m])), names.__getitem__)
+
     def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
         if pat.ctor or pat.tags or pat.args:
             raise TermError("finite domains only admit plain named generators")
@@ -245,6 +256,11 @@ class TaggedDomain(GeneratorDomain):
 
     def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
         return [self.wrap(g) for g in self.parent.enumerate_gens(limit)]
+
+    @cached_property
+    def sorted_poset(self) -> FinitePoset:
+        p = self.parent.sorted_poset
+        return FinitePoset(tuple(map(self.wrap, p.elements)), p.up, p.down)
 
     def sort_key(self, key: str):
         return self.parent.sort_key(self.unwrap(key))

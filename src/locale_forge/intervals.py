@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 

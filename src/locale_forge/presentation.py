@@ -49,6 +49,12 @@ class PresentationKind(str, Enum):
     DCPO = "dcpo"
     PLAIN = "plain"
 
+    @property
+    def folds_meets(self) -> bool:
+        """Whether meets of generators mean the domain's meet.  Preframe
+        generators carry only join structure, so their meets stay formal."""
+        return self is not PresentationKind.PREFRAME
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -279,12 +285,11 @@ def _stability_instances(
     domain: GeneratorDomain, rel: Relation, kind: PresentationKind
 ) -> Iterable[tuple[str, Relation]]:
     """One-step stability instances demanded by the kind, as (witness, relation)."""
-    fold = kind is not PresentationKind.PREFRAME
     for c in domain.enumerate_gens():
         if kind == PresentationKind.SUP:
             yield c, _apply_polynomial(domain, rel, c, None)
         elif kind == PresentationKind.PREFRAME:
-            yield c, _apply_polynomial(domain, rel, None, c, fold_meets=False)
+            yield c, _apply_polynomial(domain, rel, None, c, kind.folds_meets)
         else:
             yield f"{c} (meet)", _apply_polynomial(domain, rel, c, None)
             yield f"{c} (join)", _apply_polynomial(domain, rel, None, c)
@@ -318,7 +323,7 @@ def check_kind(
 def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
-    fold = p.kind is not PresentationKind.PREFRAME
+    fold = p.kind.folds_meets
     rels = [r.normalized(domain, fold) for r in p.concrete_relations()]
     present = {r.key() for r in rels}
     for r in rels:
@@ -420,7 +425,7 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
         if not domain.distributive_lattice:
             raise PresentationError("completion did not reach a distributive lattice")
 
-    fold = target is not PresentationKind.PREFRAME
+    fold = target.folds_meets
     rels = [
         Relation(_map_term(r.lhs, mapping), _map_term(r.rhs, mapping), r.op).normalized(
             domain, fold
@@ -564,7 +569,7 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
     relations: list[Relation] = []
     mentioned: set[str] = set()
 
-    fold = p.kind is not PresentationKind.PREFRAME
+    fold = p.kind.folds_meets
 
     def emit(lhs_meets, rhs_meets, op):
         lhs = normalize(Term(tuple(lhs_meets)), p.domain, fold)

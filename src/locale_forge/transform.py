@@ -485,8 +485,7 @@ def spec_from_operator(
             raise OperatorLawError(rep)
     domain = parent.domain
     family = mode.info.family
-    # preframe generators carry no meets, so their meets stay formal
-    fold = PresentationKind(family.kind) is not PresentationKind.PREFRAME
+    fold = PresentationKind(family.kind).folds_meets
     image = []
     for g in sorted(parent.interp, key=domain.sort_key):
         target = op(parent.interp[g])

@@ -313,3 +313,59 @@ class TestMoreVerbs:
         rc, out, err = run_cli("check", str(f))
         assert rc == 2
         assert json.loads(err)["error"] == "module"
+
+
+class TestMalformedInput:
+    """A JSON document with a missing key or a value of the wrong shape is
+    an input error (exit 2), not an internal one."""
+
+    @pytest.mark.parametrize("doc", [{"foo": 1}, [1, 2]], ids=["no-kind", "list"])
+    def test_check_on_a_malformed_presentation(self, tmp_path, doc):
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps(doc))
+        rc, out, err = run_cli("check", str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+
+    def test_missing_key_is_named(self, tmp_path):
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"foo": 1}))
+        rc, out, err = run_cli("check", str(f))
+        assert json.loads(err)["detail"] == f"malformed document {f}: missing key 'kind'"
+
+    @pytest.mark.parametrize(
+        "maps, detail",
+        [({}, "missing key 'fstar'"), ({"fstar": [], "gstar": []}, "'list' object has no attribute 'items'")],
+        ids=["no-maps", "list-maps"],
+    )
+    def test_derive_bundle_with_malformed_maps(self, tmp_path, maps, detail):
+        from locale_forge import serialize
+        from locale_forge.dsl import parse
+        from locale_forge.evaluate import eval_frame
+
+        parent = parse(
+            "domain finite { gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t; }\n"
+            "kind sup\nrel a v b = t\nrel z = 0\n"
+        )
+        bundle = {
+            "parent": serialize.presentation_to_jsonable(parent),
+            "target": serialize.lattice_to_jsonable(eval_frame(parent).carrier),
+            **maps,
+        }
+        f = tmp_path / "bundle.json"
+        f.write_text(json.dumps(bundle))
+        rc, out, err = run_cli("derive", str(f), "--mode", "open")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
+
+
+class TestSuiteCount:
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_a_suite_that_runs_nothing_is_a_usage_error(self, count):
+        rc, out, err = run_cli("verify", "--kleene", "--count", count)
+        assert rc == 2 and out == ""
+        assert "argument --count: must be at least 1" in err
+
+    def test_one_instance_runs(self):
+        rc, out, err = run_cli("verify", "--kleene", "--seed", "2", "--count", "1")
+        assert rc == 0 and out == "kleene-closure: 1/1 pass\n"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from locale_forge.evaluate import (
     verify_coverage,
 )
 from locale_forge.generators import FiniteGeneratorDomain
-from locale_forge.lattice import FinitePoset, LatticeError, downsets, poset_isomorphism
+from locale_forge.lattice import FinitePoset, LatticeError, QuotientMode, downsets, poset_isomorphism
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -23,8 +24,15 @@ from locale_forge.presentation import (
     Relation,
     saturate,
 )
-from locale_forge.suites import rand_preframe_presentation, rand_sup_presentation
+from locale_forge.suites import (
+    rand_dcpo_presentation,
+    rand_distributive_domain,
+    rand_preframe_presentation,
+    rand_quotient_operator,
+    rand_sup_presentation,
+)
 from locale_forge.terms import Meet, TERM_ONE, TERM_ZERO, Term, gen_term, join_of, meet_of
+from locale_forge.transform import present, spec_from_operator
 
 from conftest import real_line_on_grid
 
@@ -214,8 +222,6 @@ class TestEvalDcpo:
 
     def test_dcpo_toy_cross_checked_against_frame(self):
         rng = random.Random(2)
-        from locale_forge.suites import rand_dcpo_presentation
-
         p = rand_dcpo_presentation(rng)
         assert verify_coverage(p).verdict
 
@@ -324,3 +330,90 @@ class TestEnumerateCarrier:
                 assert carrier == closures
                 sizes.add(len(carrier))
         assert max(sizes) >= 5
+
+
+def rand_meet_equations(rng: random.Random, kind: PresentationKind) -> Presentation:
+    """Pure meet equations ``a ^ b = c`` over a random distributive domain."""
+    domain = rand_distributive_domain(rng)
+    gens = domain.enumerate_gens()
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(gens, 2) if len(gens) > 1 else (gens[0], gens[0])
+        rels.append(Relation(Term((Meet(tuple(sorted({a, b}))),)), gen_term(rng.choice(gens))))
+    return Presentation(kind, domain, tuple(rels))
+
+
+_QUOTIENT_MODES = {
+    PresentationKind.SUP: (rand_sup_presentation, (QuotientMode.OPEN, QuotientMode.SEMI_OPEN)),
+    PresentationKind.PREFRAME: (rand_preframe_presentation, (QuotientMode.PROPER, QuotientMode.SEMI_PROPER)),
+    PresentationKind.DCPO: (rand_dcpo_presentation, (QuotientMode.TRIQUOTIENT, QuotientMode.SEMI_TRIQUOTIENT)),
+}
+
+
+def digest_presentations(seeds):
+    """Seeded suite presentations of each kind, each followed by its
+    quotients under a random operator of each mode of its family; meet
+    equations in the sup, preframe and plain kinds; and two real-line
+    grids with and without ``OI() = 0``."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for draw, modes in _QUOTIENT_MODES.values():
+            p = draw(rng)
+            yield p
+            parent = eval_frame(p)
+            for mode in modes:
+                e = rand_quotient_operator(rng, parent.carrier, mode)
+                yield present(p, spec_from_operator(parent, e, mode))
+        for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
+            yield rand_meet_equations(rng, kind)
+    for points in ([0, 1], [-1, 0, 1]):
+        yield real_line_on_grid(points)
+        yield real_line_on_grid(points, Relation(gen_term("OI()"), TERM_ZERO))
+
+
+class TestOutputDigest:
+    """Every evaluator on every digest presentation, summarised as one
+    SHA-256 over the carrier elements, up-masks, ``interp`` and the values
+    of both sides of each relation (or the error raised).  The pinned value
+    was taken from the evaluators before they moved onto the kernel's mask
+    vocabulary, so any change in what they compute shows here."""
+
+    PINNED = (1936, "a8787210ee417aa6d9797d97515614182d5fcf1b427e769b8976b021bdd3fb67")
+
+    @staticmethod
+    def record(evaluate, p):
+        try:
+            obj = evaluate(p)
+        except Exception as exc:
+            return (evaluate.__name__, type(exc).__name__, str(exc))
+        poset = obj.carrier_poset
+        values = [(obj.term_value(r.lhs), obj.term_value(r.rhs)) for r in p.concrete_relations()]
+        return (evaluate.__name__, obj.category, poset.elements, poset.up, sorted(obj.interp.items()), values)
+
+    def test_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for p in digest_presentations(range(40)):
+            for evaluate in (eval_frame, eval_suplattice, eval_preframe, eval_dcpo):
+                h.update(repr(self.record(evaluate, p)).encode())
+                count += 1
+        assert (count, h.hexdigest()) == self.PINNED
+
+
+class TestEngineClasses:
+    """The closure engine's class order and principal closures against
+    their pairwise definitions, on presentations whose meet equations
+    merge classes."""
+
+    def test_down_masks_and_principal_closures(self):
+        rng = random.Random(77)
+        merged = 0
+        for _ in range(40):
+            for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
+                M, eng = _frame_engine(rand_meet_equations(rng, kind), 1 << 12)
+                want = [sum(1 << j for j in range(eng.n) if eng.cmeet(i, j) == j) for i in range(eng.n)]
+                assert eng.down == want
+                eng.enumerate_carrier()
+                assert eng.principal == [eng.close(1 << i) for i in range(eng.n)]
+                merged += eng.n < M.n
+        assert merged > 20

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
-from locale_forge.generators import FiniteGeneratorDomain
+from locale_forge.generators import FiniteGeneratorDomain, TaggedDomain
 from locale_forge.lattice import FinitePoset
-from locale_forge.suites import rand_distributive_domain
+from locale_forge.suites import (
+    rand_distributive_domain,
+    rand_join_semilattice_domain,
+    rand_meet_semilattice_domain,
+)
 
 
 def lattice_domain(elements, pairs):
@@ -68,3 +72,38 @@ class TestDistributiveLattice:
                 assert dom.distributive_lattice is want, (seed, dom.descriptor())
                 verdicts.append(want)
         assert True in verdicts and False in verdicts
+
+
+def sorted_up_masks(domain):
+    """The reference for ``sorted_poset``: the generators in ``sort_key``
+    order and each one's up-mask, by a ``leq`` call on every pair."""
+    gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
+    return gens, [sum(1 << j for j, b in enumerate(gens) if domain.leq(a, b)) for a in gens]
+
+
+def rand_labelled_domain(rng: random.Random) -> FiniteGeneratorDomain:
+    """A random poset whose labels are not listed in sorted order."""
+    n = rng.randint(1, 9)
+    labels = rng.sample([f"x{i}" for i in range(12)], n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    return FiniteGeneratorDomain(FinitePoset.from_pairs(labels, pairs))
+
+
+class TestSortedPoset:
+    def test_agrees_with_leq_on_every_pair(self):
+        reordered = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            draws = (rand_distributive_domain, rand_meet_semilattice_domain, rand_join_semilattice_domain, rand_labelled_domain)
+            for base in (draw(rng) for draw in draws):
+                for dom in (base, TaggedDomain("dia", base), TaggedDomain("box", base)):
+                    P = dom.sorted_poset
+                    gens, up = sorted_up_masks(dom)
+                    assert P.elements == tuple(gens) and P.up == tuple(up), (seed, dom.descriptor())
+                    assert P.down == FinitePoset(P.elements, P.up).down
+                reordered += base.sorted_poset.elements != base.poset.elements
+        assert reordered > 0
+
+    def test_cached_per_object(self):
+        dom = rand_labelled_domain(random.Random(5))
+        assert dom.sorted_poset is dom.sorted_poset
