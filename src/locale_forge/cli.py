@@ -37,6 +37,7 @@ from .lattice import (
     poset_isomorphism,
 )
 from .presentation import (
+    Presentation,
     PresentationError,
     PresentationKind,
     check_kind,
@@ -45,6 +46,7 @@ from .presentation import (
 from .rationals import parse_extrat
 from .terms import TermError
 from .transform import (
+    QuotientSpec,
     TransformError,
     derive_spec_from_coinserter,
     present,
@@ -75,7 +77,9 @@ def _document(path: str):
         raise UsageError(f"malformed document {path}: {what}") from None
 
 
-def _load(path: str):
+def _load(path: str, kind: type):
+    """The presentation or quotient spec (``kind``) in the file at ``path``;
+    a file holding the other one is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -85,9 +89,14 @@ def _load(path: str):
         doc = json.loads(source)
         with _document(path):
             if "mode" in doc:
-                return serialize.spec_from_jsonable(doc)
-            return serialize.presentation_from_jsonable(doc)
-    return parse(source)
+                out = serialize.spec_from_jsonable(doc)
+            else:
+                out = serialize.presentation_from_jsonable(doc)
+    else:
+        out = parse(source)
+    if not isinstance(out, kind):
+        raise UsageError(f"{path} holds a {type(out).__name__}, not a {kind.__name__}")
+    return out
 
 
 def _emit_json(doc) -> None:
@@ -99,7 +108,7 @@ def _emit_json(doc) -> None:
 
 
 def cmd_check(args) -> int:
-    p = _load(args.input)
+    p = _load(args.input, Presentation)
     report = check_kind(p, grid=_parse_grid(args.grid), oracle=not args.no_oracle)
     if args.format == "json":
         _emit_json(serialize.stability_to_jsonable(report))
@@ -117,7 +126,7 @@ _EVALUATORS = {
 
 
 def cmd_eval(args) -> int:
-    p = _load(args.input)
+    p = _load(args.input, Presentation)
     grid = _parse_grid(args.grid)
     if p.schematic:
         if grid is None:
@@ -135,8 +144,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    p = _load(args.input)
-    spec = _load(args.spec)
+    p = _load(args.input, Presentation)
+    spec = _load(args.spec, QuotientSpec)
     if args.mode:
         mode = QuotientMode.parse(args.mode)
         if mode is not spec.mode:
@@ -203,7 +212,7 @@ def _z2_swap_artifact():
     identifies the atoms and the quotient presents the one-point locale."""
     from .generators import FiniteGeneratorDomain
     from .lattice import FinitePoset
-    from .presentation import Presentation, Relation
+    from .presentation import Relation
     from .terms import TERM_ZERO, gen_term, join_of
 
     # labels must have a text form: "top" is a reserved word of the DSL

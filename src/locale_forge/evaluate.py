@@ -420,12 +420,18 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     interp = {g: index[eng.principal[eng.pos(M.gen_index[g])]] for g in M.gen_keys}
 
     def term_value(t: Term) -> int:
-        u = 0
+        # the join of the clauses' principal closures and the least fixed
+        # set: their union when that is fixed, else its closure from the
+        # largest of them
+        u = base = masks[0]
         for cl in t.clauses:
             if not isinstance(cl, Meet):
                 raise EvaluationError("schematic clause reached the evaluator")
-            u |= 1 << eng.pos(M.clause(cl.gens))
-        return index[eng.close(u)]
+            c = eng.principal[eng.pos(M.clause(cl.gens))]
+            u |= c
+            if c.bit_count() > base.bit_count():
+                base = c
+        return index[u] if u in index else index[eng.close(u, base)]
 
     obj = PresentedObject("frame", carrier, interp, p.domain, term_value)
     for rel in p.concrete_relations():
@@ -666,7 +672,7 @@ def verify_coverage(
     report = check_kind(p, grid=grid, oracle=oracle)
     if not report.ok:
         raise KindCheckError(report)
-    if p.schematic:
+    if p.schematic or not p.domain.finite:
         p = instantiate_schemas(p, grid)
     frame = eval_frame(p)
     other = _EVALUATORS[p.kind](p)

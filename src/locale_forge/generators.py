@@ -51,11 +51,12 @@ class GeneratorDomain:
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this domain object alone: normal forms
-        (``terms.normalize``), generator polynomial images
-        (``presentation.generator_polynomial``) and, on the interval
-        domains, the parsed endpoints of each generator key (under the key
-        string itself).  Created on first use; it belongs to the object,
-        never to an equal domain, and dies with it."""
+        (``terms.normalize``), the stability-instance kernel of a finite
+        domain with its polynomial image tables
+        (``presentation.instance_kernel``) and, on the interval domains,
+        the parsed endpoints of each generator key (under the key string
+        itself).  Created on first use; it belongs to the object, never to
+        an equal domain, and dies with it."""
         return {}
 
     # -- generator algebra ------------------------------------------------

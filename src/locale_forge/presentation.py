@@ -13,7 +13,14 @@ relations follow:
 
 ``check_kind`` verifies the discipline relation by relation; a missing
 stability instance may still be accepted when it is derivable from the
-others, which the brute-force oracle decides on finite carriers.
+others, which the brute-force oracle decides on finite carriers.  Over a
+finite domain, ``check_kind`` and ``saturate`` compute stability instances
+on generator indices through the domain's ``InstanceKernel`` (one per
+domain object, in ``domain.memo``): a normalized relation is compiled once
+to tuples of index clauses, each instance is one image-table lookup per
+generator, and only the instances kept -- appended by ``saturate``, asked of
+the oracle or reported missing by ``check_kind`` -- become ``Relation``s.
+A non-finite domain is checked on its restriction to a grid.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
 from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
@@ -144,8 +151,12 @@ class Presentation:
         return sum(1 for r in self.relations if isinstance(r, RelationSchema))
 
     @cached_property
-    def _kind_reports(self) -> dict[bool, "StabilityReport"]:
-        """``check_kind``'s reports on this object, keyed by ``oracle``."""
+    def memo(self) -> dict:
+        """Facts derived from this presentation object alone: ``check_kind``'s
+        reports (under ``"kind reports"``, keyed by ``oracle``) and the hash
+        a quotient's provenance records of its parent (``transform``).
+        Created on first use; it belongs to the object, never to an equal
+        presentation, and dies with it."""
         return {}
 
 
@@ -180,34 +191,21 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _clause_free_leq(domain: GeneratorDomain, a: Meet, b: Meet) -> bool:
-    """Meet(a) <= Meet(b) already in the free structure."""
-    top = domain.top()
-    for g in b.gens:
-        if not a.gens:
-            if top is None or not domain.leq(top, g):
-                return False
-        elif not any(domain.leq(h, g) for h in a.gens):
-            return False
-    return True
-
-
 def term_free_leq(domain: GeneratorDomain, s: Term, t: Term) -> bool:
-    """lhs <= rhs provable by order/absorption alone."""
-    for c in s.clauses:
-        if not isinstance(c, Meet):
-            return False
-        if not any(
-            isinstance(d, Meet) and _clause_free_leq(domain, c, d) for d in t.clauses
-        ):
-            return False
-    return True
+    """lhs <= rhs provable by order/absorption alone: each clause of s is a
+    meet that lies below some meet of t generator by generator (the empty
+    meet as the domain top)."""
+    top = domain.top()
 
+    def below(a: Meet, b: Meet) -> bool:
+        if not a.gens:
+            return all(top is not None and domain.leq(top, g) for g in b.gens)
+        return all(any(domain.leq(h, g) for h in a.gens) for g in b.gens)
 
-def _relation_free(domain: GeneratorDomain, rel: Relation) -> bool:
-    if rel.op == "<=":
-        return term_free_leq(domain, rel.lhs, rel.rhs)
-    return term_free_leq(domain, rel.lhs, rel.rhs) and term_free_leq(domain, rel.rhs, rel.lhs)
+    return all(
+        isinstance(c, Meet) and any(isinstance(d, Meet) and below(c, d) for d in t.clauses)
+        for c in s.clauses
+    )
 
 
 def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
@@ -221,78 +219,119 @@ def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
     return all(clause_ok(c) for c in rel.lhs.clauses + rel.rhs.clauses)
 
 
-def generator_polynomial(
-    domain: GeneratorDomain, meet_with: Optional[str], join_with: Optional[str]
-) -> Callable[[str], str]:
-    """The map g -> (g ^ v) v u on the domain's generators, where v is
-    ``meet_with`` and u is ``join_with`` (``None`` leaves that step out).
-    Images are memoized per (v, u) in ``domain.memo``, the domain object's
-    own memo, as they are first asked for."""
-    table = domain.memo.setdefault(("polynomial", meet_with, join_with), {})
+# A normalized side over a finite domain, on generator indices: a sorted
+# tuple of clauses, each a sorted tuple of distinct generators; 1 is ((),).
+Side = tuple[tuple[int, ...], ...]
 
-    def image(g: str) -> str:
-        out = table.get(g)
+
+class InstanceKernel:
+    """Stability instances of a finite domain's relations on generator
+    indices.
+
+    The generators are indexed in ``sorted_poset`` order, which on a finite
+    domain is the order of their keys as strings (a tagged domain's keys
+    share one prefix).  So the canonical order of ``normalize`` -- clauses
+    sorted by their sorted generator tuples -- is the order of the index
+    tuples, and a normalized side compiles to a ``Side`` one for one.
+
+    An instance sends every generator g through (g ^ v) v u, one lookup in
+    the image table of the polynomial (``row``).  The tables are built from
+    the domain's own ``meet`` and ``join`` as they are first asked for, so a
+    domain without the operation raises its own error at the first clause
+    that needs it.  The normal form of an instance needs no meet folding:
+    where meets fold, the clauses of a normalized relation are single
+    generators and stay so.  Whether an instance holds in the free structure
+    is read off the generators' up-masks.
+    """
+
+    def __init__(self, domain: GeneratorDomain):
+        P = domain.sorted_poset
+        self.domain = domain
+        self.names = P.elements
+        self.index = {g: i for i, g in enumerate(self.names)}
+        self.up = P.up
+        top = domain.top()
+        # the generators above the empty meet
+        self.top_up = 0 if top is None else P.up[self.index[top]]
+        self._rows: dict[tuple[Optional[int], Optional[int]], tuple[int, ...]] = {}
+
+    def row(self, v: Optional[int], u: Optional[int]) -> tuple[int, ...]:
+        """The image table of g -> (g ^ v) v u; ``None`` leaves that step out."""
+        out = self._rows.get((v, u))
         if out is None:
-            out = g
-            if meet_with is not None:
-                out = domain.meet(out, meet_with)
-            if join_with is not None:
-                out = domain.join(out, join_with)
-            table[g] = out
+            names, index, domain = self.names, self.index, self.domain
+            if u is None:
+                out = tuple(index[domain.meet(g, names[v])] for g in names)
+            elif v is None:
+                out = tuple(index[domain.join(g, names[u])] for g in names)
+            else:
+                meet, join = self.row(v, None), self.row(None, u)
+                out = tuple(join[x] for x in meet)
+            self._rows[(v, u)] = out
         return out
 
-    return image
+    def side(self, t: Term) -> Side:
+        """The clauses of a term of meets, as index tuples in their order."""
+        try:
+            return tuple(tuple(self.index[g] for g in cl.gens) for cl in t.clauses)
+        except KeyError as exc:
+            raise TermError(
+                f"generator {exc.args[0]!r} does not belong to domain {self.domain.name!r}"
+            ) from None
+
+    def term(self, side: Side, names: Optional[Sequence[str]] = None) -> Term:
+        """The term of a side, over the generator names (or ``names``)."""
+        name = (names or self.names).__getitem__
+        return Term(tuple([Meet(tuple(map(name, cl))) for cl in side]))
+
+    def image(self, side: Side, v: Optional[int], u: Optional[int]) -> Side:
+        """The normal form of the side with every generator sent through
+        (g ^ v) v u.  The empty meet counts as the domain top: 1 v u = 1,
+        and (1 ^ v) v u = v v u.  A normalized side holds the empty meet
+        only as the term 1 itself."""
+        if not side:
+            return side
+        if side == ((),):
+            return side if v is None else ((v if u is None else self.row(None, u)[v],),)
+        row = self.row(v, u)
+        out = {(row[cl[0]],) if len(cl) == 1 else tuple(sorted({row[g] for g in cl})) for cl in side}
+        return tuple(sorted(out))
+
+    def free_leq(self, s: Side, t: Side) -> bool:
+        """Every clause of s lies below a clause of t generator by
+        generator, so s <= t holds by order and absorption alone."""
+        up = self.up
+        for c in s:
+            above = 0 if c else self.top_up
+            for h in c:
+                above |= up[h]
+            if not any(all((above >> g) & 1 for g in d) for d in t):
+                return False
+        return True
+
+    def instances(self, rel: Relation, polynomials: Iterable[tuple[Optional[int], Optional[int]]]):
+        """The instances of a normalized relation under each polynomial
+        (v, u) that are neither trivial nor free, as (polynomial, key,
+        lhs, rhs), in the order of ``polynomials``."""
+        lhs, rhs, op = self.side(rel.lhs), self.side(rel.rhs), rel.op
+        for v, u in polynomials:
+            l, r = self.image(lhs, v, u), self.image(rhs, v, u)
+            if l == r or (self.free_leq(l, r) and (op == "<=" or self.free_leq(r, l))):
+                continue
+            yield (v, u), _side_key(l, r, op), l, r
 
 
-def _apply_polynomial(
-    domain: GeneratorDomain,
-    rel: Relation,
-    meet_with: Optional[str],
-    join_with: Optional[str],
-    fold_meets: bool = True,
-) -> Relation:
-    """Send every generator g on both sides through (g ^ v) v u.
-
-    One-step stability instances are u=None (meet only) / v=None (join
-    only); the dcpo saturation family uses both.  The empty meet (term 1)
-    counts as the domain top, empty joins stay empty.  Generator images
-    come from ``generator_polynomial``, memoized on the domain object, and
-    each side is normalized once, through the domain's normal-form memo.
-    """
-    image = generator_polynomial(domain, meet_with, join_with)
-
-    def apply_term(t: Term) -> Term:
-        out: list[Meet] = []
-        for cl in t.clauses:
-            if not isinstance(cl, Meet):
-                raise PresentationError("stability instantiation over schematic clause")
-            if not cl.gens:
-                if meet_with is None:
-                    # 1 v u = 1
-                    out.append(cl)
-                else:
-                    # (1 ^ v) v u
-                    v = meet_with if join_with is None else domain.join(meet_with, join_with)
-                    out.append(Meet((v,)))
-            else:
-                out.append(Meet(tuple(map(image, cl.gens))))
-        return normalize(Term(tuple(out)), domain, fold_meets)
-
-    return Relation(apply_term(rel.lhs), apply_term(rel.rhs), rel.op)
+def _side_key(lhs: Side, rhs: Side, op: str):
+    """``Relation.key`` on sides."""
+    return ("=", frozenset((lhs, rhs))) if op == "=" else ("<=", lhs, rhs)
 
 
-def _stability_instances(
-    domain: GeneratorDomain, rel: Relation, kind: PresentationKind
-) -> Iterable[tuple[str, Relation]]:
-    """One-step stability instances demanded by the kind, as (witness, relation)."""
-    for c in domain.enumerate_gens():
-        if kind == PresentationKind.SUP:
-            yield c, _apply_polynomial(domain, rel, c, None)
-        elif kind == PresentationKind.PREFRAME:
-            yield c, _apply_polynomial(domain, rel, None, c, kind.folds_meets)
-        else:
-            yield f"{c} (meet)", _apply_polynomial(domain, rel, c, None)
-            yield f"{c} (join)", _apply_polynomial(domain, rel, None, c)
+def instance_kernel(domain: GeneratorDomain) -> InstanceKernel:
+    """The domain object's instance kernel, built once, in ``domain.memo``."""
+    kernel = domain.memo.get(InstanceKernel)
+    if kernel is None:
+        kernel = domain.memo[InstanceKernel] = InstanceKernel(domain)
+    return kernel
 
 
 def check_kind(
@@ -302,34 +341,53 @@ def check_kind(
 ) -> StabilityReport:
     """Per-relation stability verdicts for the presentation's kind.
 
-    Schematic presentations are first instantiated on the caller's grid.
-    ``oracle=False`` restricts to the syntactic discipline, turning
-    derivable-but-absent instances into failures.  The report of a
-    non-schematic presentation is memoized on the presentation object,
-    per ``oracle``, so each presentation is checked once.
+    Schematic presentations, and presentations over a non-finite domain,
+    are first instantiated on the caller's grid: the instances of a
+    stability family range over every generator, and only a finite domain
+    lists them all.  ``oracle=False`` restricts to the syntactic
+    discipline, turning derivable-but-absent instances into failures.  The
+    report of a presentation over a finite domain is memoized on the
+    presentation object, per ``oracle``, so each presentation is checked
+    once.
     """
     if p.kind == PresentationKind.PLAIN:
         raise PresentationError("plain presentations have no kind discipline to check")
-    if p.schematic:
+    if p.schematic or not p.domain.finite:
         if grid is None:
-            raise PresentationError("schematic presentation: supply a grid to check_kind")
+            what = "schematic presentation" if p.schematic else f"{p.domain.name} domain"
+            raise PresentationError(f"{what}: supply a grid to check_kind")
         return _check_kind(instantiate_schemas(p, grid), oracle)
-    reports = p._kind_reports
+    reports = p.memo.setdefault("kind reports", {})
     if oracle not in reports:
         reports[oracle] = _check_kind(p, oracle)
     return reports[oracle]
 
 
 def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
+    """The verdicts on a finite domain.  The one-step instances the kind
+    demands are: meets with each generator (sup), joins with each generator
+    (preframe), both (dcpo).  Only the instances the oracle is asked about
+    and the first missing one become ``Relation``s."""
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
-    fold = p.kind.folds_meets
-    rels = [r.normalized(domain, fold) for r in p.concrete_relations()]
-    present = {r.key() for r in rels}
+    kernel = instance_kernel(domain)
+    rels = [r.normalized(domain, p.kind.folds_meets) for r in p.concrete_relations()]
+    present = set()
     for r in rels:
+        lhs, rhs = kernel.side(r.lhs), kernel.side(r.rhs)
+        present.add(_side_key(lhs, rhs, r.op))
         if r.op == "=":
-            present.add(("<=", r.lhs, r.rhs))
-            present.add(("<=", r.rhs, r.lhs))
+            present.update((("<=", lhs, rhs), ("<=", rhs, lhs)))
+    witnesses: dict[tuple[Optional[int], Optional[int]], str] = {}
+    for c in domain.enumerate_gens():
+        i = kernel.index[c]
+        if p.kind == PresentationKind.SUP:
+            witnesses[(i, None)] = c
+        elif p.kind == PresentationKind.PREFRAME:
+            witnesses[(None, i)] = c
+        else:
+            witnesses[(i, None)] = f"{c} (meet)"
+            witnesses[(None, i)] = f"{c} (join)"
 
     evaluated = None
 
@@ -351,16 +409,15 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         verdict = "syntacticPass"
         witness = None
         missing = None
-        for c, inst in _stability_instances(domain, rel, p.kind):
-            if inst.trivial() or _relation_free(domain, inst):
+        for poly, key, lhs, rhs in kernel.instances(rel, witnesses):
+            if key in present:
                 continue
-            if inst.key() in present:
-                continue
+            inst = Relation(kernel.term(lhs), kernel.term(rhs), rel.op)
             if oracle_holds(inst):
                 verdict = "oraclePass"
                 continue
             verdict = "fail"
-            witness = c
+            witness = witnesses[poly]
             missing = inst
             break
         verdicts.append(StabilityVerdict(idx, verdict, witness, missing))
@@ -435,29 +492,26 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     if any(isinstance(r, RelationSchema) for r in p.relations):
         raise PresentationError("cannot saturate schematic relations; instantiate first")
 
-    seen = {r.key() for r in rels}
+    kernel = instance_kernel(domain)
+    seen = {_side_key(kernel.side(r.lhs), kernel.side(r.rhs), r.op) for r in rels}
     out = list(rels)
-    gens = domain.enumerate_gens()
+    gens = [kernel.index[g] for g in domain.enumerate_gens()]
+    # Appending the closed instance family in one pass: instances of
+    # meet-instances are meet-instances (dually for joins), and dcpo
+    # polynomials (x ^ v) v u compose back into the same family.
+    if target == PresentationKind.SUP:
+        polynomials = [(c, None) for c in gens]
+    elif target == PresentationKind.PREFRAME:
+        polynomials = [(None, c) for c in gens]
+    else:
+        polynomials = [(v, u) for v in gens for u in gens]
     for rel in rels:
         if not _shape_ok(target, rel):
             raise PresentationError(f"relation {rel} cannot be reshaped to {target.value}")
-        # Appending the closed instance family in one pass: instances of
-        # meet-instances are meet-instances (dually for joins), and dcpo
-        # polynomials (x ^ v) v u compose back into the same family.
-        if target == PresentationKind.SUP:
-            args = [(c, None) for c in gens]
-        elif target == PresentationKind.PREFRAME:
-            args = [(None, c) for c in gens]
-        else:
-            args = [(v, u) for v in gens for u in gens]
-        for v, u in args:
-            inst = _apply_polynomial(domain, rel, v, u, fold_meets=fold)
-            if inst.trivial() or _relation_free(domain, inst):
-                continue
-            if inst.key() in seen:
-                continue
-            seen.add(inst.key())
-            out.append(inst)
+        for _, key, lhs, rhs in kernel.instances(rel, polynomials):
+            if key not in seen:
+                seen.add(key)
+                out.append(Relation(kernel.term(lhs), kernel.term(rhs), rel.op))
     return Presentation(target, domain, tuple(out))
 
 

@@ -42,7 +42,7 @@ from .presentation import (
     Relation,
     RelationSchema,
     check_kind,
-    generator_polynomial,
+    instance_kernel,
 )
 from .rationals import ExtRat
 from .terms import (
@@ -180,19 +180,13 @@ def _transport_relation(rel, tagged: TaggedDomain):
 
 
 def _parent_hash(p: Presentation) -> str:
-    from .serialize import presentation_to_jsonable
+    """The provenance hash of the parent, memoized on the parent object."""
+    out = p.memo.get("parent hash")
+    if out is None:
+        from .serialize import presentation_to_jsonable
 
-    blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _image_lists(spec: QuotientSpec, g: str) -> list[tuple[str, ...]]:
-    """The image of g as a list of generator meets."""
-    out = []
-    for cl in spec.image_of(g).clauses:
-        if not isinstance(cl, Meet):
-            raise TransformError("finite expansion over a schematic image clause")
-        out.append(cl.gens)
+        blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
+        out = p.memo["parent hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
     return out
 
 
@@ -205,36 +199,37 @@ def _finite_pair_relations(
     # instances, so both orders are kept there.  Each relation equates the
     # meet (join) of the pair with the join over the pair's image clauses
     # a, b of the meet of x ^ y (x v y) for x in a, y in b, read off the
-    # domain's memoized polynomial tables.
-    domain = p.domain
-    gens = sorted(domain.enumerate_gens(), key=domain.sort_key)
+    # kernel's meet (join) tables.  Sides are built on generator indices in
+    # their canonical order: the tagged keys share one prefix, so they sort
+    # as the parent's keys do.
+    kernel = instance_kernel(p.domain)
+    names = [tagged.wrap(g) for g in kernel.names]
     info = spec.mode.info
-    pair_ops = {
-        "meet": lambda x, y: generator_polynomial(domain, y, None)(x),
-        "join": lambda x, y: generator_polynomial(domain, None, y)(x),
-    }
+    images = []
+    for g in kernel.names:
+        image = spec.image_of(g)
+        if image.has_family():
+            raise TransformError("finite expansion over a schematic image clause")
+        images.append(kernel.side(image))
+    n = len(names)
+    tables = [
+        (op, [kernel.row(y, None) if op == "meet" else kernel.row(None, y) for y in range(n)])
+        for op in info.family.ops
+    ]
     out = []
-    for i, s in enumerate(gens):
-        for t in gens[i:] if info.semi else gens:
-            ws, wt = tagged.wrap(s), tagged.wrap(t)
-            left = _image_lists(spec, s) if info.semi else [(s,)]
-            right = _image_lists(spec, t)
-            for op in info.family.ops:
-                combine = pair_ops[op]
-                if op == "meet":
-                    lhs = Term((Meet(tuple(sorted({ws, wt}))),))
-                else:
-                    lhs = join_of([ws, wt])
-                rhs = Term(
-                    tuple(
-                        Meet(tuple(sorted({tagged.wrap(combine(x, y)) for x in a for y in b})))
-                        for a in left
-                        for b in right
-                    )
-                )
-                rel = Relation(normalize(lhs, tagged), normalize(rhs, tagged))
-                if not rel.trivial():
-                    out.append(rel)
+    for s in range(n):
+        for t in range(s, n) if info.semi else range(n):
+            left = images[s] if info.semi else ((s,),)
+            right = images[t]
+            pair = tuple(sorted({s, t}))
+            for op, table in tables:
+                lhs = (pair,) if op == "meet" else tuple((x,) for x in pair)
+                clauses = {
+                    tuple(sorted({table[y][x] for x in a for y in b})) for a in left for b in right
+                }
+                rhs = ((),) if () in clauses else tuple(sorted(clauses))
+                if lhs != rhs:
+                    out.append(Relation(kernel.term(lhs, names), kernel.term(rhs, names)))
     return out
 
 

@@ -315,6 +315,40 @@ class TestMoreVerbs:
         assert json.loads(err)["error"] == "module"
 
 
+def as_json(tmp_path, text_file: str) -> str:
+    """The JSON form of a presentation or spec file, written beside it."""
+    from locale_forge import serialize
+    from locale_forge.dsl import parse
+    from locale_forge.transform import QuotientSpec
+
+    doc = parse(open(text_file, encoding="utf-8").read())
+    if isinstance(doc, QuotientSpec):
+        out = serialize.spec_to_jsonable(doc)
+    else:
+        out = serialize.presentation_to_jsonable(doc)
+    f = tmp_path / (text_file.rsplit("/", 1)[-1] + ".json")
+    f.write_text(json.dumps(out))
+    return str(f)
+
+
+class TestWrongInputKind:
+    """A quotient spec where a presentation is expected, or the reverse, is
+    an input error (exit 2), not an internal one."""
+
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_a_spec_given_as_the_presentation(self, tmp_path, swap_spec_file, verb):
+        spec = as_json(tmp_path, swap_spec_file)
+        rc, out, err = run_cli(verb, spec)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"{spec} holds a QuotientSpec, not a Presentation"}
+
+    def test_a_presentation_given_as_the_spec(self, tmp_path, two_point_file):
+        pres = as_json(tmp_path, two_point_file)
+        rc, out, err = run_cli("transform", pres, "--spec", pres)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"{pres} holds a Presentation, not a QuotientSpec"}
+
+
 class TestMalformedInput:
     """A JSON document with a missing key or a value of the wrong shape is
     an input error (exit 2), not an internal one."""

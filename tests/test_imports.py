@@ -1,6 +1,9 @@
-"""Every module-level import in ``src/locale_forge`` is used by its module.
+"""Every module-level import in ``src/locale_forge`` is used by its module,
+and every private top-level function or class is read somewhere in the
+package.
 
-``__init__.py`` is exempt: its imports are the package's re-exports."""
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports."""
 
 import ast
 import pathlib
@@ -32,3 +35,43 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions and classes of the modules (name to
+    source) that no top-level statement of any module reads, other than
+    their own definition."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = (module, getattr(node, "name", None))
+            name = owner[1] or ""
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.startswith("_") and not name.startswith("__"):
+                defined.append(owner)
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    names.add(n.name)
+            reads.append((owner, names))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if not any(name in names for owner, names in reads if owner != (module, name))
+    ]
+
+
+def test_the_guard_sees_a_dead_private_name():
+    sources = {
+        "a": "def _rec():\n    return _rec()\ndef _g(): pass\nclass _C: pass\nx = _C()\ndef __h(): pass\n",
+        "b": "from a import _g\n",
+    }
+    assert dead_private_names(sources) == ["a._rec"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

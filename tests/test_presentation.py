@@ -145,6 +145,31 @@ class TestCheckKind:
         with pytest.raises(PresentationError):
             check_kind(real_presentation())
 
+    def test_a_symbolic_domain_is_checked_on_a_grid(self):
+        """The stability instances range over every generator, which a
+        symbolic domain lists only on a grid: its default sample of 24
+        intervals misses the witness here, OI(1/4,3/4)."""
+        from locale_forge.evaluate import KindCheckError, verify_coverage
+
+        p = Presentation(
+            PresentationKind.SUP,
+            real_presentation().domain,
+            (
+                Relation(gen_term("OI(0,1)"), gen_term("OI(0,1/2)"), "<="),
+                Relation(gen_term("OI(1/4,3/4)"), gen_term("OI(1/4,3/4)"), "<="),
+            ),
+        )
+        with pytest.raises(PresentationError, match="supply a grid"):
+            check_kind(p)
+        grid = [rat(Fraction(k, 4)) for k in range(5)]
+        for oracle in (True, False):
+            rep = check_kind(p, grid=grid, oracle=oracle)
+            assert [v.verdict for v in rep.verdicts] == ["fail", "syntacticPass"]
+            assert rep.verdicts[0].witness_generator == "OI(1/4,3/4)"
+            assert rep.verdicts[0].missing == Relation(gen_term("OI(1/4,3/4)"), gen_term("OI(1/4,1/2)"), "<=")
+        with pytest.raises(KindCheckError):
+            verify_coverage(p, grid=grid)
+
 
 class TestSaturate:
     def test_free_completion_of_antichain(self):

@@ -24,7 +24,7 @@ from locale_forge.presentation import (
     saturate,
 )
 from locale_forge.suites import check_equivalence, rand_sup_presentation
-from locale_forge.terms import Meet, TERM_ONE, TERM_ZERO, Term, gen_term, join_of
+from locale_forge.terms import Meet, TERM_ONE, TERM_ZERO, Term, TermError, gen_term, join_of
 from locale_forge.transform import (
     QuotientSpec,
     TransformError,
@@ -163,6 +163,13 @@ class TestFiniteTransformers:
         with pytest.raises(TransformError):
             present_open(p, identity_spec(p.domain, QuotientMode.OPEN))
 
+    def test_a_foreign_generator_in_an_image_is_a_term_error(self):
+        p = two_point_presentation()
+        identity = identity_spec(p.domain, QuotientMode.OPEN).image
+        image = tuple((g, join_of(["a", "zz"]) if g == "a" else t) for g, t in identity)
+        with pytest.raises(TermError, match="zz"):
+            present_open(p, QuotientSpec(QuotientMode.OPEN, p.domain, image), check=False)
+
     def test_image_shape_enforced(self):
         dom = diamond_domain()
         with pytest.raises(TransformError):
@@ -218,6 +225,10 @@ class TestTransportFidelity:
         assert out.provenance.mode == "open"
         assert len(out.provenance.parent_hash) == 16
         assert dict(out.provenance.image)["a"] == "a"
+        # memoized on the parent object, and the same for an equal parent
+        assert p.memo["parent hash"] == out.provenance.parent_hash
+        copy = Presentation(p.kind, p.domain, p.relations)
+        assert present_open(copy, identity_spec(p.domain, QuotientMode.OPEN)).provenance == out.provenance
 
 
 class TestDerive:
