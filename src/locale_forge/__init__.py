@@ -26,7 +26,6 @@ from .lattice import (
     interior_from_pair,
     kleene_closure,
     left_adjoint,
-    order_isomorphic,
     poset_isomorphism,
     prefixed_subframe,
     right_adjoint,

@@ -40,6 +40,7 @@ from .lattice import (
     FinitePoset,
     OperatorReport,
     _bits,
+    _transitive_closure,
     maximal,
     poset_isomorphism,
     subset_lattice,
@@ -549,18 +550,6 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     if bottom is not None:
         gen_idx["__bottom__"] = gen_idx[bottom]
 
-    def transitive_close():
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = reach[i]
-                for j in _bits(reach[i]):
-                    acc |= reach[j]
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
-
     def side(t: Term) -> Optional[list[int]]:
         out = []
         for cl in t.clauses:
@@ -604,7 +593,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
                         reach[a] |= 1 << mb
                         changed = True
         if changed:
-            transitive_close()
+            _transitive_closure(reach)
     for lhs, rhs, op in rels:
         if max_of(rhs) is None or (op == "=" and max_of(lhs) is None):
             raise EvaluationError(

@@ -21,6 +21,14 @@ and of a 14-element antichain (16384 elements, ``cap`` raised) about 0.3 s;
 elements, ``max_carrier`` raised) takes about 0.15 s; best of three on a
 2-core Intel Xeon.
 
+``poset_isomorphism`` searches nothing.  Its source must be a distributive
+lattice generated by the pinned elements (every oracle comparison pins the
+generator images of a presented frame), and then the pins fix the map: each
+join-irreducible goes to the meet of the images of the pins above it, every
+other element to the join of the images of the join-irreducibles below it.
+That is O(n·|J|) mask operations, plus |J| per pin; a source the pins do
+not generate raises ``LatticeError``.
+
 Every enumeration is capped at oracle scale and fails with
 "... exceeds oracle scale" past its cap:
 
@@ -72,6 +80,21 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transitive_closure(rel: list[int]) -> None:
+    """Close the relation masks ``rel`` under transitivity in place: bit
+    ``j`` of ``rel[i]`` brings in every bit of ``rel[j]``."""
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(rel):
+            acc = mask
+            for j in _bits(mask):
+                acc |= rel[j]
+            if acc != mask:
+                rel[i] = acc
+                changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +214,7 @@ class FinitePoset:
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidPosetError(f"index pair ({i},{j}) out of range")
             up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in _bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+        _transitive_closure(up)
         for i in range(n):
             for j in _bits(up[i]):
                 if i != j and (up[j] >> i) & 1:
@@ -900,112 +914,58 @@ def fixed_points(e: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
 
 
 # ---------------------------------------------------------------------------
-# order isomorphism search
-
-
-def _joint_colors(a: FinitePoset, b: FinitePoset) -> tuple[list[int], list[int]]:
-    """Partition refinement by up/down neighbourhood signatures, run jointly
-    so that equal signatures get equal colors in both posets."""
-
-    def start(p: FinitePoset):
-        down = p.down
-        return [
-            (bin(p.up[i]).count("1"), bin(down[i]).count("1")) for i in range(p.n)
-        ]
-
-    table: dict = {}
-    ca = [table.setdefault(s, len(table)) for s in start(a)]
-    cb = [table.setdefault(s, len(table)) for s in start(b)]
-    da, db = a.down, b.down
-    for _ in range(a.n + b.n):
-        table = {}
-
-        def step(p: FinitePoset, down, colors):
-            out = []
-            for i in range(p.n):
-                sig = (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in _bits(p.up[i]))),
-                    tuple(sorted(colors[j] for j in _bits(down[i]))),
-                )
-                out.append(table.setdefault(sig, len(table)))
-            return out
-
-        na, nb = step(a, da, ca), step(b, db, cb)
-        if na == ca and nb == cb:
-            break
-        ca, cb = na, nb
-    return ca, cb
+# order isomorphism fixed by generator images
 
 
 def poset_isomorphism(
-    a: FinitePoset,
-    b: FinitePoset,
-    pinned: Sequence[tuple[int, int]] = (),
+    a: FinitePoset, b: FinitePoset, pinned: Sequence[tuple[int, int]]
 ) -> Optional[tuple[int, ...]]:
-    """Order isomorphism a -> b as an index table, or None.  Deterministic
-    for fixed inputs; ``pinned`` forces images of given indices."""
-    if a.n != b.n:
-        return None
-    ca, cb = _joint_colors(a, b)
-    if sorted(ca) != sorted(cb):
-        return None
+    """The order isomorphism a -> b sending each pinned ``x`` to its ``y``,
+    as an index table, or None when there is none.
+
+    The pins must generate ``a``: each ``j`` in J, the join-irreducibles,
+    is the meet of the pins above it, and every other ``x`` is the join of
+    ``J ∩ ↓x``.  Both hold in a finite distributive lattice generated by
+    the pins under finite meets and joins (write ``j`` as a join of meets
+    of pins); a source where either fails raises ``LatticeError``.  Then
+    the map is forced: ``j`` goes to the meet in ``b`` of the images of the
+    pins above it, and ``x`` to the join in ``b`` of the images of
+    ``J ∩ ↓x``.  It is an isomorphism iff it is a bijection that respects
+    the pins and sends each ``↑j`` onto the upset of ``j``'s image, as
+    ``x <= y`` iff every ``j`` in ``J ∩ ↓x`` is below ``y``.
+    O(|J|·(n + p)) mask operations for p pins."""
     n = a.n
-    img = [-1] * n
-    used = [False] * n
-
-    def compatible(x: int, y: int) -> bool:
-        if cb[y] != ca[x]:
-            return False
-        for z in range(n):
-            w = img[z]
-            if w >= 0 and (
-                a.leq(x, z) != b.leq(y, w) or a.leq(z, x) != b.leq(w, y)
-            ):
-                return False
-        return True
-
-    for x, y in pinned:
-        if img[x] == y:
-            continue
-        if img[x] >= 0 or used[y] or not compatible(x, y):
+    if b.n != n:
+        return None
+    full = (1 << n) - 1
+    irreducible = join_irreducibles(a)
+    in_j = 0
+    img: list[Optional[int]] = [None] * n
+    for j in irreducible:
+        in_j |= 1 << j
+        meet_a, meet_b = full, full
+        for x, y in pinned:
+            if a.up[j] >> x & 1:
+                meet_a &= a.down[x]
+                meet_b &= b.down[y]
+        if meet_a != a.down[j]:
+            raise LatticeError("pins do not generate the source")
+        img[j] = b.by_down.get(meet_b)
+    for x in range(n):
+        if not in_j >> x & 1:
+            join_a, join_b = full, full
+            for j in _bits(a.down[x] & in_j):
+                join_a &= a.up[j]
+                if img[j] is not None:  # else the None is caught below
+                    join_b &= b.up[img[j]]
+            if join_a != a.up[x]:
+                raise LatticeError("pins do not generate the source")
+            img[x] = b.by_up.get(join_b)
+    if None in img or len(set(img)) != n:
+        return None
+    for j in irreducible:
+        if sum(1 << img[y] for y in _bits(a.up[j])) != b.up[img[j]]:
             return None
-        img[x] = y
-        used[y] = True
-
-    order = sorted(
-        (i for i in range(n) if img[i] < 0),
-        key=lambda i: (ca.count(ca[i]), i),
-    )
-
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        x = order[k]
-        for y in range(n):
-            if used[y]:
-                continue
-            if compatible(x, y):
-                img[x] = y
-                used[y] = True
-                if search(k + 1):
-                    return True
-                img[x] = -1
-                used[y] = False
-        return False
-
-    if not search(0):
+    if any(img[x] != y for x, y in pinned):
         return None
     return tuple(img)
-
-
-def order_isomorphic(
-    a: FiniteLattice,
-    b: FiniteLattice,
-    pinned: Sequence[tuple[int, int]] = (),
-) -> Optional[MonotoneMap]:
-    """Order isomorphism between lattices, as a MonotoneMap, or None."""
-    table = poset_isomorphism(a.poset, b.poset, pinned)
-    if table is None:
-        return None
-    return MonotoneMap(a, b, table)

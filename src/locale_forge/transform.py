@@ -29,6 +29,7 @@ from .lattice import (
     QuotientMode,
     Role,
     check_quotient_operator,
+    coequaliser_closure,
     compose,
     interior_from_pair,
     kleene_closure,
@@ -432,14 +433,13 @@ def derive_spec_from_coinserter(
         f_sh = left_adjoint(fstar)
         if f_sh is None:
             raise TransformError("missing adjoint: f* has no left adjoint")
-        j = compose(f_sh, gstar)
         if coequaliser:
             g_sh = left_adjoint(gstar)
             if g_sh is None:
                 raise TransformError("missing adjoint: g* has no left adjoint")
-            other = compose(g_sh, fstar)
-            j = MonotoneMap(X, X, tuple(X.join(j(x), other(x)) for x in range(X.n)))
-        op = kleene_closure(j)
+            op = coequaliser_closure(f_sh, gstar, g_sh, fstar)
+        else:
+            op = kleene_closure(compose(f_sh, gstar))
     elif role is Role.INTERIOR_OP:
         g_st = right_adjoint(gstar)
         if g_st is None:

@@ -87,7 +87,10 @@ def test_criterion_2_circle_via_unit_interval():
     grid = [rat(0), rat(Fraction(1, 4)), rat(Fraction(1, 2)), rat(Fraction(3, 4)), rat(1)]
     fr = eval_frame(instantiate_schemas(raw, grid))
     fs = eval_frame(instantiate_schemas(simp, grid))
-    iso = poset_isomorphism(fr.carrier.poset, fs.carrier.poset) is not None
+    pinned = [(fr.interp[g], fs.interp[g]) for g in fr.interp]
+    iso = fr.interp.keys() == fs.interp.keys() and (
+        poset_isomorphism(fr.carrier.poset, fs.carrier.poset, pinned) is not None
+    )
     from locale_forge.intervals import unit_interval_presentation
 
     _size_bounds(unit_interval_presentation(), raw)

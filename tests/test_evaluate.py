@@ -42,6 +42,16 @@ def diamond_domain():
     return FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
 
 
+def pins_by_label(obj, target, labels):
+    """Generator ``g`` of ``obj`` pinned to the element of ``target``
+    labelled ``labels[g]``."""
+    return [(obj.interp[g], target.index(lab)) for g, lab in labels.items()]
+
+
+# the diamond's generators on the atoms of the 4-element Boolean lattice
+DIAMOND_ON_BOOLEAN = {"z": "{}", "a": "{a}", "b": "{b}", "t": "{a,b}"}
+
+
 def two_point_presentation():
     dom = diamond_domain()
     return Presentation(
@@ -59,7 +69,8 @@ class TestEvalFrame:
 
     def test_discrete_two_point_is_four_boolean(self, four_boolean):
         obj = eval_frame(two_point_presentation())
-        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset) is not None
+        pinned = pins_by_label(obj, four_boolean.poset, DIAMOND_ON_BOOLEAN)
+        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset, pinned) is not None
 
     def test_without_cover_relation_five_elements(self):
         dom = diamond_domain()
@@ -83,7 +94,8 @@ class TestEvalFrame:
         # adding a derivable relation changes nothing up to iso
         extra = Relation(gen_term("z"), join_of(["a", "b"]), "<=")
         obj3 = eval_frame(Presentation(p.kind, p.domain, p.relations + (extra,)))
-        assert poset_isomorphism(obj1.carrier.poset, obj3.carrier.poset) is not None
+        pinned = [(obj1.interp[g], obj3.interp[g]) for g in obj1.interp]
+        assert poset_isomorphism(obj1.carrier.poset, obj3.carrier.poset, pinned) is not None
 
     def test_needs_meet_structure(self):
         dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["a", "b"], []))
@@ -168,11 +180,13 @@ class TestEvalSuplattice:
         obj = eval_suplattice(p)
         # downsets of the collapsed 2-chain: a 3-chain
         chain = FinitePoset.from_pairs(["0", "x", "y"], [(0, 1), (1, 2)])
-        assert poset_isomorphism(obj.carrier.poset, chain) is not None
+        pinned = pins_by_label(obj, chain, {"a": "x", "b": "y"})
+        assert poset_isomorphism(obj.carrier.poset, chain, pinned) is not None
 
     def test_discrete_two_point(self, four_boolean):
         obj = eval_suplattice(two_point_presentation())
-        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset) is not None
+        pinned = pins_by_label(obj, four_boolean.poset, DIAMOND_ON_BOOLEAN)
+        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset, pinned) is not None
 
 
 class TestEvalPreframe:
@@ -185,7 +199,8 @@ class TestEvalPreframe:
         dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["a", "b"], []))
         obj = eval_preframe(Presentation(PresentationKind.PLAIN, dom, ()))
         assert obj.carrier.n == 4
-        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset) is not None
+        pinned = pins_by_label(obj, four_boolean.poset, {"a": "{a}", "b": "{b}"})
+        assert poset_isomorphism(obj.carrier.poset, four_boolean.poset, pinned) is not None
 
     def test_collapse_cross_checked_against_frame(self):
         # one relation g <= 1 on a two-chain join-semilattice domain
@@ -252,6 +267,20 @@ class TestVerifyCoverage:
         rng = random.Random(42)
         for _ in range(10):
             assert verify_coverage(rand_sup_presentation(rng)).verdict
+
+    def test_ten_atoms_over_a_thousand_elements(self):
+        # z below ten atoms below t, z = 0: a frame of 2**10 + 1 elements,
+        # compared through the generator images without any search
+        atoms = [f"a{i}" for i in range(10)]
+        pairs = [(0, i) for i in range(1, 11)] + [(i, 11) for i in range(1, 11)]
+        dom = FiniteGeneratorDomain(
+            FinitePoset.from_pairs(["z", *atoms, "t"], pairs), use_meet=True, use_join=False
+        )
+        rep = verify_coverage(
+            Presentation(PresentationKind.SUP, dom, (Relation(gen_term("z"), TERM_ZERO),))
+        )
+        assert rep.verdict
+        assert rep.notes == ("frame carrier 1025 elements", "suplattice carrier 1025 elements")
 
     def test_random_stable_preframe_presentations(self):
         rng = random.Random(43)

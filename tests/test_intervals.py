@@ -399,7 +399,9 @@ class TestCircleProperPresentation:
         grid = [rat(0), rat(Fraction(1, 4)), rat(Fraction(1, 2)), rat(Fraction(3, 4)), rat(1)]
         raw = eval_frame(instantiate_schemas(circle_proper_presentation(), grid))
         simp = eval_frame(instantiate_schemas(circle_proper_presentation(simplify=True), grid))
-        assert poset_isomorphism(raw.carrier.poset, simp.carrier.poset) is not None
+        assert raw.interp.keys() == simp.interp.keys()
+        pinned = [(raw.interp[g], simp.interp[g]) for g in raw.interp]
+        assert poset_isomorphism(raw.carrier.poset, simp.carrier.poset, pinned) is not None
 
     def test_unit_interval_grid_checks(self):
         grid = [rat(0), rat(Fraction(1, 2)), rat(1)]

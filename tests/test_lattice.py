@@ -22,7 +22,7 @@ from locale_forge.lattice import (
     left_adjoint,
     maximal,
     missing_bound,
-    order_isomorphic,
+    poset_isomorphism,
     recheck_witness,
     right_adjoint,
     unions,
@@ -506,26 +506,71 @@ class TestClassification:
         assert classify_proper(f).verdict
 
 
+def pins(a: FiniteLattice, b: FiniteLattice, labels: dict[str, str]) -> list[tuple[int, int]]:
+    """Each element of ``a`` named in ``labels`` pinned to the element of
+    ``b`` it names."""
+    return [(a.poset.index(x), b.poset.index(y)) for x, y in labels.items()]
+
+
 class TestOrderIso:
+    """``poset_isomorphism`` reads the map off the pins: on a Boolean
+    lattice the two atoms fix it."""
+
     def test_self_iso_is_identity_seed(self, four_boolean):
-        iso = order_isomorphic(four_boolean, four_boolean)
-        assert iso is not None and iso.table == (0, 1, 2, 3)
+        pinned = pins(four_boolean, four_boolean, {"{a}": "{a}", "{b}": "{b}"})
+        assert poset_isomorphism(four_boolean.poset, four_boolean.poset, pinned) == (0, 1, 2, 3)
 
     def test_boolean_vs_chain_absent(self, four_boolean):
         chain = FiniteLattice.from_poset(
             FinitePoset.from_pairs(list("wxyz"), [(0, 1), (1, 2), (2, 3)])
         )
-        assert order_isomorphic(four_boolean, chain) is None
+        for x, y in itertools.product(chain.elements, repeat=2):
+            pinned = pins(four_boolean, chain, {"{a}": x, "{b}": y})
+            assert poset_isomorphism(four_boolean.poset, chain.poset, pinned) is None
 
     def test_two_labelings_of_same_lattice(self):
         a = downsets(FinitePoset.from_pairs(["a", "b"], []))
         b = downsets(FinitePoset.from_pairs(["y", "x"], []))
-        iso = order_isomorphic(a, b)
+        pinned = pins(a, b, {"{a}": "{y}", "{b}": "{x}"})
+        iso = poset_isomorphism(a.poset, b.poset, pinned)
         assert iso is not None
+        assert [b.label(iso[i]) for i in range(a.n)] == ["{}", "{y}", "{x}", "{y,x}"]
         for i in range(a.n):
             for j in range(a.n):
-                assert a.leq(i, j) == b.leq(iso(i), iso(j))
+                assert a.leq(i, j) == b.leq(iso[i], iso[j])
 
     def test_deterministic(self, four_boolean):
-        b = downsets(FinitePoset.from_pairs(["u", "t"], []))
-        assert order_isomorphic(four_boolean, b).table == order_isomorphic(four_boolean, b).table
+        # the pins, not a search order, decide between the two automorphisms
+        L = four_boolean
+        swap = pins(L, L, {"{a}": "{b}", "{b}": "{a}"})
+        assert poset_isomorphism(L.poset, L.poset, swap) == (0, 2, 1, 3)
+        assert poset_isomorphism(L.poset, L.poset, swap) == poset_isomorphism(L.poset, L.poset, swap)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"{a}": "{a}", "{b}": "{b}", "{a,b}": "{a}"},
+            {"{a}": "{}", "{b}": "{b}"},
+            {"{a}": "{a}", "{b}": "{a,b}"},
+        ],
+    )
+    def test_wrong_pin_gives_none(self, four_boolean, labels):
+        L = four_boolean
+        assert poset_isomorphism(L.poset, L.poset, pins(L, L, labels)) is None
+
+    @pytest.mark.parametrize("labels", [{}, {"{a}": "{a}"}, {"{a,b}": "{a,b}", "{}": "{}"}])
+    def test_pins_that_do_not_generate_the_source_raise(self, four_boolean, labels):
+        L = four_boolean
+        with pytest.raises(LatticeError, match="pins do not generate the source"):
+            poset_isomorphism(L.poset, L.poset, pins(L, L, labels))
+
+    def test_pentagon_needs_its_middle_element_pinned(self):
+        # N5: 0 < a < b < 1 and 0 < c < 1; a and c meet in 0 and join in 1,
+        # so b is no lattice term in them
+        n5 = FiniteLattice.from_poset(
+            FinitePoset.from_pairs(["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+        )
+        with pytest.raises(LatticeError, match="pins do not generate the source"):
+            poset_isomorphism(n5.poset, n5.poset, pins(n5, n5, {"a": "a", "c": "c"}))
+        pinned = pins(n5, n5, {"a": "a", "b": "b", "c": "c"})
+        assert poset_isomorphism(n5.poset, n5.poset, pinned) == tuple(range(5))

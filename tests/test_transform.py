@@ -130,7 +130,8 @@ class TestFiniteTransformers:
         spec_semi = spec_from_operator(parent, e, QuotientMode.SEMI_OPEN)
         a = eval_frame(present_open(p, spec))
         b = eval_frame(present_semi_open(p, spec_semi))
-        assert poset_isomorphism(a.carrier.poset, b.carrier.poset) is not None
+        pinned = [(a.interp[g], b.interp[g]) for g in a.interp]
+        assert poset_isomorphism(a.carrier.poset, b.carrier.poset, pinned) is not None
 
     def test_sierpinski_interior_presents_the_point(self):
         p = sierpinski_preframe()
@@ -151,7 +152,8 @@ class TestFiniteTransformers:
         parent = eval_frame(p)
         out = present_semi_triquotient(p, identity_spec(p.domain, QuotientMode.SEMI_TRIQUOTIENT))
         quotient = eval_frame(out)
-        assert poset_isomorphism(quotient.carrier.poset, parent.carrier.poset) is not None
+        pinned = [(quotient.interp[f"boxtimes {g}"], parent.interp[g]) for g in parent.interp]
+        assert poset_isomorphism(quotient.carrier.poset, parent.carrier.poset, pinned) is not None
 
     def test_mode_mismatch_rejected(self):
         p = two_point_presentation()
