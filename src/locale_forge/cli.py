@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from . import intervals, serialize, suites
 from .dsl import ParseError, parse, print_presentation, print_spec
-from .evaluate import eval_dcpo, eval_frame, eval_preframe, eval_suplattice
+from .evaluate import EVALUATORS, eval_frame
 from .generators import DomainError
 from .lattice import (
     LatticeError,
@@ -41,7 +41,7 @@ from .presentation import (
     PresentationError,
     PresentationKind,
     check_kind,
-    instantiate_schemas,
+    on_grid,
 )
 from .rationals import parse_extrat
 from .terms import TermError
@@ -117,22 +117,12 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-_EVALUATORS = {
-    "frame": eval_frame,
-    "sup": eval_suplattice,
-    "preframe": eval_preframe,
-    "dcpo": eval_dcpo,
-}
-
-
 def cmd_eval(args) -> int:
-    p = _load(args.input, Presentation)
-    grid = _parse_grid(args.grid)
-    if p.schematic:
-        if grid is None:
-            raise UsageError("schematic presentation: pass --grid")
-        p = instantiate_schemas(p, grid)
-    obj = _EVALUATORS[args.category](p)
+    p = on_grid(_load(args.input, Presentation), _parse_grid(args.grid), "eval")
+    if args.category == "frame":
+        obj = eval_frame(p)
+    else:
+        obj = EVALUATORS[PresentationKind(args.category)](p)
     if args.format == "json":
         _emit_json(serialize.presented_to_jsonable(obj))
     else:
@@ -166,11 +156,7 @@ def cmd_verify(args) -> int:
         seed = int(os.environ.get("LOCALE_FORGE_SEED", suites.DEFAULT_SEED))
     results = []
     if args.coverage:
-        kinds = (
-            [PresentationKind(args.kind)]
-            if args.kind
-            else [PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.DCPO]
-        )
+        kinds = [PresentationKind(args.kind)] if args.kind else list(EVALUATORS)
         for kind in kinds:
             results.append(suites.suite_coverage(kind, seed, args.count))
     elif args.oracle:
@@ -358,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a presentation")
     sp.add_argument("input")
     sp.add_argument("--grid")
-    sp.add_argument("--category", choices=list(_EVALUATORS), default="frame")
+    sp.add_argument("--category", choices=["frame", *(k.value for k in EVALUATORS)], default="frame")
     add_common(sp)
     sp.set_defaults(fn=cmd_eval)
 
@@ -374,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coverage", action="store_true")
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--kleene", action="store_true")
-    sp.add_argument("--kind", choices=["sup", "preframe", "dcpo"])
+    sp.add_argument("--kind", choices=[k.value for k in EVALUATORS])
     sp.add_argument("--mode", help="quotient mode, or 'cross'")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--count", type=_suite_count, default=100)

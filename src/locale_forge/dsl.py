@@ -648,13 +648,7 @@ def _print_domain(domain: GeneratorDomain) -> str:
 
 def print_presentation(p: Presentation) -> str:
     lines = [f"domain {_print_domain(p.domain)}", f"kind {p.kind.value}"]
-    for r in p.relations:
-        if isinstance(r, Relation):
-            lines.append(f"rel {r.lhs} {r.op} {r.rhs}")
-        else:
-            head = "(" + ", ".join(r.params) + ")"
-            cond = " where " + " & ".join(str(c) for c in r.conds) if r.conds else ""
-            lines.append(f"schema {head}{cond} : {r.lhs} {r.op} {r.rhs}")
+    lines += [f"rel {r}" if isinstance(r, Relation) else str(r) for r in p.relations]
     return "\n".join(lines) + "\n"
 
 

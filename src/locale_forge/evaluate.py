@@ -13,7 +13,8 @@ nucleus forcing the relations.  Joins are computed by re-closing unions.
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the corresponding weaker category: downsets / upsets / the
 generator poset itself, quotiented by the least congruence containing the
-relations.  The suplattice and preframe evaluations are one body: union is
+relations; ``EVALUATORS`` holds the one of each kind that has a
+discipline.  The suplattice and preframe evaluations are one body: union is
 the join of downsets and the meet of upsets, so they differ only in the
 direction of the order.  Every evaluation reads the generator order from
 the domain's ``sorted_poset``, and one congruence closure serves both the
@@ -52,7 +53,8 @@ from .presentation import (
     PresentationError,
     PresentationKind,
     Relation,
-    instantiate_schemas,
+    check_kind,
+    on_grid,
 )
 from .rationals import ExtRat
 from .terms import Meet, Term
@@ -333,15 +335,12 @@ class _FrameEngine:
 
 
 def _structural_rules(p: Presentation, M: _MeetCarrier):
-    """Covering rules that force the domain structure the kind declares."""
+    """Covering rules that force the domain's joins where the kind reads
+    them: each binary join covered by its two generators, and the bottom
+    by nothing."""
     domain = p.domain
     covers: list[tuple[int, frozenset[int]]] = []
-    kind = p.kind
-    force_joins = (
-        kind in (PresentationKind.PREFRAME, PresentationKind.DCPO)
-        or (kind == PresentationKind.PLAIN and domain.has_join)
-    )
-    if force_joins and domain.has_join:
+    if p.kind.uses("join") and domain.has_join:
         gens = M.gen_keys
         for a, b in itertools.combinations(gens, 2):
             j = domain.join(a, b)
@@ -374,17 +373,10 @@ def _relation_rules(p: Presentation, M: _MeetCarrier):
     return covers, meet_eqs
 
 
-_KIND_DOMAIN_ERRORS = {
-    PresentationKind.SUP: ("meet_semilattice", "a meet-semilattice with top"),
-    PresentationKind.PREFRAME: ("join_semilattice", "a join-semilattice with bottom"),
-    PresentationKind.DCPO: ("distributive_lattice", "a bounded distributive lattice"),
-}
-
-
 def _require_kind_domain(p: Presentation):
     if not p.domain.finite:
         raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    need = _KIND_DOMAIN_ERRORS.get(p.kind)
+    need = p.kind.structure
     if need and not getattr(p.domain, need[0]):
         raise EvaluationError(f"{p.kind.value} evaluation needs {need[1]}")
 
@@ -542,15 +534,9 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     gens, n = P.elements, P.n
     gen_idx = {g: i for i, g in enumerate(gens)}
     reach = list(P.up)  # reach[i] holds j when i <= j
+    top, bottom = p.domain.top(), p.domain.bottom()
 
-    top = p.domain.top()
-    bottom = p.domain.bottom()
-    if top is not None:
-        gen_idx["__top__"] = gen_idx[top]
-    if bottom is not None:
-        gen_idx["__bottom__"] = gen_idx[bottom]
-
-    def side(t: Term) -> Optional[list[int]]:
+    def side(t: Term) -> list[int]:
         out = []
         for cl in t.clauses:
             if not isinstance(cl, Meet):
@@ -569,7 +555,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
             out.append(gen_idx[bottom])
         return out
 
-    def max_of(idxs: list[int]) -> Optional[int]:
+    def greatest(idxs: list[int]) -> Optional[int]:
         for m in idxs:
             if all((reach[a] >> m) & 1 for a in idxs):
                 return m
@@ -585,7 +571,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
         changed = False
         for lhs, rhs, op in rels:
             for a_side, b_side in ((lhs, rhs),) + (((rhs, lhs),) if op == "=" else ()):
-                mb = max_of(b_side)
+                mb = greatest(b_side)
                 if mb is None:
                     continue
                 for a in a_side:
@@ -595,52 +581,44 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
         if changed:
             _transitive_closure(reach)
     for lhs, rhs, op in rels:
-        if max_of(rhs) is None or (op == "=" and max_of(lhs) is None):
+        if greatest(rhs) is None or (op == "=" and greatest(lhs) is None):
             raise EvaluationError(
                 "a directed-join side has no greatest element; the presentation "
                 "is not interpretable at oracle scale"
             )
 
-    classes: list[list[int]] = []
-    assigned = {}
-    for i in range(n):
-        for k, cl in enumerate(classes):
-            j = cl[0]
-            if (reach[i] >> j) & 1 and (reach[j] >> i) & 1:
-                assigned[i] = k
-                cl.append(i)
-                break
-        else:
-            assigned[i] = len(classes)
-            classes.append([i])
-    labels = [" ~ ".join(sorted(gens[i] for i in cl)) for cl in classes]
+    # the class of i is the mask of the j with i <= j <= i; classes are
+    # numbered by their least members
+    cls = [sum(1 << j for j in _bits(reach[i]) if (reach[j] >> i) & 1) for i in range(n)]
+    leaders = [i for i in range(n) if cls[i] & -cls[i] == 1 << i]
+    number = {i: k for k, i in enumerate(leaders)}
+    assigned = [number[(c & -c).bit_length() - 1] for c in cls]
+    labels = [" ~ ".join(sorted(gens[j] for j in _bits(cls[i]))) for i in leaders]
     # reach is a transitive preorder, so its quotient is the class order
-    reach_q = [0] * len(classes)
-    for i in range(n):
+    reach_q = []
+    for i in leaders:
+        m = 0
         for j in _bits(reach[i]):
-            reach_q[assigned[i]] |= 1 << assigned[j]
+            m |= 1 << assigned[j]
+        reach_q.append(m)
     poset = FinitePoset(tuple(labels), tuple(reach_q))
-    interp = {g: assigned[i] for g, i in gen_idx.items() if not g.startswith("__")}
-    gi = {g: assigned[i] for g, i in gen_idx.items()}
+    interp = {g: assigned[i] for i, g in enumerate(gens)}
 
     def term_value(t: Term) -> Optional[int]:
         """The class of the side's greatest generator, if it has one."""
-        idxs = []
-        for cl in t.clauses:
-            if not isinstance(cl, Meet) or len(cl.gens) > 1:
-                return None
-            idxs.append(gi[cl.gens[0]] if cl.gens else gi["__top__"])
-        if not t.clauses:
-            return gi.get("__bottom__")
-        for m in idxs:
-            if all((reach_q[a] >> m) & 1 for a in idxs):
-                return m
-        return None
+        try:
+            idxs = side(t)
+        except EvaluationError:
+            return None
+        m = greatest(idxs)
+        return None if m is None else assigned[m]
 
     return PresentedObject("dcpo", poset, interp, p.domain, term_value)
 
 
-_EVALUATORS = {
+# each kind's own evaluation, which ``verify_coverage`` compares with the
+# frame; the kinds here are the ones with a coverage theorem
+EVALUATORS = {
     PresentationKind.SUP: eval_suplattice,
     PresentationKind.PREFRAME: eval_preframe,
     PresentationKind.DCPO: eval_dcpo,
@@ -652,19 +630,17 @@ def verify_coverage(
     grid: Optional[Sequence[ExtRat]] = None,
     oracle: bool = True,
 ) -> OperatorReport:
-    """Check that the frame evaluation and the kind's own evaluation are
-    order isomorphic over an isomorphism matching generator images."""
-    if p.kind == PresentationKind.PLAIN:
+    """Check that the frame evaluation of ``on_grid(p, grid)`` and the
+    kind's own evaluation are order isomorphic over an isomorphism
+    matching generator images."""
+    if p.kind not in EVALUATORS:
         raise PresentationError("coverage applies to sup/preframe/dcpo presentations")
-    from .presentation import check_kind
-
-    report = check_kind(p, grid=grid, oracle=oracle)
+    p = on_grid(p, grid, "verify_coverage")
+    report = check_kind(p, oracle=oracle)
     if not report.ok:
         raise KindCheckError(report)
-    if p.schematic or not p.domain.finite:
-        p = instantiate_schemas(p, grid)
     frame = eval_frame(p)
-    other = _EVALUATORS[p.kind](p)
+    other = EVALUATORS[p.kind](p)
     pa, pb = frame.carrier_poset, other.carrier_poset
     pinned = [(frame.interp[g], other.interp[g]) for g in frame.interp]
     iso = poset_isomorphism(pa, pb, pinned)

@@ -78,8 +78,9 @@ class GeneratorDomain:
     def bottom(self) -> Optional[str]:
         return None
 
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
-        raise NotImplementedError
+    def enumerate_gens(self) -> list[str]:
+        """The generators of a finite domain, in the order of its poset."""
+        raise DomainError(f"domain {self.name!r} is not finite")
 
     def sort_key(self, key: str):
         return key
@@ -196,7 +197,7 @@ class FiniteGeneratorDomain(GeneratorDomain):
     def bottom(self) -> Optional[str]:
         return self._bottom
 
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
+    def enumerate_gens(self) -> list[str]:
         return list(self.poset.elements)
 
     @cached_property
@@ -255,8 +256,8 @@ class TaggedDomain(GeneratorDomain):
     def leq(self, a: str, b: str) -> bool:
         return self.parent.leq(self.unwrap(a), self.unwrap(b))
 
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
-        return [self.wrap(g) for g in self.parent.enumerate_gens(limit)]
+    def enumerate_gens(self) -> list[str]:
+        return [self.wrap(g) for g in self.parent.enumerate_gens()]
 
     @cached_property
     def sorted_poset(self) -> FinitePoset:

@@ -16,9 +16,7 @@ action, and as a proper quotient of [0,1] gluing the endpoints.
 
 from __future__ import annotations
 
-import itertools
 import re
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .generators import DOMAIN_REGISTRY, DomainError, GeneratorDomain
@@ -188,16 +186,6 @@ class OpenIntervalDomain(GeneratorDomain):
         lo, hi = self.key_endpoints(key)
         return (1, _sortable(lo), _sortable(hi))
 
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
-        limit = limit or 24
-        points = [NEG_INF] + [rat(Fraction(n, 2)) for n in range(-4, 5)] + [POS_INF]
-        out = [self.BOTTOM]
-        for lo, hi in itertools.combinations(points, 2):
-            out.append(self.key(lo, hi))
-            if len(out) >= limit:
-                break
-        return out[:limit]
-
     def generic_pattern(self) -> GenPattern:
         return GenPattern("OI", (eparam("p"), eparam("q")))
 
@@ -269,12 +257,6 @@ class ClosedComplementDomain(GeneratorDomain):
     def sort_key(self, key: str):
         p, q = self.key_endpoints(key)
         return (_sortable(p), _sortable(q))
-
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
-        limit = limit or 25
-        pts = [rat(Fraction(n, 4)) for n in range(5)]
-        out = [self.key(p, q) for p in pts for q in pts]
-        return out[:limit]
 
     def generic_pattern(self) -> GenPattern:
         return GenPattern("CC", (eparam("p"), eparam("q")))
@@ -360,10 +342,6 @@ class NatReverseDomain(GeneratorDomain):
 
     def sort_key(self, key: str):
         return self._rank(key)
-
-    def enumerate_gens(self, limit: Optional[int] = None) -> list[str]:
-        limit = limit or 8
-        return [self.EMPTY] + [self.down_to(k) for k in range(max(0, limit - 2))] + [self.ALL]
 
     def descriptor(self) -> dict:
         return {"type": "nat-reverse"}

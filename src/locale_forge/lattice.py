@@ -832,22 +832,21 @@ class QuotientMode(str, Enum):
 class QuotientFamily:
     """What the strict mode and the semi variant of a family share.
 
-    ``tag`` prefixes the quotient's generators and ``kind`` is the value of
-    the ``PresentationKind`` the parent presentation must have.  ``role``
-    is the type of the operator: a closure (open), an interior (proper) or
-    a bare idempotent (triquotient).  It fixes the shape of the generator
-    images (joins of generators, joins of finite meets, single
-    generators), how they are read back off an operator, how an operator
-    is derived from coinserter data and how random ones are drawn.
-    ``ops`` are the lattice operations the pair relations are stated for;
-    a family with meet relations also gets the unit relation
-    ``tag top = 1``, one with join relations the zero relation
-    ``tag bottom = 0``.
+    ``tag`` prefixes the quotient's generators.  ``role`` is the type of
+    the operator: a closure (open), an interior (proper) or a bare
+    idempotent (triquotient).  It fixes the shape of the generator images
+    (joins of generators, joins of finite meets, single generators), how
+    they are read back off an operator, how an operator is derived from
+    coinserter data and how random ones are drawn.
+    ``ops`` are the lattice operations the pair relations are stated for,
+    and the generator operations of the kind the parent presentation must
+    have (``PresentationKind.with_ops``); a family with meet relations also
+    gets the unit relation ``tag top = 1``, one with join relations the
+    zero relation ``tag bottom = 0``.
     """
 
     name: str
     tag: str
-    kind: str
     role: Role
     ops: tuple[str, ...]
 
@@ -866,11 +865,9 @@ class ModeInfo:
     laws: tuple[str, ...]
 
 
-_OPEN = QuotientFamily("open", "dia", "sup", Role.CLOSURE_OP, ("meet",))
-_PROPER = QuotientFamily("proper", "box", "preframe", Role.INTERIOR_OP, ("join",))
-_TRIQUOTIENT = QuotientFamily(
-    "triquotient", "boxtimes", "dcpo", Role.DCPO_IDEMPOTENT, ("meet", "join")
-)
+_OPEN = QuotientFamily("open", "dia", Role.CLOSURE_OP, ("meet",))
+_PROPER = QuotientFamily("proper", "box", Role.INTERIOR_OP, ("join",))
+_TRIQUOTIENT = QuotientFamily("triquotient", "boxtimes", Role.DCPO_IDEMPOTENT, ("meet", "join"))
 
 _MODE_INFO = {
     QuotientMode.SEMI_OPEN: ModeInfo(_OPEN, True, _CLOSURE_LAWS),

@@ -1,15 +1,21 @@
 """Presentations of frames by generators and relations.
 
-A presentation carries a kind tag saying which coverage discipline its
-relations follow:
+A presentation carries a kind saying which coverage discipline its
+relations follow.  ``PresentationKind`` is the one table of the kinds, each
+with the generator operations its relations are stable under (``ops``):
 
-* ``sup``      -- joins of generators over a meet-semilattice of generators,
-                  stable under meets with generators;
-* ``preframe`` -- directed joins of finite meets over a join-semilattice,
-                  stable under joins with generators;
-* ``dcpo``     -- directed joins of generators over a distributive lattice,
-                  stable under both;
-* ``plain``    -- no discipline (e.g. the output of a quotient transformer).
+* ``sup``      -- meet: joins of generators over a meet-semilattice of
+                  generators, stable under meets with generators;
+* ``preframe`` -- join: directed joins of finite meets over a
+                  join-semilattice, stable under joins with generators;
+* ``dcpo``     -- meet and join: directed joins of generators over a
+                  distributive lattice, stable under both;
+* ``plain``    -- none: no discipline (e.g. the output of a quotient
+                  transformer).
+
+Every switch on a kind reads ``ops``.  A quotient family's ``ops`` name
+its parent kind (``PresentationKind.with_ops``), and ``evaluate.EVALUATORS``
+holds each kind's own evaluator.
 
 ``check_kind`` verifies the discipline relation by relation; a missing
 stability instance may still be accepted when it is derivable from the
@@ -20,7 +26,8 @@ domain object, in ``domain.memo``): a normalized relation is compiled once
 to tuples of index clauses, each instance is one image-table lookup per
 generator, and only the instances kept -- appended by ``saturate``, asked of
 the oracle or reported missing by ``check_kind`` -- become ``Relation``s.
-A non-finite domain is checked on its restriction to a grid.
+A schematic presentation, or one over a non-finite domain, is checked and
+evaluated on its instantiation on a grid (``on_grid``).
 """
 
 from __future__ import annotations
@@ -51,16 +58,53 @@ class PresentationError(Exception):
 
 
 class PresentationKind(str, Enum):
-    SUP = "sup"
-    PREFRAME = "preframe"
-    DCPO = "dcpo"
-    PLAIN = "plain"
+    """A presentation's coverage discipline, with the generator operations
+    its relations are stable under."""
+
+    SUP = "sup", ("meet",)
+    PREFRAME = "preframe", ("join",)
+    DCPO = "dcpo", ("meet", "join")
+    PLAIN = "plain", ()
+
+    ops: tuple[str, ...]
+
+    def __new__(cls, value: str, ops: tuple[str, ...]):
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind.ops = ops
+        return kind
+
+    @classmethod
+    def with_ops(cls, ops: Sequence[str]) -> "PresentationKind":
+        """The kind whose generator operations are ``ops``."""
+        return next(k for k in cls if k.ops == tuple(ops))
+
+    def uses(self, op: str) -> bool:
+        """Whether the domain's ``op`` (meet or join) is a generator
+        operation here: one of the kind's own, or, for a kind without
+        any, whichever the domain declares."""
+        return op in self.ops or not self.ops
 
     @property
     def folds_meets(self) -> bool:
         """Whether meets of generators mean the domain's meet.  Preframe
         generators carry only join structure, so their meets stay formal."""
-        return self is not PresentationKind.PREFRAME
+        return self.uses("meet")
+
+    @property
+    def structure(self) -> Optional[tuple[str, str]]:
+        """The domain structure the kind's operations need, as the
+        ``GeneratorDomain`` flag that says a domain has it and its name;
+        None for plain."""
+        return _STRUCTURE.get(self.ops)
+
+
+# the domain structure that a set of generator operations needs
+_STRUCTURE = {
+    ("meet",): ("meet_semilattice", "a meet-semilattice with top"),
+    ("join",): ("join_semilattice", "a join-semilattice with bottom"),
+    ("meet", "join"): ("distributive_lattice", "a bounded distributive lattice"),
+}
 
 
 @dataclass(frozen=True)
@@ -191,32 +235,13 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def term_free_leq(domain: GeneratorDomain, s: Term, t: Term) -> bool:
-    """lhs <= rhs provable by order/absorption alone: each clause of s is a
-    meet that lies below some meet of t generator by generator (the empty
-    meet as the domain top)."""
-    top = domain.top()
-
-    def below(a: Meet, b: Meet) -> bool:
-        if not a.gens:
-            return all(top is not None and domain.leq(top, g) for g in b.gens)
-        return all(any(domain.leq(h, g) for h in a.gens) for g in b.gens)
-
-    return all(
-        isinstance(c, Meet) and any(isinstance(d, Meet) and below(c, d) for d in t.clauses)
-        for c in s.clauses
-    )
-
-
 def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
-    def clause_ok(c) -> bool:
-        if isinstance(c, FamilyJoin):
-            return kind == PresentationKind.PREFRAME or len(c.body) <= 1
-        if kind in (PresentationKind.SUP, PresentationKind.DCPO):
-            return len(c.gens) <= 1
-        return True
-
-    return all(clause_ok(c) for c in rel.lhs.clauses + rel.rhs.clauses)
+    """Where meets fold, each clause is one generator (a family joins
+    single generators); where they stay formal, any meet will do."""
+    return not kind.folds_meets or all(
+        len(c.body if isinstance(c, FamilyJoin) else c.gens) <= 1
+        for c in rel.lhs.clauses + rel.rhs.clauses
+    )
 
 
 # A normalized side over a finite domain, on generator indices: a sorted
@@ -334,29 +359,35 @@ def instance_kernel(domain: GeneratorDomain) -> InstanceKernel:
     return kernel
 
 
+def on_grid(p: Presentation, grid: Optional[Sequence[ExtRat]], verb: str) -> Presentation:
+    """``p`` as checking and evaluation see it: itself over a finite domain
+    without schemas, else its instantiation on ``grid``, for only a finite
+    domain lists every generator.  Then a missing grid is an error, which
+    names ``verb``."""
+    if not p.schematic and p.domain.finite:
+        return p
+    if grid is None:
+        what = "schematic presentation" if p.schematic else f"{p.domain.name} domain"
+        raise PresentationError(f"{what}: supply a grid to {verb}")
+    return instantiate_schemas(p, grid)
+
+
 def check_kind(
     p: Presentation,
     grid: Optional[Sequence[ExtRat]] = None,
     oracle: bool = True,
 ) -> StabilityReport:
-    """Per-relation stability verdicts for the presentation's kind.
+    """Per-relation stability verdicts for the presentation's kind, on
+    ``on_grid(p, grid)``.
 
-    Schematic presentations, and presentations over a non-finite domain,
-    are first instantiated on the caller's grid: the instances of a
-    stability family range over every generator, and only a finite domain
-    lists them all.  ``oracle=False`` restricts to the syntactic
-    discipline, turning derivable-but-absent instances into failures.  The
-    report of a presentation over a finite domain is memoized on the
-    presentation object, per ``oracle``, so each presentation is checked
-    once.
+    ``oracle=False`` restricts to the syntactic discipline, turning
+    derivable-but-absent instances into failures.  The report is memoized
+    on the presentation object checked, per ``oracle``, so each
+    presentation is checked once.
     """
-    if p.kind == PresentationKind.PLAIN:
+    if not p.kind.ops:
         raise PresentationError("plain presentations have no kind discipline to check")
-    if p.schematic or not p.domain.finite:
-        if grid is None:
-            what = "schematic presentation" if p.schematic else f"{p.domain.name} domain"
-            raise PresentationError(f"{what}: supply a grid to check_kind")
-        return _check_kind(instantiate_schemas(p, grid), oracle)
+    p = on_grid(p, grid, "check_kind")
     reports = p.memo.setdefault("kind reports", {})
     if oracle not in reports:
         reports[oracle] = _check_kind(p, oracle)
@@ -365,9 +396,10 @@ def check_kind(
 
 def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     """The verdicts on a finite domain.  The one-step instances the kind
-    demands are: meets with each generator (sup), joins with each generator
-    (preframe), both (dcpo).  Only the instances the oracle is asked about
-    and the first missing one become ``Relation``s."""
+    demands send each generator g to g ^ c for each generator c when its
+    operations include meet, to g v c when they include join.  Only the
+    instances the oracle is asked about and the first missing one become
+    ``Relation``s."""
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
     kernel = instance_kernel(domain)
@@ -378,16 +410,13 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         present.add(_side_key(lhs, rhs, r.op))
         if r.op == "=":
             present.update((("<=", lhs, rhs), ("<=", rhs, lhs)))
+    ops = p.kind.ops
     witnesses: dict[tuple[Optional[int], Optional[int]], str] = {}
     for c in domain.enumerate_gens():
         i = kernel.index[c]
-        if p.kind == PresentationKind.SUP:
-            witnesses[(i, None)] = c
-        elif p.kind == PresentationKind.PREFRAME:
-            witnesses[(None, i)] = c
-        else:
-            witnesses[(i, None)] = f"{c} (meet)"
-            witnesses[(None, i)] = f"{c} (join)"
+        for op in ops:
+            poly = (i, None) if op == "meet" else (None, i)
+            witnesses[poly] = c if len(ops) == 1 else f"{c} ({op})"
 
     evaluated = None
 
@@ -396,9 +425,9 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         if not oracle:
             return False
         if evaluated is None:
-            from .evaluate import _EVALUATORS
+            from .evaluate import EVALUATORS
 
-            evaluated = _EVALUATORS[p.kind](p)
+            evaluated = EVALUATORS[p.kind](p)
         return evaluated.relation_holds(rel)
 
     verdicts = []
@@ -460,7 +489,7 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     """Close the domain under the operations the target kind needs, reshape
     relations onto the completed generators and append the missing
     stability instances, so that ``check_kind`` passes syntactically."""
-    if target == PresentationKind.PLAIN:
+    if not target.ops:
         raise PresentationError("cannot saturate toward a plain kind")
     if not p.domain.finite:
         if p.kind == target:
@@ -468,19 +497,23 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
         raise PresentationError("cannot saturate a non-finite domain")
     domain = p.domain
     mapping = {g: g for g in domain.enumerate_gens()}
-    if target == PresentationKind.SUP and not domain.meet_semilattice:
-        domain, mapping = _completion(domain, meets=True)
-    elif target == PresentationKind.PREFRAME and not domain.join_semilattice:
-        domain, mapping = _completion(domain, meets=False)
-    elif target == PresentationKind.DCPO and not domain.distributive_lattice:
-        if not domain.meet_semilattice:
-            domain, m1 = _completion(domain, meets=True)
-            mapping = {g: m1[g] for g in mapping}
-        if not domain.join_semilattice or not domain.distributive_lattice:
-            domain, m2 = _completion(domain, meets=False)
-            mapping = {g: m2[v] for g, v in mapping.items()}
-        if not domain.distributive_lattice:
-            raise PresentationError("completion did not reach a distributive lattice")
+
+    def lacks(ops) -> bool:
+        return not getattr(domain, _STRUCTURE[ops][0])
+
+    # complete toward each operation the domain lacks; the last completion
+    # is also taken where the domain has every operation but lacks the
+    # kind's structure (a lattice that is not distributive)
+    *first, last = target.ops
+    for op in first:
+        if lacks((op,)):
+            domain, step = _completion(domain, meets=op == "meet")
+            mapping = {g: step[v] for g, v in mapping.items()}
+    if lacks(target.ops):
+        domain, step = _completion(domain, meets=last == "meet")
+        mapping = {g: step[v] for g, v in mapping.items()}
+        if lacks(target.ops):
+            raise PresentationError(f"completion did not reach {target.structure[1]}")
 
     fold = target.folds_meets
     rels = [
@@ -499,12 +532,9 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     # Appending the closed instance family in one pass: instances of
     # meet-instances are meet-instances (dually for joins), and dcpo
     # polynomials (x ^ v) v u compose back into the same family.
-    if target == PresentationKind.SUP:
-        polynomials = [(c, None) for c in gens]
-    elif target == PresentationKind.PREFRAME:
-        polynomials = [(None, c) for c in gens]
-    else:
-        polynomials = [(v, u) for v in gens for u in gens]
+    polynomials = list(
+        itertools.product(*[gens if op in target.ops else [None] for op in ("meet", "join")])
+    )
     for rel in rels:
         if not _shape_ok(target, rel):
             raise PresentationError(f"relation {rel} cannot be reshaped to {target.value}")

@@ -338,7 +338,7 @@ def suite_oracle_equivalence(mode: QuotientMode, seed: int, count: int) -> Suite
     rng = random.Random(seed)
     res = SuiteResult(f"oracle-equivalence[{mode.cli_name}]")
     for k in range(count):
-        p = _RAND_BY_KIND[PresentationKind(mode.info.family.kind)](rng)
+        p = _RAND_BY_KIND[PresentationKind.with_ops(mode.info.family.ops)](rng)
         parent = eval_frame(p)
         e = rand_quotient_operator(rng, parent.carrier, mode)
         ok, why, _ = check_equivalence(p, parent, e, mode)

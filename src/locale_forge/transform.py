@@ -277,8 +277,9 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
     if spec.mode is not mode:
         raise TransformError(f"spec mode {spec.mode.value} does not match transformer {mode.value}")
     family = mode.info.family
-    if p.kind is not PresentationKind(family.kind):
-        raise TransformError(f"{mode.value} transformer needs a {family.kind} presentation")
+    kind = PresentationKind.with_ops(family.ops)
+    if p.kind is not kind:
+        raise TransformError(f"{mode.value} transformer needs a {kind.value} presentation")
     if spec.domain != p.domain:
         raise TransformError("spec and presentation disagree on the generator domain")
     if check and not p.schematic and p.domain.finite:
@@ -480,7 +481,7 @@ def spec_from_operator(
             raise OperatorLawError(rep)
     domain = parent.domain
     family = mode.info.family
-    fold = PresentationKind(family.kind).folds_meets
+    fold = PresentationKind.with_ops(family.ops).folds_meets
     image = []
     for g in sorted(parent.interp, key=domain.sort_key):
         target = op(parent.interp[g])

@@ -73,6 +73,19 @@ class TestVerbs:
         json.loads(out)
 
     @pytest.mark.parametrize("verb", ["eval", "check"])
+    def test_grid_over_a_non_finite_domain_without_schemas(self, tmp_path, verb):
+        # the grid instantiates a presentation whose domain is not finite,
+        # schemas or not; without one, both verbs ask for it
+        f = tmp_path / "interval.pres"
+        f.write_text("domain interval-R\nkind sup\nrel OI(0,1) <= OI(-inf,+inf)\n")
+        rc, out, err = run_cli(verb, str(f), "--grid", "0,1")
+        assert rc == 0, err
+        assert out != ""
+        rc, out, err = run_cli(verb, str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["detail"].startswith("interval-R domain: supply a grid")
+
+    @pytest.mark.parametrize("verb", ["eval", "check"])
     def test_grid_starting_with_a_negative_point(self, tmp_path, verb):
         f = tmp_path / "reals.pres"
         f.write_text("domain interval-R\nkind sup\ninclude standard\n")

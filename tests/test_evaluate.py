@@ -235,6 +235,21 @@ class TestEvalDcpo:
         obj = eval_dcpo(p)
         assert obj.carrier.n == 1
 
+    def test_classes_are_numbered_by_least_member(self):
+        dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["a", "b", "c"], []))
+        obj = eval_dcpo(Presentation(PresentationKind.PLAIN, dom, (Relation(gen_term("c"), gen_term("a")),)))
+        assert obj.carrier.elements == ("a ~ c", "b")
+        assert obj.interp == {"a": 0, "b": 1, "c": 0}
+
+    def test_a_side_without_a_value(self):
+        # an antichain has no top, no bottom and no greatest element of
+        # a v b; a meet of two generators is no directed join
+        dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["a", "b"], []))
+        obj = eval_dcpo(Presentation(PresentationKind.PLAIN, dom, ()))
+        for t in (TERM_ONE, TERM_ZERO, join_of(["a", "b"]), Term((Meet(("a", "b")),))):
+            assert obj.term_value(t) is None
+        assert obj.term_value(gen_term("b")) == 1
+
     def test_dcpo_toy_cross_checked_against_frame(self):
         rng = random.Random(2)
         p = rand_dcpo_presentation(rng)

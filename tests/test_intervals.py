@@ -22,7 +22,7 @@ from locale_forge.intervals import (
 from locale_forge.lattice import poset_isomorphism
 from locale_forge.presentation import Relation, check_kind, instantiate_schemas
 from locale_forge.rationals import NEG_INF, POS_INF, rat
-from locale_forge.generators import TaggedDomain
+from locale_forge.generators import DomainError, TaggedDomain
 from locale_forge.terms import FamilyJoin, Meet, Term, TermError, TERM_ZERO, gen_term
 
 from conftest import real_line_on_grid
@@ -409,6 +409,13 @@ class TestCircleProperPresentation:
         assert rep.ok
 
 
+def test_only_finite_domains_list_their_generators():
+    for dom in (OpenIntervalDomain(), ClosedComplementDomain(), NatReverseDomain()):
+        for d in (dom, TaggedDomain("dia", dom)):
+            with pytest.raises(DomainError, match="is not finite"):
+                d.enumerate_gens()
+
+
 class TestNatReverse:
     def test_successor_pullback(self):
         assert successor_pullback("N(<=3)") == "N(<=2)"
@@ -428,7 +435,7 @@ class TestNatReverse:
 
     def test_domain_is_a_chain(self):
         dom = NatReverseDomain()
-        gens = dom.enumerate_gens(6)
+        gens = [dom.EMPTY] + [dom.down_to(k) for k in range(4)] + [dom.ALL]
         for a in gens:
             for b in gens:
                 assert dom.leq(a, b) or dom.leq(b, a)

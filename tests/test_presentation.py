@@ -16,7 +16,7 @@ from locale_forge.intervals import (
     real_presentation,
     unit_interval_presentation,
 )
-from locale_forge.lattice import FinitePoset, LatticeError, downsets
+from locale_forge.lattice import FinitePoset, LatticeError, QuotientMode, downsets
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -169,6 +169,28 @@ class TestCheckKind:
             assert rep.verdicts[0].missing == Relation(gen_term("OI(1/4,3/4)"), gen_term("OI(1/4,1/2)"), "<=")
         with pytest.raises(KindCheckError):
             verify_coverage(p, grid=grid)
+
+
+class TestKindTable:
+    """The kinds, their evaluators and their random presentations go
+    together, and each quotient family's operations name the kind its
+    transformer takes."""
+
+    def test_tables_cover_the_same_kinds(self):
+        from locale_forge.evaluate import EVALUATORS
+
+        assert len({k.ops for k in PresentationKind}) == len(PresentationKind)
+        disciplined = [k for k in PresentationKind if k.ops]
+        assert list(EVALUATORS) == list(_RAND_BY_KIND) == disciplined
+        assert [k for k in PresentationKind if not k.ops] == [PresentationKind.PLAIN]
+
+    def test_each_family_names_its_parent_kind(self):
+        parents = {m.info.family.name: PresentationKind.with_ops(m.info.family.ops) for m in QuotientMode}
+        assert parents == {
+            "open": PresentationKind.SUP,
+            "proper": PresentationKind.PREFRAME,
+            "triquotient": PresentationKind.DCPO,
+        }
 
 
 class TestSaturate:

@@ -100,7 +100,7 @@ def symbolic_records(seed: int):
         p = draw(rng)
         parent = eval_frame(p)
         for mode in QuotientMode:
-            if mode.info.family.kind != kind.value:
+            if mode.info.family.ops != kind.ops:
                 continue
             e = rand_quotient_operator(rng, parent.carrier, mode)
             yield "present", mode.value, present_record(p, spec_from_operator(parent, e, mode))
