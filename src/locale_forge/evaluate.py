@@ -297,7 +297,14 @@ class _FrameEngine:
         downsets close to the same set; the first repeat fails the frame
         check.  More than ``max_carrier`` downsets of ``J`` is an
         oracle-scale overrun.  The principal closures are kept, by
-        element, in ``principal``."""
+        element, in ``principal``.
+
+        Once no repeat is found, each fixed set ``c`` is the closure of
+        exactly one downset ``D`` of ``J``, and ``J ∩ ↓c`` is ``D``: a
+        member ``j`` of ``J`` inside ``c`` but outside ``D`` would give the
+        larger downset ``D ∪ ↓j`` the same closure, a repeat.  So
+        ``c ⊆ c'`` exactly when ``D ⊆ D'``, and ``downset_of`` keeps ``D``,
+        as a mask over positions in ``J``, for each fixed set ``c``."""
         bottom = self.close(0)
         self.principal = [self.close(1 << i) for i in range(self.n)]
         principals = sorted(set(self.principal), key=lambda m: (m.bit_count(), m))
@@ -320,18 +327,18 @@ class _FrameEngine:
                 irreducible.append(c)
                 jdown.append(d | position[c])
         closure = {0: bottom}
-        fixed = {bottom}
+        self.downset_of = {bottom: 0}
         for d in unions(jdown, self.max_carrier, "presented frame")[1:]:
             top = d.bit_length() - 1
             rest = closure[d ^ (1 << top)]
             c = rest | irreducible[top]
             if c not in known:
                 c = self.close(irreducible[top], rest)
-            if c in fixed:
+            if c in self.downset_of:
                 raise EvaluationError("presented carrier failed the frame check")
             closure[d] = c
-            fixed.add(c)
-        return sorted(fixed, key=lambda m: (m.bit_count(), m))
+            self.downset_of[c] = d
+        return sorted(self.downset_of, key=lambda m: (m.bit_count(), m))
 
 
 def _structural_rules(p: Presentation, M: _MeetCarrier):
@@ -397,16 +404,25 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
 
     Generator meets are semantic exactly when the domain declares meet
     structure; preframe generators only carry join structure, so their
-    meets stay formal."""
+    meets stay formal.
+
+    The carrier is ordered over the join-irreducible fixed sets ``J``
+    rather than over all classes: ``enumerate_carrier`` has checked that
+    each fixed set is the closure of exactly one downset of ``J``, which is
+    the set of members of ``J`` inside it, so inclusion of fixed sets is
+    inclusion of those downsets.  Elements, labels and order are the ones
+    the class masks give, on |J| points instead of one per class."""
     M, eng = _frame_engine(p, max_carrier)
     masks = eng.enumerate_carrier()
     index = {m: i for i, m in enumerate(masks)}
+    downsets = [eng.downset_of[m] for m in masks]
+    fixed_set = dict(zip(downsets, masks))
 
-    def elem_label(mask: int) -> str:
-        maxs = _bits(maximal(mask, eng.down))
+    def elem_label(d: int) -> str:
+        maxs = _bits(maximal(fixed_set[d], eng.down))
         return " | ".join(sorted(eng.labels[e] for e in maxs)) or "0"
 
-    carrier = subset_lattice(masks, elem_label)
+    carrier = subset_lattice(downsets, elem_label)
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 

@@ -56,10 +56,6 @@ from .transform import (
 )
 
 
-def _sortable(x: ExtRat):
-    return (x.sign, x.value)
-
-
 # ---------------------------------------------------------------------------
 # endpoint expression simplification
 
@@ -182,9 +178,9 @@ class OpenIntervalDomain(GeneratorDomain):
 
     def sort_key(self, key: str):
         if key == self.BOTTOM:
-            return (0, (0, 0), (0, 0))
+            return (0,)
         lo, hi = self.key_endpoints(key)
-        return (1, _sortable(lo), _sortable(hi))
+        return (1, lo, hi)
 
     def generic_pattern(self) -> GenPattern:
         return GenPattern("OI", (eparam("p"), eparam("q")))
@@ -204,7 +200,7 @@ class OpenIntervalDomain(GeneratorDomain):
     def grid_values(self, grid: Sequence[ExtRat]) -> list[ExtRat]:
         vals = {rat(v) if not isinstance(v, ExtRat) else v for v in grid}
         vals |= {NEG_INF, POS_INF}
-        return sorted(vals, key=_sortable)
+        return sorted(vals)
 
     def descriptor(self) -> dict:
         return {"type": "interval-R"}
@@ -255,8 +251,7 @@ class ClosedComplementDomain(GeneratorDomain):
         return "CC(0,1)"
 
     def sort_key(self, key: str):
-        p, q = self.key_endpoints(key)
-        return (_sortable(p), _sortable(q))
+        return self.key_endpoints(key)
 
     def generic_pattern(self) -> GenPattern:
         return GenPattern("CC", (eparam("p"), eparam("q")))
@@ -278,11 +273,11 @@ class ClosedComplementDomain(GeneratorDomain):
 
     def grid_values(self, grid: Sequence[ExtRat]) -> list[ExtRat]:
         vals = {rat(v) if not isinstance(v, ExtRat) else v for v in grid}
-        vals |= {rat(0), rat(1)}
+        vals = sorted(vals | {rat(0), rat(1)})
         for v in vals:
             if not self._in_range(v):
                 raise DomainError(f"interval-01 grid value {v} outside [0,1]")
-        return sorted(vals, key=_sortable)
+        return vals
 
     def descriptor(self) -> dict:
         return {"type": "interval-01"}

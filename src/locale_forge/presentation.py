@@ -716,15 +716,21 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
         if extreme is not None:
             pool.add(extreme)
     # close under the declared operations: each key is combined once with
-    # every key taken before it, so each pair of keys is combined once
-    ops = [op for op_ok, op in ((domain.has_meet, domain.meet), (domain.has_join, domain.join)) if op_ok]
+    # every key taken before it, so each pair of keys is combined once, and
+    # each result is kept with its pair for the compatibility check below
+    ops = [
+        (name, getattr(domain, name), [])
+        for name, op_ok in (("meet", domain.has_meet), ("join", domain.has_join))
+        if op_ok
+    ]
     work = sorted(pool)
     done: list[str] = []
     while work:
         a = work.pop()
-        for op in ops:
+        for _, op, made in ops:
             for b in done:
                 c = op(a, b)
+                made.append((a, b, c))
                 if c not in pool:
                     pool.add(c)
                     work.append(c)
@@ -738,14 +744,15 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
         use_meet=domain.has_meet,
         use_join=domain.has_join,
     )
-    for op_ok, parent_op, own_op in (
-        (domain.has_meet, domain.meet, restricted.meet),
-        (domain.has_join, domain.join, restricted.join),
-    ):
-        if op_ok:
-            for a, b in itertools.combinations(ordered, 2):
-                if parent_op(a, b) != own_op(a, b):
-                    raise PresentationError(
-                        f"restriction pool not closed compatibly at {a!r},{b!r}"
-                    )
+    # the restriction's glbs/lubs must be the parent's operations on every
+    # pair; a failure names the first pair in sort order
+    for name, _, made in ops:
+        own_op = getattr(restricted, name)
+        bad = [(a, b) for a, b, c in made if own_op(a, b) != c]
+        if bad:
+            position = {k: i for i, k in enumerate(ordered)}
+            i, j = min(sorted((position[a], position[b])) for a, b in bad)
+            raise PresentationError(
+                f"restriction pool not closed compatibly at {ordered[i]!r},{ordered[j]!r}"
+            )
     return restricted

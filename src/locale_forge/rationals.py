@@ -1,51 +1,87 @@
 """Exact extended rationals: Fraction endpoints plus signed infinities.
 
 Interval endpoints live in Q u {-oo, +oo}.  No floats anywhere; all
-comparisons and lattice operations (max/min) are exact.
+comparisons and lattice operations (max/min) are exact.  Each value keeps
+its numerator and denominator, read once from the ``Fraction`` when it is
+built, and compares by integer cross-multiplication: the denominators are
+positive, so ``a/b < c/d`` iff ``a*d < c*b``.  An infinity has value 0, so
+two equal infinities compare as 0 against 0 once their signs agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 RatLike = Union[int, Fraction, "ExtRat"]
 
 
-@dataclass(frozen=True, order=False)
 class ExtRat:
     """A rational number or one of the two infinities.
 
-    ``sign`` is -1 for -oo, +1 for +oo and 0 for a finite value.
+    ``sign`` is -1 for -oo, +1 for +oo and 0 for a finite value.  Instances
+    are immutable; equality is equality of ``(sign, value)`` and the hash
+    is ``hash((sign, value))``, computed on first use and kept.
     """
 
-    sign: int
-    value: Fraction = Fraction(0)
+    __slots__ = ("sign", "value", "_n", "_d", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"bad infinity sign {self.sign!r}")
-        if self.sign != 0 and self.value != 0:
+    def __init__(self, sign: int, value: Fraction = Fraction(0)) -> None:
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"bad infinity sign {sign!r}")
+        if sign != 0 and value != 0:
             raise ValueError("infinite endpoint carries no finite part")
+        init = object.__setattr__
+        init(self, "sign", sign)
+        init(self, "value", value)
+        init(self, "_n", value.numerator)
+        init(self, "_d", value.denominator)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExtRat, (self.sign, self.value)
 
     @property
     def finite(self) -> bool:
         return self.sign == 0
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        return self.sign == other.sign and self._n == other._n and self._d == other._d
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.sign, self.value))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __lt__(self, other: "ExtRat") -> bool:
         if self.sign != other.sign:
             return self.sign < other.sign
-        return self.sign == 0 and self.value < other.value
+        return self._n * other._d < other._n * self._d
 
     def __le__(self, other: "ExtRat") -> bool:
-        return self == other or self < other
+        if self.sign != other.sign:
+            return self.sign < other.sign
+        return self._n * other._d <= other._n * self._d
 
     def __gt__(self, other: "ExtRat") -> bool:
-        return other < self
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self._n * other._d > other._n * self._d
 
     def __ge__(self, other: "ExtRat") -> bool:
-        return other <= self
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self._n * other._d >= other._n * self._d
 
     def __add__(self, shift: int) -> "ExtRat":
         # Shifting by an integer; infinities and a zero shift leave it as is.
@@ -58,8 +94,7 @@ class ExtRat:
             return "-inf"
         if self.sign > 0:
             return "+inf"
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     __repr__ = __str__
 

@@ -16,7 +16,16 @@ from locale_forge.evaluate import (
     verify_coverage,
 )
 from locale_forge.generators import FiniteGeneratorDomain
-from locale_forge.lattice import FinitePoset, LatticeError, QuotientMode, downsets, poset_isomorphism
+from locale_forge.lattice import (
+    FinitePoset,
+    LatticeError,
+    QuotientMode,
+    _bits,
+    downsets,
+    maximal,
+    poset_isomorphism,
+    subset_poset,
+)
 from locale_forge.presentation import (
     Presentation,
     PresentationError,
@@ -344,6 +353,23 @@ class TestFrameCheckCanFail:
     def test_distributive_fixed_sets_pass(self):
         assert FamilyEngine(3, CHAIN_AND_SQUARE).enumerate_carrier() == [0, 0b001, 0b011, 0b101, 0b111]
 
+    def test_carrier_frame_check_through_eval_frame(self, monkeypatch):
+        """The frame flag of the built carrier is checked too: an engine
+        that hands ``eval_frame`` the fixed sets of M3, each as its own
+        downset, fails it."""
+
+        class M3Engine(FamilyEngine):
+            down, labels = [0b001, 0b010, 0b100], ["a", "b", "c"]
+
+            def enumerate_carrier(self):
+                self.downset_of = {m: m for m in M3}
+                return list(M3)
+
+        engine = lambda p, cap: (None, M3Engine(3, M3, cap))
+        monkeypatch.setattr("locale_forge.evaluate._frame_engine", engine)
+        with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
+            eval_frame(two_point_presentation())
+
 
 class TestEnumerateCarrier:
     """The enumerated carrier is exactly the set of closures of all subsets
@@ -374,6 +400,42 @@ class TestEnumerateCarrier:
                 assert carrier == closures
                 sizes.add(len(carrier))
         assert max(sizes) >= 5
+
+
+class TestCarrierOrderOverJ:
+    """The carrier ordered over the join-irreducible fixed sets equals the
+    one ordered over all classes, the route ``eval_frame`` took before:
+    ``subset_poset`` of the fixed sets as class masks, labelled by the
+    classes maximal in each."""
+
+    @staticmethod
+    def class_ordered(p):
+        _, eng = _frame_engine(p, 1 << 12)
+
+        def label(mask):
+            return " | ".join(sorted(eng.labels[e] for e in _bits(maximal(mask, eng.down)))) or "0"
+
+        return subset_poset(eng.enumerate_carrier(), label)
+
+    def assert_same_order(self, p):
+        got, want = eval_frame(p).carrier_poset, self.class_ordered(p)
+        assert (got.elements, got.up, got.down) == (want.elements, want.up, want.down)
+        return got.n
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_real_line_grids(self, k):
+        points = [-2, -1, 0, 1, 2, 3][:k]
+        sizes = [self.assert_same_order(real_line_on_grid(points, *extra))
+                 for extra in ((), (Relation(gen_term("OI()"), TERM_ZERO),))]
+        assert sizes[1] == [13, 34, 89, 233, 610][k - 2]
+
+    def test_seeded_suite_presentations(self):
+        kinds, largest = set(), 0
+        for p in digest_presentations(range(12)):
+            largest = max(largest, self.assert_same_order(p))
+            kinds.add(p.kind)
+        assert kinds == set(PresentationKind)
+        assert largest >= 8
 
 
 def rand_meet_equations(rng: random.Random, kind: PresentationKind) -> Presentation:

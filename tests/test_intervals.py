@@ -307,6 +307,13 @@ class TestClosedComplementDomain:
         dom = ClosedComplementDomain()
         assert dom.contains("CC(3/4,1/4)")  # p > q stays a generator
 
+    @pytest.mark.parametrize("grid", [[-1, Fraction(5, 2)], [Fraction(5, 2), -1]], ids=["-1,5/2", "5/2,-1"])
+    def test_the_smallest_point_outside_is_named(self, grid):
+        """Of several grid points outside [0,1], the smallest is reported,
+        whatever the order the grid lists them in."""
+        with pytest.raises(DomainError, match=r"^interval-01 grid value -1 outside \[0,1\]$"):
+            ClosedComplementDomain().grid_values([rat(x) for x in grid])
+
     @given(
         st.fractions(min_value=0, max_value=1, max_denominator=8),
         st.fractions(min_value=0, max_value=1, max_denominator=8),

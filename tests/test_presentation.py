@@ -421,6 +421,22 @@ def closed_pool_reference(domain, keys):
         pool |= new
 
 
+class WrongMeetChain(FiniteGeneratorDomain):
+    """The chain z < a < b < t, declaring a meet that agrees with the order
+    except that a ^ b is z; a stub whose pool closes under its meet while
+    the restriction's glbs differ from it."""
+
+    def __init__(self):
+        chain = FinitePoset.from_pairs(list("zabt"), [(0, 1), (1, 2), (2, 3)])
+        super().__init__(chain, use_meet=True, use_join=False)
+
+    def meet(self, a: str, b: str) -> str:
+        return "z" if {a, b} == {"a", "b"} else super().meet(a, b)
+
+    def grid_values(self, grid):
+        return list(grid)
+
+
 class TestRestrictDomain:
     def test_meets_of_meets_are_added(self):
         """In the subsets of {a,b,c,d}, the three 3-sets meet pairwise to
@@ -430,6 +446,14 @@ class TestRestrictDomain:
         restricted = _restrict_domain(boolean, keys)
         assert set(restricted.poset.elements) == closed_pool_reference(boolean, keys)
         assert "{d}" in restricted.poset.elements
+
+    def test_an_incompatible_meet_fails_the_check(self):
+        """The compatibility check can fail: through ``instantiate_schemas``,
+        the restriction of a domain whose declared meet disagrees with its
+        order raises, naming the pair."""
+        p = Presentation(PresentationKind.SUP, WrongMeetChain(), (Relation(gen_term("a"), gen_term("b"), "<="),))
+        with pytest.raises(PresentationError, match=r"restriction pool not closed compatibly at 'a','b'"):
+            instantiate_schemas(p, [rat(0)])
 
     def test_worklist_closure_matches_fixpoint(self):
         rng = random.Random(5)
