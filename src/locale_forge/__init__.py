@@ -31,7 +31,7 @@ from .lattice import (
     right_adjoint,
 )
 from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
-from .terms import FamilyJoin, GenPattern, Meet, Term, normalize
+from .terms import GenPattern, Meet, Term, normalize
 from .presentation import (
     Presentation,
     PresentationKind,

@@ -11,6 +11,7 @@ Sketch:
     rel (a ^ 1) v 0 <= join(a, b)
     schema (p, q, p', q') where p <= p' & p' < q & q <= q'
         : OI(p, q) v OI(p', q') = OI(p, q')
+    schema () : OI(0, 1) <= bigvee n in Z . OI(0+n, 1+n)
     quotient open
     image a = a v b
 
@@ -28,6 +29,7 @@ from typing import Optional, Sequence
 
 from .generators import (
     DOMAIN_REGISTRY,
+    QUOTIENT_TAGS,
     FiniteGeneratorDomain,
     GeneratorDomain,
     TaggedDomain,
@@ -184,7 +186,7 @@ class _Parser:
         if t.kind == "name" and t.text in DOMAIN_REGISTRY:
             return DOMAIN_REGISTRY[t.text]()
         if t.text == "tagged":
-            tag = self.expect_name("a tag (dia/box/boxtimes)").text
+            tag = self.expect_name(f"a tag ({'/'.join(QUOTIENT_TAGS)})").text
             return TaggedDomain(tag, self.parse_domain())
         if t.text == "finite":
             return self.parse_finite_block()
@@ -340,16 +342,8 @@ class _Parser:
         while self.at("^"):
             self.next()
             right = self.parse_atom(domain)
-            left = tuple(
-                self._meet_clauses(a, b) for a in left for b in right
-            )
+            left = tuple(Meet(a.gens + b.gens) for a in left for b in right)
         return tuple(left)
-
-    @staticmethod
-    def _meet_clauses(a, b):
-        if isinstance(a, Meet) and isinstance(b, Meet):
-            return Meet(a.gens + b.gens)
-        raise PresentationError("families cannot be met inside a term; expand first")
 
     def parse_atom(self, domain: GeneratorDomain) -> tuple:
         """Returns a tuple of clauses (a sub-term in join normal form)."""
@@ -383,7 +377,7 @@ class _Parser:
                 return out
             out = (Meet(()),)
             for a in args:
-                out = tuple(self._meet_clauses(x, y) for x in out for y in a.clauses)
+                out = tuple(Meet(x.gens + y.gens) for x in out for y in a.clauses)
             return out
         key = self.parse_generator_key(domain)
         return (Meet((key,)),)
@@ -401,7 +395,7 @@ class _Parser:
         t = self.next()
         if t.kind != "name":
             self.fail(t, "a generator")
-        if t.text in ("dia", "box", "boxtimes"):
+        if t.text in QUOTIENT_TAGS:
             if not isinstance(domain, TaggedDomain) or domain.tag != t.text:
                 self.fail(t, "a generator of the current domain")
             inner = self.parse_generator_key(domain.parent)
@@ -496,7 +490,7 @@ class _Parser:
         t = self.next()
         if t.kind != "name":
             self.fail(t, "a generator pattern")
-        if t.text in ("dia", "box", "boxtimes"):
+        if t.text in QUOTIENT_TAGS:
             if not isinstance(domain, TaggedDomain) or domain.tag != t.text:
                 self.fail(t, "a pattern of the current domain")
             inner = self.parse_spattern(domain.parent, params, int_var)
@@ -547,7 +541,7 @@ class _Parser:
                 if domain is None:
                     self.fail(t, "a 'domain' line before schemas")
                 self.expect("(")
-                params = [self.expect_name().text]
+                params = [] if self.at(")") else [self.expect_name().text]
                 while self.at(","):
                     self.next()
                     params.append(self.expect_name().text)
@@ -614,8 +608,8 @@ _NAME_OK = re.compile(r"[A-Za-z][A-Za-z0-9_']*(?:\.[A-Za-z0-9_'][A-Za-z0-9_']*)*
 _RESERVED = {
     "v", "domain", "kind", "rel", "schema", "where", "include", "quotient",
     "image", "finite", "gens", "leq", "meet", "join", "top", "bottom", "ops",
-    "tagged", "dia", "box", "boxtimes", "bigvee", "dirsup", "in", "Z",
-    "standard", "inf", "oo", "N", "OI", "CC",
+    "tagged", "bigvee", "dirsup", "in", "Z", "standard", "inf", "oo", "N",
+    "OI", "CC", *QUOTIENT_TAGS,
 }
 
 

@@ -363,10 +363,6 @@ def _relation_rules(p: Presentation, M: _MeetCarrier):
     meet_eqs: list[tuple[int, int]] = []
 
     for rel in p.concrete_relations():
-        if rel.lhs.has_family() or rel.rhs.has_family():
-            raise EvaluationError(
-                "presentation has schematic content; instantiate on a grid first"
-            )
         lhs = [M.clause(c.gens) for c in rel.lhs.clauses]
         rhs = [M.clause(c.gens) for c in rel.rhs.clauses]
         if rel.op == "=" and len(lhs) == 1 and len(rhs) == 1:
@@ -380,9 +376,17 @@ def _relation_rules(p: Presentation, M: _MeetCarrier):
     return covers, meet_eqs
 
 
-def _require_kind_domain(p: Presentation):
+def _require_instantiated(p: Presentation):
+    """Evaluation reads concrete relations over a finite domain; a schema
+    would otherwise be dropped."""
+    if p.schematic:
+        raise EvaluationError("presentation has schematic content; instantiate on a grid first")
     if not p.domain.finite:
         raise EvaluationError("evaluation needs a finite domain; instantiate first")
+
+
+def _require_kind_domain(p: Presentation):
+    _require_instantiated(p)
     need = p.kind.structure
     if need and not getattr(p.domain, need[0]):
         raise EvaluationError(f"{p.kind.value} evaluation needs {need[1]}")
@@ -434,8 +438,6 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
         # largest of them
         u = base = masks[0]
         for cl in t.clauses:
-            if not isinstance(cl, Meet):
-                raise EvaluationError("schematic clause reached the evaluator")
             c = eng.principal[eng.pos(M.clause(cl.gens))]
             u |= c
             if c.bit_count() > base.bit_count():
@@ -453,10 +455,9 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
 # suplattice / preframe / dcpo evaluations
 
 
-def _gen_poset(domain: GeneratorDomain) -> FinitePoset:
-    if not domain.finite:
-        raise EvaluationError("evaluation needs a finite domain; instantiate first")
-    P = domain.sorted_poset
+def _gen_poset(p: Presentation) -> FinitePoset:
+    _require_instantiated(p)
+    P = p.domain.sorted_poset
     if P.n > 16:
         raise EvaluationError("generator poset exceeds oracle scale for this category")
     return P
@@ -471,7 +472,7 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
     downsets a term (a join of meets) must join single generators, and
     over upsets each meet is a union and the join an intersection."""
     category = "preframe" if upsets else "suplattice"
-    P = _gen_poset(p.domain)
+    P = _gen_poset(p)
     gens, seeds = P.elements, (P.up if upsets else P.down)
     family = unions(seeds, 1 << 12, f"free {category}")
     index = {m: i for i, m in enumerate(family)}
@@ -479,9 +480,7 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
     full = (1 << P.n) - 1
     top, bottom = (0, full) if upsets else (full, 0)
 
-    def clause_mask(cl) -> int:
-        if not isinstance(cl, Meet):
-            raise EvaluationError("schematic clause reached the evaluator")
+    def clause_mask(cl: Meet) -> int:
         if not cl.gens:
             return top
         if len(cl.gens) > 1 and not upsets:
@@ -546,7 +545,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     """The generator poset modulo the preorder collapse generated by the
     relations; each directed-join side is interpreted through its greatest
     element, recomputed as the preorder grows."""
-    P = _gen_poset(p.domain)
+    P = _gen_poset(p)
     gens, n = P.elements, P.n
     gen_idx = {g: i for i, g in enumerate(gens)}
     reach = list(P.up)  # reach[i] holds j when i <= j
@@ -555,8 +554,6 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     def side(t: Term) -> list[int]:
         out = []
         for cl in t.clauses:
-            if not isinstance(cl, Meet):
-                raise EvaluationError("schematic clause reached the evaluator")
             if not cl.gens:
                 if top is None:
                     raise EvaluationError("term 1 needs a domain top in dcpo evaluation")

@@ -16,13 +16,24 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lattice import FinitePoset, _bits, is_distributive_lattice, missing_bound, subset_poset
+from .lattice import (
+    FinitePoset,
+    QuotientMode,
+    _bits,
+    is_distributive_lattice,
+    missing_bound,
+    subset_poset,
+)
 from .rationals import ExtRat
 from .terms import GenPattern, TermError
 
 
 class DomainError(Exception):
     pass
+
+
+# the generator tags of the quotient families, read off the modes
+QUOTIENT_TAGS = tuple(dict.fromkeys(mode.info.family.tag for mode in QuotientMode))
 
 
 class GeneratorDomain:
@@ -231,7 +242,7 @@ class TaggedDomain(GeneratorDomain):
     and no algebraic structure (the quotient relations supply it)."""
 
     def __init__(self, tag: str, parent: GeneratorDomain):
-        if tag not in ("dia", "box", "boxtimes"):
+        if tag not in QUOTIENT_TAGS:
             raise DomainError(f"unknown generator tag {tag!r}")
         self.tag = tag
         self.parent = parent

@@ -17,7 +17,7 @@ action, and as a proper quotient of [0,1] gluing the endpoints.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .generators import DOMAIN_REGISTRY, DomainError, GeneratorDomain
 from .lattice import OperatorReport, QuotientMode
@@ -33,7 +33,6 @@ from .terms import (
     EAtom,
     EExpr,
     EOp,
-    FamilyJoin,
     GenPattern,
     Meet,
     SchemaClause,
@@ -411,19 +410,23 @@ def circle_open_presentation() -> TransformedPresentation:
     return out
 
 
-def expand_family_meet(s: str, fam: FamilyJoin, domain: Optional[OpenIntervalDomain] = None) -> Term:
-    """Materialise the meet of a concrete generator with a Z-indexed family.
+def expand_family_meet(
+    s: str, fam: SchemaClause, domain: Optional[OpenIntervalDomain] = None
+) -> Union[Term, SchemaClause]:
+    """Materialise the meet of a concrete generator with a Z-indexed family,
+    a ``SchemaClause`` whose ``int_var`` is bound and whose patterns have
+    constant endpoints.
 
     Bounded generators meet only finitely many shifts, returned as a plain
-    join; unbounded generators keep a schematic family with the
-    non-emptiness condition attached.
+    join; an unbounded generator leaves a family, returned as a
+    ``SchemaClause`` with the non-emptiness condition attached.
     """
     domain = domain or OpenIntervalDomain()
     if s == domain.BOTTOM:
         return TERM_ZERO
     lo, hi = domain.key_endpoints(s)
     s_pat = GenPattern("OI", (econst(lo), econst(hi)))
-    meets = [domain.meet_patterns(s_pat, b) for b in fam.body]
+    meets = [domain.meet_patterns(s_pat, b) for b in fam.meet]
     if not any(
         a.with_index for m in meets for arg in m.args for a in _atoms(arg)
     ):
@@ -432,7 +435,7 @@ def expand_family_meet(s: str, fam: FamilyJoin, domain: Optional[OpenIntervalDom
         return Term(tuple(Meet((k,)) for k in sorted(set(keys))))
     consts = [
         a.const + a.offset
-        for m in fam.body
+        for m in fam.meet
         for arg in m.args
         for a in _atoms(arg)
         if a.param is None and (a.const + a.offset).finite
@@ -453,7 +456,7 @@ def expand_family_meet(s: str, fam: FamilyJoin, domain: Optional[OpenIntervalDom
     conds = list(fam.conds)
     for m in meets:
         conds.append(cmp_cond(m.args[0], "<", m.args[1]))
-    return Term((FamilyJoin(fam.var, tuple(meets), tuple(conds)),))
+    return SchemaClause(tuple(meets), conds=tuple(conds), int_var=fam.int_var)
 
 
 def _atoms(e: EExpr):

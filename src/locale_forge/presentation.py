@@ -26,8 +26,10 @@ domain object, in ``domain.memo``): a normalized relation is compiled once
 to tuples of index clauses, each instance is one image-table lookup per
 generator, and only the instances kept -- appended by ``saturate``, asked of
 the oracle or reported missing by ``check_kind`` -- become ``Relation``s.
-A schematic presentation, or one over a non-finite domain, is checked and
-evaluated on its instantiation on a grid (``on_grid``).
+A schematic presentation (one holding a ``RelationSchema``) or one over a
+non-finite domain is checked and evaluated on its instantiation on a grid
+(``on_grid``).  Schemas are the one form of rational parameters and of
+Z-indexed families; a family without parameters is a schema with none.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
 from .rationals import ExtRat
 from .terms import (
     Cond,
-    FamilyJoin,
     Meet,
     SchemaClause,
     SchemaTerm,
@@ -183,10 +184,7 @@ class Presentation:
 
     @property
     def schematic(self) -> bool:
-        return any(isinstance(r, RelationSchema) for r in self.relations) or any(
-            isinstance(r, Relation) and (r.lhs.has_family() or r.rhs.has_family())
-            for r in self.relations
-        )
+        return any(isinstance(r, RelationSchema) for r in self.relations)
 
     def concrete_relations(self) -> list[Relation]:
         return [r for r in self.relations if isinstance(r, Relation)]
@@ -236,12 +234,9 @@ class StabilityReport:
 
 
 def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
-    """Where meets fold, each clause is one generator (a family joins
-    single generators); where they stay formal, any meet will do."""
-    return not kind.folds_meets or all(
-        len(c.body if isinstance(c, FamilyJoin) else c.gens) <= 1
-        for c in rel.lhs.clauses + rel.rhs.clauses
-    )
+    """Where meets fold, each clause is one generator; where they stay
+    formal, any meet will do."""
+    return not kind.folds_meets or all(len(c.gens) <= 1 for c in rel.lhs.clauses + rel.rhs.clauses)
 
 
 # A normalized side over a finite domain, on generator indices: a sorted
@@ -477,12 +472,7 @@ def _completion(domain: FiniteGeneratorDomain, meets: bool) -> tuple[FiniteGener
 
 
 def _map_term(t: Term, mapping: dict[str, str]) -> Term:
-    out = []
-    for cl in t.clauses:
-        if not isinstance(cl, Meet):
-            raise PresentationError("cannot saturate schematic relations; instantiate first")
-        out.append(Meet(tuple(mapping[g] for g in cl.gens)))
-    return Term(tuple(out))
+    return Term(tuple(Meet(tuple(mapping[g] for g in cl.gens)) for cl in t.clauses))
 
 
 def saturate(p: Presentation, target: PresentationKind) -> Presentation:
@@ -522,7 +512,7 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
         )
         for r in p.concrete_relations()
     ]
-    if any(isinstance(r, RelationSchema) for r in p.relations):
+    if p.schematic:
         raise PresentationError("cannot saturate schematic relations; instantiate first")
 
     kernel = instance_kernel(domain)
@@ -666,25 +656,9 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
 
     for r in p.relations:
         if isinstance(r, Relation):
-            if r.lhs.has_family() or r.rhs.has_family():
-
-                def expand(t: Term) -> list[Meet]:
-                    meets: list[Meet] = []
-                    for cl in t.clauses:
-                        if isinstance(cl, Meet):
-                            meets.append(cl)
-                        else:
-                            sc = SchemaClause(cl.body, conds=cl.conds, int_var=cl.var)
-                            meets.extend(
-                                _instantiate_clause(p.domain, sc, {}, values, window, pool_values)
-                            )
-                    return meets
-
-                emit(expand(r.lhs), expand(r.rhs), r.op)
-            else:
-                rel = r.normalized(p.domain, fold)
-                relations.append(rel)
-                mentioned.update(rel.lhs.gens_used() | rel.rhs.gens_used())
+            rel = r.normalized(p.domain, fold)
+            relations.append(rel)
+            mentioned.update(rel.lhs.gens_used() | rel.rhs.gens_used())
             continue
         for env in _bindings(r.params, values, r.conds):
             lhs_meets = []

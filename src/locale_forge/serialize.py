@@ -23,7 +23,6 @@ from .terms import (
     EAtom,
     EExpr,
     EOp,
-    FamilyJoin,
     GenPattern,
     Meet,
     SchemaClause,
@@ -91,40 +90,17 @@ def _cond_from_jsonable(d: dict) -> Cond:
 
 
 def term_to_jsonable(t: Term) -> Any:
-    clauses = []
-    for c in t.clauses:
-        if isinstance(c, Meet):
-            clauses.append({"meet": list(c.gens)})
-        else:
-            clauses.append(
-                {
-                    "family": {
-                        "var": c.var,
-                        "body": [_pattern_to_jsonable(p) for p in c.body],
-                        "conds": [_cond_to_jsonable(x) for x in c.conds],
-                        "directed": c.directed,
-                    }
-                }
-            )
-    return {"join": clauses}
+    return {"join": [{"meet": list(c.gens)} for c in t.clauses]}
 
 
 def term_from_jsonable(d: dict) -> Term:
-    clauses = []
     for c in d["join"]:
-        if "meet" in c:
-            clauses.append(Meet(tuple(c["meet"])))
-        else:
-            f = c["family"]
-            clauses.append(
-                FamilyJoin(
-                    f["var"],
-                    tuple(_pattern_from_jsonable(p) for p in f["body"]),
-                    tuple(_cond_from_jsonable(x) for x in f["conds"]),
-                    f.get("directed", False),
-                )
+        if "meet" not in c:
+            raise TypeError(
+                f"a concrete term clause is a 'meet', not {sorted(c)}; write a Z-indexed "
+                "family as a 'schema' relation with 'params': [] and an 'intVar' clause"
             )
-    return Term(tuple(clauses))
+    return Term(tuple(Meet(tuple(c["meet"])) for c in d["join"]))
 
 
 def _schema_clause_to_jsonable(cl: SchemaClause) -> Any:

@@ -1,10 +1,10 @@
 """Terms and relation schemas over generator domains.
 
-Concrete terms are joins of finite meets of generators in canonical form;
-a join clause may also be a Z-indexed family of meets (used by the shift
-operators on the symbolic interval domains).  Schematic terms add rational
-parameters with side conditions and are turned into concrete terms by grid
-instantiation.
+Concrete terms are joins of finite meets of generators in canonical form.
+Schematic terms add rational parameters with side conditions, and
+Z-indexed families of meets (used by the shift operators on the symbolic
+interval domains); grid instantiation turns them into concrete terms.  A
+family without parameters is a clause of a schema with no parameters.
 
 Generators are carried everywhere as their canonical string encodings; the
 owning domain gives them meaning.
@@ -190,31 +190,10 @@ class Meet:
 
 
 @dataclass(frozen=True)
-class FamilyJoin:
-    """Join over an integer index of a meet of affine generator patterns."""
-
-    var: str
-    body: tuple[GenPattern, ...]
-    conds: tuple[Cond, ...] = ()
-    directed: bool = False
-
-    def __str__(self) -> str:
-        head = "dirsup" if self.directed else "bigvee"
-        body = " ^ ".join(str(p) for p in self.body)
-        cond = ""
-        if self.conds:
-            cond = " where " + " & ".join(str(c) for c in self.conds)
-        return f"{head} {self.var} in Z{cond} . {body}"
-
-
-Clause = Union[Meet, FamilyJoin]
-
-
-@dataclass(frozen=True)
 class Term:
-    """Canonical join of clauses; the empty join is the term 0."""
+    """Canonical join of meets; the empty join is the term 0."""
 
-    clauses: tuple[Clause, ...]
+    clauses: tuple[Meet, ...]
 
     def __str__(self) -> str:
         if not self.clauses:
@@ -223,17 +202,13 @@ class Term:
 
     @property
     def is_unit(self) -> bool:
-        return len(self.clauses) == 1 and isinstance(self.clauses[0], Meet) and not self.clauses[0].gens
+        return len(self.clauses) == 1 and not self.clauses[0].gens
 
     def gens_used(self) -> frozenset[str]:
         out = set()
         for c in self.clauses:
-            if isinstance(c, Meet):
-                out.update(c.gens)
+            out.update(c.gens)
         return frozenset(out)
-
-    def has_family(self) -> bool:
-        return any(isinstance(c, FamilyJoin) for c in self.clauses)
 
 
 TERM_ZERO = Term(())
@@ -252,12 +227,6 @@ def meet_of(keys: Iterable[str]) -> Term:
     return Term((Meet(tuple(keys)),))
 
 
-def _clause_sort_key(c: Clause):
-    if isinstance(c, Meet):
-        return (0, len(c.gens) == 0, c.gens)
-    return (1, False, str(c))
-
-
 def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
     """Canonical form: duplicates removed, clauses in canonical order, and
     meets folded through the domain's meet operation when it has one.
@@ -274,11 +243,8 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
     out = memo.get(key)
     if out is not None:
         return out
-    clauses: list[Clause] = []
+    meets: set[tuple[str, ...]] = set()
     for c in raw.clauses:
-        if isinstance(c, FamilyJoin):
-            clauses.append(c)
-            continue
         gens = list(dict.fromkeys(c.gens))
         for g in gens:
             if not domain.contains(g):
@@ -288,12 +254,12 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
             for g in gens[1:]:
                 acc = domain.meet(acc, g)
             gens = [acc]
-        clauses.append(Meet(tuple(sorted(gens))))
+        meets.add(tuple(sorted(gens)))
     # a clause equal to 1 absorbs the whole join
-    if any(isinstance(c, Meet) and not c.gens for c in clauses):
+    if () in meets:
         out = TERM_ONE
     else:
-        out = Term(tuple(sorted(set(clauses), key=_clause_sort_key)))
+        out = Term(tuple(Meet(gens) for gens in sorted(meets)))
     memo[key] = memo[(out, fold_meets)] = out
     return out
 

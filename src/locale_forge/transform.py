@@ -4,7 +4,10 @@ Given a presentation of a frame and the restriction of a quotient operator
 to generators (a QuotientSpec), ``present`` emits the presentation of the
 quotient frame over tagged generators: the original relations transported
 verbatim, the unit and/or zero relation, and one meet and/or join relation
-per generator pair expanded through the chosen representations.  One
+per generator pair expanded through the chosen representations.  Concrete
+images are joins of meets of generators; a schematic image, such as the
+Z-indexed shift family of the circle, is a ``SchemaTerm`` and yields
+``RelationSchema`` pair relations.  One
 engine serves all six modes; it reads every difference between them (tag,
 parent kind, unit/zero relations, pair family, image shape) from
 ``mode.info``.  The six ``present_<mode>`` functions are the same engine
@@ -48,7 +51,6 @@ from .presentation import (
 from .rationals import ExtRat
 from .terms import (
     Cond,
-    FamilyJoin,
     Meet,
     SchemaClause,
     SchemaTerm,
@@ -117,10 +119,7 @@ def _check_image_shape(mode: QuotientMode, t: Term):
     if role is Role.INTERIOR_OP:
         return  # any join of finite meets
     for cl in t.clauses:
-        if isinstance(cl, FamilyJoin):
-            if len(cl.body) > 1:
-                raise TransformError("image family must join single generators")
-        elif len(cl.gens) != 1:
+        if len(cl.gens) != 1:
             raise TransformError(
                 f"{mode.value} image must be a join of generators, got meet {cl}"
             )
@@ -149,15 +148,7 @@ class TransformedPresentation(Presentation):
 
 def _transport_relation(rel, tagged: TaggedDomain):
     def wrap_term(t: Term) -> Term:
-        out = []
-        for cl in t.clauses:
-            if isinstance(cl, Meet):
-                out.append(Meet(tuple(tagged.wrap(g) for g in cl.gens)))
-            else:
-                out.append(
-                    FamilyJoin(cl.var, tuple(p.tagged(tagged.tag) for p in cl.body), cl.conds, cl.directed)
-                )
-        return Term(tuple(out))
+        return Term(tuple(Meet(tuple(tagged.wrap(g) for g in cl.gens)) for cl in t.clauses))
 
     if isinstance(rel, Relation):
         return Relation(wrap_term(rel.lhs), wrap_term(rel.rhs), rel.op)
@@ -206,12 +197,7 @@ def _finite_pair_relations(
     kernel = instance_kernel(p.domain)
     names = [tagged.wrap(g) for g in kernel.names]
     info = spec.mode.info
-    images = []
-    for g in kernel.names:
-        image = spec.image_of(g)
-        if image.has_family():
-            raise TransformError("finite expansion over a schematic image clause")
-        images.append(kernel.side(image))
+    images = [kernel.side(spec.image_of(g)) for g in kernel.names]
     n = len(names)
     tables = [
         (op, [kernel.row(y, None) if op == "meet" else kernel.row(None, y) for y in range(n)])
@@ -463,11 +449,6 @@ def derive_spec_from_coinserter(
         raise TransformError(
             "triquotient specs are caller data; derivation covers the open and proper modes"
         )
-
-    rep = check_quotient_operator(op, mode)
-    if not rep:
-        raise OperatorLawError(rep)
-
     return spec_from_operator(parent, op, mode)
 
 

@@ -89,3 +89,17 @@ def real_line_on_grid(points, *extra):
     )
     assert len(kept) == len(rp.relations) - 1
     return instantiate_schemas(Presentation(rp.kind, rp.domain, kept + extra), [rat(x) for x in points])
+
+
+def cc_shift_family():
+    """The preframe presentation over [0,1] whose one relation is the
+    Z-indexed family schema without parameters
+    ``CC(0, 1) <= bigvee n in Z . CC(0+n, 1)``."""
+    from locale_forge.intervals import ClosedComplementDomain
+    from locale_forge.presentation import Presentation, PresentationKind, RelationSchema
+    from locale_forge.terms import GenPattern, SchemaClause, SchemaTerm, econst
+
+    start = SchemaClause((GenPattern("CC", (econst(0), econst(1))),))
+    family = SchemaClause((GenPattern("CC", (econst(0, with_index=True), econst(1))),), int_var="n")
+    rel = RelationSchema((), (), SchemaTerm((start,)), SchemaTerm((family,)), "<=")
+    return Presentation(PresentationKind.PREFRAME, ClosedComplementDomain(), (rel,))

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import cc_shift_family
+
 
 def run_cli(*args, env_extra=None):
     import os
@@ -404,6 +406,39 @@ class TestMalformedInput:
         rc, out, err = run_cli("derive", str(f), "--mode", "open")
         assert rc == 2 and out == ""
         assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
+
+
+class TestFamilyInput:
+    """A Z-indexed family is a clause of a schema; a JSON "rel" term holds
+    meets only."""
+
+    # the frame of CC(0,1) <= bigvee n in Z . CC(0+n, 1) on the grid {0, 1}
+    CARRIER = "frame carrier with 4 elements\n  CC(0,1)\n  CC(1,1)\n  CC(1,0)\n  1\n"
+
+    def test_a_family_inside_a_rel_term_is_an_input_error(self, tmp_path):
+        family = {"var": "n", "body": [{"ctor": "CC", "args": [{"const": "0", "index": True}, {"const": "1"}]}]}
+        rel = {"lhs": {"join": [{"meet": ["CC(0,1)"]}]}, "rhs": {"join": [{"family": family}]}, "op": "<="}
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({"kind": "preframe", "domain": {"type": "interval-01"}, "relations": [{"rel": rel}]}))
+        rc, out, err = run_cli("eval", str(f), "--grid", "0,1")
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input"
+        assert "'schema' relation with 'params': [] and an 'intVar' clause" in doc["detail"]
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_the_family_as_a_schema_without_parameters(self, tmp_path, form):
+        from locale_forge import serialize
+        from locale_forge.dsl import print_presentation
+
+        p = cc_shift_family()
+        f = tmp_path / ("family.pres" if form == "text" else "family.json")
+        f.write_text(
+            print_presentation(p) if form == "text" else json.dumps(serialize.presentation_to_jsonable(p))
+        )
+        rc, out, err = run_cli("eval", str(f), "--grid", "0,1")
+        assert rc == 0, err
+        assert out == self.CARRIER
 
 
 class TestSuiteCount:

@@ -16,6 +16,8 @@ from locale_forge.presentation import Presentation, PresentationError, Presentat
 from locale_forge.terms import Meet, Term
 from locale_forge.transform import QuotientSpec
 
+from conftest import cc_shift_family
+
 
 class TestParseExamples:
     def test_two_generator_presentation(self):
@@ -66,6 +68,7 @@ class TestRoundTrips:
         circle_open_presentation,
         circle_proper_presentation,
         lambda: circle_proper_presentation(simplify=True),
+        cc_shift_family,
     ]
 
     @pytest.mark.parametrize("make", BUILTINS)

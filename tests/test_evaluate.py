@@ -31,6 +31,7 @@ from locale_forge.presentation import (
     PresentationError,
     PresentationKind,
     Relation,
+    RelationSchema,
     saturate,
 )
 from locale_forge.suites import (
@@ -40,7 +41,18 @@ from locale_forge.suites import (
     rand_quotient_operator,
     rand_sup_presentation,
 )
-from locale_forge.terms import Meet, TERM_ONE, TERM_ZERO, Term, gen_term, join_of, meet_of
+from locale_forge.terms import (
+    GenPattern,
+    Meet,
+    SchemaClause,
+    SchemaTerm,
+    TERM_ONE,
+    TERM_ZERO,
+    Term,
+    gen_term,
+    join_of,
+    meet_of,
+)
 from locale_forge.transform import present, spec_from_operator
 
 from conftest import real_line_on_grid
@@ -263,6 +275,32 @@ class TestEvalDcpo:
         rng = random.Random(2)
         p = rand_dcpo_presentation(rng)
         assert verify_coverage(p).verdict
+
+
+def chain_with_a_zero(schematic: bool) -> Presentation:
+    """The chain z < a < t with the relation a = 0, as a relation or as a
+    schema without parameters."""
+    dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["z", "a", "t"], [(0, 1), (1, 2)]))
+    if schematic:
+        a_term = SchemaTerm((SchemaClause((GenPattern(name="a"),)),))
+        rel = RelationSchema((), (), a_term, SchemaTerm(()))
+    else:
+        rel = Relation(gen_term("a"), TERM_ZERO)
+    return Presentation(PresentationKind.SUP, dom, (rel,))
+
+
+class TestSchematicInput:
+    @pytest.mark.parametrize(
+        "evaluator", [eval_frame, eval_suplattice, eval_preframe, eval_dcpo], ids=lambda f: f.__name__
+    )
+    def test_evaluators_reject_schemas(self, evaluator):
+        with pytest.raises(EvaluationError, match="instantiate on a grid first"):
+            evaluator(chain_with_a_zero(schematic=True))
+
+    @pytest.mark.parametrize("evaluator", [eval_frame, eval_suplattice], ids=lambda f: f.__name__)
+    def test_the_relation_is_not_vacuous(self, evaluator):
+        # dropping it would give the free 4-element carrier
+        assert evaluator(chain_with_a_zero(schematic=False)).carrier.n == 2
 
 
 class TestVerifyCoverage:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from locale_forge.generators import FiniteGeneratorDomain, TaggedDomain
-from locale_forge.lattice import FinitePoset
+from locale_forge.generators import DomainError, FiniteGeneratorDomain, TaggedDomain
+from locale_forge.lattice import FinitePoset, QuotientMode
 from locale_forge.suites import (
     rand_distributive_domain,
     rand_join_semilattice_domain,
@@ -107,3 +107,15 @@ class TestSortedPoset:
     def test_cached_per_object(self):
         dom = rand_labelled_domain(random.Random(5))
         assert dom.sorted_poset is dom.sorted_poset
+
+
+class TestTaggedDomainTags:
+    @pytest.mark.parametrize("mode", list(QuotientMode), ids=lambda m: m.value)
+    def test_each_mode_tag_is_accepted(self, mode):
+        dom = TaggedDomain(mode.info.family.tag, lattice_domain(["a"], []))
+        assert dom.enumerate_gens() == [f"{mode.info.family.tag} a"]
+
+    @pytest.mark.parametrize("tag", ["", "open", "Dia", "diamond", "box "])
+    def test_any_other_tag_is_rejected(self, tag):
+        with pytest.raises(DomainError, match="unknown generator tag"):
+            TaggedDomain(tag, lattice_domain(["a"], []))

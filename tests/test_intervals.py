@@ -23,7 +23,7 @@ from locale_forge.lattice import poset_isomorphism
 from locale_forge.presentation import Relation, check_kind, instantiate_schemas
 from locale_forge.rationals import NEG_INF, POS_INF, rat
 from locale_forge.generators import DomainError, TaggedDomain
-from locale_forge.terms import FamilyJoin, Meet, Term, TermError, TERM_ZERO, gen_term
+from locale_forge.terms import Meet, SchemaClause, Term, TermError, TERM_ZERO, gen_term
 
 from conftest import real_line_on_grid
 
@@ -166,7 +166,7 @@ class TestCircleOpenSpec:
 
         lo, hi = dom.key_endpoints(key)
         body = GenPattern("OI", (EAtom(None, lo, True, 0), EAtom(None, hi, True, 0)))
-        return FamilyJoin("n", (body,), ())
+        return SchemaClause((body,), int_var="n")
 
     def test_shift_twice_equals_shift_once(self):
         # Z + Z = Z at the level of offsets: meeting a bounded generator
@@ -187,7 +187,7 @@ class TestExpandFamilyMeet:
         spec = circle_open_spec()
         (case,) = spec.cases
         (clause,) = case.term.clauses
-        return FamilyJoin("n", clause.meet, ())
+        return clause
 
     def test_bounded_overlap(self):
         dom = OpenIntervalDomain()
@@ -200,7 +200,7 @@ class TestExpandFamilyMeet:
                 EAtom(None, rat(Fraction(3, 2)), True, 0),
             ),
         )
-        fam = FamilyJoin("n", (body,), ())
+        fam = SchemaClause((body,), int_var="n")
         out = expand_family_meet("OI(0,1)", fam, dom)
         # oracle: scan a wide window of shifts directly
         expected = set()
@@ -218,9 +218,8 @@ class TestExpandFamilyMeet:
     def test_unbounded_leaves_schematic_residue(self):
         dom = OpenIntervalDomain()
         out = expand_family_meet("OI(-inf,0)", self.fam(), dom)
-        (clause,) = out.clauses
-        assert isinstance(clause, FamilyJoin)
-        assert clause.conds  # the non-emptiness condition was attached
+        assert isinstance(out, SchemaClause) and out.int_var == "n"
+        assert out.conds  # the non-emptiness condition was attached
 
 
 class TestCircleOpenPresentation:
@@ -265,7 +264,7 @@ class TestCircleOpenPresentation:
             exact = expand_family_meet(
                 s_key, TestCircleOpenSpec.shift_family_of(dom, t_key), dom
             )
-            if any(not isinstance(cl, Meet) for cl in exact.clauses):
+            if isinstance(exact, SchemaClause):
                 continue  # unbounded residue; the instance clips it
             got = {g[len("dia ") :] for cl in r.rhs.clauses for g in cl.gens}
             exact_keys = {cl.gens[0] for cl in exact.clauses}

@@ -35,9 +35,7 @@ from locale_forge.serialize import presentation_from_jsonable, presentation_to_j
 from locale_forge.suites import _RAND_BY_KIND, rand_distributive_domain
 from locale_forge.terms import (
     Cond,
-    EAtom,
     EOp,
-    FamilyJoin,
     GenPattern,
     Meet,
     SchemaClause,
@@ -50,6 +48,8 @@ from locale_forge.terms import (
     meet_of,
     normalize,
 )
+
+from conftest import cc_shift_family
 
 
 def diamond_domain():
@@ -402,10 +402,7 @@ class TestBindings:
     def test_family_members_outside_the_domain_are_dropped(self):
         """A Z-indexed family over [0,1] whose members leave the interval
         keeps the members that exist."""
-        fam = FamilyJoin("n", (GenPattern("CC", (EAtom(const=rat(0), with_index=True), econst(1))),))
-        rel = Relation(gen_term("CC(0,1)"), Term((fam,)), "<=")
-        p = Presentation(PresentationKind.PREFRAME, ClosedComplementDomain(), (rel,))
-        (out,) = instantiate_schemas(p, [rat(0), rat(1)]).relations
+        (out,) = instantiate_schemas(cc_shift_family(), [rat(0), rat(1)]).relations
         assert str(out) == "CC(0,1) <= CC(0,1) v CC(1,1)"
 
 
