@@ -12,6 +12,13 @@ Verbs:
 Exit codes: 0 success, 1 check/verify failure, 2 usage or input error,
 3 internal invariant violation.  Output is deterministic for identical
 inputs; the default suite seed can be overridden with LOCALE_FORGE_SEED.
+
+Each verb imports the modules it uses inside its own function, and only
+on the branch that needs them: ``dsl`` for text input and output,
+``serialize`` for JSON, ``suites`` for ``verify``, ``intervals`` for the
+circle and nat examples.  Module level imports only what every verb
+loads anyway (``presentation`` and the modules under it), so a process
+started from source compiles no module its verb never calls.
 """
 
 from __future__ import annotations
@@ -23,9 +30,6 @@ import re
 import sys
 from contextlib import contextmanager
 
-from . import intervals, serialize, suites
-from .dsl import ParseError, parse, print_presentation, print_spec
-from .evaluate import EVALUATORS, eval_frame
 from .generators import DomainError
 from .lattice import (
     LatticeError,
@@ -45,12 +49,10 @@ from .presentation import (
 )
 from .rationals import parse_extrat
 from .terms import TermError
-from .transform import (
-    QuotientSpec,
-    TransformError,
-    derive_spec_from_coinserter,
-    present,
-)
+
+# the kinds with a discipline of their own, each with its own evaluator
+# (``evaluate.EVALUATORS``)
+_DISCIPLINED_KINDS = [k for k in PresentationKind if k.ops]
 
 
 class UsageError(Exception):
@@ -86,6 +88,8 @@ def _load(path: str, kind: type):
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     if path.endswith(".json"):
+        from . import serialize
+
         doc = json.loads(source)
         with _document(path):
             if "mode" in doc:
@@ -93,7 +97,12 @@ def _load(path: str, kind: type):
             else:
                 out = serialize.presentation_from_jsonable(doc)
     else:
-        out = parse(source)
+        from .dsl import ParseError, parse
+
+        try:
+            out = parse(source)
+        except ParseError as exc:
+            raise UsageError(str(exc)) from None
     if not isinstance(out, kind):
         raise UsageError(f"{path} holds a {type(out).__name__}, not a {kind.__name__}")
     return out
@@ -101,6 +110,17 @@ def _load(path: str, kind: type):
 
 def _emit_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_presentation(p: Presentation, fmt: str) -> None:
+    if fmt == "json":
+        from .serialize import presentation_to_jsonable
+
+        _emit_json(presentation_to_jsonable(p))
+    else:
+        from .dsl import print_presentation
+
+        sys.stdout.write(print_presentation(p))
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +131,26 @@ def cmd_check(args) -> int:
     p = _load(args.input, Presentation)
     report = check_kind(p, grid=_parse_grid(args.grid), oracle=not args.no_oracle)
     if args.format == "json":
-        _emit_json(serialize.stability_to_jsonable(report))
+        from .serialize import stability_to_jsonable
+
+        _emit_json(stability_to_jsonable(report))
     else:
         sys.stdout.write(str(report) + "\n")
     return 0 if report.ok else 1
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import EVALUATORS, eval_frame
+
     p = on_grid(_load(args.input, Presentation), _parse_grid(args.grid), "eval")
     if args.category == "frame":
         obj = eval_frame(p)
     else:
         obj = EVALUATORS[PresentationKind(args.category)](p)
     if args.format == "json":
-        _emit_json(serialize.presented_to_jsonable(obj))
+        from .serialize import presented_to_jsonable
+
+        _emit_json(presented_to_jsonable(obj))
     else:
         n = obj.carrier_poset.n
         sys.stdout.write(f"{obj.category} carrier with {n} elements\n")
@@ -134,6 +160,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .transform import QuotientSpec, TransformError, present
+
     p = _load(args.input, Presentation)
     spec = _load(args.spec, QuotientSpec)
     if args.mode:
@@ -142,21 +170,19 @@ def cmd_transform(args) -> int:
             raise TransformError(
                 f"spec mode {spec.mode.value} does not match transformer {mode.value}"
             )
-    out = present(p, spec, check=not args.no_check)
-    if args.format == "json":
-        _emit_json(serialize.presentation_to_jsonable(out))
-    else:
-        sys.stdout.write(print_presentation(out))
+    _emit_presentation(present(p, spec, check=not args.no_check), args.format)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("LOCALE_FORGE_SEED", suites.DEFAULT_SEED))
     results = []
     if args.coverage:
-        kinds = [PresentationKind(args.kind)] if args.kind else list(EVALUATORS)
+        kinds = [PresentationKind(args.kind)] if args.kind else _DISCIPLINED_KINDS
         for kind in kinds:
             results.append(suites.suite_coverage(kind, seed, args.count))
     elif args.oracle:
@@ -195,11 +221,15 @@ def cmd_verify(args) -> int:
 
 def _z2_swap_artifact():
     """The two-point discrete locale glued by its swap: the derived spec
-    identifies the atoms and the quotient presents the one-point locale."""
+    identifies the atoms and the quotient presents the one-point locale.
+    The document holds the objects themselves, which ``example z2-swap``
+    turns into JSON only for JSON output."""
+    from .evaluate import eval_frame
     from .generators import FiniteGeneratorDomain
     from .lattice import FinitePoset
     from .presentation import Relation
     from .terms import TERM_ZERO, gen_term, join_of
+    from .transform import derive_spec_from_coinserter, present
 
     # labels must have a text form: "top" is a reserved word of the DSL
     poset = FinitePoset.from_pairs(["bot", "a", "b", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -225,12 +255,12 @@ def _z2_swap_artifact():
     ]
     iso = poset_isomorphism(quotient.carrier.poset, sub.poset, pinned)
     return {
-        "parent": serialize.presentation_to_jsonable(parent),
-        "derivedSpec": serialize.spec_to_jsonable(spec),
-        "transformed": serialize.presentation_to_jsonable(out),
-        "parentFrame": serialize.presented_to_jsonable(frame),
-        "quotientFrame": serialize.presented_to_jsonable(quotient),
-        "fixedPoints": serialize.lattice_to_jsonable(sub),
+        "parent": parent,
+        "derivedSpec": spec,
+        "transformed": out,
+        "parentFrame": frame,
+        "quotientFrame": quotient,
+        "fixedPoints": sub,
         "quotientIsTwoChain": quotient.carrier.n == 2,
         "matchesFixedPoints": iso is not None,
     }, spec, out, quotient
@@ -238,25 +268,33 @@ def _z2_swap_artifact():
 
 def cmd_example(args) -> int:
     name = args.name
-    if name == "circle-open":
-        out = intervals.circle_open_presentation()
-        if args.format == "json":
-            _emit_json(serialize.presentation_to_jsonable(out))
+    if name in ("circle-open", "circle-proper"):
+        from . import intervals
+
+        if name == "circle-open":
+            out = intervals.circle_open_presentation()
         else:
-            sys.stdout.write(print_presentation(out))
-        return 0
-    if name == "circle-proper":
-        out = intervals.circle_proper_presentation(simplify=args.simplify)
-        if args.format == "json":
-            _emit_json(serialize.presentation_to_jsonable(out))
-        else:
-            sys.stdout.write(print_presentation(out))
+            out = intervals.circle_proper_presentation(simplify=args.simplify)
+        _emit_presentation(out, args.format)
         return 0
     if name == "z2-swap":
         doc, spec, out, quotient = _z2_swap_artifact()
         if args.format == "json":
-            _emit_json(doc)
+            from . import serialize
+
+            # the entries not named here are JSON already
+            to_json = {
+                "parent": serialize.presentation_to_jsonable,
+                "derivedSpec": serialize.spec_to_jsonable,
+                "transformed": serialize.presentation_to_jsonable,
+                "parentFrame": serialize.presented_to_jsonable,
+                "quotientFrame": serialize.presented_to_jsonable,
+                "fixedPoints": serialize.lattice_to_jsonable,
+            }
+            _emit_json({k: to_json[k](v) if k in to_json else v for k, v in doc.items()})
         else:
+            from .dsl import print_presentation, print_spec
+
             sys.stdout.write("derived quotient spec:\n")
             sys.stdout.write(print_spec(spec))
             sys.stdout.write("\ntransformed presentation:\n")
@@ -267,9 +305,13 @@ def cmd_example(args) -> int:
             )
         return 0
     if name == "nat-reverse":
-        rep = intervals.nat_reverse_counterexample()
+        from .intervals import nat_reverse_counterexample
+
+        rep = nat_reverse_counterexample()
         if args.format == "json":
-            _emit_json(serialize.report_to_jsonable(rep))
+            from .serialize import report_to_jsonable
+
+            _emit_json(report_to_jsonable(rep))
         else:
             verdict = "established" if rep.verdict else "FAILED"
             sys.stdout.write(f"gluing N along successor: counterexample {verdict}\n")
@@ -280,6 +322,10 @@ def cmd_example(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from . import serialize
+    from .evaluate import eval_frame
+    from .transform import derive_spec_from_coinserter
+
     with open(args.input, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     with _document(args.input):
@@ -305,6 +351,8 @@ def cmd_derive(args) -> int:
     if args.format == "json":
         _emit_json(serialize.spec_to_jsonable(spec))
     else:
+        from .dsl import print_spec
+
         sys.stdout.write(print_spec(spec))
     return 0
 
@@ -344,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a presentation")
     sp.add_argument("input")
     sp.add_argument("--grid")
-    sp.add_argument("--category", choices=["frame", *(k.value for k in EVALUATORS)], default="frame")
+    sp.add_argument("--category", choices=["frame", *(k.value for k in _DISCIPLINED_KINDS)], default="frame")
     add_common(sp)
     sp.set_defaults(fn=cmd_eval)
 
@@ -360,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coverage", action="store_true")
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--kleene", action="store_true")
-    sp.add_argument("--kind", choices=[k.value for k in EVALUATORS])
+    sp.add_argument("--kind", choices=[k.value for k in _DISCIPLINED_KINDS])
     sp.add_argument("--mode", help="quotient mode, or 'cross'")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--count", type=_suite_count, default=100)
@@ -410,10 +458,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError, json.JSONDecodeError, OSError) as exc:
+    except (UsageError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(_error_doc("input", exc) + "\n")
         return 2
-    except (PresentationError, TransformError, DomainError, TermError, LatticeError, ValueError) as exc:
+    # TransformError is a PresentationError
+    except (PresentationError, DomainError, TermError, LatticeError, ValueError) as exc:
         sys.stderr.write(_error_doc("module", exc) + "\n")
         return 2
     except Exception as exc:  # pragma: no cover - invariant violations

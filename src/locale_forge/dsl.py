@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .generators import (
-    DOMAIN_REGISTRY,
     QUOTIENT_TAGS,
     FiniteGeneratorDomain,
     GeneratorDomain,
     TaggedDomain,
+    builtin_domain,
 )
 from .lattice import FinitePoset, QuotientMode, _bits, maximal
 from .presentation import (
@@ -179,17 +179,18 @@ class _Parser:
     def parse_domain(self) -> GeneratorDomain:
         t = self.next()
         if t.kind == "name" and self.peek(skip_nl=False).text == "-":
-            dashed = self.parse_dashed_name(t)
-            if dashed in DOMAIN_REGISTRY:
-                return DOMAIN_REGISTRY[dashed]()
-            self.fail(t, "a builtin domain name")
-        if t.kind == "name" and t.text in DOMAIN_REGISTRY:
-            return DOMAIN_REGISTRY[t.text]()
+            make = builtin_domain(self.parse_dashed_name(t))
+            if make is None:
+                self.fail(t, "a builtin domain name")
+            return make()
         if t.text == "tagged":
             tag = self.expect_name(f"a tag ({'/'.join(QUOTIENT_TAGS)})").text
             return TaggedDomain(tag, self.parse_domain())
         if t.text == "finite":
             return self.parse_finite_block()
+        make = builtin_domain(t.text) if t.kind == "name" else None
+        if make is not None:
+            return make()
         self.fail(t, "a domain (interval-R, interval-01, nat-reverse, tagged, finite)")
 
     def parse_finite_block(self) -> FiniteGeneratorDomain:
@@ -540,6 +541,9 @@ class _Parser:
             elif t.text == "schema":
                 if domain is None:
                     self.fail(t, "a 'domain' line before schemas")
+                if domain.finite:
+                    # a finite domain has no parameters to instantiate
+                    self.fail(t, "'rel' (a finite domain takes no schemas)")
                 self.expect("(")
                 params = [] if self.at(")") else [self.expect_name().text]
                 while self.at(","):
@@ -622,10 +626,10 @@ def _check_printable(label: str):
 
 def _print_domain(domain: GeneratorDomain) -> str:
     desc = domain.descriptor()
-    if desc["type"] in DOMAIN_REGISTRY:
-        return desc["type"]
     if desc["type"] == "tagged":
         return f"tagged {desc['tag']} {_print_domain(domain.parent)}"
+    if desc["type"] != "finite" and builtin_domain(desc["type"]) is not None:
+        return desc["type"]
     poset = domain.poset
     for e in poset.elements:
         _check_printable(e)

@@ -4,7 +4,8 @@ A domain knows its generators by canonical string keys, their order, and
 whatever semilattice/lattice structure it declares.  Finite domains derive
 structure from their poset (declared meets/joins are verified against
 greatest lower / least upper bounds); the symbolic interval domains live in
-``intervals`` and register themselves in ``DOMAIN_REGISTRY``.
+``intervals`` and register themselves in ``DOMAIN_REGISTRY``, which
+``builtin_domain`` reads.
 
 Meets of generators written inside terms always mean the domain's meet
 (they fold when the domain has one); joins of generators are formal frame
@@ -303,6 +304,15 @@ class TaggedDomain(GeneratorDomain):
 DOMAIN_REGISTRY: dict[str, Callable[[], GeneratorDomain]] = {}
 
 
+def builtin_domain(name: str) -> Optional[Callable[[], GeneratorDomain]]:
+    """The constructor registered under ``name``, or None.  The builtin
+    domains register themselves when ``intervals`` is imported, so a name
+    not registered yet imports it first."""
+    if name not in DOMAIN_REGISTRY:
+        from . import intervals  # noqa: F401  (fills DOMAIN_REGISTRY)
+    return DOMAIN_REGISTRY.get(name)
+
+
 def domain_from_descriptor(desc: dict) -> GeneratorDomain:
     kind = desc.get("type")
     if kind == "finite":
@@ -314,6 +324,7 @@ def domain_from_descriptor(desc: dict) -> GeneratorDomain:
         )
     if kind == "tagged":
         return TaggedDomain(desc["tag"], domain_from_descriptor(desc["parent"]))
-    if kind in DOMAIN_REGISTRY:
-        return DOMAIN_REGISTRY[kind]()
+    make = builtin_domain(kind)
+    if make is not None:
+        return make()
     raise DomainError(f"unknown domain descriptor {kind!r}")

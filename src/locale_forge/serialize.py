@@ -180,6 +180,11 @@ def presentation_from_jsonable(d: dict) -> Presentation:
     kind = PresentationKind(d["kind"])
     domain = domain_from_descriptor(d["domain"])
     rels = tuple(relation_from_jsonable(r) for r in d["relations"])
+    if domain.finite:
+        for r in rels:
+            if isinstance(r, RelationSchema):
+                # a TypeError, as for a family in a term: a malformed document
+                raise TypeError(f"a finite domain takes no schemas: {r}")
     if "provenance" in d:
         from .transform import Provenance, TransformedPresentation
 

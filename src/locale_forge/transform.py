@@ -20,11 +20,9 @@ verifies its laws, and reads the operator back off the generators.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
-from .evaluate import KindCheckError, PresentedObject
 from .generators import GeneratorDomain, TaggedDomain
 from .lattice import (
     MonotoneMap,
@@ -64,6 +62,9 @@ from .terms import (
     TERM_ONE,
     TERM_ZERO,
 )
+
+if TYPE_CHECKING:
+    from .evaluate import PresentedObject
 
 
 class TransformError(PresentationError):
@@ -134,11 +135,36 @@ def identity_spec(domain: GeneratorDomain, mode: QuotientMode) -> QuotientSpec:
     return QuotientSpec(mode, domain, image)
 
 
-@dataclass(frozen=True)
 class Provenance:
-    parent_hash: str
-    mode: str
-    image: tuple[tuple[str, str], ...]
+    """How a quotient was built: the transformer's ``mode``, the ``image``
+    table of the spec, and ``parent_hash``, 16 hex digits of the SHA-256 of
+    the parent's JSON form.  ``present`` hands over the parent itself, and
+    the hash is computed (and memoized in the parent's ``memo``) when it is
+    first read; a quotient read back from JSON carries the hash it was
+    written with."""
+
+    __slots__ = ("_parent", "mode", "image")
+
+    def __init__(self, parent: Union[str, Presentation], mode: str, image: tuple[tuple[str, str], ...]):
+        self._parent = parent
+        self.mode = mode
+        self.image = image
+
+    @property
+    def parent_hash(self) -> str:
+        return self._parent if isinstance(self._parent, str) else _parent_hash(self._parent)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Provenance):
+            return NotImplemented
+        return (self.mode, self.image, self.parent_hash) == (other.mode, other.image, other.parent_hash)
+
+    def __hash__(self) -> int:
+        # equal provenances agree on these two, so no hash is computed
+        return hash((self.mode, self.image))
+
+    def __repr__(self) -> str:
+        return f"Provenance(parent_hash={self.parent_hash!r}, mode={self.mode!r}, image={self.image!r})"
 
 
 @dataclass(frozen=True)
@@ -175,6 +201,9 @@ def _parent_hash(p: Presentation) -> str:
     """The provenance hash of the parent, memoized on the parent object."""
     out = p.memo.get("parent hash")
     if out is None:
+        import hashlib
+        import json
+
         from .serialize import presentation_to_jsonable
 
         blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
@@ -271,6 +300,8 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
     if check and not p.schematic and p.domain.finite:
         report = check_kind(p)
         if not report.ok:
+            from .evaluate import KindCheckError
+
             raise KindCheckError(report)
 
     tagged = TaggedDomain(family.tag, p.domain)
@@ -305,7 +336,7 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
         image = tuple((f"case{i}", str(c.term)) for i, c in enumerate(spec.cases))
     else:
         image = tuple((g, str(t)) for g, t in spec.image)
-    prov = Provenance(_parent_hash(p), mode.value, image)
+    prov = Provenance(p, mode.value, image)
     return TransformedPresentation(PresentationKind.PLAIN, tagged, tuple(uniq), prov)
 
 

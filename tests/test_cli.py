@@ -451,3 +451,37 @@ class TestSuiteCount:
     def test_one_instance_runs(self):
         rc, out, err = run_cli("verify", "--kleene", "--seed", "2", "--count", "1")
         assert rc == 0 and out == "kleene-closure: 1/1 pass\n"
+
+
+class TestFiniteSchemaInput:
+    """Only a parametric domain instantiates schemas, so both readers
+    reject a schema over a finite domain, tagged or not, naming it."""
+
+    FINITE = {"type": "finite", "elements": ["z", "a", "t"], "leq": [[0, 1], [1, 2]]}
+    SCHEMA = {"schema": {"params": [], "conds": [], "lhs": [{"meet": [{"name": "a"}]}], "rhs": [], "op": "="}}
+
+    @pytest.mark.parametrize(
+        "domain", ["finite { gens z, a, t; leq z <= a; leq a <= t; }", "tagged dia finite { gens z, t; leq z <= t; }"]
+    )
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_the_text_parser_names_the_schema_line(self, tmp_path, domain, verb):
+        f = tmp_path / "schema.pres"
+        f.write_text(f"domain {domain}\nkind sup\n\nschema () : t = 0\n")
+        rc, out, err = run_cli(verb, str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "detail": "line 4, col 1: expected 'rel' (a finite domain takes no schemas), found 'schema'",
+        }
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_the_json_reader_names_the_schema(self, tmp_path, tagged, verb):
+        domain = {"type": "tagged", "tag": "dia", "parent": self.FINITE} if tagged else self.FINITE
+        f = tmp_path / "schema.json"
+        f.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": [self.SCHEMA]}))
+        rc, out, err = run_cli(verb, str(f), "--grid", "0")
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input"
+        assert doc["detail"].startswith(f"malformed document {f}: a finite domain takes no schemas: schema () : ")

@@ -1,0 +1,105 @@
+"""The package loads only what is used.
+
+``import locale_forge`` loads no submodule, and each CLI verb loads only
+the modules it calls into.  Each check runs in a fresh interpreter and
+reads ``sys.modules`` afterwards."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import locale_forge
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter with ``src`` on the path; it
+    prints one JSON document last, which is returned."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after_main(*argv: str) -> dict:
+    """The exit code of ``main(argv)`` and the modules loaded after it
+    (``locale_forge.`` submodules by their short name, plus ``hashlib``)."""
+    return fresh(
+        "import contextlib, io, json, sys\n"
+        "from locale_forge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({list(argv)!r})\n"
+        "mods = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('locale_forge.'))\n"
+        "print(json.dumps({'code': code, 'modules': mods + ['hashlib'] * ('hashlib' in sys.modules)}))\n"
+    )
+
+
+def test_the_root_loads_no_submodule():
+    out = fresh(
+        "import json, sys\n"
+        "import locale_forge\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('locale_forge.'))))\n"
+    )
+    assert out == []
+
+
+def test_a_text_example_loads_no_oracle_and_no_json_form():
+    out = loaded_after_main("example", "circle-open")
+    assert out["code"] == 0
+    assert not {"suites", "serialize", "evaluate", "hashlib"} & set(out["modules"])
+    assert {"intervals", "dsl", "transform"} <= set(out["modules"])
+
+
+def test_the_kleene_suite_loads_no_symbolic_layer():
+    out = loaded_after_main("verify", "--kleene", "--count", "2")
+    assert out["code"] == 0
+    assert not {"dsl", "intervals", "serialize", "transform"} & set(out["modules"])
+    assert "suites" in out["modules"]
+
+
+@pytest.mark.parametrize("name", locale_forge.__all__)
+def test_every_exported_name_is_its_submodule_attribute(name):
+    module = getattr(locale_forge, locale_forge._EXPORTS[name])
+    assert getattr(locale_forge, name) is getattr(module, name)
+
+
+def test_import_star_and_dir_list_every_exported_name():
+    namespace: dict = {}
+    exec("from locale_forge import *", namespace)
+    assert set(locale_forge.__all__) <= set(namespace)
+    assert set(locale_forge.__all__) <= set(dir(locale_forge))
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        locale_forge.no_such_name
+    assert not hasattr(locale_forge, "ParseErrors")
+
+
+def test_a_builtin_domain_parses_without_importing_intervals_first():
+    out = fresh(
+        "import json, sys\n"
+        "from locale_forge.dsl import parse\n"
+        "before = 'locale_forge.intervals' in sys.modules\n"
+        "p = parse('domain interval-R\\nkind sup\\n')\n"
+        "print(json.dumps([before, p.domain.descriptor()]))\n"
+    )
+    assert out == [False, {"type": "interval-R"}]
+
+
+def test_a_builtin_domain_reads_from_json_without_importing_intervals_first():
+    out = fresh(
+        "import json, sys\n"
+        "from locale_forge.serialize import presentation_from_jsonable\n"
+        "before = 'locale_forge.intervals' in sys.modules\n"
+        "doc = {'kind': 'preframe', 'domain': {'type': 'interval-01'}, 'relations': []}\n"
+        "p = presentation_from_jsonable(doc)\n"
+        "print(json.dumps([before, p.domain.descriptor()]))\n"
+    )
+    assert out == [False, {"type": "interval-01"}]

@@ -232,6 +232,19 @@ class TestTransportFidelity:
         copy = Presentation(p.kind, p.domain, p.relations)
         assert present_open(copy, identity_spec(p.domain, QuotientMode.OPEN)).provenance == out.provenance
 
+    def test_the_parent_hash_is_computed_when_first_read(self):
+        from locale_forge.serialize import presentation_from_jsonable, presentation_to_jsonable
+
+        p = two_point_presentation()
+        out = present_open(p, identity_spec(p.domain, QuotientMode.OPEN))
+        assert "parent hash" not in p.memo
+        digest = out.provenance.parent_hash
+        assert p.memo["parent hash"] == digest
+        back = presentation_from_jsonable(presentation_to_jsonable(out))
+        assert back.provenance.parent_hash == digest
+        assert back.provenance == out.provenance and hash(back.provenance) == hash(out.provenance)
+        assert back == out
+
 
 class TestDerive:
     def test_identity_coinserter(self):
