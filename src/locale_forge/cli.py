@@ -30,7 +30,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .generators import DomainError
+from .generators import DomainError, UnknownDomainError
 from .lattice import (
     LatticeError,
     MonotoneMap,
@@ -53,6 +53,7 @@ from .terms import TermError
 # the kinds with a discipline of their own, each with its own evaluator
 # (``evaluate.EVALUATORS``)
 _DISCIPLINED_KINDS = [k for k in PresentationKind if k.ops]
+_MODE_NAMES = [m.cli_name for m in QuotientMode]
 
 
 class UsageError(Exception):
@@ -70,13 +71,16 @@ def _parse_grid(text):
 
 @contextmanager
 def _document(path: str):
-    """Reading the JSON document at ``path``: a missing key or a value of
-    the wrong shape is an input error."""
+    """Reading the JSON document at ``path``: a missing key, a value of the
+    wrong shape or a domain of unknown type (as in a text file) is an input
+    error."""
     try:
         yield
     except (KeyError, TypeError, AttributeError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UsageError(f"malformed document {path}: {what}") from None
+    except UnknownDomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load(path: str, kind: type):
@@ -360,6 +364,15 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _mode_name(text: str) -> str:
+    """``--mode``: a mode's JSON spelling (``semiOpen``) reads as its
+    command-line name; any other text is left to argparse's ``choices``."""
+    try:
+        return QuotientMode.parse(text).cli_name
+    except ValueError:
+        return text
+
+
 def _suite_count(text: str) -> int:
     """``verify --count``: a suite that runs no instance passes vacuously,
     so fewer than one is a usage error."""
@@ -399,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transform", help="apply a quotient spec")
     sp.add_argument("input")
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--mode", help="the spec's mode; any other mode is an error")
+    sp.add_argument(
+        "--mode", type=_mode_name, choices=_MODE_NAMES, help="the spec's mode; any other mode is an error"
+    )
     sp.add_argument("--no-check", action="store_true")
     add_common(sp)
     sp.set_defaults(fn=cmd_transform)
@@ -409,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--kleene", action="store_true")
     sp.add_argument("--kind", choices=[k.value for k in _DISCIPLINED_KINDS])
-    sp.add_argument("--mode", help="quotient mode, or 'cross'")
+    sp.add_argument(
+        "--mode", type=_mode_name, choices=[*_MODE_NAMES, "cross"], help="quotient mode, or 'cross'"
+    )
     sp.add_argument("--seed", type=int)
     sp.add_argument("--count", type=_suite_count, default=100)
     add_common(sp)
@@ -423,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("derive", help="quotient spec from finite coinserter data")
     sp.add_argument("input", help="JSON bundle with parent, target, fstar, gstar")
-    sp.add_argument("--mode", required=True)
+    sp.add_argument("--mode", type=_mode_name, choices=_MODE_NAMES, required=True)
     sp.add_argument("--coequaliser", action="store_true")
     add_common(sp)
     sp.set_defaults(fn=cmd_derive)

@@ -24,7 +24,6 @@ canonical form, and parsing it back yields an equal object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .generators import (
@@ -43,6 +42,7 @@ from .presentation import (
     RelationSchema,
 )
 from .rationals import ExtRat, NEG_INF, POS_INF, parse_extrat
+from .records import Record
 from .terms import (
     Cond,
     EAtom,
@@ -81,12 +81,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | number | op | nl | eof
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        init = object.__setattr__
+        init(self, "kind", kind)  # name | number | op | nl | eof
+        init(self, "text", text)
+        init(self, "line", line)
+        init(self, "col", col)
 
 
 def tokenize(source: str) -> list[Token]:

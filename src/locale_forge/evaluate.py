@@ -32,7 +32,6 @@ the algorithms favour being obviously exhaustive over being clever.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .generators import GeneratorDomain
@@ -57,6 +56,7 @@ from .presentation import (
     on_grid,
 )
 from .rationals import ExtRat
+from .records import Record
 from .terms import Meet, Term
 
 
@@ -70,8 +70,7 @@ class KindCheckError(EvaluationError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class PresentedObject:
+class PresentedObject(Record, show=("category", "carrier", "interp", "domain")):
     """A presentation evaluated in some category.
 
     ``carrier`` is a FiniteLattice except for dcpo results, which may be a
@@ -81,11 +80,22 @@ class PresentedObject:
     directed family of generators with a greatest element).
     """
 
-    category: str
-    carrier: Union[FiniteLattice, FinitePoset]
-    interp: dict[str, int]
-    domain: GeneratorDomain
-    term_value: Callable[[Term], Optional[int]] = field(repr=False)
+    __slots__ = ("category", "carrier", "interp", "domain", "term_value")
+
+    def __init__(
+        self,
+        category: str,
+        carrier: Union[FiniteLattice, FinitePoset],
+        interp: dict[str, int],
+        domain: GeneratorDomain,
+        term_value: Callable[[Term], Optional[int]],
+    ):
+        init = object.__setattr__
+        init(self, "category", category)
+        init(self, "carrier", carrier)
+        init(self, "interp", interp)
+        init(self, "domain", domain)
+        init(self, "term_value", term_value)
 
     @property
     def carrier_poset(self) -> FinitePoset:

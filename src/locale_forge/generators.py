@@ -33,6 +33,10 @@ class DomainError(Exception):
     pass
 
 
+class UnknownDomainError(DomainError):
+    """A domain descriptor whose type names no domain."""
+
+
 # the generator tags of the quotient families, read off the modes
 QUOTIENT_TAGS = tuple(dict.fromkeys(mode.info.family.tag for mode in QuotientMode))
 
@@ -120,7 +124,7 @@ class GeneratorDomain:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    # equality by descriptor keeps dataclass containers comparable
+    # equality by descriptor keeps records that hold a domain comparable
     def __eq__(self, other) -> bool:
         return isinstance(other, GeneratorDomain) and self.descriptor() == other.descriptor()
 
@@ -327,4 +331,4 @@ def domain_from_descriptor(desc: dict) -> GeneratorDomain:
     make = builtin_domain(kind)
     if make is not None:
         return make()
-    raise DomainError(f"unknown domain descriptor {kind!r}")
+    raise UnknownDomainError(f"unknown domain descriptor {kind!r}")

@@ -46,9 +46,10 @@ of a 12-antichain takes about 0.05 s, and ``saturate`` of a 15-antichain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
+
+from .records import Record
 
 
 class LatticeError(Exception):
@@ -189,18 +190,31 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
     return FinitePoset(tuple(labels), tuple(up), tuple(down))
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record, compare=("elements", "up")):
     """A finite partial order on string labels."""
 
-    elements: tuple[str, ...]
-    up: tuple[int, ...]  # up[i] = bitmask of {j : i <= j}
-    # down[i] = bitmask of {j : j <= i}; read off ``up`` when not given
-    down: tuple[int, ...] = field(default=None, compare=False, repr=False)
-    # the element of each mask: ``by_down[down[i] & down[j]]`` is the glb
-    # of i and j and ``by_up[up[i] & up[j]]`` their lub, when they exist
-    by_down: dict[int, int] = field(init=False, compare=False, repr=False)
-    by_up: dict[int, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("elements", "up", "down", "by_down", "by_up")
+
+    def __init__(self, elements: tuple[str, ...], up: tuple[int, ...], down: Optional[tuple[int, ...]] = None):
+        n = len(elements)
+        for i in range(n):
+            if not (up[i] >> i) & 1:
+                raise InvalidPosetError(f"not reflexive at {elements[i]!r}")
+        if down is None:
+            masks = [0] * n
+            for i in range(n):
+                for j in _bits(up[i]):
+                    masks[j] |= 1 << i
+            down = tuple(masks)
+        init = object.__setattr__
+        init(self, "elements", elements)
+        init(self, "up", up)  # up[i] = bitmask of {j : i <= j}
+        # down[i] = bitmask of {j : j <= i}; read off ``up`` when not given
+        init(self, "down", down)
+        # the element of each mask: ``by_down[down[i] & down[j]]`` is the glb
+        # of i and j and ``by_up[up[i] & up[j]]`` their lub, when they exist
+        init(self, "by_down", {m: i for i, m in enumerate(down)})
+        init(self, "by_up", {m: i for i, m in enumerate(up)})
 
     @staticmethod
     def from_pairs(elements: Sequence[str], pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -222,20 +236,6 @@ class FinitePoset:
                         f"antisymmetry fails: {elements[i]!r} and {elements[j]!r}"
                     )
         return FinitePoset(tuple(elements), tuple(up))
-
-    def __post_init__(self):
-        n = len(self.elements)
-        for i in range(n):
-            if not (self.up[i] >> i) & 1:
-                raise InvalidPosetError(f"not reflexive at {self.elements[i]!r}")
-        if self.down is None:
-            masks = [0] * n
-            for i in range(n):
-                for j in _bits(self.up[i]):
-                    masks[j] |= 1 << i
-            object.__setattr__(self, "down", tuple(masks))
-        object.__setattr__(self, "by_down", {m: i for i, m in enumerate(self.down)})
-        object.__setattr__(self, "by_up", {m: i for i, m in enumerate(self.up)})
 
     @property
     def n(self) -> int:
@@ -301,8 +301,7 @@ class Role(str, Enum):
     DCPO_IDEMPOTENT = "dcpoIdempotent"
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Record):
     """A finite lattice presented by its order relation.
 
     It keeps no per-pair table: ``meet(i, j)`` is the element whose
@@ -314,10 +313,14 @@ class FiniteLattice:
     full frame distributivity).
     """
 
-    poset: FinitePoset
-    distributive: bool
-    top: int = 0
-    bottom: int = 0
+    __slots__ = ("poset", "distributive", "top", "bottom")
+
+    def __init__(self, poset: FinitePoset, distributive: bool, top: int = 0, bottom: int = 0):
+        init = object.__setattr__
+        init(self, "poset", poset)
+        init(self, "distributive", distributive)
+        init(self, "top", top)
+        init(self, "bottom", bottom)
 
     @staticmethod
     def from_poset(poset: FinitePoset) -> "FiniteLattice":
@@ -385,39 +388,43 @@ class FiniteLattice:
         return self.poset.elements[i]
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Record):
     """A monotone map between finite lattices, given by its value table.
 
     The ``role`` tag is only ever set by the verification helpers below;
     constructing a map directly leaves it at PLAIN.
     """
 
-    source: FiniteLattice
-    target: FiniteLattice
-    table: tuple[int, ...]
-    role: Role = Role.PLAIN
+    __slots__ = ("source", "target", "table", "role")
 
-    def __post_init__(self):
-        n = self.source.n
-        if len(self.table) != n:
+    def __init__(
+        self, source: FiniteLattice, target: FiniteLattice, table: tuple[int, ...], role: Role = Role.PLAIN
+    ):
+        n = source.n
+        if len(table) != n:
             raise LatticeError("table length mismatch")
-        for x in self.table:
-            if not (0 <= x < self.target.n):
+        for x in table:
+            if not (0 <= x < target.n):
                 raise LatticeError("table value out of range")
         for i in range(n):
-            for j in _bits(self.source.poset.up[i]):
-                if not self.target.leq(self.table[i], self.table[j]):
+            for j in _bits(source.poset.up[i]):
+                if not target.leq(table[i], table[j]):
                     raise LatticeError(
                         "not monotone at "
-                        f"{self.source.label(i)!r} <= {self.source.label(j)!r}"
+                        f"{source.label(i)!r} <= {source.label(j)!r}"
                     )
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "table", table)
+        init(self, "role", role)
 
     def __call__(self, i: int) -> int:
         return self.table[i]
 
     def with_role(self, role: Role) -> "MonotoneMap":
-        return replace(self, role=role)
+        """The same map tagged with ``role``; the checks run again."""
+        return MonotoneMap(self.source, self.target, self.table, role)
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
@@ -427,17 +434,22 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(inner.source, outer.target, tuple(outer.table[x] for x in inner.table))
 
 
-@dataclass(frozen=True)
-class OperatorReport:
+class OperatorReport(Record):
     """Outcome of an exhaustive law check.
 
     Each witness is ``(law_name, labels)`` and can be re-evaluated with
     ``recheck_witness``.
     """
 
-    verdict: bool
-    witnesses: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ("verdict", "witnesses", "notes")
+
+    def __init__(
+        self, verdict: bool, witnesses: tuple[tuple[str, tuple[str, ...]], ...] = (), notes: tuple[str, ...] = ()
+    ):
+        init = object.__setattr__
+        init(self, "verdict", verdict)
+        init(self, "witnesses", witnesses)
+        init(self, "notes", notes)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -828,8 +840,7 @@ class QuotientMode(str, Enum):
         raise ValueError(f"unknown quotient mode {text!r}")
 
 
-@dataclass(frozen=True)
-class QuotientFamily:
+class QuotientFamily(Record):
     """What the strict mode and the semi variant of a family share.
 
     ``tag`` prefixes the quotient's generators.  ``role`` is the type of
@@ -845,14 +856,17 @@ class QuotientFamily:
     zero relation ``tag bottom = 0``.
     """
 
-    name: str
-    tag: str
-    role: Role
-    ops: tuple[str, ...]
+    __slots__ = ("name", "tag", "role", "ops")
+
+    def __init__(self, name: str, tag: str, role: Role, ops: tuple[str, ...]):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "tag", tag)
+        init(self, "role", role)
+        init(self, "ops", ops)
 
 
-@dataclass(frozen=True)
-class ModeInfo:
+class ModeInfo(Record):
     """Every fact that sets one quotient mode apart.
 
     A semi mode relates the images of both generators of a pair, once per
@@ -860,9 +874,13 @@ class ModeInfo:
     the other, in both orders.  ``laws`` is the law suite of the mode's
     operator."""
 
-    family: QuotientFamily
-    semi: bool
-    laws: tuple[str, ...]
+    __slots__ = ("family", "semi", "laws")
+
+    def __init__(self, family: QuotientFamily, semi: bool, laws: tuple[str, ...]):
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "semi", semi)
+        init(self, "laws", laws)
 
 
 _OPEN = QuotientFamily("open", "dia", Role.CLOSURE_OP, ("meet",))

@@ -35,7 +35,6 @@ Z-indexed families; a family without parameters is a schema with none.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -43,6 +42,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
 from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
 from .rationals import ExtRat
+from .records import Record
 from .terms import (
     Cond,
     Meet,
@@ -108,15 +108,16 @@ _STRUCTURE = {
 }
 
 
-@dataclass(frozen=True)
-class Relation:
-    lhs: Term
-    rhs: Term
-    op: str = "="  # "=" or "<="
+class Relation(Record):
+    __slots__ = ("lhs", "rhs", "op")
 
-    def __post_init__(self):
-        if self.op not in ("=", "<="):
-            raise PresentationError(f"bad relation operator {self.op!r}")
+    def __init__(self, lhs: Term, rhs: Term, op: str = "="):
+        if op not in ("=", "<="):
+            raise PresentationError(f"bad relation operator {op!r}")
+        init = object.__setattr__
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "op", op)  # "=" or "<="
 
     def normalized(self, domain: GeneratorDomain, fold_meets: bool = True) -> "Relation":
         return Relation(
@@ -137,30 +138,33 @@ class Relation:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(Record):
     """A relation with rational parameters and a conjunction of comparisons
     as side condition."""
 
-    params: tuple[str, ...]
-    conds: tuple[Cond, ...]
-    lhs: SchemaTerm
-    rhs: SchemaTerm
-    op: str = "="
+    __slots__ = ("params", "conds", "lhs", "rhs", "op")
 
-    def __post_init__(self):
-        if self.op not in ("=", "<="):
-            raise PresentationError(f"bad relation operator {self.op!r}")
+    def __init__(
+        self, params: tuple[str, ...], conds: tuple[Cond, ...], lhs: SchemaTerm, rhs: SchemaTerm, op: str = "="
+    ):
+        if op not in ("=", "<="):
+            raise PresentationError(f"bad relation operator {op!r}")
         used = set()
-        for side in (self.lhs, self.rhs):
+        for side in (lhs, rhs):
             for cl in side.clauses:
                 for pat in cl.meet:
                     used |= pat.free_params()
                 for c in cl.conds:
                     used |= c.free_params()
-        for p in self.params:
+        for p in params:
             if p not in used:
                 raise PresentationError(f"schema parameter {p!r} occurs in neither side")
+        init = object.__setattr__
+        init(self, "params", params)
+        init(self, "conds", conds)
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "op", op)
 
     def __str__(self) -> str:
         head = "(" + ", ".join(self.params) + ")"
@@ -171,16 +175,20 @@ class RelationSchema:
 AnyRelation = Union[Relation, RelationSchema]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record, compare=("kind", "domain", "relations")):
     """The kind's structural requirement on the domain (sup needs a meet
     semilattice, and so on) is enforced where the structure is consumed --
     evaluation, saturation, stability checking -- not at construction, so
     unsaturated inputs can be built first and saturated after."""
 
-    kind: PresentationKind
-    domain: GeneratorDomain
-    relations: tuple[AnyRelation, ...]
+    # ``__dict__`` holds ``memo``
+    __slots__ = ("kind", "domain", "relations", "__dict__")
+
+    def __init__(self, kind: PresentationKind, domain: GeneratorDomain, relations: tuple[AnyRelation, ...]):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "domain", domain)
+        init(self, "relations", relations)
 
     @property
     def schematic(self) -> bool:
@@ -206,18 +214,30 @@ class Presentation:
 # stability checking
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    relation_index: int
-    verdict: str  # syntacticPass | oraclePass | fail
-    witness_generator: Optional[str] = None
-    missing: Optional[Relation] = None
+class StabilityVerdict(Record):
+    __slots__ = ("relation_index", "verdict", "witness_generator", "missing")
+
+    def __init__(
+        self,
+        relation_index: int,
+        verdict: str,
+        witness_generator: Optional[str] = None,
+        missing: Optional[Relation] = None,
+    ):
+        init = object.__setattr__
+        init(self, "relation_index", relation_index)
+        init(self, "verdict", verdict)  # syntacticPass | oraclePass | fail
+        init(self, "witness_generator", witness_generator)
+        init(self, "missing", missing)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    verdicts: tuple[StabilityVerdict, ...]
-    policy: str  # "oracle-allowed" | "syntactic-only"
+class StabilityReport(Record):
+    __slots__ = ("verdicts", "policy")
+
+    def __init__(self, verdicts: tuple[StabilityVerdict, ...], policy: str):
+        init = object.__setattr__
+        init(self, "verdicts", verdicts)
+        init(self, "policy", policy)  # "oracle-allowed" | "syntactic-only"
 
     @property
     def ok(self) -> bool:

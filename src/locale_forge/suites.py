@@ -13,7 +13,6 @@ All randomness comes from an explicit seed; results are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .evaluate import PresentedObject, eval_frame, verify_coverage
@@ -47,12 +46,26 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 271828
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    total: int = 0
-    passed: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The running tally of one suite; mutable, so compared but not hashed."""
+
+    __slots__ = ("name", "total", "passed", "failures")
+    __hash__ = None
+
+    def __init__(self, name: str, total: int = 0, passed: int = 0, failures: Optional[list[str]] = None):
+        self.name = name
+        self.total = total
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (self.name, self.total, self.passed, self.failures)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return "SuiteResult(name={!r}, total={!r}, passed={!r}, failures={!r})".format(*self._fields())
 
     @property
     def ok(self) -> bool:

@@ -13,10 +13,10 @@ owning domain gives them meaning.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .rationals import ExtRat, rat, emax, emin
+from .records import Record
 
 
 class TermError(Exception):
@@ -27,14 +27,19 @@ class TermError(Exception):
 # endpoint expressions (shared by patterns and schema conditions)
 
 
-@dataclass(frozen=True)
-class EAtom:
+class EAtom(Record):
     """``param + k`` or ``const + k``, optionally plus the family index."""
 
-    param: Optional[str] = None
-    const: ExtRat = rat(0)
-    with_index: bool = False
-    offset: int = 0
+    __slots__ = ("param", "const", "with_index", "offset")
+
+    def __init__(
+        self, param: Optional[str] = None, const: ExtRat = rat(0), with_index: bool = False, offset: int = 0
+    ):
+        init = object.__setattr__
+        init(self, "param", param)
+        init(self, "const", const)
+        init(self, "with_index", with_index)
+        init(self, "offset", offset)
 
     def free_params(self) -> frozenset[str]:
         return frozenset() if self.param is None else frozenset([self.param])
@@ -58,13 +63,16 @@ class EAtom:
         return out
 
 
-@dataclass(frozen=True)
-class EOp:
+class EOp(Record):
     """Pointwise max (``v``) or min (``^``) of two endpoint expressions."""
 
-    op: str  # "max" | "min"
-    left: "EExpr"
-    right: "EExpr"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "EExpr", right: "EExpr"):
+        init = object.__setattr__
+        init(self, "op", op)  # "max" | "min"
+        init(self, "left", left)
+        init(self, "right", right)
 
     def free_params(self) -> frozenset[str]:
         return self.left.free_params() | self.right.free_params()
@@ -107,13 +115,16 @@ _COMPARE = {
 }
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(Record):
     """A single comparison, or a pair-disequality ``(a,b) != (c,d)``."""
 
-    op: str  # one of < <= = != > >= pairneq
-    left: tuple[EExpr, ...]
-    right: tuple[EExpr, ...]
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: tuple[EExpr, ...], right: tuple[EExpr, ...]):
+        init = object.__setattr__
+        init(self, "op", op)  # one of < <= = != > >= pairneq
+        init(self, "left", left)
+        init(self, "right", right)
 
     def free_params(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -144,18 +155,21 @@ def cmp_cond(left: EExpr, op: str, right: EExpr) -> Cond:
 # generator patterns
 
 
-@dataclass(frozen=True)
-class GenPattern:
+class GenPattern(Record):
     """A parametric generator, e.g. ``OI(p v (p'+n), q)``.
 
     ``ctor`` names the owning domain's constructor; plain named generators
     (finite domains) use ctor ``""`` with the name in ``name``.
     """
 
-    ctor: str = ""
-    args: tuple[EExpr, ...] = ()
-    name: str = ""
-    tags: tuple[str, ...] = ()
+    __slots__ = ("ctor", "args", "name", "tags")
+
+    def __init__(self, ctor: str = "", args: tuple[EExpr, ...] = (), name: str = "", tags: tuple[str, ...] = ()):
+        init = object.__setattr__
+        init(self, "ctor", ctor)
+        init(self, "args", args)
+        init(self, "name", name)
+        init(self, "tags", tags)
 
     def free_params(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -177,11 +191,20 @@ class GenPattern:
 # concrete terms
 
 
-@dataclass(frozen=True)
-class Meet:
+class Meet(Record):
     """A finite meet of generators; the empty meet is the term 1."""
 
-    gens: tuple[str, ...]
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: tuple[str, ...]):
+        object.__setattr__(self, "gens", gens)
+
+    # the hottest records: compared and hashed without the generic key
+    def __eq__(self, other):
+        return self.gens == other.gens if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.gens,))
 
     def __str__(self) -> str:
         if not self.gens:
@@ -189,11 +212,19 @@ class Meet:
         return " ^ ".join(self.gens)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """Canonical join of meets; the empty join is the term 0."""
 
-    clauses: tuple[Meet, ...]
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[Meet, ...]):
+        object.__setattr__(self, "clauses", clauses)
+
+    def __eq__(self, other):
+        return self.clauses == other.clauses if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.clauses,))
 
     def __str__(self) -> str:
         if not self.clauses:
@@ -268,19 +299,29 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
 # schematic terms (relation schemas)
 
 
-@dataclass(frozen=True)
-class SchemaClause:
+class SchemaClause(Record):
     """One join clause of a schematic term.
 
     ``bound`` rational parameters (with conditions) and/or an integer index
     may be bound by the clause; the meet body is a tuple of patterns.
     """
 
-    meet: tuple[GenPattern, ...]
-    bound: tuple[str, ...] = ()
-    conds: tuple[Cond, ...] = ()
-    int_var: Optional[str] = None
-    directed: bool = False
+    __slots__ = ("meet", "bound", "conds", "int_var", "directed")
+
+    def __init__(
+        self,
+        meet: tuple[GenPattern, ...],
+        bound: tuple[str, ...] = (),
+        conds: tuple[Cond, ...] = (),
+        int_var: Optional[str] = None,
+        directed: bool = False,
+    ):
+        init = object.__setattr__
+        init(self, "meet", meet)
+        init(self, "bound", bound)
+        init(self, "conds", conds)
+        init(self, "int_var", int_var)
+        init(self, "directed", directed)
 
     def __str__(self) -> str:
         body = " ^ ".join(str(p) for p in self.meet) if self.meet else "1"
@@ -295,9 +336,11 @@ class SchemaClause:
         return f"{head} {binder}{cond} . {body}"
 
 
-@dataclass(frozen=True)
-class SchemaTerm:
-    clauses: tuple[SchemaClause, ...]
+class SchemaTerm(Record):
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[SchemaClause, ...]):
+        object.__setattr__(self, "clauses", clauses)
 
     def __str__(self) -> str:
         if not self.clauses:

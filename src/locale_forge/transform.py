@@ -20,7 +20,6 @@ verifies its laws, and reads the operator back off the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .generators import GeneratorDomain, TaggedDomain
@@ -38,6 +37,7 @@ from .lattice import (
     right_adjoint,
 )
 from .presentation import (
+    AnyRelation,
     Presentation,
     PresentationError,
     PresentationKind,
@@ -47,6 +47,7 @@ from .presentation import (
     instance_kernel,
 )
 from .rationals import ExtRat
+from .records import Record
 from .terms import (
     Cond,
     Meet,
@@ -71,19 +72,21 @@ class TransformError(PresentationError):
     pass
 
 
-@dataclass(frozen=True)
-class SchematicCase:
+class SchematicCase(Record):
     """One case of a schematic image: applies to the generic generator when
     ``pin`` fixes some of its parameters and ``conds`` hold; ``term`` is
     the image written over the (pinned) parameters."""
 
-    pin: tuple[tuple[str, ExtRat], ...]
-    conds: tuple[Cond, ...]
-    term: SchemaTerm
+    __slots__ = ("pin", "conds", "term")
+
+    def __init__(self, pin: tuple[tuple[str, ExtRat], ...], conds: tuple[Cond, ...], term: SchemaTerm):
+        init = object.__setattr__
+        init(self, "pin", pin)
+        init(self, "conds", conds)
+        init(self, "term", term)
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(Record):
     """The generator-level data of a quotient operator.
 
     ``image`` lists the operator's value on each generator as a term over
@@ -93,16 +96,24 @@ class QuotientSpec:
     use ``cases`` instead.
     """
 
-    mode: QuotientMode
-    domain: GeneratorDomain
-    image: tuple[tuple[str, Term], ...] = ()
-    cases: tuple[SchematicCase, ...] = ()
+    __slots__ = ("mode", "domain", "image", "cases")
 
-    def __post_init__(self):
-        for g, t in self.image:
-            if not self.domain.contains(g):
+    def __init__(
+        self,
+        mode: QuotientMode,
+        domain: GeneratorDomain,
+        image: tuple[tuple[str, Term], ...] = (),
+        cases: tuple[SchematicCase, ...] = (),
+    ):
+        for g, t in image:
+            if not domain.contains(g):
                 raise TransformError(f"image key {g!r} not a generator")
-            _check_image_shape(self.mode, t)
+            _check_image_shape(mode, t)
+        init = object.__setattr__
+        init(self, "mode", mode)
+        init(self, "domain", domain)
+        init(self, "image", image)
+        init(self, "cases", cases)
 
     @property
     def schematic(self) -> bool:
@@ -167,9 +178,18 @@ class Provenance:
         return f"Provenance(parent_hash={self.parent_hash!r}, mode={self.mode!r}, image={self.image!r})"
 
 
-@dataclass(frozen=True)
-class TransformedPresentation(Presentation):
-    provenance: Provenance = None  # type: ignore[assignment]
+class TransformedPresentation(Presentation, compare=("kind", "domain", "relations", "provenance")):
+    __slots__ = ("provenance",)
+
+    def __init__(
+        self,
+        kind: PresentationKind,
+        domain: GeneratorDomain,
+        relations: tuple[AnyRelation, ...],
+        provenance: Provenance = None,  # type: ignore[assignment]
+    ):
+        super().__init__(kind, domain, relations)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _transport_relation(rel, tagged: TaggedDomain):

@@ -408,6 +408,49 @@ class TestMalformedInput:
         assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
 
 
+    @pytest.mark.parametrize("verb", ["check", "derive"])
+    def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
+        pres = {"kind": "sup", "domain": {"type": "nope"}, "relations": []}
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps(pres if verb == "check" else {"parent": pres}))
+        argv = [verb, str(f)] + (["--mode", "open"] if verb == "derive" else [])
+        rc, out, err = run_cli(*argv)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "unknown domain descriptor 'nope'"}
+
+    def test_an_unknown_domain_in_text_is_an_input_error_too(self, tmp_path):
+        f = tmp_path / "a.pres"
+        f.write_text("domain nope\nkind sup\n")
+        rc, out, err = run_cli("check", str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+
+
+class TestModeChoices:
+    """``--mode`` takes a quotient mode's command-line name or JSON
+    spelling (or ``cross`` for ``verify``); any other text is a usage
+    error, reported by argparse before the verb runs."""
+
+    def test_the_json_spelling_of_a_mode_is_accepted(self):
+        rc, out, err = run_cli("verify", "--oracle", "--mode", "semiOpen", "--count", "1")
+        assert rc == 0, err
+        assert out == "oracle-equivalence[semi-open]: 1/1 pass\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--oracle", "--mode", "bogus"],
+            ["transform", "in.pres", "--spec", "in.spec", "--mode", "bogus"],
+            ["derive", "bundle.json", "--mode", "bogus"],
+        ],
+        ids=["verify", "transform", "derive"],
+    )
+    def test_an_unknown_mode_is_a_usage_error(self, argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 2 and out == ""
+        assert "argument --mode: invalid choice: 'bogus'" in err
+
+
 class TestFamilyInput:
     """A Z-indexed family is a clause of a schema; a JSON "rel" term holds
     meets only."""

@@ -1,8 +1,9 @@
 """The package loads only what is used.
 
-``import locale_forge`` loads no submodule, and each CLI verb loads only
-the modules it calls into.  Each check runs in a fresh interpreter and
-reads ``sys.modules`` afterwards."""
+``import locale_forge`` loads no submodule, each CLI verb loads only the
+modules it calls into, and no verb loads ``dataclasses`` or ``inspect``:
+the records are plain classes, so nothing generates code at import.  Each
+check runs in a fresh interpreter and reads ``sys.modules`` afterwards."""
 
 import json
 import os
@@ -27,16 +28,22 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# standard modules that no verb needs
+WATCHED = ("hashlib", "dataclasses", "inspect")
+
+
 def loaded_after_main(*argv: str) -> dict:
     """The exit code of ``main(argv)`` and the modules loaded after it
-    (``locale_forge.`` submodules by their short name, plus ``hashlib``)."""
+    (``locale_forge.`` submodules by their short name, plus those of
+    ``WATCHED``)."""
     return fresh(
         "import contextlib, io, json, sys\n"
         "from locale_forge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({list(argv)!r})\n"
         "mods = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('locale_forge.'))\n"
-        "print(json.dumps({'code': code, 'modules': mods + ['hashlib'] * ('hashlib' in sys.modules)}))\n"
+        f"mods += [m for m in {WATCHED!r} if m in sys.modules]\n"
+        "print(json.dumps({'code': code, 'modules': mods}))\n"
     )
 
 
@@ -61,6 +68,37 @@ def test_the_kleene_suite_loads_no_symbolic_layer():
     assert out["code"] == 0
     assert not {"dsl", "intervals", "serialize", "transform"} & set(out["modules"])
     assert "suites" in out["modules"]
+
+
+# the verbs of the cli-verbs benchmark workload, with small suites
+CLI_VERBS = [
+    ["example", "circle-open"],
+    ["example", "circle-proper", "--simplify", "--format", "json"],
+    ["example", "z2-swap", "--format", "json"],
+    ["example", "nat-reverse"],
+    ["eval", "{line}", "--grid=-1,1/2"],
+    ["verify", "--oracle", "--mode", "open", "--count", "2"],
+    ["verify", "--coverage", "--count", "2"],
+    ["verify", "--kleene", "--count", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_VERBS, ids=lambda argv: " ".join(argv[:2]))
+def test_no_verb_generates_code_at_start_up(argv, tmp_path):
+    line = tmp_path / "line.pres"
+    line.write_text("domain interval-R\nkind sup\ninclude standard\n")
+    out = loaded_after_main(*(arg.format(line=line) for arg in argv))
+    assert out["code"] == 0
+    assert not {"dataclasses", "inspect"} & set(out["modules"])
+
+
+def test_the_suites_module_generates_no_code_at_import():
+    out = fresh(
+        "import json, sys\n"
+        "import locale_forge.suites\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    assert out == []
 
 
 @pytest.mark.parametrize("name", locale_forge.__all__)
