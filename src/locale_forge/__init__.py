@@ -114,6 +114,7 @@ _SUBMODULES = frozenset(
         "lattice",
         "presentation",
         "rationals",
+        "records",
         "serialize",
         "suites",
         "terms",

@@ -64,9 +64,12 @@ def _parse_grid(text):
     if text is None:
         return None
     try:
-        return [parse_extrat(part) for part in text.split(",") if part.strip()]
+        grid = [parse_extrat(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not grid:
+        raise UsageError("empty instantiation grid")
+    return grid
 
 
 @contextmanager
@@ -183,7 +186,11 @@ def cmd_verify(args) -> int:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("LOCALE_FORGE_SEED", suites.DEFAULT_SEED))
+        text = os.environ.get("LOCALE_FORGE_SEED")
+        try:
+            seed = suites.DEFAULT_SEED if text is None else int(text)
+        except ValueError:
+            raise UsageError(f"LOCALE_FORGE_SEED is not an integer: {text!r}") from None
     results = []
     if args.coverage:
         kinds = [PresentationKind(args.kind)] if args.kind else _DISCIPLINED_KINDS
@@ -342,10 +349,13 @@ def cmd_derive(args) -> int:
     x_idx = {e: i for i, e in enumerate(X.elements)}
 
     def read_map(key: str) -> MonotoneMap:
-        table = [0] * X.n
+        table = [None] * X.n
         with _document(args.input):
             for src_label, dst_label in bundle[key].items():
                 table[x_idx[src_label]] = t_idx[dst_label]
+        if None in table:
+            missing = X.elements[table.index(None)]
+            raise UsageError(f"malformed document {args.input}: {key} gives no image of the parent element {missing!r}")
         return as_frame_hom(MonotoneMap(X, target, tuple(table)))
 
     fstar = read_map("fstar")

@@ -404,7 +404,7 @@ class _Parser:
                 self.fail(t, "a generator of the current domain")
             inner = self.parse_generator_key(domain.parent)
             return domain.wrap(inner)
-        if self.at("(") and getattr(domain, "ctor", None) == t.text:
+        if self.at("(") and domain.ctor == t.text:
             self.next()
             if self.at(")"):  # the canonical empty interval
                 self.next()
@@ -418,7 +418,7 @@ class _Parser:
             if not domain.contains(key):
                 self.fail(t, "a generator inside the domain")
             return key
-        if t.text == "N" and self.at("(") and getattr(domain, "name", "") == "nat-reverse":
+        if t.text == "N" and self.at("(") and domain.name == "nat-reverse":
             self.next()
             if self.at(")"):
                 self.next()
@@ -499,7 +499,7 @@ class _Parser:
                 self.fail(t, "a pattern of the current domain")
             inner = self.parse_spattern(domain.parent, params, int_var)
             return inner.tagged(t.text)
-        if self.at("(") and getattr(domain, "ctor", None) == t.text:
+        if self.at("(") and domain.ctor == t.text:
             self.next()
             args = [self.parse_pexpr(params, int_var)]
             while self.at(","):

@@ -48,6 +48,8 @@ class GeneratorDomain:
     finite: bool = False
     has_meet: bool = False
     has_join: bool = False
+    # the constructor of pattern generators ``ctor(...)``, if the domain has one
+    ctor: Optional[str] = None
 
     # -- structure flags -------------------------------------------------
     @property
@@ -101,6 +103,11 @@ class GeneratorDomain:
     def sort_key(self, key: str):
         return key
 
+    def key_endpoints(self, key: str) -> Optional[tuple[ExtRat, ExtRat]]:
+        """The two endpoints written in a generator key, on a domain whose
+        keys have them; None otherwise, and for a key without any."""
+        return None
+
     @property
     def sorted_poset(self) -> FinitePoset:
         """The generators in ``sort_key`` order under their order, on
@@ -126,7 +133,7 @@ class GeneratorDomain:
 
     # equality by descriptor keeps records that hold a domain comparable
     def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorDomain) and self.descriptor() == other.descriptor()
+        return other is self or (isinstance(other, GeneratorDomain) and self.descriptor() == other.descriptor())
 
     def __hash__(self) -> int:
         import json
@@ -292,10 +299,7 @@ class TaggedDomain(GeneratorDomain):
         raise TermError("untagged pattern in tagged domain")
 
     def key_endpoints(self, key: str):
-        inner = getattr(self.parent, "key_endpoints", None)
-        if inner is None:
-            return None
-        return inner(self.unwrap(key))
+        return self.parent.key_endpoints(self.unwrap(key))
 
     def grid_values(self, grid):
         return self.parent.grid_values(grid)

@@ -86,53 +86,89 @@ def _simplify_expr(e: EExpr, lo: ExtRat, hi: ExtRat) -> EExpr:
     b = _simplify_expr(e.right, lo, hi)
     la, ha = _expr_range(a, lo, hi)
     lb, hb = _expr_range(b, lo, hi)
-    if e.op == "max":
-        if ha <= lb:
-            return b
-        if hb <= la:
-            return a
-    else:
-        if ha <= lb:
-            return a
-        if hb <= la:
-            return b
+    if ha <= lb:  # a never exceeds b
+        return b if e.op == "max" else a
+    if hb <= la:
+        return a if e.op == "max" else b
     return EOp(e.op, a, b)
 
 
 # ---------------------------------------------------------------------------
 # generator keys with two endpoints
 
-_OI_KEY = re.compile(r"OI\(([^,]+),([^,)]+)\)")
-_CC_KEY = re.compile(r"CC\(([^,]+),([^,)]+)\)")
 
+class _EndpointDomain(GeneratorDomain):
+    """Generators ``ctor(p,q)`` written with two endpoints in ``[LO, HI]``,
+    whose one binary operation intersects two rational intervals: the
+    greater left endpoint with the lesser right one.  Each domain adds its
+    order, its bounds, ``key`` and ``_instance``, the key of an instantiated
+    pattern: interval-R collapses an empty interval to ``OI()`` there, and
+    interval-01 rejects endpoints outside ``[0,1]``."""
 
-def _endpoints(domain: GeneratorDomain, key: str, pattern: re.Pattern, what: str) -> tuple[ExtRat, ExtRat]:
-    """The two endpoints written in ``key``, parsed once per domain object
-    and kept in its memo under the key itself.  A malformed key raises on
-    every call and is never memoized."""
-    memo = domain.memo
-    out = memo.get(key)
-    if out is None:
-        m = pattern.fullmatch(key)
-        if not m:
-            raise TermError(f"not {what}: {key!r}")
-        out = memo[key] = parse_extrat(m.group(1)), parse_extrat(m.group(2))
-    return out
+    pattern_params = ("p", "q")
+    LO: ExtRat
+    HI: ExtRat
+    noun: str  # what a key is, in error messages
+    BOTTOM: Optional[str] = None  # the one key without endpoints, if any
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key_re = re.compile(rf"{cls.ctor}\(([^,]+),([^,)]+)\)")
+
+    def key_endpoints(self, key: str) -> Optional[tuple[ExtRat, ExtRat]]:
+        """The two endpoints written in ``key``, parsed once per domain
+        object and kept in its memo under the key itself.  A malformed key
+        raises on every call and is never memoized."""
+        memo = self.memo
+        out = memo.get(key)
+        if out is None:
+            if key == self.BOTTOM:
+                return None
+            m = self._key_re.fullmatch(key)
+            if not m:
+                raise TermError(f"not {self.noun} generator: {key!r}")
+            out = memo[key] = parse_extrat(m.group(1)), parse_extrat(m.group(2))
+        return out
+
+    def _in_range(self, x: ExtRat) -> bool:
+        return self.LO <= x <= self.HI
+
+    def generic_pattern(self) -> GenPattern:
+        return GenPattern(self.ctor, (eparam("p"), eparam("q")))
+
+    def instantiate_pattern(self, pat: GenPattern, env, n: Optional[int] = None) -> str:
+        if pat.tags or pat.ctor != self.ctor or len(pat.args) != 2:
+            raise TermError(f"not {self.noun} pattern: {pat}")
+        return self._instance(pat.args[0].evaluate(env, n), pat.args[1].evaluate(env, n))
+
+    def _intersect_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
+        lo = _simplify_expr(EOp("max", a.args[0], b.args[0]), self.LO, self.HI)
+        hi = _simplify_expr(EOp("min", a.args[1], b.args[1]), self.LO, self.HI)
+        return GenPattern(self.ctor, (lo, hi))
+
+    def grid_values(self, grid: Sequence[ExtRat]) -> list[ExtRat]:
+        vals = sorted({rat(v) for v in grid} | {self.LO, self.HI})
+        for v in vals:
+            if not self._in_range(v):
+                raise DomainError(f"{self.name} grid value {v} outside [{self.LO},{self.HI}]")
+        return vals
+
+    def descriptor(self) -> dict:
+        return {"type": self.name}
 
 
 # ---------------------------------------------------------------------------
 # interval-R
 
 
-class OpenIntervalDomain(GeneratorDomain):
+class OpenIntervalDomain(_EndpointDomain):
     """Rational open intervals under intersection."""
 
     name = "interval-R"
-    finite = False
     has_meet = True
-    has_join = False
-    pattern_params = ("p", "q")
     ctor = "OI"
+    noun = "an interval"
+    LO, HI = NEG_INF, POS_INF
 
     BOTTOM = "OI()"
 
@@ -141,19 +177,15 @@ class OpenIntervalDomain(GeneratorDomain):
             return self.BOTTOM
         return f"OI({lo},{hi})"
 
-    def key_endpoints(self, key: str) -> Optional[tuple[ExtRat, ExtRat]]:
-        if key == self.BOTTOM:
-            return None
-        return _endpoints(self, key, _OI_KEY, "an interval generator")
+    # every pair of extended rationals is in range
+    _instance = key
 
     def contains(self, key: str) -> bool:
-        if key == self.BOTTOM:
-            return True
         try:
-            lo, hi = self.key_endpoints(key)
+            eps = self.key_endpoints(key)
         except (TermError, ValueError):
             return False
-        return lo < hi
+        return eps is None or eps[0] < eps[1]
 
     def leq(self, a: str, b: str) -> bool:
         if a == self.BOTTOM:
@@ -169,6 +201,8 @@ class OpenIntervalDomain(GeneratorDomain):
         (la, ha), (lb, hb) = self.key_endpoints(a), self.key_endpoints(b)
         return self.key(emax(la, lb), emin(ha, hb))
 
+    meet_patterns = _EndpointDomain._intersect_patterns
+
     def top(self) -> Optional[str]:
         return "OI(-inf,+inf)"
 
@@ -181,53 +215,27 @@ class OpenIntervalDomain(GeneratorDomain):
         lo, hi = self.key_endpoints(key)
         return (1, lo, hi)
 
-    def generic_pattern(self) -> GenPattern:
-        return GenPattern("OI", (eparam("p"), eparam("q")))
-
-    def instantiate_pattern(self, pat: GenPattern, env, n: Optional[int] = None) -> str:
-        if pat.tags or pat.ctor != "OI" or len(pat.args) != 2:
-            raise TermError(f"not an interval pattern: {pat}")
-        lo = pat.args[0].evaluate(env, n)
-        hi = pat.args[1].evaluate(env, n)
-        return self.key(lo, hi)
-
-    def meet_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
-        lo = _simplify_expr(EOp("max", a.args[0], b.args[0]), NEG_INF, POS_INF)
-        hi = _simplify_expr(EOp("min", a.args[1], b.args[1]), NEG_INF, POS_INF)
-        return GenPattern("OI", (lo, hi))
-
-    def grid_values(self, grid: Sequence[ExtRat]) -> list[ExtRat]:
-        vals = {rat(v) if not isinstance(v, ExtRat) else v for v in grid}
-        vals |= {NEG_INF, POS_INF}
-        return sorted(vals)
-
-    def descriptor(self) -> dict:
-        return {"type": "interval-R"}
-
 
 # ---------------------------------------------------------------------------
 # interval-01
 
 
-class ClosedComplementDomain(GeneratorDomain):
+class ClosedComplementDomain(_EndpointDomain):
     """Complements of closed rational subintervals of [0,1]."""
 
     name = "interval-01"
-    finite = False
-    has_meet = False
     has_join = True
-    pattern_params = ("p", "q")
     ctor = "CC"
+    noun = "a closed-complement"
+    LO, HI = rat(0), rat(1)
 
     def key(self, p: ExtRat, q: ExtRat) -> str:
         return f"CC({p},{q})"
 
-    def key_endpoints(self, key: str) -> tuple[ExtRat, ExtRat]:
-        return _endpoints(self, key, _CC_KEY, "a closed-complement generator")
-
-    @staticmethod
-    def _in_range(x: ExtRat) -> bool:
-        return x.finite and 0 <= x.value <= 1
+    def _instance(self, p: ExtRat, q: ExtRat) -> str:
+        if not (self._in_range(p) and self._in_range(q)):
+            raise TermError(f"endpoints {p},{q} outside [0,1]")
+        return self.key(p, q)
 
     def contains(self, key: str) -> bool:
         try:
@@ -240,6 +248,8 @@ class ClosedComplementDomain(GeneratorDomain):
         (pa, qa), (pb, qb) = self.key_endpoints(a), self.key_endpoints(b)
         return self.key(emax(pa, pb), emin(qa, qb))
 
+    join_patterns = _EndpointDomain._intersect_patterns
+
     def leq(self, a: str, b: str) -> bool:
         return self.join(a, b) == b
 
@@ -251,35 +261,6 @@ class ClosedComplementDomain(GeneratorDomain):
 
     def sort_key(self, key: str):
         return self.key_endpoints(key)
-
-    def generic_pattern(self) -> GenPattern:
-        return GenPattern("CC", (eparam("p"), eparam("q")))
-
-    def instantiate_pattern(self, pat: GenPattern, env, n: Optional[int] = None) -> str:
-        if pat.tags or pat.ctor != "CC" or len(pat.args) != 2:
-            raise TermError(f"not a closed-complement pattern: {pat}")
-        p = pat.args[0].evaluate(env, n)
-        q = pat.args[1].evaluate(env, n)
-        if not (self._in_range(p) and self._in_range(q)):
-            raise TermError(f"endpoints {p},{q} outside [0,1]")
-        return self.key(p, q)
-
-    def join_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
-        zero, one = rat(0), rat(1)
-        p = _simplify_expr(EOp("max", a.args[0], b.args[0]), zero, one)
-        q = _simplify_expr(EOp("min", a.args[1], b.args[1]), zero, one)
-        return GenPattern("CC", (p, q))
-
-    def grid_values(self, grid: Sequence[ExtRat]) -> list[ExtRat]:
-        vals = {rat(v) if not isinstance(v, ExtRat) else v for v in grid}
-        vals = sorted(vals | {rat(0), rat(1)})
-        for v in vals:
-            if not self._in_range(v):
-                raise DomainError(f"interval-01 grid value {v} outside [0,1]")
-        return vals
-
-    def descriptor(self) -> dict:
-        return {"type": "interval-01"}
 
 
 # ---------------------------------------------------------------------------
@@ -571,27 +552,10 @@ def _circle_proper_display_spec() -> QuotientSpec:
     endpoint cases are stated without their interior-side restriction
     (valid because the boundary instances hold as well), absorbing the
     doubly-degenerate case."""
-    dom = ClosedComplementDomain()
-    p, q = eparam("p"), eparam("q")
-    one, zero = rat(1), rat(0)
-    cases = (
-        SchematicCase(
-            (),
-            (cmp_cond(p, ">", econst(zero)), cmp_cond(q, "<", econst(one))),
-            SchemaTerm((SchemaClause((_cc(p, q),)),)),
-        ),
-        SchematicCase(
-            (("p", zero),),
-            (),
-            SchemaTerm((SchemaClause((_cc(zero, q), _cc(one, one))),)),
-        ),
-        SchematicCase(
-            (("q", one),),
-            (),
-            SchemaTerm((SchemaClause((_cc(p, one), _cc(zero, zero))),)),
-        ),
-    )
-    return QuotientSpec(QuotientMode.PROPER, dom, (), cases)
+    spec = circle_proper_spec()
+    interior, at_zero, at_one, _ = spec.cases
+    ends = tuple(SchematicCase(case.pin, (), case.term) for case in (at_zero, at_one))
+    return QuotientSpec(spec.mode, spec.domain, (), (interior,) + ends)
 
 
 def circle_proper_presentation(simplify: bool = False) -> TransformedPresentation:

@@ -6,6 +6,15 @@ closures, interior operators, quotient-operator law suites and fixed-point
 subframes.  Everything is verified exhaustively on the finite carrier; no
 law is ever assumed.
 
+Each law is one entry of one table, ``_LAWS``: a generator expression of
+the index tuples where the law fails, in index order, of which
+``check_laws`` reports the first four.  The law lists that recur (join- and
+meet-preserving, closure, interior) are named once.  Each order-dual pair
+is written once, as one body that takes the side: ``left_adjoint`` and
+``right_adjoint`` call ``_adjoint``, ``classify_open`` and
+``classify_proper`` call ``_classify``, and ``recheck_witness`` replays the
+Frobenius and co-Frobenius laws through the same ``_frobenius_failures``.
+
 Order relations are stored as integer bitmasks (bit ``j`` of ``up[i]`` says
 ``i <= j``, bit ``j`` of ``down[i]`` says ``j <= i``), and so are subsets of
 a poset's elements; ``unions``, ``maximal``, ``missing_bound`` and
@@ -47,6 +56,7 @@ of a 12-antichain takes about 0.05 s, and ``saturate`` of a 15-antichain
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations_with_replacement, islice
 from typing import Iterable, Optional, Sequence
 
 from .records import Record
@@ -454,89 +464,73 @@ class OperatorReport(Record):
     def __bool__(self) -> bool:
         return self.verdict
 
+    def require(self) -> None:
+        """Raise ``OperatorLawError`` unless the verdict holds."""
+        if not self.verdict:
+            raise OperatorLawError(self)
+
 
 # ---------------------------------------------------------------------------
 # law primitives
 
+# Each law as the failures of a map with value table ``t`` from ``L`` to
+# ``T``, as index tuples of ``L`` in index order: the bottom or the top,
+# single elements, or pairs ``(a, b)`` with ``a <= b`` as indices
+# (``_pairs``).  The laws past the preservation ones are stated for
+# endomorphisms.
+_LAWS = {
+    "preserves-empty-join": lambda t, L, T: ((L.bottom,),) if t[L.bottom] != T.bottom else (),
+    "preserves-empty-meet": lambda t, L, T: ((L.top,),) if t[L.top] != T.top else (),
+    "inflationary": lambda t, L, T: ((a,) for a in range(L.n) if not L.leq(a, t[a])),
+    "deflationary": lambda t, L, T: ((a,) for a in range(L.n) if not L.leq(t[a], a)),
+    "idempotent": lambda t, L, T: ((a,) for a in range(L.n) if t[t[a]] != t[a]),
+    "preserves-binary-join": lambda t, L, T: ((a, b) for a, b in _pairs(L.n) if t[L.join(a, b)] != T.join(t[a], t[b])),
+    "preserves-binary-meet": lambda t, L, T: ((a, b) for a, b in _pairs(L.n) if t[L.meet(a, b)] != T.meet(t[a], t[b])),
+    "open-meet-law": lambda t, L, T: (
+        (a, b)
+        for a, b in _pairs(L.n)
+        if not (L.leq(L.meet(t[a], t[b]), t[L.meet(a, t[b])]) and L.leq(L.meet(t[b], t[a]), t[L.meet(b, t[a])]))
+    ),
+    "proper-join-law": lambda t, L, T: (
+        (a, b)
+        for a, b in _pairs(L.n)
+        if not (L.leq(t[L.join(a, t[b])], L.join(t[a], t[b])) and L.leq(t[L.join(b, t[a])], L.join(t[b], t[a])))
+    ),
+    "weak-meet-law": lambda t, L, T: (
+        (a, b) for a, b in _pairs(L.n) if not L.leq(L.meet(t[a], t[b]), t[L.meet(t[a], t[b])])
+    ),
+    "weak-join-law": lambda t, L, T: (
+        (a, b) for a, b in _pairs(L.n) if not L.leq(t[L.join(t[a], t[b])], L.join(t[a], t[b]))
+    ),
+}
 
-def _law_failures(f: MonotoneMap, law: str, limit: int = 4):
-    """Yield witness tuples (element labels) violating the named law."""
-    L, T = f.source, f.target
-    n = L.n
-    lab = L.label
-    count = 0
 
-    def emit(*idxs):
-        nonlocal count
-        count += 1
-        return tuple(lab(i) for i in idxs)
+def _pairs(n: int):
+    """The index pairs ``(a, b)`` with ``a <= b < n``, ``a`` major."""
+    return combinations_with_replacement(range(n), 2)
 
-    if law == "preserves-empty-join":
-        if f(L.bottom) != T.bottom:
-            yield emit(L.bottom)
-        return
-    if law == "preserves-empty-meet":
-        if f(L.top) != T.top:
-            yield emit(L.top)
-        return
-    if law == "inflationary":
-        for a in range(n):
-            if not L.leq(a, f(a)):
-                yield emit(a)
-                if count >= limit:
-                    return
-        return
-    if law == "deflationary":
-        for a in range(n):
-            if not L.leq(f(a), a):
-                yield emit(a)
-                if count >= limit:
-                    return
-        return
-    if law == "idempotent":
-        for a in range(n):
-            if f(f(a)) != f(a):
-                yield emit(a)
-                if count >= limit:
-                    return
-        return
-    for a in range(n):
-        for b in range(a, n):
-            ok = True
-            if law == "preserves-binary-join":
-                ok = f(L.join(a, b)) == T.join(f(a), f(b))
-            elif law == "preserves-binary-meet":
-                ok = f(L.meet(a, b)) == T.meet(f(a), f(b))
-            elif law == "open-meet-law":
-                ok = L.leq(L.meet(f(a), f(b)), f(L.meet(a, f(b)))) and L.leq(
-                    L.meet(f(b), f(a)), f(L.meet(b, f(a)))
-                )
-            elif law == "proper-join-law":
-                ok = L.leq(f(L.join(a, f(b))), L.join(f(a), f(b))) and L.leq(
-                    f(L.join(b, f(a))), L.join(f(b), f(a))
-                )
-            elif law == "weak-meet-law":
-                ok = L.leq(L.meet(f(a), f(b)), f(L.meet(f(a), f(b))))
-            elif law == "weak-join-law":
-                ok = L.leq(f(L.join(f(a), f(b))), L.join(f(a), f(b)))
-            else:
-                raise LatticeError(f"unknown law {law!r}")
-            if not ok:
-                yield emit(a, b)
-                if count >= limit:
-                    return
+
+# the law lists of the recurring roles, each in the order its witnesses
+# are reported
+JOIN_PRESERVING = ("preserves-empty-join", "preserves-binary-join")
+MEET_PRESERVING = ("preserves-empty-meet", "preserves-binary-meet")
+CLOSURE_LAWS = ("inflationary", "idempotent") + JOIN_PRESERVING
+INTERIOR_LAWS = ("deflationary", "idempotent") + MEET_PRESERVING
+
+
+def _law_failures(f: MonotoneMap, law: str, limit: int = 4) -> list[tuple[str, ...]]:
+    """The first ``limit`` witness tuples (element labels) violating the
+    named law."""
+    failures = _LAWS.get(law)
+    if failures is None:
+        raise LatticeError(f"unknown law {law!r}")
+    lab = f.source.poset.elements
+    return [tuple(lab[i] for i in w) for w in islice(failures(f.table, f.source, f.target), limit)]
 
 
 def check_laws(f: MonotoneMap, laws: Sequence[str]) -> OperatorReport:
-    witnesses = []
-    for law in laws:
-        for w in _law_failures(f, law):
-            witnesses.append((law, w))
-    return OperatorReport(not witnesses, tuple(witnesses))
-
-
-_CLOSURE_LAWS = ("inflationary", "idempotent", "preserves-empty-join", "preserves-binary-join")
-_INTERIOR_LAWS = ("deflationary", "idempotent", "preserves-empty-meet", "preserves-binary-meet")
+    witnesses = tuple((law, w) for law in laws for w in _law_failures(f, law))
+    return OperatorReport(not witnesses, witnesses)
 
 
 def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> bool:
@@ -546,36 +540,22 @@ def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> boo
     was classified; for operator laws it is the endomorphism."""
     law, labels = witness
     if law in ("left-adjoint-exists", "right-adjoint-exists"):
-        adj = left_adjoint(f) if law.startswith("left") else right_adjoint(f)
-        return adj is None
+        return _adjoint(f, law == "left-adjoint-exists") is None
     if law in ("frobenius", "co-frobenius"):
-        X, Y = f.target, f.source
-        a, b = X.poset.index(labels[0]), Y.poset.index(labels[1])
-        if law == "frobenius":
-            l = left_adjoint(f)
-            return l is not None and l(X.meet(a, f(b))) != Y.meet(l(a), b)
-        r = right_adjoint(f)
-        return r is not None and r(X.join(a, f(b))) != Y.join(r(a), b)
+        left = law == "frobenius"
+        pair = f.target.poset.index(labels[0]), f.source.poset.index(labels[1])
+        adj = _adjoint(f, left)
+        return adj is not None and pair in _frobenius_failures(f, adj, left)
     failures = _law_failures(f, law, limit=f.source.n * f.source.n + 1)
-    return tuple(labels) in {tuple(w) for w in failures}
+    return tuple(labels) in set(failures)
 
 
 def preserves_all_meets(f: MonotoneMap) -> bool:
-    return check_laws(f, ["preserves-empty-meet", "preserves-binary-meet"]).verdict
+    return check_laws(f, MEET_PRESERVING).verdict
 
 
 def as_frame_hom(f: MonotoneMap) -> MonotoneMap:
-    rep = check_laws(
-        f,
-        [
-            "preserves-empty-join",
-            "preserves-binary-join",
-            "preserves-empty-meet",
-            "preserves-binary-meet",
-        ],
-    )
-    if not rep:
-        raise OperatorLawError(rep)
+    check_laws(f, JOIN_PRESERVING + MEET_PRESERVING).require()
     return f.with_role(Role.FRAME_HOM)
 
 
@@ -603,60 +583,75 @@ def downsets(poset: FinitePoset, cap: int = 1 << 13) -> FiniteLattice:
 # adjoints
 
 
+def _adjoint(f: MonotoneMap, left: bool) -> Optional[MonotoneMap]:
+    """The left Galois adjoint of ``f`` (``left``) or its right one, when
+    it exists, as the order duals of one construction.
+
+    The left candidate sends ``b`` to the meet of ``over = {a : b <= f(a)}``
+    and is the adjoint iff ``l(b) <= a`` exactly for the ``a`` in ``over``:
+    iff the up-mask of ``l(b)`` is ``over``.  The right candidate sends
+    ``b`` to the join of ``{a : f(a) <= b}``, whose down-mask must be that
+    set.  A candidate that passes is monotone, as every adjoint is."""
+    src, tgt = f.source, f.target
+    if left:
+        src_masks, tgt_masks, bound, role = src.poset.up, tgt.poset.up, src.meet_all, Role.SUPLATTICE_HOM
+    else:
+        src_masks, tgt_masks, bound, role = src.poset.down, tgt.poset.down, src.join_all, Role.PREFRAME_HOM
+    t = f.table
+    table = []
+    for b in range(tgt.n):
+        over = [a for a in range(src.n) if tgt_masks[b] >> t[a] & 1]
+        adj = bound(over)
+        if src_masks[adj] != sum(1 << a for a in over):
+            return None
+        table.append(adj)
+    return MonotoneMap(tgt, src, tuple(table), role)
+
+
 def left_adjoint(f: MonotoneMap) -> Optional[MonotoneMap]:
     """The left Galois adjoint of ``f`` when it exists.
 
     Candidate: l(b) = meet of {a : b <= f(a)}; returned only when the full
     adjunction l(b) <= a iff b <= f(a) holds.
     """
-    src, tgt = f.source, f.target
-    table = []
-    for b in range(tgt.n):
-        table.append(src.meet_all(a for a in range(src.n) if tgt.leq(b, f(a))))
-    try:
-        cand = MonotoneMap(tgt, src, tuple(table))
-    except LatticeError:
-        return None
-    for b in range(tgt.n):
-        for a in range(src.n):
-            if src.leq(cand(b), a) != tgt.leq(b, f(a)):
-                return None
-    return cand.with_role(Role.SUPLATTICE_HOM)
+    return _adjoint(f, True)
 
 
 def right_adjoint(f: MonotoneMap) -> Optional[MonotoneMap]:
     """Dual of ``left_adjoint``: r(b) = join of {a : f(a) <= b}."""
-    src, tgt = f.source, f.target
-    table = []
-    for b in range(tgt.n):
-        table.append(src.join_all(a for a in range(src.n) if tgt.leq(f(a), b)))
-    try:
-        cand = MonotoneMap(tgt, src, tuple(table))
-    except LatticeError:
-        return None
-    for b in range(tgt.n):
-        for a in range(src.n):
-            if src.leq(a, cand(b)) != tgt.leq(f(a), b):
-                return None
-    return cand.with_role(Role.PREFRAME_HOM)
+    return _adjoint(f, False)
+
+
+def _frobenius_failures(fstar: MonotoneMap, adj: MonotoneMap, left: bool):
+    """The pairs ``(a, b)``, ``a`` in the target of ``fstar`` and ``b`` in
+    its source, where its left adjoint ``adj`` (``left``) breaks the
+    Frobenius law adj(a ^ f*(b)) = adj(a) ^ b, or its right adjoint the
+    dual law adj(a v f*(b)) = adj(a) v b."""
+    X, Y = fstar.target, fstar.source
+    op_x, op_y = (X.meet, Y.meet) if left else (X.join, Y.join)
+    return ((a, b) for a in range(X.n) for b in range(Y.n) if adj(op_x(a, fstar(b))) != op_y(adj(a), b))
+
+
+def _classify(fstar: MonotoneMap, left: bool) -> OperatorReport:
+    """``classify_open`` (``left``) or ``classify_proper``: the adjoint on
+    that side exists and satisfies its Frobenius law; at most four failing
+    pairs are reported."""
+    name, side, law = ("classify_open", "left", "frobenius") if left else ("classify_proper", "right", "co-frobenius")
+    if fstar.role != Role.FRAME_HOM:
+        raise RoleError(f"{name} needs a verified frame homomorphism")
+    adj = _adjoint(fstar, left)
+    if adj is None:
+        return OperatorReport(False, ((f"{side}-adjoint-exists", ()),))
+    X, Y = fstar.target, fstar.source
+    witnesses = tuple(
+        (law, (X.label(a), Y.label(b))) for a, b in islice(_frobenius_failures(fstar, adj, left), 4)
+    )
+    return OperatorReport(not witnesses, witnesses)
 
 
 def classify_open(fstar: MonotoneMap) -> OperatorReport:
     """Open-map check: a left adjoint exists and f_!(a ^ f*(b)) = f_!(a) ^ b."""
-    if fstar.role != Role.FRAME_HOM:
-        raise RoleError("classify_open needs a verified frame homomorphism")
-    shriek = left_adjoint(fstar)
-    if shriek is None:
-        return OperatorReport(False, (("left-adjoint-exists", ()),))
-    X, Y = fstar.target, fstar.source
-    witnesses = []
-    for a in range(X.n):
-        for b in range(Y.n):
-            if shriek(X.meet(a, fstar(b))) != Y.meet(shriek(a), b):
-                witnesses.append(("frobenius", (X.label(a), Y.label(b))))
-                if len(witnesses) >= 4:
-                    return OperatorReport(False, tuple(witnesses))
-    return OperatorReport(not witnesses, tuple(witnesses))
+    return _classify(fstar, True)
 
 
 def classify_proper(fstar: MonotoneMap) -> OperatorReport:
@@ -665,20 +660,7 @@ def classify_proper(fstar: MonotoneMap) -> OperatorReport:
     Scott-continuity of the right adjoint is automatic here: directed
     subsets of a finite lattice have greatest elements.
     """
-    if fstar.role != Role.FRAME_HOM:
-        raise RoleError("classify_proper needs a verified frame homomorphism")
-    star = right_adjoint(fstar)
-    if star is None:
-        return OperatorReport(False, (("right-adjoint-exists", ()),))
-    X, Y = fstar.target, fstar.source
-    witnesses = []
-    for a in range(X.n):
-        for b in range(Y.n):
-            if star(X.join(a, fstar(b))) != Y.join(star(a), b):
-                witnesses.append(("co-frobenius", (X.label(a), Y.label(b))))
-                if len(witnesses) >= 4:
-                    return OperatorReport(False, tuple(witnesses))
-    return OperatorReport(not witnesses, tuple(witnesses))
+    return _classify(fstar, False)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +678,7 @@ def kleene_closure(j: MonotoneMap) -> MonotoneMap:
     pre-fixed points agree with those of ``j``: iterate (id v j) to
     stability."""
     L = _require_endo(j, "kleene_closure")
-    rep = check_laws(j, ["preserves-empty-join", "preserves-binary-join"])
-    if not rep:
-        raise OperatorLawError(rep)
+    check_laws(j, JOIN_PRESERVING).require()
     cur = [L.join(x, j(x)) for x in range(L.n)]
     while True:
         nxt = [L.join(x, j(cur[x])) for x in range(L.n)]
@@ -706,9 +686,7 @@ def kleene_closure(j: MonotoneMap) -> MonotoneMap:
             break
         cur = nxt
     out = MonotoneMap(L, L, tuple(cur))
-    rep = check_laws(out, _CLOSURE_LAWS)
-    if not rep:
-        raise OperatorLawError(rep)
+    check_laws(out, CLOSURE_LAWS).require()
     return out.with_role(Role.CLOSURE_OP)
 
 
@@ -716,9 +694,7 @@ def prefixed_subframe(j: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
     """The elements with j(u) <= u, verified to be a subframe, with its
     inclusion (a frame homomorphism that has a left adjoint)."""
     L = _require_endo(j, "prefixed_subframe")
-    rep = check_laws(j, ["preserves-empty-join", "preserves-binary-join"])
-    if not rep:
-        raise OperatorLawError(rep)
+    check_laws(j, JOIN_PRESERVING).require()
     keep = [u for u in range(L.n) if L.leq(j(u), u)]
     for a in keep:
         for b in keep:
@@ -757,7 +733,7 @@ def interior_from_pair(
     X = fstar.source
     table = tuple(X.meet(gstar_radj(fstar(x)), x) for x in range(X.n))
     cand = MonotoneMap(X, X, table)
-    rep = check_laws(cand, _INTERIOR_LAWS)
+    rep = check_laws(cand, INTERIOR_LAWS)
     if rep:
         cand = cand.with_role(Role.INTERIOR_OP)
     return cand, rep
@@ -886,22 +862,16 @@ class ModeInfo(Record):
 _OPEN = QuotientFamily("open", "dia", Role.CLOSURE_OP, ("meet",))
 _PROPER = QuotientFamily("proper", "box", Role.INTERIOR_OP, ("join",))
 _TRIQUOTIENT = QuotientFamily("triquotient", "boxtimes", Role.DCPO_IDEMPOTENT, ("meet", "join"))
+# an idempotent fixing the bottom and the top: what both triquotient modes ask
+_IDEMPOTENT = ("idempotent", "preserves-empty-join", "preserves-empty-meet")
 
 _MODE_INFO = {
-    QuotientMode.SEMI_OPEN: ModeInfo(_OPEN, True, _CLOSURE_LAWS),
-    QuotientMode.OPEN: ModeInfo(_OPEN, False, _CLOSURE_LAWS + ("open-meet-law",)),
-    QuotientMode.SEMI_PROPER: ModeInfo(_PROPER, True, _INTERIOR_LAWS),
-    QuotientMode.PROPER: ModeInfo(_PROPER, False, _INTERIOR_LAWS + ("proper-join-law",)),
-    QuotientMode.SEMI_TRIQUOTIENT: ModeInfo(
-        _TRIQUOTIENT,
-        True,
-        ("idempotent", "preserves-empty-join", "preserves-empty-meet", "weak-meet-law", "weak-join-law"),
-    ),
-    QuotientMode.TRIQUOTIENT: ModeInfo(
-        _TRIQUOTIENT,
-        False,
-        ("idempotent", "preserves-empty-join", "preserves-empty-meet", "open-meet-law", "proper-join-law"),
-    ),
+    QuotientMode.SEMI_OPEN: ModeInfo(_OPEN, True, CLOSURE_LAWS),
+    QuotientMode.OPEN: ModeInfo(_OPEN, False, CLOSURE_LAWS + ("open-meet-law",)),
+    QuotientMode.SEMI_PROPER: ModeInfo(_PROPER, True, INTERIOR_LAWS),
+    QuotientMode.PROPER: ModeInfo(_PROPER, False, INTERIOR_LAWS + ("proper-join-law",)),
+    QuotientMode.SEMI_TRIQUOTIENT: ModeInfo(_TRIQUOTIENT, True, _IDEMPOTENT + ("weak-meet-law", "weak-join-law")),
+    QuotientMode.TRIQUOTIENT: ModeInfo(_TRIQUOTIENT, False, _IDEMPOTENT + ("open-meet-law", "proper-join-law")),
 }
 
 
@@ -918,9 +888,7 @@ def fixed_points(e: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
     corestricted retraction.  The carrier is rebuilt as a lattice (which
     also certifies the frame flag when the order is distributive)."""
     L = _require_endo(e, "fixed_points")
-    rep = check_laws(e, ["idempotent"])
-    if not rep:
-        raise OperatorLawError(rep)
+    check_laws(e, ["idempotent"]).require()
     keep = [u for u in range(L.n) if e(u) == u]
     sub = sublattice(L, keep)
     pos = {u: k for k, u in enumerate(keep)}

@@ -640,10 +640,7 @@ def _instantiate_clause(
 
 
 def _key_in_pool(domain: GeneratorDomain, key: str, pool_values: set[ExtRat]) -> bool:
-    endpoints = getattr(domain, "key_endpoints", None)
-    if endpoints is None:
-        return True
-    eps = endpoints(key)
+    eps = domain.key_endpoints(key)
     return eps is None or all(e in pool_values for e in eps)
 
 

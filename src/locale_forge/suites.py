@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from .evaluate import PresentedObject, eval_frame, verify_coverage
 from .generators import FiniteGeneratorDomain
 from .lattice import (
+    CLOSURE_LAWS,
     FiniteLattice,
     FinitePoset,
     MonotoneMap,
@@ -276,16 +277,18 @@ def rand_monotone_idempotent(rng: random.Random, L: FiniteLattice) -> Optional[M
         return None
 
 
-def rand_quotient_operator(
-    rng: random.Random, L: FiniteLattice, mode: QuotientMode, tries: int = 40
-) -> MonotoneMap:
+# draws of ``rand_quotient_operator`` before it falls back to a retraction
+_OPERATOR_TRIES = 40
+
+
+def rand_quotient_operator(rng: random.Random, L: FiniteLattice, mode: QuotientMode) -> MonotoneMap:
     """A random operator passing the mode's law suite; falls back to the
     retraction onto a random sublattice (which always passes).
 
     The triquotient modes also draw bare monotone idempotents, so the suite
     sees operators that are neither inflationary nor deflationary."""
     role = mode.info.family.role
-    for _ in range(tries):
+    for _ in range(_OPERATOR_TRIES):
         style = rng.randrange(3)
         if role is Role.CLOSURE_OP:
             cand = (
@@ -461,10 +464,7 @@ def suite_kleene(seed: int, count: int) -> SuiteResult:
         L = downsets(rand_poset(rng, rng.randint(1, 5)))
         j = rand_join_endo(rng, L)
         c = kleene_closure(j)
-        rep = check_laws(
-            c,
-            ["inflationary", "idempotent", "preserves-empty-join", "preserves-binary-join"],
-        )
+        rep = check_laws(c, CLOSURE_LAWS)
         prefixed = {u for u in range(L.n) if L.leq(j(u), u)}
         fixed = {u for u in range(L.n) if c(u) == u}
         ok = rep.verdict and prefixed == fixed

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Union
 from .generators import GeneratorDomain, TaggedDomain
 from .lattice import (
     MonotoneMap,
-    OperatorLawError,
     QuotientMode,
     Role,
     check_quotient_operator,
@@ -489,13 +488,10 @@ def derive_spec_from_coinserter(
             a, b = compose(g_st, fstar), compose(f_st, gstar)
             table = tuple(X.meet(X.meet(a(x), b(x)), x) for x in range(X.n))
             op = MonotoneMap(X, X, table)
-            rep = check_quotient_operator(op, mode.semi_variant)
-            if not rep:
-                raise OperatorLawError(rep)
+            check_quotient_operator(op, mode.semi_variant).require()
         else:
             op, rep = interior_from_pair(g_st, fstar)
-            if not rep:
-                raise OperatorLawError(rep)
+            rep.require()
     else:
         raise TransformError(
             "triquotient specs are caller data; derivation covers the open and proper modes"
@@ -503,14 +499,10 @@ def derive_spec_from_coinserter(
     return spec_from_operator(parent, op, mode)
 
 
-def spec_from_operator(
-    parent: PresentedObject, op: MonotoneMap, mode: QuotientMode, check: bool = True
-) -> QuotientSpec:
-    """Read a verified quotient operator back off the generators."""
-    if check:
-        rep = check_quotient_operator(op, mode)
-        if not rep:
-            raise OperatorLawError(rep)
+def spec_from_operator(parent: PresentedObject, op: MonotoneMap, mode: QuotientMode) -> QuotientSpec:
+    """Read a quotient operator back off the generators, once it passes the
+    mode's law suite."""
+    check_quotient_operator(op, mode).require()
     domain = parent.domain
     family = mode.info.family
     fold = PresentationKind.with_ops(family.ops).folds_meets

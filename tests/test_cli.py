@@ -96,6 +96,16 @@ class TestVerbs:
         assert spaced[0] == joined[0] == 0, spaced[2]
         assert spaced[1] == joined[1] != ""
 
+    @pytest.mark.parametrize("verb", ["eval", "check"])
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_a_grid_without_points_is_an_input_error(self, tmp_path, two_point_file, verb, grid):
+        f = tmp_path / "reals.pres"
+        f.write_text("domain interval-R\nkind sup\ninclude standard\n")
+        for path in (str(f), two_point_file):
+            rc, out, err = run_cli(verb, path, "--grid", grid)
+            assert rc == 2 and out == ""
+            assert json.loads(err) == {"error": "input", "detail": "empty instantiation grid"}
+
     def test_transform_and_roundtrip(self, two_point_file, swap_spec_file, tmp_path):
         rc, out, err = run_cli(
             "transform", two_point_file, "--spec", swap_spec_file, "--format", "json"
@@ -185,6 +195,11 @@ class TestVerify:
         )
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_a_seed_env_var_that_is_no_integer_is_an_input_error(self):
+        rc, out, err = run_cli("verify", "--kleene", "--count", "1", env_extra={"LOCALE_FORGE_SEED": "abc"})
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "LOCALE_FORGE_SEED is not an integer: 'abc'"}
 
     def test_coverage_suite(self):
         rc, out, _ = run_cli(
@@ -407,6 +422,35 @@ class TestMalformedInput:
         assert rc == 2 and out == ""
         assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
 
+
+    @pytest.mark.parametrize("missing", ["fstar", "gstar"])
+    def test_derive_bundle_with_a_partial_map_names_the_element(self, tmp_path, missing):
+        from locale_forge import serialize
+        from locale_forge.dsl import parse
+        from locale_forge.evaluate import eval_frame
+
+        parent = parse(
+            "domain finite { gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t; }\n"
+            "kind sup\nrel a v b = t\nrel z = 0\n"
+        )
+        X = eval_frame(parent).carrier
+        maps = {"fstar": {e: e for e in X.elements}, "gstar": {e: e for e in X.elements}}
+        del maps[missing][X.elements[1]]
+        bundle = {
+            "parent": serialize.presentation_to_jsonable(parent),
+            "target": serialize.lattice_to_jsonable(X),
+            **maps,
+        }
+        f = tmp_path / "bundle.json"
+        f.write_text(json.dumps(bundle))
+        rc, out, err = run_cli("derive", str(f), "--mode", "open")
+        assert rc == 2 and out == ""
+        detail = f"malformed document {f}: {missing} gives no image of the parent element {X.elements[1]!r}"
+        assert json.loads(err) == {"error": "input", "detail": detail}
+        maps[missing] = {}
+        f.write_text(json.dumps({**bundle, **maps}))
+        rc, out, err = run_cli("derive", str(f), "--mode", "open")
+        assert rc == 2 and json.loads(err)["error"] == "input"
 
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):

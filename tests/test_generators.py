@@ -119,3 +119,17 @@ class TestTaggedDomainTags:
     def test_any_other_tag_is_rejected(self, tag):
         with pytest.raises(DomainError, match="unknown generator tag"):
             TaggedDomain(tag, lattice_domain(["a"], []))
+
+
+class TestDomainEquality:
+    def test_a_domain_equals_itself_without_building_a_descriptor(self, monkeypatch):
+        dom = lattice_domain(["z", "a", "t"], [(0, 1), (1, 2)])
+        built = []
+        descriptor = FiniteGeneratorDomain.descriptor
+        monkeypatch.setattr(FiniteGeneratorDomain, "descriptor", lambda self: built.append(self) or descriptor(self))
+        assert dom == dom and not dom != dom
+        assert built == []
+        # a distinct but equal domain still compares by descriptor
+        twin = lattice_domain(["z", "a", "t"], [(0, 1), (1, 2)])
+        assert dom == twin and built == [dom, twin]
+        assert dom != lattice_domain(["z", "a", "t"], [(0, 2), (2, 1)])

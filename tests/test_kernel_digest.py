@@ -1,0 +1,166 @@
+"""A pinned digest of the exact kernel on seeded random frames: the
+witnesses ``check_laws`` reports for every law name on random monotone
+endomorphisms (operators and non-operators alike), the reports of
+``classify_open`` and ``classify_proper`` on random frame homomorphisms
+between downset frames, the tables of ``left_adjoint`` and
+``right_adjoint`` (or ``None``), and ``recheck_witness`` on every
+reported witness.
+
+The pinned value was taken before the law checks, the adjoints and the
+two classifications were each reduced to one body, so any change in what
+the kernel reports, or in the order it reports it, shows here."""
+
+import hashlib
+import random
+
+from locale_forge.lattice import (
+    FiniteLattice,
+    LatticeError,
+    MonotoneMap,
+    as_frame_hom,
+    check_laws,
+    classify_open,
+    classify_proper,
+    downsets,
+    left_adjoint,
+    recheck_witness,
+    right_adjoint,
+    unions,
+)
+from locale_forge.suites import (
+    closure_onto_sublattice,
+    interior_onto_sublattice,
+    rand_join_endo,
+    rand_monotone_idempotent,
+    rand_poset,
+    rand_sublattice,
+)
+
+LAWS = (
+    "preserves-empty-join",
+    "preserves-empty-meet",
+    "inflationary",
+    "deflationary",
+    "idempotent",
+    "preserves-binary-join",
+    "preserves-binary-meet",
+    "open-meet-law",
+    "proper-join-law",
+    "weak-meet-law",
+    "weak-join-law",
+)
+ADJOINT_LAWS = ("left-adjoint-exists", "right-adjoint-exists")
+
+
+def rand_monotone(rng: random.Random, src: FiniteLattice, tgt: FiniteLattice) -> MonotoneMap:
+    """A random monotone map: in order of size, each element goes to a
+    random element above the images of those below it."""
+    table = [0] * src.n
+    for x in sorted(range(src.n), key=lambda x: src.poset.down[x].bit_count()):
+        floor = tgt.join_all(table[y] for y in range(src.n) if y != x and src.leq(y, x))
+        table[x] = rng.choice([y for y in range(tgt.n) if tgt.leq(floor, y)])
+    return MonotoneMap(src, tgt, tuple(table))
+
+
+def rand_frame_hom(rng: random.Random):
+    """The inverse-image map D(Q) -> D(P) of a random monotone map P -> Q
+    of random posets, a frame homomorphism between downset frames; or
+    ``None`` when the draw has no monotone extension."""
+    P, Q = rand_poset(rng, rng.randint(1, 3)), rand_poset(rng, rng.randint(1, 3))
+    f = [0] * P.n
+    for x in range(P.n):  # rand_poset's order refines the index order
+        allowed = (1 << Q.n) - 1
+        for y in range(x):
+            if P.leq(y, x):
+                allowed &= Q.up[f[y]]
+        if not allowed:
+            return None
+        f[x] = rng.choice([q for q in range(Q.n) if allowed >> q & 1])
+    down_p, down_q = unions(P.down, 1 << 13, "p"), unions(Q.down, 1 << 13, "q")
+    index_p = {m: i for i, m in enumerate(down_p)}
+    table = tuple(index_p[sum(1 << x for x in range(P.n) if u >> f[x] & 1)] for u in down_q)
+    return MonotoneMap(downsets(Q), downsets(P), table)
+
+
+def attempt(fn, *args):
+    try:
+        return fn(*args), None
+    except LatticeError as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+def adjoint_record(f: MonotoneMap):
+    out = []
+    for adjoint in (left_adjoint, right_adjoint):
+        adj = adjoint(f)
+        out.append(None if adj is None else (adj.table, adj.role.value))
+    return out
+
+
+def report_record(f: MonotoneMap, rep):
+    return (rep.verdict, rep.witnesses, rep.notes, [recheck_witness(f, w) for w in rep.witnesses])
+
+
+def endomorphisms(rng: random.Random, L: FiniteLattice):
+    yield rand_monotone(rng, L, L)
+    yield rand_monotone(rng, L, L)
+    yield rand_join_endo(rng, L)
+    yield closure_onto_sublattice(L, rand_sublattice(rng, L))
+    yield interior_onto_sublattice(L, rand_sublattice(rng, L))
+    e = rand_monotone_idempotent(rng, L)
+    if e is not None:
+        yield e
+
+
+def kernel_records(seed: int):
+    rng = random.Random(seed)
+    L = downsets(rand_poset(rng, rng.randint(1, 4)))
+    for e in endomorphisms(rng, L):
+        yield "endo", e.table
+        for law in LAWS:
+            yield law, report_record(e, check_laws(e, [law]))
+        yield "all", report_record(e, check_laws(e, LAWS))
+        yield "unknown", attempt(check_laws, e, ["no-such-law"])
+        yield "adjoints", adjoint_record(e)
+    M = downsets(rand_poset(rng, rng.randint(1, 3)))
+    g = rand_monotone(rng, L, M)
+    yield "map", g.table, adjoint_record(g), [recheck_witness(g, (law, ())) for law in ADJOINT_LAWS]
+    _, err = attempt(as_frame_hom, g)
+    if err:
+        yield "as-frame-hom", err
+    for _ in range(3):
+        f = rand_frame_hom(rng)
+        if f is None:
+            yield "no-hom", None
+            continue
+        fstar = as_frame_hom(f)
+        yield "hom", f.source.elements, f.target.elements, f.table, adjoint_record(fstar)
+        for classify in (classify_open, classify_proper):
+            yield classify.__name__, report_record(fstar, classify(fstar))
+
+
+class TestKernelDigest:
+    PINNED = (5973, "75740761a4829a85ade57d492dfe29072f83464f859416966a2a18eea1ac6eb7")
+
+    def test_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for seed in range(60):
+            for record in kernel_records(seed):
+                h.update(repr(record).encode())
+                count += 1
+        assert (count, h.hexdigest()) == self.PINNED
+
+    def test_the_draws_reach_every_verdict(self):
+        """The digest is not vacuous: each law both holds and fails on
+        some draw, and the classifications both grant and refuse."""
+        seen = set()
+        for seed in range(60):
+            for record in kernel_records(seed):
+                if record[0] in LAWS or record[0] in ("classify_open", "classify_proper"):
+                    seen.add((record[0], record[1][0]))
+                if record[0] == "as-frame-hom":
+                    seen.add(("as-frame-hom", record[1][0]))
+        for name in LAWS + ("classify_open", "classify_proper"):
+            assert (name, True) in seen and (name, False) in seen, name
+        assert ("as-frame-hom", "OperatorLawError") in seen

@@ -114,6 +114,16 @@ def test_import_star_and_dir_list_every_exported_name():
     assert set(locale_forge.__all__) <= set(dir(locale_forge))
 
 
+def test_every_submodule_is_reachable_from_the_root():
+    modules = {path.stem for path in (SRC / "locale_forge").glob("*.py")} - {"__init__"}
+    assert locale_forge._SUBMODULES == modules
+    out = fresh(
+        "import json, locale_forge\n"
+        "print(json.dumps([locale_forge.records.__name__, 'records' in dir(locale_forge)]))\n"
+    )
+    assert out == ["locale_forge.records", True]
+
+
 def test_an_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         locale_forge.no_such_name
