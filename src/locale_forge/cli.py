@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from typing import Optional
 
 from .generators import DomainError, UnknownDomainError
 from .lattice import (
@@ -134,9 +135,20 @@ def _emit_presentation(p: Presentation, fmt: str) -> None:
 # verbs
 
 
-def cmd_check(args) -> int:
+def _presentation_on(args) -> tuple[Presentation, Optional[list]]:
+    """The presentation in ``args.input`` and the grid of ``args.grid``.  A
+    finite presentation without schemas is read as it is (``on_grid``), so
+    a grid given for it is an input mistake."""
     p = _load(args.input, Presentation)
-    report = check_kind(p, grid=_parse_grid(args.grid), oracle=not args.no_oracle)
+    grid = _parse_grid(args.grid)
+    if grid is not None and p.domain.finite and not p.schematic:
+        raise UsageError("--grid given for a finite presentation without schemas, which has nothing to instantiate")
+    return p, grid
+
+
+def cmd_check(args) -> int:
+    p, grid = _presentation_on(args)
+    report = check_kind(p, grid=grid, oracle=not args.no_oracle)
     if args.format == "json":
         from .serialize import stability_to_jsonable
 
@@ -149,7 +161,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     from .evaluate import EVALUATORS, eval_frame
 
-    p = on_grid(_load(args.input, Presentation), _parse_grid(args.grid), "eval")
+    p = on_grid(*_presentation_on(args), "eval")
     if args.category == "frame":
         obj = eval_frame(p)
     else:
@@ -352,6 +364,16 @@ def cmd_derive(args) -> int:
         table = [None] * X.n
         with _document(args.input):
             for src_label, dst_label in bundle[key].items():
+                if src_label not in x_idx:
+                    raise UsageError(
+                        f"malformed document {args.input}: {key} maps {src_label!r}, "
+                        "which is not an element of the parent"
+                    )
+                if dst_label not in t_idx:
+                    raise UsageError(
+                        f"malformed document {args.input}: {key} sends {src_label!r} to {dst_label!r}, "
+                        "which is not an element of the target"
+                    )
                 table[x_idx[src_label]] = t_idx[dst_label]
         if None in table:
             missing = X.elements[table.index(None)]

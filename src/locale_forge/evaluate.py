@@ -9,6 +9,13 @@ rules ``a <| B`` (a is covered by the joins of B), the rules are
 stabilised under meets with generators, and the carrier is the family of
 downsets closed under all rules, i.e. the fixed points of the least
 nucleus forcing the relations.  Joins are computed by re-closing unions.
+The closure engine (``_FrameEngine``) works on class masks: the meet
+equations collapse the formal meets into classes, every set of classes is
+a mask over class positions, class meets are read off rows built when first
+needed, and each rule is an integer pair of its conclusion class and the
+mask of its premises.  The stabilised rules are kept as a set; the order in
+which they fire does not change a least fixed point, so output does not
+depend on it.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the corresponding weaker category: downsets / upsets / the
@@ -185,56 +192,82 @@ def _congruence(n: int, pairs, forced) -> list[int]:
 
 
 class _FrameEngine:
+    """The least nucleus of a set of covering rules, on the classes of the
+    meet congruence of a ``_MeetCarrier``, with every set of classes held
+    as a mask over class positions.
+
+    ``cls`` gives the position of each formal meet's class; classes are
+    numbered in the order of their least members.  The class meet is read
+    off one row per class, ``row(i)[j]``, built from the representatives'
+    masks when first needed, so each pair of classes is met at most once.
+    A rule ``a <| B`` is the pair of the class ``a`` and the mask of its
+    premises ``B``, each premise met with ``a``; the rules are stabilised
+    under meets with the generators' classes as a set of such integer
+    pairs, with no frozensets and no sorting.  ``close`` fires the rules by
+    premise, in an order that does not change its result, and
+    ``enumerate_carrier`` builds the fixed sets from the join-irreducible
+    ones.
+    """
+
     def __init__(
         self,
         M: _MeetCarrier,
-        covers: list[tuple[int, frozenset[int]]],
+        covers: list[tuple[int, Sequence[int]]],
         meet_eqs: list[tuple[int, int]],
         max_carrier: int,
     ):
         self.max_carrier = max_carrier
         gen_idxs = sorted(set(M.gen_index.values()))
 
-        # 1. meet-congruence pre-collapse (pure meet equations)
-        self._rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])
-        reps = sorted(set(self._rep))
-        self.rep_pos = {r: k for k, r in enumerate(reps)}
+        # 1. meet-congruence pre-collapse (pure meet equations); each class
+        # is numbered by the order of its least member
+        rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])
+        reps = sorted(set(rep))
+        number = {r: k for k, r in enumerate(reps)}
+        self.cls = cls = [number[r] for r in rep]
         self.n = len(reps)
-        self.reps = reps
-        self._M = M
-        self.gen_pos = sorted({self.pos(g) for g in gen_idxs})
-        self.top = self.pos(M.top)
+        self._rep_masks = [M.masks[r] for r in reps]
+        self._index = M.index
+        self._rows: list[Optional[list[int]]] = [None] * self.n
 
         # labels: smallest original label in the class
-        by_class: dict[int, list[str]] = {}
-        for i, r in enumerate(self._rep):
-            by_class.setdefault(r, []).append(M.labels[i])
-        self.labels = [min(by_class[r], key=lambda s: (len(s), s)) for r in reps]
+        best: list[Optional[str]] = [None] * self.n
+        for c, label in zip(cls, M.labels):
+            if best[c] is None or (len(label), label) < (len(best[c]), best[c]):
+                best[c] = label
+        self.labels = best
 
-        # 2. covers onto class representatives, B normalised below a
-        base = []
+        # 2. covers onto classes, each premise met with the conclusion
+        row = self.row
+        seen: set[tuple[int, int]] = set()
         for a, B in covers:
-            a2 = self.pos(a)
-            B2 = frozenset(self.cmeet(self.pos(b), a2) for b in B)
-            if a2 in B2:
-                continue
-            base.append((a2, B2))
+            a = cls[a]
+            meet_a = row(a)
+            bm = 0
+            for b in B:
+                bm |= 1 << meet_a[cls[b]]
+            if not bm >> a & 1:
+                seen.add((a, bm))
 
         # 3. closure of the cover set under meets with generators
-        seen = set(base)
-        queue = list(base)
+        gen_rows = [row(g) for g in sorted({cls[g] for g in gen_idxs})]
+        queue = list(seen)
         while queue:
-            a, B = queue.pop()
-            for g in self.gen_pos:
-                a2 = self.cmeet(a, g)
-                B2 = frozenset(self.cmeet(b, a2) for b in B)
-                if a2 in B2:
+            a, bm = queue.pop()
+            for meet_g in gen_rows:
+                a2 = meet_g[a]
+                meet_a2 = row(a2)
+                b2, rest = 0, bm
+                while rest:
+                    low = rest & -rest
+                    b2 |= 1 << meet_a2[low.bit_length() - 1]
+                    rest ^= low
+                if b2 >> a2 & 1:
                     continue
-                inst = (a2, B2)
+                inst = (a2, b2)
                 if inst not in seen:
                     seen.add(inst)
                     queue.append(inst)
-        self.instances = sorted(seen, key=lambda ab: (ab[0], sorted(ab[1])))
 
         # 4. downward closure masks on the classes: class j lies below
         # class i (cmeet(i, j) == j) exactly when some member of j lies
@@ -244,50 +277,58 @@ class _FrameEngine:
         for r in reps:
             m = 0
             for j in _bits(M.poset.down[r]):
-                m |= 1 << self.pos(j)
+                m |= 1 << cls[j]
             self.down.append(m)
 
-        # 5. trigger index for the closure operator: each instance as the
-        # mask of its premises B and the downset of its conclusion a
+        # 5. trigger index for the closure operator: each rule as the mask
+        # of its premises and the downset of its conclusion
         self.by_elem: list[list[int]] = [[] for _ in range(self.n)]
         self.premises = []
         self.conclusion = []
         self.always = 0
-        for k, (a, B) in enumerate(self.instances):
-            bm = 0
-            for b in B:
-                bm |= 1 << b
+        for k, (a, bm) in enumerate(seen):
             self.premises.append(bm)
             self.conclusion.append(self.down[a])
-            if not B:
+            if not bm:
                 self.always |= self.down[a]
-            for b in B:
+            for b in _bits(bm):
                 self.by_elem[b].append(k)
 
-    def pos(self, m_index: int) -> int:
-        return self.rep_pos[self._rep[m_index]]
+    def row(self, i: int) -> list[int]:
+        """The class meets of class ``i`` with every class, by position."""
+        out = self._rows[i]
+        if out is None:
+            cls, index, mask = self.cls, self._index, self._rep_masks[i]
+            out = self._rows[i] = [cls[index[mask & m]] for m in self._rep_masks]
+        return out
 
     def cmeet(self, i: int, j: int) -> int:
-        return self.pos(self._M.meet(self.reps[i], self.reps[j]))
+        return self.row(i)[j]
 
     def close(self, mask: int, base: int = 0) -> int:
         """The least fixed set containing ``base | mask``, where ``base``
         is a fixed set itself (or 0).  A rule whose premises all lie in
         ``base`` already holds there, so only the elements outside it are
-        queued.  A rule is looked at whenever one of its premises leaves
-        the queue; once it has fired, it adds nothing more."""
+        queued, and the queue is a mask.  A rule is looked at whenever one
+        of its premises leaves the queue; once it has fired, it adds
+        nothing more."""
         down, by_elem, premises, conclusion = self.down, self.by_elem, self.premises, self.conclusion
         u = base | self.always
-        for e in _bits(mask & ~base):
-            u |= down[e]
-        queue = list(_bits(u & ~base))
+        mask &= ~base
+        while mask:
+            low = mask & -mask
+            u |= down[low.bit_length() - 1]
+            mask ^= low
+        queue = u & ~base
         while queue:
-            for k in by_elem[queue.pop()]:
+            low = queue & -queue
+            queue ^= low
+            for k in by_elem[low.bit_length() - 1]:
                 if premises[k] & ~u == 0:
                     add = conclusion[k] & ~u
                     if add:
                         u |= add
-                        queue.extend(_bits(add))
+                        queue |= add
         return u
 
     def enumerate_carrier(self) -> list[int]:
@@ -356,33 +397,33 @@ def _structural_rules(p: Presentation, M: _MeetCarrier):
     them: each binary join covered by its two generators, and the bottom
     by nothing."""
     domain = p.domain
-    covers: list[tuple[int, frozenset[int]]] = []
+    covers: list[tuple[int, tuple[int, ...]]] = []
     if p.kind.uses("join") and domain.has_join:
         gens = M.gen_keys
         for a, b in itertools.combinations(gens, 2):
             j = domain.join(a, b)
-            covers.append((M.gen_index[j], frozenset((M.gen_index[a], M.gen_index[b]))))
+            covers.append((M.gen_index[j], (M.gen_index[a], M.gen_index[b])))
         bot = domain.bottom()
         if bot is not None:
-            covers.append((M.gen_index[bot], frozenset()))
+            covers.append((M.gen_index[bot], ()))
     return covers
 
 
 def _relation_rules(p: Presentation, M: _MeetCarrier):
-    covers: list[tuple[int, frozenset[int]]] = []
+    covers: list[tuple[int, tuple[int, ...]]] = []
     meet_eqs: list[tuple[int, int]] = []
 
     for rel in p.concrete_relations():
-        lhs = [M.clause(c.gens) for c in rel.lhs.clauses]
-        rhs = [M.clause(c.gens) for c in rel.rhs.clauses]
+        lhs = tuple(M.clause(c.gens) for c in rel.lhs.clauses)
+        rhs = tuple(M.clause(c.gens) for c in rel.rhs.clauses)
         if rel.op == "=" and len(lhs) == 1 and len(rhs) == 1:
             meet_eqs.append((lhs[0], rhs[0]))
             continue
         for a in lhs:
-            covers.append((a, frozenset(rhs)))
+            covers.append((a, rhs))
         if rel.op == "=":
             for b in rhs:
-                covers.append((b, frozenset(lhs)))
+                covers.append((b, lhs))
     return covers, meet_eqs
 
 
@@ -440,7 +481,7 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 
-    interp = {g: index[eng.principal[eng.pos(M.gen_index[g])]] for g in M.gen_keys}
+    interp = {g: index[eng.principal[eng.cls[M.gen_index[g]]]] for g in M.gen_keys}
 
     def term_value(t: Term) -> int:
         # the join of the clauses' principal closures and the least fixed
@@ -448,7 +489,7 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
         # largest of them
         u = base = masks[0]
         for cl in t.clauses:
-            c = eng.principal[eng.pos(M.clause(cl.gens))]
+            c = eng.principal[eng.cls[M.clause(cl.gens)]]
             u |= c
             if c.bit_count() > base.bit_count():
                 base = c

@@ -409,7 +409,7 @@ def expand_family_meet(
     s_pat = GenPattern("OI", (econst(lo), econst(hi)))
     meets = [domain.meet_patterns(s_pat, b) for b in fam.meet]
     if not any(
-        a.with_index for m in meets for arg in m.args for a in _atoms(arg)
+        a.with_index for m in meets for arg in m.args for a in arg.atoms()
     ):
         keys = [domain.instantiate_pattern(m, {}, None) for m in meets]
         keys = [k for k in keys if k != domain.BOTTOM]
@@ -418,7 +418,7 @@ def expand_family_meet(
         a.const + a.offset
         for m in fam.meet
         for arg in m.args
-        for a in _atoms(arg)
+        for a in arg.atoms()
         if a.param is None and (a.const + a.offset).finite
     ]
     if lo.finite and hi.finite:
@@ -438,14 +438,6 @@ def expand_family_meet(
     for m in meets:
         conds.append(cmp_cond(m.args[0], "<", m.args[1]))
     return SchemaClause(tuple(meets), conds=tuple(conds), int_var=fam.int_var)
-
-
-def _atoms(e: EExpr):
-    if isinstance(e, EOp):
-        yield from _atoms(e.left)
-        yield from _atoms(e.right)
-    else:
-        yield e
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,19 @@ per-pair table: each meet or join is one lookup of a mask.  Birkhoff's test
 O(n·|J|) mask operations, J its join-irreducibles, and ``subset_poset``
 builds the order of n subsets of k points in O(n·k), so no frame is built
 with O(n²) work; only a poset that fails the test takes an O(n²) pass.
-``downsets`` of a 12-element antichain (4096 elements) takes about 0.04 s
-and of a 14-element antichain (16384 elements, ``cap`` raised) about 0.3 s;
-``eval_frame`` of the 8-point real-line grid without roundedness (4181
-elements, ``max_carrier`` raised) takes about 0.15 s; best of three on a
-2-core Intel Xeon.
+Both read each element off a neighbour with one point less or more where
+the family has one, as every downset family numbered along a linear
+extension does, which makes them O(n) lookups on the frames the package
+builds.  ``downsets`` of a 12-element antichain (4096 elements) takes about
+0.04 s and of a 14-element antichain (16384 elements, ``cap`` raised) about
+0.3 s; ``eval_frame`` of the 8-point real-line grid without roundedness
+(4181 elements, ``max_carrier`` raised) takes about 0.15 s; best of three on
+a 2-core Intel Xeon.  The grid path on the 7-point real-line grid without
+roundedness, plus ``OI() = 0`` (1597 elements), takes about 14 ms in
+``presentation.instantiate_schemas`` and 39 ms in ``eval_frame``, against
+19 ms and 52 ms before side conditions were compiled and the closure engine
+moved onto class masks (medians of best-of-7 over five alternating runs on
+the same host).
 
 ``poset_isomorphism`` searches nothing.  Its source must be a distributive
 lattice generated by the pinned elements (every oracle comparison pins the
@@ -138,9 +146,11 @@ def maximal(mask: int, down: Sequence[int]) -> int:
     """The maximal elements of ``mask``, given each element's down-mask:
     those strictly below no other element of ``mask``.  Given up-masks
     instead, the minimal elements."""
-    below = 0
-    for f in _bits(mask):
-        below |= down[f] ^ (1 << f)
+    below, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        below |= down[low.bit_length() - 1] ^ low
+        rest ^= low
     return mask & ~below
 
 
@@ -161,13 +171,21 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
     inclusion (reverse inclusion when ``reverse``).  ``label(mask)`` names
     each element; a repeated name gets primes appended.
 
-    The order comes straight from the subsets, in O(n·k) mask operations
-    over a ground set of k points: with ``has[e]`` the elements whose
-    subset contains ``e``, the elements above ``m`` are the intersection of
-    ``has[e]`` over ``e`` in ``m``, and those below it are the ones in no
-    ``has[e]`` with ``e`` outside ``m``.  Reverse inclusion is inclusion of
-    the complements."""
-    if len(set(masks)) != len(masks):
+    The order comes straight from the subsets.  With ``has[e]`` the
+    elements whose subset contains the point ``e``, the elements above
+    ``m`` are the intersection of ``has[e]`` over ``e`` in ``m``, and those
+    below it are the ones in no ``has[e]`` with ``e`` outside ``m``.  Each
+    is read off a neighbour in the family where there is one: the
+    elements above ``m`` are those above ``m`` less its highest point that
+    also contain that point, and the elements below ``m`` are those below
+    ``m`` plus its lowest missing point that do not contain that point.  So
+    each subset costs one lookup, and only a subset without the neighbour
+    takes the O(k) pass over a ground set of k points.  In a family of
+    downsets whose points are numbered along a linear extension (every
+    downset family the package builds) both neighbours always exist.
+    Reverse inclusion is inclusion of the complements."""
+    index = {m: i for i, m in enumerate(masks)}
+    if len(index) != len(masks):
         raise InvalidPosetError("repeated subset")
     labels = []
     taken: set[str] = set()
@@ -177,26 +195,49 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
             lab += "'"
         taken.add(lab)
         labels.append(lab)
-    if reverse:
-        full = 0
-        for m in masks:
-            full |= m
-        masks = [full & ~m for m in masks]
-    has: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        for e in _bits(m):
-            has[e] = has.get(e, 0) | 1 << i
-    everything = (1 << len(masks)) - 1
-    up, down = [], []
+    ground = 0
     for m in masks:
-        above, outside = everything, 0
-        for e, h in has.items():
-            if m >> e & 1:
-                above &= h
-            else:
-                outside |= h
-        up.append(above)
-        down.append(everything & ~outside)
+        ground |= m
+    if reverse:
+        masks = [ground & ~m for m in masks]
+        index = {m: i for i, m in enumerate(masks)}
+    has = [0] * ground.bit_length()
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            has[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    everything = (1 << len(masks)) - 1
+    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+    up: list[int] = [0] * len(masks)
+    for i in by_size:
+        m = masks[i]
+        top = 1 << (m.bit_length() - 1) if m else 0
+        j = index.get(m ^ top) if m else None
+        if j is not None:
+            up[i] = up[j] & has[top.bit_length() - 1]
+            continue
+        above = everything
+        while m:
+            low = m & -m
+            above &= has[low.bit_length() - 1]
+            m ^= low
+        up[i] = above
+    down: list[int] = [0] * len(masks)
+    for i in reversed(by_size):
+        m = masks[i]
+        missing = ground & ~m
+        low = missing & -missing
+        j = index.get(m | low) if missing else None
+        if j is not None:
+            down[i] = down[j] & ~has[low.bit_length() - 1]
+            continue
+        outside = 0
+        while missing:
+            low = missing & -missing
+            outside |= has[low.bit_length() - 1]
+            missing ^= low
+        down[i] = everything & ~outside
     return FinitePoset(tuple(labels), tuple(up), tuple(down))
 
 
@@ -279,22 +320,36 @@ def is_distributive_lattice(poset: FinitePoset) -> bool:
     ``φ`` is an isomorphism onto the downset lattice of ``J``.  Conversely,
     in a distributive lattice ``J`` is the set of join-irreducibles and
     ``φ`` is that isomorphism.  Reflecting the order implies injectivity,
-    which is tested first because it is cheaper.  The downsets are counted
-    by set doubling, which stops at ``n + 1``; here ``φ`` is held as masks
-    over all elements, with the bits of ``J`` only."""
+    which is tested first because it is cheaper.  The AND for ``x`` is
+    read off the element ``y`` whose ``φ(y)`` is ``φ(x)`` less its highest
+    member, where there is one, once ``y`` has passed: then it is
+    ``up[y]`` AND the up-mask of that member, one operation.  So the
+    elements are checked in order of ``|φ(x)|``, and only an ``x`` without
+    such a ``y`` takes the AND over all of ``φ(x)``.  The downsets are
+    counted by set doubling, which stops at ``n + 1``; here ``φ`` is held
+    as masks over all elements, with the bits of ``J`` only."""
     n, up, down = poset.n, poset.up, poset.down
     irreducible = join_irreducibles(poset)
     in_j = 0
     for j in irreducible:
         in_j |= 1 << j
     phi = [d & in_j for d in down]
-    if len(set(phi)) != n:
+    by_phi = {f: x for x, f in enumerate(phi)}
+    if len(by_phi) != n:
         return False
     everything = (1 << n) - 1
-    for x in range(n):
-        acc = everything
-        for j in _bits(phi[x]):
-            acc &= up[j]
+    for x in sorted(range(n), key=lambda x: phi[x].bit_count()):
+        rest = phi[x]
+        top = rest.bit_length() - 1
+        y = by_phi.get(rest ^ (1 << top)) if rest else None
+        if y is not None:
+            acc = up[y] & up[top]
+        else:
+            acc = everything
+            while rest:
+                low = rest & -rest
+                acc &= up[low.bit_length() - 1]
+                rest ^= low
         if acc != up[x]:
             return False
     downsets_of_j = _union_set((phi[j] for j in irreducible), n)

@@ -573,29 +573,37 @@ def _bindings(
     once, as soon as the last of its free parameters is bound (a parameter
     listed again, or shadowing one of ``env``, counts from its last
     binding), so a partial binding that fails is never extended.  A
-    condition that mentions a parameter bound nowhere is skipped.  Each
+    condition that mentions a parameter bound nowhere is skipped.  The
+    conditions are compiled once per call (``Cond.compiled``).  Each
     yielded environment is a fresh dict.
     """
     env = dict(env or {})
     level = {name: 0 for name in env}
     level.update((name, i + 1) for i, name in enumerate(params))
-    checks: list[list[Cond]] = [[] for _ in range(len(params) + 1)]
+    checks: list[list] = [[] for _ in range(len(params) + 1)]
     for c in conds:
         free = c.free_params()
         if all(name in level for name in free):
-            checks[max((level[name] for name in free), default=0)].append(c)
-    if not all(c.holds(env) for c in checks[0]):
+            checks[max((level[name] for name in free), default=0)].append(c.compiled())
+    if not all(test(env, None) for test in checks[0]):
         return
+    if not params:
+        yield env
+        return
+    last = len(params) - 1
 
     def extend(i: int):
-        if i == len(params):
-            yield dict(env)
-            return
         name, tests = params[i], checks[i + 1]
         for v in values:
             env[name] = v
-            if all(c.holds(env) for c in tests):
-                yield from extend(i + 1)
+            for test in tests:
+                if not test(env, None):
+                    break
+            else:
+                if i == last:
+                    yield dict(env)
+                else:
+                    yield from extend(i + 1)
 
     yield from extend(0)
 
@@ -609,6 +617,49 @@ def _family_window(values: list[ExtRat]) -> range:
     return range(-k, k + 1)
 
 
+def _family_indices(
+    cl: SchemaClause, env: dict[str, ExtRat], window: range, pool_values: set[ExtRat]
+) -> list[int]:
+    """The n of ``window``, ascending, at which the family clause ``cl``
+    gives every member that any n of the window gives and keeps.
+
+    Each endpoint and condition of the clause is built from atoms, and at a
+    given ``env`` an atom is a constant ``a`` (no index, or an infinite
+    base) or ``b + n`` with ``b`` finite.  Two atoms ``b + n`` compare
+    alike at every n, and ``a`` against ``b + n`` alike for all n on one
+    side of the cut ``a - b``.  So on the integers strictly between two
+    cuts every max, min, condition, range check and emptiness test comes
+    out the same: a member whose endpoints are all constants, or whose key
+    has no endpoints, is the same member there, and one with an endpoint
+    ``b + n`` lies in the pool only at an n where ``b + n`` is a pool value.
+    The n kept are the integer cuts, the least integer past each cut, the
+    window's start (together one n in each stretch between cuts) and the n
+    that put some ``b + n`` on a pool value."""
+    consts, bases = [], []
+    for atom in itertools.chain(
+        (a for pat in cl.meet for arg in pat.args for a in arg.atoms()),
+        (a for c in cl.conds for e in c.left + c.right for a in e.atoms()),
+    ):
+        base = env[atom.param] if atom.param is not None else atom.const
+        if not base.finite:
+            continue
+        num, den = base.value.numerator, base.value.denominator
+        (bases if atom.with_index else consts).append((num + atom.offset * den, den))
+    picked = {window.start}
+    for bn, bd in set(bases):
+        for an, ad in set(consts):
+            # the cut (an*bd - bn*ad) / (ad*bd), floored, and the integer past it
+            cut = (an * bd - bn * ad) // (ad * bd)
+            picked.update((cut, cut + 1))
+        for v in pool_values:
+            if v.finite:
+                vn, vd = v.value.numerator, v.value.denominator
+                hit, rest = divmod(vn * bd - bn * vd, vd * bd)
+                if not rest:
+                    picked.add(hit)
+    return sorted(n for n in picked if n in window)
+
+
 def _instantiate_clause(
     domain: GeneratorDomain,
     cl: SchemaClause,
@@ -617,10 +668,16 @@ def _instantiate_clause(
     window: range,
     pool_values: set[ExtRat],
 ) -> list[Meet]:
+    """The meets of one schema clause at ``env``: the clause itself, one per
+    binding of its bound parameters, or the members of its Z-indexed family
+    over ``window`` whose generators lie in the pool, each member at least
+    once (``_family_indices``).  A relation reads its sides through
+    ``normalize``, so only the set of meets matters."""
     out = []
     if cl.int_var is not None:
-        for n in window:
-            if not all(c.holds(env, n) for c in cl.conds):
+        tests = [c.compiled() for c in cl.conds]
+        for n in _family_indices(cl, env, window, pool_values):
+            if not all(test(env, n) for test in tests):
                 continue
             try:
                 keys = [domain.instantiate_pattern(pat, env, n) for pat in cl.meet]
@@ -650,7 +707,10 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
     the instances mention (closed under the domain's declared structure).
 
     Z-indexed families keep exactly the members whose endpoints fall in the
-    instantiation pool, so refining the grid only adds members.
+    instantiation pool, so refining the grid only adds members; each family
+    is tried only at the shifts that can give a member
+    (``_family_indices``).  Side conditions are compiled once per clause
+    pass (``Cond.compiled``).
     """
     if not grid:
         raise PresentationError("empty instantiation grid")

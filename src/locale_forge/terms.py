@@ -13,7 +13,7 @@ owning domain gives them meaning.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .rationals import ExtRat, rat, emax, emin
 from .records import Record
@@ -44,12 +44,28 @@ class EAtom(Record):
     def free_params(self) -> frozenset[str]:
         return frozenset() if self.param is None else frozenset([self.param])
 
+    def atoms(self) -> tuple["EAtom", ...]:
+        return (self,)
+
     def evaluate(self, env: dict[str, ExtRat], n: Optional[int] = None) -> ExtRat:
         base = env[self.param] if self.param is not None else self.const
-        shift = self.offset + ((n or 0) if self.with_index else 0)
-        if self.with_index and n is None:
-            raise TermError("family index not bound")
-        return base + shift
+        if self.with_index:
+            if n is None:
+                raise TermError("family index not bound")
+            return base + (self.offset + n)
+        return base + self.offset if self.offset else base
+
+    def compiled(self) -> Callable[[dict[str, ExtRat], Optional[int]], ExtRat]:
+        """``evaluate`` as a function of ``(env, n)``; a parameter without
+        shift reads the environment directly, and a constant without the
+        index is its value."""
+        if self.with_index or (self.param is not None and self.offset):
+            return self.evaluate
+        if self.param is not None:
+            name = self.param
+            return lambda env, n: env[name]
+        value = self.const + self.offset
+        return lambda env, n: value
 
     def __str__(self) -> str:
         base = self.param if self.param is not None else str(self.const)
@@ -77,9 +93,18 @@ class EOp(Record):
     def free_params(self) -> frozenset[str]:
         return self.left.free_params() | self.right.free_params()
 
+    def atoms(self) -> tuple[EAtom, ...]:
+        return self.left.atoms() + self.right.atoms()
+
     def evaluate(self, env: dict[str, ExtRat], n: Optional[int] = None) -> ExtRat:
         l, r = self.left.evaluate(env, n), self.right.evaluate(env, n)
         return emax(l, r) if self.op == "max" else emin(l, r)
+
+    def compiled(self) -> Callable[[dict[str, ExtRat], Optional[int]], ExtRat]:
+        """``evaluate`` as a function of ``(env, n)``."""
+        left, right = self.left.compiled(), self.right.compiled()
+        pick = emax if self.op == "max" else emin
+        return lambda env, n: pick(left(env, n), right(env, n))
 
     def __str__(self) -> str:
         def wrap(e: "EExpr") -> str:
@@ -133,11 +158,25 @@ class Cond(Record):
         return out
 
     def holds(self, env: dict[str, ExtRat], n: Optional[int] = None) -> bool:
-        lv = tuple(e.evaluate(env, n) for e in self.left)
-        rv = tuple(e.evaluate(env, n) for e in self.right)
+        return self.compiled()(env, n)
+
+    def compiled(self) -> Callable[[dict[str, ExtRat], Optional[int]], bool]:
+        """The condition as one function of ``(env, n)``, built once so that
+        each test is a direct comparison of two ``ExtRat``s: the operator
+        and the endpoint getters are bound here, and two parameters without
+        shift are read straight from the environment.  A pair-disequality
+        evaluates every endpoint before comparing, as its tuple form does."""
         if self.op == "pairneq":
-            return lv != rv
-        return _COMPARE[self.op](lv[0], rv[0])
+            lefts = [e.compiled() for e in self.left]
+            rights = [e.compiled() for e in self.right]
+            return lambda env, n: [f(env, n) for f in lefts] != [f(env, n) for f in rights]
+        compare = _COMPARE[self.op]
+        l, r = self.left[0], self.right[0]
+        if _plain_param(l) and _plain_param(r):
+            a, b = l.param, r.param
+            return lambda env, n: compare(env[a], env[b])
+        left, right = l.compiled(), r.compiled()
+        return lambda env, n: compare(left(env, n), right(env, n))
 
     def __str__(self) -> str:
         if self.op == "pairneq":
@@ -145,6 +184,10 @@ class Cond(Record):
             r = ", ".join(str(e) for e in self.right)
             return f"({l}) != ({r})"
         return f"{self.left[0]} {self.op} {self.right[0]}"
+
+
+def _plain_param(e: EExpr) -> bool:
+    return isinstance(e, EAtom) and e.param is not None and not e.offset and not e.with_index
 
 
 def cmp_cond(left: EExpr, op: str, right: EExpr) -> Cond:

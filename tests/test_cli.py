@@ -452,6 +452,52 @@ class TestMalformedInput:
         rc, out, err = run_cli("derive", str(f), "--mode", "open")
         assert rc == 2 and json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("key", ["fstar", "gstar"])
+    @pytest.mark.parametrize("side", ["parent", "target"])
+    def test_derive_bundle_naming_an_unknown_element(self, tmp_path, key, side):
+        """A map entry whose label is no element of the parent, or whose
+        image is no element of the target, is named as such, not as a
+        missing key."""
+        from locale_forge import serialize
+        from locale_forge.dsl import parse
+        from locale_forge.evaluate import eval_frame
+
+        parent = parse(
+            "domain finite { gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t; }\n"
+            "kind sup\nrel a v b = t\nrel z = 0\n"
+        )
+        X = eval_frame(parent).carrier
+        maps = {"fstar": {e: e for e in X.elements}, "gstar": {e: e for e in X.elements}}
+        if side == "parent":
+            maps[key]["w"] = X.elements[0]
+            detail = f"{key} maps 'w', which is not an element of the parent"
+        else:
+            maps[key][X.elements[1]] = "w"
+            detail = f"{key} sends {X.elements[1]!r} to 'w', which is not an element of the target"
+        bundle = {
+            "parent": serialize.presentation_to_jsonable(parent),
+            "target": serialize.lattice_to_jsonable(X),
+            **maps,
+        }
+        f = tmp_path / "bundle.json"
+        f.write_text(json.dumps(bundle))
+        rc, out, err = run_cli("derive", str(f), "--mode", "open")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
+
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_a_grid_for_a_finite_presentation_is_an_input_error(self, two_point_file, verb):
+        """A finite presentation without schemas has nothing to instantiate,
+        so a grid given for it is refused, as an empty grid is."""
+        rc, out, err = run_cli(verb, two_point_file, "--grid", "0,1")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "detail": "--grid given for a finite presentation without schemas, which has nothing to instantiate",
+        }
+        rc, out, err = run_cli(verb, two_point_file)
+        assert rc == 0 and err == ""
+
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
         pres = {"kind": "sup", "domain": {"type": "nope"}, "relations": []}

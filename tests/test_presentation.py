@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from locale_forge.dsl import print_presentation
-from locale_forge.generators import FiniteGeneratorDomain, domain_from_descriptor
+from locale_forge.generators import FiniteGeneratorDomain, TaggedDomain, domain_from_descriptor
 from locale_forge.intervals import (
     ClosedComplementDomain,
     OpenIntervalDomain,
@@ -24,6 +24,7 @@ from locale_forge.presentation import (
     Relation,
     _bindings,
     _restrict_domain,
+    _family_indices,
     _family_window,
     _instantiate_clause,
     check_kind,
@@ -40,6 +41,7 @@ from locale_forge.terms import (
     Meet,
     SchemaClause,
     Term,
+    TermError,
     TERM_ZERO,
     econst,
     eparam,
@@ -360,11 +362,19 @@ class TestBindings:
 
     def test_each_condition_checked_once_per_partial_binding(self):
         class Counting(Cond):
+            """Counts every test, made through ``holds`` or through the
+            compiled form that ``_bindings`` builds once per call."""
+
             calls = 0
 
-            def holds(self, env, n=None):
-                Counting.calls += 1
-                return super().holds(env, n)
+            def compiled(self):
+                test = super().compiled()
+
+                def counted(env, n=None):
+                    Counting.calls += 1
+                    return test(env, n)
+
+                return counted
 
         p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
         conds = tuple(
@@ -404,6 +414,94 @@ class TestBindings:
         keeps the members that exist."""
         (out,) = instantiate_schemas(cc_shift_family(), [rat(0), rat(1)]).relations
         assert str(out) == "CC(0,1) <= CC(0,1) v CC(1,1)"
+
+
+def full_window_members(domain, cl, env, window, pool_values):
+    """Reference for a Z-indexed family clause: every n of the window in
+    turn, keeping the members whose generators all lie in the pool."""
+    out = set()
+    for n in window:
+        if not all(c.holds(env, n) for c in cl.conds):
+            continue
+        try:
+            keys = [domain.instantiate_pattern(pat, env, n) for pat in cl.meet]
+        except TermError:
+            continue
+        if all(domain.key_endpoints(k) is None or set(domain.key_endpoints(k)) <= pool_values for k in keys):
+            out.add(Meet(tuple(keys)))
+    return out
+
+
+def rand_family_expr(rng, depth=0):
+    if depth < 2 and rng.random() < 0.35:
+        return EOp(rng.choice(("max", "min")), rand_family_expr(rng, depth + 1), rand_family_expr(rng, depth + 1))
+    with_index = rng.random() < 0.5
+    offset = rng.choice((0, 0, 0, -1, 1, 2))
+    if rng.random() < 0.25:
+        x = rng.choice([NEG_INF, POS_INF, rat(0), rat(1), rat(Fraction(1, 2)), rat(Fraction(-4, 3))])
+        return econst(x, offset, with_index)
+    return eparam(rng.choice(("p", "q", "p'", "q'")), offset, with_index)
+
+
+class TestFamilyWindow:
+    """A Z-indexed family visits only the n that can give a new member
+    (``_family_indices``) and keeps exactly the members the whole window
+    keeps."""
+
+    DOMAINS = {
+        "interval-R": (OpenIntervalDomain(), "OI", None),
+        "interval-01": (ClosedComplementDomain(), "CC", None),
+        "dia interval-R": (TaggedDomain("dia", OpenIntervalDomain()), "OI", "dia"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_pruned_window_keeps_every_member(self, name):
+        domain, ctor, tag = self.DOMAINS[name]
+        rng = random.Random(name)
+        kept = visited = full = 0
+        for _ in range(400):
+            pats = []
+            for _ in range(rng.choice((1, 1, 2))):
+                pat = GenPattern(ctor, (rand_family_expr(rng), rand_family_expr(rng)))
+                pats.append(pat.tagged(tag) if tag else pat)
+            conds = tuple(
+                Cond(rng.choice(("<", "<=", "=", "!=", ">=")), (rand_family_expr(rng),), (rand_family_expr(rng),))
+                for _ in range(rng.choice((0, 0, 1, 2)))
+            )
+            cl = SchemaClause(tuple(pats), conds=conds, int_var="n")
+            unit = ctor == "CC"
+            points = {Fraction(rng.randint(0 if unit else -9, 6 if unit else 9), rng.randint(1, 3) * (6 if unit else 1))
+                      for _ in range(rng.randint(1, 5))}
+            values = sorted(set(domain.grid_values([rat(x) for x in points if not unit or x <= 1])))
+            pool = set(values)
+            env = {name: rng.choice(values) for name in ("p", "q", "p'", "q'")}
+            window = _family_window(values)
+            want = full_window_members(domain, cl, env, window, pool)
+            got = _instantiate_clause(domain, cl, env, values, window, pool)
+            assert set(got) == want, (str(cl), env)
+            indices = _family_indices(cl, env, window, pool)
+            assert indices == sorted(set(indices)) and set(indices) <= set(window)
+            kept += len(want)
+            visited += len(indices)
+            full += len(window)
+        assert kept > 80
+        assert visited < full
+
+    def test_circle_open_visits_fewer_shifts(self):
+        """On the 6-point grid of the pair-meet schema, most of the window
+        is skipped and the instances are unchanged (the digest test pins
+        them)."""
+        grid = [rat(Fraction(x)) for x in ("-8/3", "-3/2", "-6/5", "1/5", "1/3", "3/2")]
+        p = circle_open_presentation()
+        family = p.relations[1].rhs.clauses[0]
+        values = sorted(set(p.domain.grid_values(grid)))
+        window, pool = _family_window(values), set(values)
+        visited = sum(
+            len(_family_indices(family, dict(zip(("p", "q", "p'", "q'"), env)), window, pool))
+            for env in itertools.product(values, repeat=4)
+        )
+        assert len(values) ** 4 == 4096 and len(window) == 13
+        assert visited < 4096 * 13 // 2
 
 
 def closed_pool_reference(domain, keys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,3 +85,105 @@ class TestNormalize:
         t = normalize(join_of(["a", "b"]), diamond)
         kernel = instance_kernel(diamond)
         assert kernel.free_leq(kernel.side(s), kernel.side(t))
+
+
+# ---------------------------------------------------------------------------
+# compiled side conditions against a Fraction reference
+
+
+from locale_forge.rationals import NEG_INF, POS_INF, rat
+from locale_forge.terms import Cond, EAtom, EOp, econst, eparam
+
+COND_PARAMS = ("p", "q", "p'", "q'")
+COND_OPS = ("<", "<=", "=", "!=", ">", ">=")
+COND_VALUES = [NEG_INF, POS_INF] + [rat(Fraction(a, b)) for a in range(-4, 5) for b in (1, 2, 3)]
+
+
+def ref_value(e, env, n):
+    """An endpoint expression as (sign, Fraction), which orders as the
+    extended rationals do; raises where the family index is needed and
+    missing."""
+    if isinstance(e, EOp):
+        l, r = ref_value(e.left, env, n), ref_value(e.right, env, n)
+        return max(l, r) if e.op == "max" else min(l, r)
+    x = env[e.param] if e.param is not None else e.const
+    sign, value = x.sign, x.value
+    if e.with_index and n is None:
+        raise TermError("family index not bound")
+    shift = e.offset + (n if e.with_index else 0)
+    return (sign, value + shift) if sign == 0 else (sign, Fraction(0))
+
+
+def ref_holds(c, env, n):
+    left = [ref_value(e, env, n) for e in c.left]
+    right = [ref_value(e, env, n) for e in c.right]
+    if c.op == "pairneq":
+        return left != right
+    a, b = left[0], right[0]
+    return {"<": a < b, "<=": a <= b, "=": a == b, "!=": a != b, ">": a > b, ">=": a >= b}[c.op]
+
+
+def rand_atom(rng):
+    with_index = rng.random() < 0.25
+    offset = rng.choice((0, 0, 0, -2, -1, 1, 3))
+    if rng.random() < 0.3:
+        return econst(rng.choice(COND_VALUES), offset, with_index)
+    return eparam(rng.choice(COND_PARAMS), offset, with_index)
+
+
+def rand_endpoint(rng, depth=0):
+    if depth < 2 and rng.random() < 0.3:
+        return EOp(rng.choice(("max", "min")), rand_endpoint(rng, depth + 1), rand_endpoint(rng, depth + 1))
+    return rand_atom(rng)
+
+
+def rand_condition(rng):
+    if rng.random() < 0.2:
+        return Cond("pairneq", (rand_endpoint(rng), rand_endpoint(rng)), (rand_endpoint(rng), rand_endpoint(rng)))
+    return Cond(rng.choice(COND_OPS), (rand_endpoint(rng),), (rand_endpoint(rng),))
+
+
+class TestCompiledConditions:
+    def test_against_the_fraction_reference(self):
+        """Each condition, through ``holds`` and through one compiled form
+        used for many environments, agrees with the reference, including
+        where both raise for a missing family index."""
+        rng = random.Random(2024)
+        verdicts, errors = set(), 0
+        for _ in range(600):
+            c = rand_condition(rng)
+            test = c.compiled()
+            for _ in range(8):
+                env = {name: rng.choice(COND_VALUES) for name in COND_PARAMS}
+                n = rng.choice((None, -3, -1, 0, 1, 2))
+                try:
+                    want = ref_holds(c, env, n)
+                except TermError as exc:
+                    assert str(exc) == "family index not bound"
+                    for run in (test, c.holds):
+                        with pytest.raises(TermError, match="family index not bound"):
+                            run(env, n)
+                    errors += 1
+                    continue
+                assert test(env, n) is want and c.holds(env, n) is want, (str(c), env, n)
+                verdicts.add((c.op, want))
+        assert errors > 100
+        assert verdicts == {(op, v) for op in COND_OPS + ("pairneq",) for v in (True, False)}
+
+    def test_compiled_endpoints_match_evaluate(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            e = rand_endpoint(rng)
+            env = {name: rng.choice(COND_VALUES) for name in COND_PARAMS}
+            n = rng.choice((-2, 0, 1, 5))
+            got = e.compiled()(env, n)
+            assert got == e.evaluate(env, n)
+            assert (got.sign, got.value) == ref_value(e, env, n)
+
+    def test_an_unshifted_atom_is_its_base(self):
+        env = {"p": rat(Fraction(1, 3)), "q": POS_INF}
+        assert eparam("p").evaluate(env) is env["p"]
+        assert eparam("q", 2).evaluate(env) is POS_INF
+        assert eparam("p", with_index=True).evaluate(env, 0) is env["p"]
+        const = EAtom(None, rat(2))
+        assert const.evaluate({}) is const.const
