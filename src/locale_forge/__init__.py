@@ -94,7 +94,6 @@ _EXPORTS = {
             "circle_open_spec",
             "circle_proper_presentation",
             "circle_proper_spec",
-            "expand_family_meet",
             "nat_reverse_counterexample",
             "real_presentation",
             "unit_interval_presentation",

@@ -1,36 +1,34 @@
 """Brute-force evaluation of finite presentations.
 
 ``eval_frame`` builds the presented frame as the closed subsets of a
-finite meet-semilattice of generator meets, each held as a mask over the
-generators (meet is ``&``, the order is inclusion): the generators'
-down-masks when the domain's meets are semantic, the complements of the
-finitely generated upsets when they are formal.  Relations become covering
-rules ``a <| B`` (a is covered by the joins of B), the rules are
-stabilised under meets with generators, and the carrier is the family of
-downsets closed under all rules, i.e. the fixed points of the least
-nucleus forcing the relations.  Joins are computed by re-closing unions.
-The closure engine (``_FrameEngine``) works on class masks: the meet
-equations collapse the formal meets into classes, every set of classes is
-a mask over class positions, class meets are read off rows built when first
-needed, and each rule is an integer pair of its conclusion class and the
-mask of its premises.  The stabilised rules are kept as a set; the order in
-which they fire does not change a least fixed point, so output does not
-depend on it.
+finite meet-semilattice of generator meets (``_MeetCarrier``, one per
+domain object and reading of its meets), each a mask over the generators
+with meet ``&``: the generators' down-masks when the domain's meets are
+semantic, the complements of the finitely generated upsets when they are
+formal.  A relation is read as its two sides, sorted tuples of clause
+masks (``presentation.relation_sides``), handed over by ``saturate`` or
+``present`` when they built it; each clause is one AND over generator
+masks.  Relations become covering rules ``a <| B`` (a is covered by the
+joins of B), the rules are stabilised under meets with generators, and the
+carrier is the family of downsets closed under all rules, i.e. the fixed
+points of the least nucleus forcing the relations.  The closure engine
+(``_FrameEngine``) works on class masks: the meet equations collapse the
+formal meets into classes, every set of classes is a mask over class
+positions, and each rule is an integer pair of its conclusion class and
+the mask of its premises.  The rules are kept as a set; the order in which
+they fire does not change a least fixed point, so output does not depend
+on it.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
-data in the corresponding weaker category: downsets / upsets / the
-generator poset itself, quotiented by the least congruence containing the
-relations; ``EVALUATORS`` holds the one of each kind that has a
-discipline.  The suplattice and preframe evaluations are one body: union is
-the join of downsets and the meet of upsets, so they differ only in the
-direction of the order.  Every evaluation reads the generator order from
-the domain's ``sorted_poset``, and one congruence closure serves both the
-meet equations of ``eval_frame`` and the union quotients.
-``verify_coverage`` then asserts the canonical comparison with the frame
-evaluation is an order isomorphism.
-
-Every evaluation returns a frozen ``PresentedObject`` built in one piece,
-with the function that evaluates terms in it.
+data in the weaker categories: downsets / upsets (one body, union being
+the join of downsets and the meet of upsets) / the generator poset itself,
+quotiented by the least congruence containing the relations;
+``EVALUATORS`` holds the one of each kind that has a discipline, and
+``verify_coverage`` asserts the canonical comparison with the frame is an
+order isomorphism.  Every evaluation reads the generator order from the
+domain's ``sorted_poset``, one congruence closure serves the meet
+equations and the union quotients, and each returns a frozen
+``PresentedObject`` with the function that evaluates terms in it.
 
 Everything here is oracle-scale: carriers are capped (default 2**12) and
 the algorithms favour being obviously exhaustive over being clever.
@@ -39,9 +37,11 @@ the algorithms favour being obviously exhaustive over being clever.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional, Sequence, Union
 
-from .generators import GeneratorDomain
+from .generators import GeneratorDomain, memoized
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -60,7 +60,9 @@ from .presentation import (
     PresentationKind,
     Relation,
     check_kind,
+    instance_kernel,
     on_grid,
+    relation_sides,
 )
 from .rationals import ExtRat
 from .records import Record
@@ -125,23 +127,25 @@ class _MeetCarrier:
     """The meets of the generators, each held as a mask over the
     generators (in ``sort_key`` order): meet is ``&`` and the order is
     inclusion.  When the domain's meets are semantic for the evaluation
-    the elements are the generators themselves, as their down-masks;
-    otherwise they are the finitely generated upsets of the generator
-    poset, whose unions are formal meets, as the complements of those
-    upsets."""
+    (``fold``) the elements are the generators themselves, as their
+    down-masks; otherwise they are the finitely generated upsets of the
+    generator poset, whose unions are formal meets, as the complements of
+    those upsets.  One carrier serves every evaluation over its domain
+    object (``_meet_carrier``)."""
 
-    def __init__(self, domain: GeneratorDomain, use_domain_meets: bool):
+    def __init__(self, domain: GeneratorDomain, fold: bool):
         P = domain.sorted_poset
+        self.fold = fold
         self.gen_keys = P.elements
         full = (1 << P.n) - 1
-        if use_domain_meets and domain.meet_semilattice:
+        if fold:
             # the generators' down-masks: ordered by inclusion, they are P
-            self.masks = gen_masks = P.down
+            self.masks = self.gen_masks = P.down
             self.poset = P
         else:
             upsets = unions(P.up, 1 << 15, "formal meet semilattice")
             self.masks = [full & ~u for u in upsets]
-            gen_masks = [full & ~u for u in P.up]
+            self.gen_masks = [full & ~u for u in P.up]
             # a formal meet is named by the minimal generators of its upset
             labels = {
                 full & ~u: "^".join(sorted(P.elements[i] for i in _bits(maximal(u, P.up)))) or "1"
@@ -151,18 +155,32 @@ class _MeetCarrier:
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.labels = self.poset.elements
         self.n = len(self.masks)
-        self.top = self.index[full]
-        self.gen_index = {g: self.index[m] for g, m in zip(P.elements, gen_masks)}
+        # the element of each generator, by its position
+        self.gen_elems = [self.index[m] for m in self.gen_masks]
+        # ``clause(mask)``: the element a clause mask meets to
+        self.clause = _ClauseMeets(self.index, self.gen_masks, full).__getitem__
 
     def meet(self, i: int, j: int) -> int:
         return self.index[self.masks[i] & self.masks[j]]
 
-    def clause(self, gens: Sequence[str]) -> int:
-        """The meet of the named generators (the top for none)."""
-        m = self.masks[self.top]
-        for g in gens:
-            m &= self.masks[self.gen_index[g]]
-        return self.index[m]
+
+class _ClauseMeets(dict):
+    """The element of a meet carrier that each clause mask meets to (the
+    top for none): one AND over the masks of its generators, computed when
+    the clause is first looked up."""
+
+    def __init__(self, index: dict[int, int], gen_masks: Sequence[int], full: int):
+        self.index, self.gen_masks, self.full = index, gen_masks, full
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = self.index[reduce(and_, [self.gen_masks[i] for i in _bits(mask)], self.full)]
+        return out
+
+
+def _meet_carrier(domain: GeneratorDomain, use_domain_meets: bool) -> _MeetCarrier:
+    """The domain object's meet carrier, one per reading of its meets."""
+    fold = use_domain_meets and domain.meet_semilattice
+    return memoized(domain, (_MeetCarrier, fold), lambda: _MeetCarrier(domain, fold))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +235,7 @@ class _FrameEngine:
         max_carrier: int,
     ):
         self.max_carrier = max_carrier
-        gen_idxs = sorted(set(M.gen_index.values()))
+        gen_idxs = sorted(set(M.gen_elems))
 
         # 1. meet-congruence pre-collapse (pure meet equations); each class
         # is numbered by the order of its least member
@@ -399,29 +417,31 @@ def _structural_rules(p: Presentation, M: _MeetCarrier):
     domain = p.domain
     covers: list[tuple[int, tuple[int, ...]]] = []
     if p.kind.uses("join") and domain.has_join:
-        gens = M.gen_keys
-        for a, b in itertools.combinations(gens, 2):
-            j = domain.join(a, b)
-            covers.append((M.gen_index[j], (M.gen_index[a], M.gen_index[b])))
-        bot = domain.bottom()
-        if bot is not None:
-            covers.append((M.gen_index[bot], ()))
+        P, elem = domain.sorted_poset, M.gen_elems
+        for a, b in itertools.combinations(range(P.n), 2):
+            j = P.by_up[P.up[a] & P.up[b]]
+            covers.append((elem[j], (elem[a], elem[b])))
+        if domain.bottom() is not None:
+            # the bottom is the generator below every generator
+            covers.append((elem[P.by_up[(1 << P.n) - 1]], ()))
     return covers
 
 
 def _relation_rules(p: Presentation, M: _MeetCarrier):
+    """The relations' rules on their sides (``relation_sides``), each
+    clause one element of ``M``.  An equation written between two single
+    clauses collapses their meets; any other relation gives covering rules,
+    and a side and its normal form give one stabilised set of those."""
     covers: list[tuple[int, tuple[int, ...]]] = []
     meet_eqs: list[tuple[int, int]] = []
-
-    for rel in p.concrete_relations():
-        lhs = tuple(M.clause(c.gens) for c in rel.lhs.clauses)
-        rhs = tuple(M.clause(c.gens) for c in rel.rhs.clauses)
-        if rel.op == "=" and len(lhs) == 1 and len(rhs) == 1:
+    for rel, (l, r, op) in zip(p.concrete_relations(), relation_sides(p, M.fold)):
+        lhs, rhs = tuple(map(M.clause, l)), tuple(map(M.clause, r))
+        if op == "=" and len(rel.lhs.clauses) == 1 and len(rel.rhs.clauses) == 1:
             meet_eqs.append((lhs[0], rhs[0]))
             continue
         for a in lhs:
             covers.append((a, rhs))
-        if rel.op == "=":
+        if op == "=":
             for b in rhs:
                 covers.append((b, lhs))
     return covers, meet_eqs
@@ -447,7 +467,7 @@ def _frame_engine(p: Presentation, max_carrier: int) -> tuple[_MeetCarrier, _Fra
     """The formal meets of ``p``'s generators and the closure engine whose
     fixed sets are the presented frame."""
     _require_kind_domain(p)
-    M = _MeetCarrier(p.domain, p.kind.folds_meets)
+    M = _meet_carrier(p.domain, p.kind.folds_meets)
     covers, meet_eqs = _relation_rules(p, M)
     covers.extend(_structural_rules(p, M))
     return M, _FrameEngine(M, covers, meet_eqs, max_carrier)
@@ -481,23 +501,26 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     if not carrier.frame:
         raise EvaluationError("presented carrier failed the frame check")
 
-    interp = {g: index[eng.principal[eng.cls[M.gen_index[g]]]] for g in M.gen_keys}
+    principal, cls = eng.principal, eng.cls
+    interp = {g: index[principal[cls[e]]] for g, e in zip(M.gen_keys, M.gen_elems)}
 
-    def term_value(t: Term) -> int:
+    def side_value(side) -> int:
         # the join of the clauses' principal closures and the least fixed
         # set: their union when that is fixed, else its closure from the
         # largest of them
         u = base = masks[0]
-        for cl in t.clauses:
-            c = eng.principal[eng.cls[M.clause(cl.gens)]]
+        for m in side:
+            c = principal[cls[M.clause(m)]]
             u |= c
             if c.bit_count() > base.bit_count():
                 base = c
         return index[u] if u in index else index[eng.close(u, base)]
 
-    obj = PresentedObject("frame", carrier, interp, p.domain, term_value)
-    for rel in p.concrete_relations():
-        if not obj.relation_holds(rel):
+    kernel = instance_kernel(p.domain)
+    obj = PresentedObject("frame", carrier, interp, p.domain, lambda t: side_value(kernel.side(t, M.fold)))
+    for rel, (l, r, op) in zip(p.concrete_relations(), relation_sides(p, M.fold)):
+        lv, rv = side_value(l), side_value(r)
+        if not (lv == rv if op == "=" else carrier.poset.leq(lv, rv)):
             raise EvaluationError(f"internal: relation {rel} fails in its own frame")
     return obj
 

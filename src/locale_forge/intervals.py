@@ -17,7 +17,7 @@ action, and as a proper quotient of [0,1] gluing the endpoints.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .generators import DOMAIN_REGISTRY, DomainError, GeneratorDomain
 from .lattice import OperatorReport, QuotientMode
@@ -34,10 +34,8 @@ from .terms import (
     EExpr,
     EOp,
     GenPattern,
-    Meet,
     SchemaClause,
     SchemaTerm,
-    Term,
     TermError,
     TERM_ONE,
     TERM_ZERO,
@@ -133,6 +131,30 @@ class _EndpointDomain(GeneratorDomain):
     def _in_range(self, x: ExtRat) -> bool:
         return self.LO <= x <= self.HI
 
+    # per endpoint, whether a key above another has it at most (else at
+    # least) the other's
+    _ABOVE_AT_MOST: tuple[bool, bool]
+
+    def up_masks(self, keys: Sequence[str]) -> list[int]:
+        """The keys above each key, read off prefix masks in the order of
+        each endpoint, with no ``leq`` call: a key is above another when
+        both of its endpoints lie on the ``_ABOVE_AT_MOST`` side of the
+        other's.  A key without endpoints lies below every key."""
+        eps = [self.key_endpoints(k) for k in keys]
+        out = [(1 << len(keys)) - 1 if e is None else -1 for e in eps]
+        for c, at_most in enumerate(self._ABOVE_AT_MOST):
+            at: dict[ExtRat, int] = {}
+            for j, e in enumerate(eps):
+                if e is not None:
+                    at[e[c]] = at.get(e[c], 0) | 1 << j
+            reach, acc = {}, 0
+            for x in sorted(at, reverse=not at_most):
+                acc = reach[x] = acc | at[x]
+            for i, e in enumerate(eps):
+                if e is not None:
+                    out[i] &= reach[e[c]]
+        return out
+
     def generic_pattern(self) -> GenPattern:
         return GenPattern(self.ctor, (eparam("p"), eparam("q")))
 
@@ -169,6 +191,7 @@ class OpenIntervalDomain(_EndpointDomain):
     ctor = "OI"
     noun = "an interval"
     LO, HI = NEG_INF, POS_INF
+    _ABOVE_AT_MOST = (True, False)
 
     BOTTOM = "OI()"
 
@@ -228,6 +251,7 @@ class ClosedComplementDomain(_EndpointDomain):
     ctor = "CC"
     noun = "a closed-complement"
     LO, HI = rat(0), rat(1)
+    _ABOVE_AT_MOST = (False, True)
 
     def key(self, p: ExtRat, q: ExtRat) -> str:
         return f"CC({p},{q})"
@@ -389,55 +413,6 @@ def circle_open_presentation() -> TransformedPresentation:
     out = present_open(real_presentation(), circle_open_spec(), check=False)
     assert len(out.relations) == 4, "circle presentation should display four relation families"
     return out
-
-
-def expand_family_meet(
-    s: str, fam: SchemaClause, domain: Optional[OpenIntervalDomain] = None
-) -> Union[Term, SchemaClause]:
-    """Materialise the meet of a concrete generator with a Z-indexed family,
-    a ``SchemaClause`` whose ``int_var`` is bound and whose patterns have
-    constant endpoints.
-
-    Bounded generators meet only finitely many shifts, returned as a plain
-    join; an unbounded generator leaves a family, returned as a
-    ``SchemaClause`` with the non-emptiness condition attached.
-    """
-    domain = domain or OpenIntervalDomain()
-    if s == domain.BOTTOM:
-        return TERM_ZERO
-    lo, hi = domain.key_endpoints(s)
-    s_pat = GenPattern("OI", (econst(lo), econst(hi)))
-    meets = [domain.meet_patterns(s_pat, b) for b in fam.meet]
-    if not any(
-        a.with_index for m in meets for arg in m.args for a in arg.atoms()
-    ):
-        keys = [domain.instantiate_pattern(m, {}, None) for m in meets]
-        keys = [k for k in keys if k != domain.BOTTOM]
-        return Term(tuple(Meet((k,)) for k in sorted(set(keys))))
-    consts = [
-        a.const + a.offset
-        for m in fam.meet
-        for arg in m.args
-        for a in arg.atoms()
-        if a.param is None and (a.const + a.offset).finite
-    ]
-    if lo.finite and hi.finite:
-        span_lo = min([lo.value] + [c.value for c in consts])
-        span_hi = max([hi.value] + [c.value for c in consts])
-        width = int(span_hi - span_lo) + 2
-        keys = []
-        for n in range(-width, width + 1):
-            if not all(c.holds({}, n) for c in fam.conds):
-                continue
-            for m in meets:
-                k = domain.instantiate_pattern(m, {}, n)
-                if k != domain.BOTTOM:
-                    keys.append(k)
-        return Term(tuple(Meet((k,)) for k in sorted(set(keys), key=domain.sort_key)))
-    conds = list(fam.conds)
-    for m in meets:
-        conds.append(cmp_cond(m.args[0], "<", m.args[1]))
-    return SchemaClause(tuple(meets), conds=tuple(conds), int_var=fam.int_var)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ holds each kind's own evaluator.
 ``check_kind`` verifies the discipline relation by relation; a missing
 stability instance may still be accepted when it is derivable from the
 others, which the brute-force oracle decides on finite carriers.  Over a
-finite domain, ``check_kind`` and ``saturate`` compute stability instances
-on generator indices through the domain's ``InstanceKernel`` (one per
-domain object, in ``domain.memo``): a normalized relation is compiled once
-to tuples of index clauses, each instance is one image-table lookup per
-generator, and only the instances kept -- appended by ``saturate``, asked of
-the oracle or reported missing by ``check_kind`` -- become ``Relation``s.
+finite domain every layer reads a relation as two sides, each a sorted
+tuple of clause bitmasks over ``sorted_poset`` indices, through the
+domain's ``InstanceKernel`` (one per domain object, in ``domain.memo``).
+``saturate`` and ``present`` hand the sides of what they build to the
+next reader in its ``memo`` (``relation_sides``), and only the relations
+kept become ``Relation``s.
 A schematic presentation (one holding a ``RelationSchema``) or one over a
 non-finite domain is checked and evaluated on its instantiation on a grid
 (``on_grid``).  Schemas are the one form of rational parameters and of
@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence, Union
 
-from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain
+from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain, memoized
 from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
 from .rationals import ExtRat
 from .records import Record
@@ -203,10 +204,12 @@ class Presentation(Record, compare=("kind", "domain", "relations")):
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this presentation object alone: ``check_kind``'s
-        reports (under ``"kind reports"``, keyed by ``oracle``) and the hash
-        a quotient's provenance records of its parent (``transform``).
-        Created on first use; it belongs to the object, never to an equal
-        presentation, and dies with it."""
+        reports (under ``"kind reports"``, keyed by ``oracle``), its sides
+        (``relation_sides``) and whether ``saturate`` built each relation in
+        normal form, and its relations as a quotient's parent transports
+        them and the hash that quotient's provenance records
+        (``transform``).  Created on first use; it belongs to the object,
+        never to an equal presentation, and dies with it."""
         return {}
 
 
@@ -253,112 +256,148 @@ class StabilityReport(Record):
         return "\n".join(lines)
 
 
-def _shape_ok(kind: PresentationKind, rel: Relation) -> bool:
+def _shape_ok(kind: PresentationKind, lhs: "Side", rhs: "Side") -> bool:
     """Where meets fold, each clause is one generator; where they stay
     formal, any meet will do."""
-    return not kind.folds_meets or all(len(c.gens) <= 1 for c in rel.lhs.clauses + rel.rhs.clauses)
+    return not kind.folds_meets or not any(m & (m - 1) for m in lhs + rhs)
 
 
-# A normalized side over a finite domain, on generator indices: a sorted
-# tuple of clauses, each a sorted tuple of distinct generators; 1 is ((),).
-Side = tuple[tuple[int, ...], ...]
+# A side: a term over a finite domain in normal form, as the sorted tuple of
+# its clause masks over ``sorted_poset`` indices; 1 is (0,) and 0 is ().
+Side = tuple[int, ...]
+ONE: Side = (0,)
 
 
 class InstanceKernel:
-    """Stability instances of a finite domain's relations on generator
-    indices.
+    """A finite domain's terms as sides, and the stability instances of its
+    relations on them.
 
-    The generators are indexed in ``sorted_poset`` order, which on a finite
-    domain is the order of their keys as strings (a tagged domain's keys
-    share one prefix).  So the canonical order of ``normalize`` -- clauses
-    sorted by their sorted generator tuples -- is the order of the index
-    tuples, and a normalized side compiles to a ``Side`` one for one.
+    The generators are indexed in ``sorted_poset`` order, the order of
+    their keys as strings, which a tagged domain shares with its parent.
+    ``side`` is ``normalize`` on clause masks, and ``term`` is the one place
+    where a side turns back into its canonical ``Term``:
+    ``term(side(t, fold)) == normalize(t, domain, fold)``.
 
     An instance sends every generator g through (g ^ v) v u, one lookup in
-    the image table of the polynomial (``row``).  The tables are built from
-    the domain's own ``meet`` and ``join`` as they are first asked for, so a
-    domain without the operation raises its own error at the first clause
-    that needs it.  The normal form of an instance needs no meet folding:
-    where meets fold, the clauses of a normalized relation are single
-    generators and stay so.  Whether an instance holds in the free structure
-    is read off the generators' up-masks.
+    the image table of the polynomial (``row``), built from the domain's
+    own ``meet`` and ``join`` when first asked for, so a domain without the
+    operation raises its own error at the first clause that needs it.
+    Where meets fold, the clauses of a normalized relation are single
+    generators and stay so.  Whether an instance holds in the free
+    structure is read off the generators' up-masks.  Each instance is
+    computed once per kernel, so ``check_kind`` on the output of
+    ``saturate`` reuses the instances that ``saturate`` computed.
     """
 
     def __init__(self, domain: GeneratorDomain):
         P = domain.sorted_poset
-        self.domain = domain
-        self.names = P.elements
+        self.domain, self.names, self.up, self._down, self._glb = domain, P.elements, P.up, P.down, P.by_down
         self.index = {g: i for i, g in enumerate(self.names)}
-        self.up = P.up
         top = domain.top()
         # the generators above the empty meet
         self.top_up = 0 if top is None else P.up[self.index[top]]
-        self._rows: dict[tuple[Optional[int], Optional[int]], tuple[int, ...]] = {}
+        # image tables and the generators each fixes, by polynomial; terms
+        # by side; instances by relation and polynomial
+        self._rows, self._fixed, self._terms, self._instances = {}, {}, {}, {}
 
-    def row(self, v: Optional[int], u: Optional[int]) -> tuple[int, ...]:
-        """The image table of g -> (g ^ v) v u; ``None`` leaves that step out."""
-        out = self._rows.get((v, u))
+    def side(self, t: Term, fold: bool = False) -> Side:
+        """The normal form of ``t``: each clause folded to the glb of its
+        generators where ``fold`` and the domain has a meet, duplicates
+        dropped, and 1 absorbing the whole join."""
+        masks = set()
+        for cl in t.clauses:
+            m = 0
+            for g in cl.gens:
+                if g not in self.index:
+                    raise TermError(f"generator {g!r} does not belong to domain {self.domain.name!r}")
+                m |= 1 << self.index[g]
+            if m & (m - 1) and fold and self.domain.has_meet:
+                m = 1 << self._glb[reduce(and_, [self._down[i] for i in _bits(m)])]
+            masks.add(m)
+        return ONE if 0 in masks else tuple(sorted(masks))
+
+    def term(self, side: Side) -> Term:
+        """The canonical term of a side, built once: its clauses ordered by
+        their generator indices, which is the order of their names."""
+        out = self._terms.get(side)
         if out is None:
-            names, index, domain = self.names, self.index, self.domain
-            if u is None:
-                out = tuple(index[domain.meet(g, names[v])] for g in names)
-            elif v is None:
-                out = tuple(index[domain.join(g, names[u])] for g in names)
-            else:
-                meet, join = self.row(v, None), self.row(None, u)
-                out = tuple(join[x] for x in meet)
-            self._rows[(v, u)] = out
+            names = self.names
+            clauses = sorted(tuple(_bits(m)) for m in side)
+            out = self._terms[side] = Term(tuple([Meet(tuple([names[i] for i in c])) for c in clauses]))
         return out
 
-    def side(self, t: Term) -> Side:
-        """The clauses of a term of meets, as index tuples in their order."""
-        try:
-            return tuple(tuple(self.index[g] for g in cl.gens) for cl in t.clauses)
-        except KeyError as exc:
-            raise TermError(
-                f"generator {exc.args[0]!r} does not belong to domain {self.domain.name!r}"
-            ) from None
+    def relation(self, lhs: Side, rhs: Side, op: str = "=") -> Relation:
+        return Relation(self.term(lhs), self.term(rhs), op)
 
-    def term(self, side: Side, names: Optional[Sequence[str]] = None) -> Term:
-        """The term of a side, over the generator names (or ``names``)."""
-        name = (names or self.names).__getitem__
-        return Term(tuple([Meet(tuple(map(name, cl))) for cl in side]))
+    def row(self, v: Optional[int], u: Optional[int]) -> tuple[int, ...]:
+        """The image table of g -> (g ^ v) v u, each image as the mask of
+        its generator; ``None`` leaves that step out."""
+        out = self._rows.get((v, u))
+        if out is None:
+            if v is not None and u is not None:
+                join = self.row(None, u)
+                out = tuple([join[m.bit_length() - 1] for m in self.row(v, None)])
+            else:
+                op, c = (self.domain.meet, v) if u is None else (self.domain.join, u)
+                out = tuple([1 << self.index[op(g, self.names[c])] for g in self.names])
+            self._rows[(v, u)] = out
+            self._fixed[(v, u)] = sum(m for g, m in enumerate(out) if m >> g == 1)
+        return out
 
-    def image(self, side: Side, v: Optional[int], u: Optional[int]) -> Side:
+    def _image(self, side: Side, v: Optional[int], u: Optional[int]) -> Side:
         """The normal form of the side with every generator sent through
-        (g ^ v) v u.  The empty meet counts as the domain top: 1 v u = 1,
-        and (1 ^ v) v u = v v u.  A normalized side holds the empty meet
-        only as the term 1 itself."""
-        if not side:
-            return side
-        if side == ((),):
-            return side if v is None else ((v if u is None else self.row(None, u)[v],),)
-        row = self.row(v, u)
-        out = {(row[cl[0]],) if len(cl) == 1 else tuple(sorted({row[g] for g in cl})) for cl in side}
+        (g ^ v) v u, once its table exists.  The empty meet counts as the
+        domain top: 1 v u = 1 and (1 ^ v) v u = v v u; a normalized side
+        holds it only as the term 1 itself."""
+        if side == ONE:
+            return side if v is None else (1 << v if u is None else self.row(None, u)[v],)
+        row, out = self._rows.get((v, u)), set()
+        if len(side) == 1 and not side[0] & (side[0] - 1):
+            return (row[side[0].bit_length() - 1],)  # one generator
+        for m in side:
+            if m & (m - 1):
+                c = 0
+                for g in _bits(m):
+                    c |= row[g]
+                out.add(c)
+            else:
+                out.add(row[m.bit_length() - 1])
         return tuple(sorted(out))
 
     def free_leq(self, s: Side, t: Side) -> bool:
         """Every clause of s lies below a clause of t generator by
         generator, so s <= t holds by order and absorption alone."""
-        up = self.up
         for c in s:
-            above = 0 if c else self.top_up
-            for h in c:
-                above |= up[h]
-            if not any(all((above >> g) & 1 for g in d) for d in t):
+            above = reduce(or_, [self.up[h] for h in _bits(c)], 0 if c else self.top_up)
+            if all(d & ~above for d in t):
                 return False
         return True
 
-    def instances(self, rel: Relation, polynomials: Iterable[tuple[Optional[int], Optional[int]]]):
+    def instances(self, lhs: Side, rhs: Side, op: str, polynomials: Iterable[tuple[Optional[int], Optional[int]]]):
         """The instances of a normalized relation under each polynomial
-        (v, u) that are neither trivial nor free, as (polynomial, key,
-        lhs, rhs), in the order of ``polynomials``."""
-        lhs, rhs, op = self.side(rel.lhs), self.side(rel.rhs), rel.op
-        for v, u in polynomials:
-            l, r = self.image(lhs, v, u), self.image(rhs, v, u)
-            if l == r or (self.free_leq(l, r) and (op == "<=" or self.free_leq(r, l))):
-                continue
-            yield (v, u), _side_key(l, r, op), l, r
+        (v, u) that are neither trivial nor free, as (polynomial, key, lhs,
+        rhs), in the order of ``polynomials``; each is computed once.  One
+        that fixes every generator of the relation, and does not send its
+        side 1 to v, is the relation itself: it is skipped once the table of
+        the polynomial exists, so a domain without the operation raises."""
+        memo = self._instances.setdefault((lhs, rhs, op), {})
+        gens = reduce(or_, lhs + rhs, 0)
+        one = ONE in (lhs, rhs)
+        for poly in polynomials:
+            hit = memo.get(poly)
+            if hit is None:
+                v, u = poly
+                if gens:
+                    self.row(v, u)
+                if gens and not gens & ~self._fixed[poly] and (v is None or not one):
+                    hit = ()
+                else:
+                    l, r = self._image(lhs, v, u), self._image(rhs, v, u)
+                    free = l == r or self.free_leq(l, r) and (op == "<=" or self.free_leq(r, l))
+                    hit = () if free else (_side_key(l, r, op), l, r)
+                memo[poly] = hit
+            if hit:
+                yield (poly, *hit)
 
 
 def _side_key(lhs: Side, rhs: Side, op: str):
@@ -368,10 +407,7 @@ def _side_key(lhs: Side, rhs: Side, op: str):
 
 def instance_kernel(domain: GeneratorDomain) -> InstanceKernel:
     """The domain object's instance kernel, built once, in ``domain.memo``."""
-    kernel = domain.memo.get(InstanceKernel)
-    if kernel is None:
-        kernel = domain.memo[InstanceKernel] = InstanceKernel(domain)
-    return kernel
+    return memoized(domain, InstanceKernel, lambda: InstanceKernel(domain))
 
 
 def on_grid(p: Presentation, grid: Optional[Sequence[ExtRat]], verb: str) -> Presentation:
@@ -409,6 +445,20 @@ def check_kind(
     return reports[oracle]
 
 
+def relation_sides(p: Presentation, fold: bool) -> list[tuple[Side, Side, str]]:
+    """The sides of ``p``'s concrete relations, meets folded where ``fold``
+    and the domain has a meet, in ``p.memo`` under ``("sides", fold)``:
+    left there by ``saturate`` or ``present`` for what they build, else
+    derived once through the domain's kernel."""
+    fold = fold and p.domain.has_meet
+
+    def derive():
+        kernel = instance_kernel(p.domain)
+        return [(kernel.side(r.lhs, fold), kernel.side(r.rhs, fold), r.op) for r in p.concrete_relations()]
+
+    return memoized(p, ("sides", fold), derive)
+
+
 def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     """The verdicts on a finite domain.  The one-step instances the kind
     demands send each generator g to g ^ c for each generator c when its
@@ -418,12 +468,11 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
     kernel = instance_kernel(domain)
-    rels = [r.normalized(domain, p.kind.folds_meets) for r in p.concrete_relations()]
+    sides = relation_sides(p, p.kind.folds_meets)
     present = set()
-    for r in rels:
-        lhs, rhs = kernel.side(r.lhs), kernel.side(r.rhs)
-        present.add(_side_key(lhs, rhs, r.op))
-        if r.op == "=":
+    for lhs, rhs, op in sides:
+        present.add(_side_key(lhs, rhs, op))
+        if op == "=":
             present.update((("<=", lhs, rhs), ("<=", rhs, lhs)))
     ops = p.kind.ops
     witnesses: dict[tuple[Optional[int], Optional[int]], str] = {}
@@ -446,17 +495,17 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         return evaluated.relation_holds(rel)
 
     verdicts = []
-    for idx, rel in enumerate(rels):
-        if not _shape_ok(p.kind, rel):
-            verdicts.append(StabilityVerdict(idx, "fail", None, rel))
+    for idx, (lhs, rhs, op) in enumerate(sides):
+        if not _shape_ok(p.kind, lhs, rhs):
+            verdicts.append(StabilityVerdict(idx, "fail", None, kernel.relation(lhs, rhs, op)))
             continue
         verdict = "syntacticPass"
         witness = None
         missing = None
-        for poly, key, lhs, rhs in kernel.instances(rel, witnesses):
+        for poly, key, l, r in kernel.instances(lhs, rhs, op, witnesses):
             if key in present:
                 continue
-            inst = Relation(kernel.term(lhs), kernel.term(rhs), rel.op)
+            inst = kernel.relation(l, r, op)
             if oracle_holds(inst):
                 verdict = "oraclePass"
                 continue
@@ -526,18 +575,16 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
             raise PresentationError(f"completion did not reach {target.structure[1]}")
 
     fold = target.folds_meets
-    rels = [
-        Relation(_map_term(r.lhs, mapping), _map_term(r.rhs, mapping), r.op).normalized(
-            domain, fold
-        )
+    kernel = instance_kernel(domain)
+    sides = relation_sides(p, fold) if domain is p.domain else [
+        (kernel.side(_map_term(r.lhs, mapping), fold), kernel.side(_map_term(r.rhs, mapping), fold), r.op)
         for r in p.concrete_relations()
     ]
     if p.schematic:
         raise PresentationError("cannot saturate schematic relations; instantiate first")
 
-    kernel = instance_kernel(domain)
-    seen = {_side_key(kernel.side(r.lhs), kernel.side(r.rhs), r.op) for r in rels}
-    out = list(rels)
+    seen = {_side_key(lhs, rhs, op) for lhs, rhs, op in sides}
+    out = list(sides)
     gens = [kernel.index[g] for g in domain.enumerate_gens()]
     # Appending the closed instance family in one pass: instances of
     # meet-instances are meet-instances (dually for joins), and dcpo
@@ -545,14 +592,20 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     polynomials = list(
         itertools.product(*[gens if op in target.ops else [None] for op in ("meet", "join")])
     )
-    for rel in rels:
-        if not _shape_ok(target, rel):
+    for lhs, rhs, op in sides:
+        if not _shape_ok(target, lhs, rhs):
+            rel = kernel.relation(lhs, rhs, op)
             raise PresentationError(f"relation {rel} cannot be reshaped to {target.value}")
-        for _, key, lhs, rhs in kernel.instances(rel, polynomials):
+        for _, key, l, r in kernel.instances(lhs, rhs, op, polynomials):
             if key not in seen:
                 seen.add(key)
-                out.append(Relation(kernel.term(lhs), kernel.term(rhs), rel.op))
-    return Presentation(target, domain, tuple(out))
+                out.append((l, r, op))
+    sat = Presentation(target, domain, tuple([kernel.relation(*s) for s in out]))
+    # hand the sides over; folded clauses are single generators, so they
+    # are the unfolded sides too, and every relation is in normal form
+    sat.memo[("sides", fold and domain.has_meet)] = sat.memo[("sides", False)] = out
+    sat.memo["normal form"] = True
+    return sat
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +840,7 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
                     work.append(c)
         done.append(a)
     ordered = sorted(pool, key=domain.sort_key)
-    up = [sum(1 << j for j, b in enumerate(ordered) if domain.leq(a, b)) for a in ordered]
+    up = domain.up_masks(ordered)
     # inherit exactly the parent's structure: accidental glbs/lubs of the
     # restricted poset are not generator operations
     restricted = FiniteGeneratorDomain(

@@ -2,16 +2,19 @@
 
 Given a presentation of a frame and the restriction of a quotient operator
 to generators (a QuotientSpec), ``present`` emits the presentation of the
-quotient frame over tagged generators: the original relations transported
-verbatim, the unit and/or zero relation, and one meet and/or join relation
-per generator pair expanded through the chosen representations.  Concrete
-images are joins of meets of generators; a schematic image, such as the
+quotient frame over tagged generators: the unit and/or zero relation, one
+meet and/or join relation per generator pair expanded through the chosen
+representations, and the original relations transported.  Over a finite
+domain the tagged generators share the parent's indices (one
+``TaggedDomain`` per parent object and tag), so the pair relations are
+built and deduped as sides, a relation in normal form is transported by
+relabelling its sides, and the quotient is handed its sides
+(``presentation.relation_sides``).  A schematic image, such as the
 Z-indexed shift family of the circle, is a ``SchemaTerm`` and yields
-``RelationSchema`` pair relations.  One
-engine serves all six modes; it reads every difference between them (tag,
-parent kind, unit/zero relations, pair family, image shape) from
-``mode.info``.  The six ``present_<mode>`` functions are the same engine
-with the mode fixed.
+``RelationSchema`` pair relations.  One engine serves all six modes; it
+reads every difference between them (tag, parent kind, unit/zero
+relations, pair family, image shape) from ``mode.info``.  The six
+``present_<mode>`` functions are the same engine with the mode fixed.
 
 ``derive_spec_from_coinserter`` goes the other way: it computes the
 quotient operator of a coinserter or coequaliser of finite frame maps,
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from .generators import GeneratorDomain, TaggedDomain
+from .generators import GeneratorDomain, TaggedDomain, memoized, tagged_domain
 from .lattice import (
     MonotoneMap,
     QuotientMode,
     Role,
+    _bits,
     check_quotient_operator,
     coequaliser_closure,
     compose,
@@ -37,13 +41,16 @@ from .lattice import (
 )
 from .presentation import (
     AnyRelation,
+    ONE,
     Presentation,
     PresentationError,
     PresentationKind,
     Relation,
     RelationSchema,
+    _side_key,
     check_kind,
     instance_kernel,
+    relation_sides,
 )
 from .rationals import ExtRat
 from .records import Record
@@ -55,7 +62,6 @@ from .terms import (
     Term,
     gen_term,
     join_of,
-    normalize,
     rename_clause,
     rename_cond,
     rename_pattern,
@@ -218,54 +224,80 @@ def _transport_relation(rel, tagged: TaggedDomain):
 
 def _parent_hash(p: Presentation) -> str:
     """The provenance hash of the parent, memoized on the parent object."""
-    out = p.memo.get("parent hash")
-    if out is None:
+
+    def digest() -> str:
         import hashlib
         import json
 
         from .serialize import presentation_to_jsonable
 
         blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
-        out = p.memo["parent hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return out
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    return memoized(p, "parent hash", digest)
 
 
-def _finite_pair_relations(
-    p: Presentation, spec: QuotientSpec, tagged: TaggedDomain
-) -> list[Relation]:
-    # The semi relation families are symmetric and emitted once per
-    # unordered pair; the strict ones expand only the second slot, and
-    # dropping the mirrored relation loses forcing on small finite
-    # instances, so both orders are kept there.  Each relation equates the
-    # meet (join) of the pair with the join over the pair's image clauses
-    # a, b of the meet of x ^ y (x v y) for x in a, y in b, read off the
-    # kernel's meet (join) tables.  Sides are built on generator indices in
-    # their canonical order: the tagged keys share one prefix, so they sort
-    # as the parent's keys do.
+def _finite_pair_sides(p: Presentation, spec: QuotientSpec):
+    """The sides of the finite pair relations, on the parent's generator
+    indices, which the tagged generators share.
+
+    The semi relation families are symmetric and emitted once per
+    unordered pair; the strict ones expand only the second slot, and
+    dropping the mirrored relation loses forcing on small finite
+    instances, so both orders are kept there.  Each relation equates the
+    meet (join) of the pair with the join over the pair's image clauses
+    a, b of the meet of x ^ y (x v y) for x in a, y in b, read off the
+    kernel's meet (join) tables."""
     kernel = instance_kernel(p.domain)
-    names = [tagged.wrap(g) for g in kernel.names]
     info = spec.mode.info
-    images = [kernel.side(spec.image_of(g)) for g in kernel.names]
-    n = len(names)
+    # each image clause as its generator indices
+    images = [[tuple(_bits(a)) for a in kernel.side(spec.image_of(g))] for g in kernel.names]
+    n = len(images)
+    # tables[y][x] is the mask of x ^ y (x v y)
     tables = [
         (op, [kernel.row(y, None) if op == "meet" else kernel.row(None, y) for y in range(n)])
         for op in info.family.ops
     ]
-    out = []
     for s in range(n):
         for t in range(s, n) if info.semi else range(n):
-            left = images[s] if info.semi else ((s,),)
+            left = images[s] if info.semi else [(s,)]
             right = images[t]
-            pair = tuple(sorted({s, t}))
             for op, table in tables:
-                lhs = (pair,) if op == "meet" else tuple((x,) for x in pair)
-                clauses = {
-                    tuple(sorted({table[y][x] for x in a for y in b})) for a in left for b in right
-                }
-                rhs = ((),) if () in clauses else tuple(sorted(clauses))
+                lhs = (1 << s | 1 << t,) if op == "meet" else tuple(sorted({1 << s, 1 << t}))
+                clauses = set()
+                for a in left:
+                    for b in right:
+                        c = 0
+                        for y in b:
+                            row = table[y]
+                            for x in a:
+                                c |= row[x]
+                        clauses.add(c)
+                rhs = ONE if 0 in clauses else tuple(sorted(clauses))
                 if lhs != rhs:
-                    out.append(Relation(kernel.term(lhs, names), kernel.term(rhs, names)))
-    return out
+                    yield lhs, rhs, "="
+
+
+def _transported(p: Presentation, tagged: TaggedDomain) -> list:
+    """The parent's relations over the tagged generators, each with its
+    dedupe key and its sides (None for a schema); once per parent object
+    and tag, in ``p.memo``, for a mode's strict and semi quotients alike.
+    The tagged generators share the parent's indices, so a relation in
+    normal form moves by relabelling its sides and is keyed by them.  Any
+    other moves verbatim, keyed by ``Relation.key``, which no normal form
+    shares."""
+    return memoized(p, ("transported", tagged.tag), lambda: list(_transport(p, tagged)))
+
+
+def _transport(p: Presentation, tagged: TaggedDomain):
+    finite = p.domain.finite and not p.schematic
+    normal = p.memo.get("normal form", False)
+    for r, s in zip(p.relations, relation_sides(p, False) if finite else [None] * len(p.relations)):
+        if s and (normal or instance_kernel(p.domain).relation(*s) == r):
+            yield _side_key(*s), instance_kernel(tagged).relation(*s), s
+        else:
+            moved = _transport_relation(r, tagged)
+            yield ("schema", str(r)) if isinstance(r, RelationSchema) else moved.key(), moved, s
 
 
 def _symbolic_pair_schemas(
@@ -323,7 +355,7 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
 
             raise KindCheckError(report)
 
-    tagged = TaggedDomain(family.tag, p.domain)
+    tagged = tagged_domain(p.domain, family.tag)
     rels: list = []
     if "meet" in family.ops:
         top = p.domain.top()
@@ -336,27 +368,33 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
             raise TransformError("domain bottom needed for the zero relation")
         rels.append(Relation(gen_term(tagged.wrap(bottom)), TERM_ZERO))
 
+    # every relation with its dedupe key and, over a finite domain, its
+    # sides, which the quotient is handed when it holds no schema
     if spec.schematic:
-        rels.extend(_symbolic_pair_schemas(p, spec, tagged))
+        entries = [(r.key(), r, None) for r in rels]
+        entries += [(("schema", str(r)), r, None) for r in _symbolic_pair_schemas(p, spec, tagged)]
     else:
-        rels.extend(_finite_pair_relations(p, spec, tagged))
-
-    rels.extend(_transport_relation(r, tagged) for r in p.relations)
-
-    seen = set()
-    uniq = []
-    for r in rels:
-        key = r.key() if isinstance(r, Relation) else ("schema", str(r))
+        pairs = list(_finite_pair_sides(p, spec))
+        tk = instance_kernel(tagged)
+        heads = [(tk.side(r.lhs), tk.side(r.rhs), "=") for r in rels]
+        entries = [(_side_key(*s), r, s) for r, s in zip(rels, heads)]
+        entries += [(_side_key(*s), None, s) for s in pairs]
+    seen, uniq, sides = set(), [], []
+    for key, r, s in entries + _transported(p, tagged):
         if key not in seen:
             seen.add(key)
-            uniq.append(r)
+            uniq.append(r or tk.relation(*s))
+            sides.append(s)
 
     if spec.schematic:
         image = tuple((f"case{i}", str(c.term)) for i, c in enumerate(spec.cases))
     else:
         image = tuple((g, str(t)) for g, t in spec.image)
     prov = Provenance(p, mode.value, image)
-    return TransformedPresentation(PresentationKind.PLAIN, tagged, tuple(uniq), prov)
+    out = TransformedPresentation(PresentationKind.PLAIN, tagged, tuple(uniq), prov)
+    if None not in sides:
+        out.memo[("sides", False)] = sides
+    return out
 
 
 def present_semi_open(p: Presentation, spec: QuotientSpec, check: bool = True) -> TransformedPresentation:
@@ -506,14 +544,16 @@ def spec_from_operator(parent: PresentedObject, op: MonotoneMap, mode: QuotientM
     domain = parent.domain
     family = mode.info.family
     fold = PresentationKind.with_ops(family.ops).folds_meets
+    kernel = instance_kernel(domain)
     image = []
     for g in sorted(parent.interp, key=domain.sort_key):
         target = op(parent.interp[g])
+        # a generator, itself or read back, is in normal form already
         if target == parent.interp[g]:
             term = gen_term(g)
         elif family.role is Role.DCPO_IDEMPOTENT:
             term = _readback_generator(parent, target)
         else:
-            term = _readback(parent, target, join=family.role is Role.CLOSURE_OP)
-        image.append((g, normalize(term, domain, fold)))
+            term = kernel.term(kernel.side(_readback(parent, target, join=family.role is Role.CLOSURE_OP), fold))
+        image.append((g, term))
     return QuotientSpec(mode, domain, tuple(image))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Optional, Union
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from locale_forge.intervals import (
     circle_open_spec,
     circle_proper_presentation,
     circle_proper_spec,
-    expand_family_meet,
     nat_reverse_counterexample,
     point_map_right_adjoint,
     real_presentation,
@@ -23,11 +23,73 @@ from locale_forge.lattice import poset_isomorphism
 from locale_forge.presentation import Relation, check_kind, instantiate_schemas
 from locale_forge.rationals import NEG_INF, POS_INF, rat
 from locale_forge.generators import DomainError, TaggedDomain
-from locale_forge.terms import Meet, SchemaClause, Term, TermError, TERM_ZERO, gen_term
+from locale_forge.terms import (
+    GenPattern,
+    Meet,
+    SchemaClause,
+    Term,
+    TermError,
+    TERM_ZERO,
+    cmp_cond,
+    econst,
+    gen_term,
+)
 
 from conftest import real_line_on_grid
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+def expand_family_meet(
+    s: str, fam: SchemaClause, domain: Optional[OpenIntervalDomain] = None
+) -> Union[Term, SchemaClause]:
+    """The tests' own oracle of family expansion, kept apart from the
+    instantiation path (``presentation._instantiate_clause``) it checks.
+
+    Materialise the meet of a concrete generator with a Z-indexed family,
+    a ``SchemaClause`` whose ``int_var`` is bound and whose patterns have
+    constant endpoints.
+
+    Bounded generators meet only finitely many shifts, returned as a plain
+    join; an unbounded generator leaves a family, returned as a
+    ``SchemaClause`` with the non-emptiness condition attached.
+    """
+    domain = domain or OpenIntervalDomain()
+    if s == domain.BOTTOM:
+        return TERM_ZERO
+    lo, hi = domain.key_endpoints(s)
+    s_pat = GenPattern("OI", (econst(lo), econst(hi)))
+    meets = [domain.meet_patterns(s_pat, b) for b in fam.meet]
+    if not any(
+        a.with_index for m in meets for arg in m.args for a in arg.atoms()
+    ):
+        keys = [domain.instantiate_pattern(m, {}, None) for m in meets]
+        keys = [k for k in keys if k != domain.BOTTOM]
+        return Term(tuple(Meet((k,)) for k in sorted(set(keys))))
+    consts = [
+        a.const + a.offset
+        for m in fam.meet
+        for arg in m.args
+        for a in arg.atoms()
+        if a.param is None and (a.const + a.offset).finite
+    ]
+    if lo.finite and hi.finite:
+        span_lo = min([lo.value] + [c.value for c in consts])
+        span_hi = max([hi.value] + [c.value for c in consts])
+        width = int(span_hi - span_lo) + 2
+        keys = []
+        for n in range(-width, width + 1):
+            if not all(c.holds({}, n) for c in fam.conds):
+                continue
+            for m in meets:
+                k = domain.instantiate_pattern(m, {}, n)
+                if k != domain.BOTTOM:
+                    keys.append(k)
+        return Term(tuple(Meet((k,)) for k in sorted(set(keys), key=domain.sort_key)))
+    conds = list(fam.conds)
+    for m in meets:
+        conds.append(cmp_cond(m.args[0], "<", m.args[1]))
+    return SchemaClause(tuple(meets), conds=tuple(conds), int_var=fam.int_var)
 
 
 class TestOpenIntervalDomain:

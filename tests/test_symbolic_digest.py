@@ -11,7 +11,7 @@ import hashlib
 import random
 
 from locale_forge.evaluate import eval_frame
-from locale_forge.generators import FiniteGeneratorDomain
+from locale_forge.generators import FiniteGeneratorDomain, domain_from_descriptor
 from locale_forge.lattice import QuotientMode
 from locale_forge.presentation import Presentation, PresentationKind, Relation, check_kind, saturate
 from locale_forge.suites import (
@@ -118,3 +118,25 @@ class TestSymbolicDigest:
                 h.update(repr(record).encode())
                 count += 1
         assert (count, h.hexdigest()) == self.PINNED
+
+
+class TestHandOff:
+    """``saturate`` hands its sides and its stability instances to the
+    ``check_kind`` that follows; a copy over a fresh domain object has
+    neither, and must get the same reports."""
+
+    def test_handoff_digest_matches_a_fresh_domain(self):
+        checked = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            for domain, rels in raw_relations(rng):
+                for kind in KINDS:
+                    sat, err = attempt(saturate, Presentation(kind, domain, rels), kind)
+                    if err:
+                        continue
+                    fresh = Presentation(kind, domain_from_descriptor(sat.domain.descriptor()), sat.relations)
+                    assert ("sides", False) in sat.memo and not fresh.memo
+                    for oracle in (True, False):
+                        assert check_kind(sat, oracle=oracle) == check_kind(fresh, oracle=oracle)
+                    checked += 1
+        assert checked > 100

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from locale_forge.generators import FiniteGeneratorDomain
 from locale_forge.intervals import OpenIntervalDomain
-from locale_forge.lattice import FinitePoset
+from locale_forge.lattice import FinitePoset, subset_poset, unions
 from locale_forge.presentation import instance_kernel
 from locale_forge.terms import (
     Meet,
@@ -85,6 +85,50 @@ class TestNormalize:
         t = normalize(join_of(["a", "b"]), diamond)
         kernel = instance_kernel(diamond)
         assert kernel.free_leq(kernel.side(s), kernel.side(t))
+
+
+def sixteen_generators(use_meet: bool) -> FiniteGeneratorDomain:
+    """The downsets of a 4-antichain named g0..g15, so that g10 sorts
+    before g2: a distributive lattice, with its meet declared or not."""
+    masks = unions([1, 2, 4, 8], 16, "test lattice")
+    return FiniteGeneratorDomain(subset_poset(masks, lambda m: f"g{masks.index(m)}"), use_meet=use_meet)
+
+
+SIXTEEN = [f"g{i}" for i in range(16)]
+
+
+class TestKernelSides:
+    """A side is ``normalize`` on clause masks, and ``term`` turns it back
+    into the same canonical term, over names whose string order is not
+    their numeric order."""
+
+    @given(st.lists(st.lists(st.sampled_from(SIXTEEN), max_size=3), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_term_of_side_is_the_normal_form(self, clauses):
+        t = Term(tuple(Meet(tuple(c)) for c in clauses))
+        for use_meet in (True, False):
+            dom = sixteen_generators(use_meet)
+            kernel = instance_kernel(dom)
+            for fold in (True, False):
+                assert kernel.term(kernel.side(t, fold)) == normalize(t, dom, fold)
+
+    def test_formal_meets_keep_their_generators(self):
+        dom = sixteen_generators(use_meet=True)
+        kernel = instance_kernel(dom)
+        t = Term((Meet(("g2", "g10")), Meet(("g3",)), Meet(("g10", "g2", "g10"))))
+        assert kernel.term(kernel.side(t)) == normalize(t, dom, False)
+        assert str(kernel.term(kernel.side(t))) == "g10 ^ g2 v g3"
+        assert str(kernel.term(kernel.side(t, fold=True))) == str(normalize(t, dom, True))
+
+    def test_zero_and_one(self):
+        kernel = instance_kernel(sixteen_generators(use_meet=True))
+        assert kernel.side(TERM_ZERO) == () and kernel.term(()) == TERM_ZERO
+        assert kernel.side(TERM_ONE) == (0,) and kernel.term((0,)) == TERM_ONE
+        assert kernel.side(Term((Meet(("g10",)), Meet(())))) == (0,)
+
+    def test_a_foreign_generator_is_a_term_error(self, diamond):
+        with pytest.raises(TermError, match="generator 'nope' does not belong"):
+            instance_kernel(diamond).side(gen_term("nope"))
 
 
 # ---------------------------------------------------------------------------

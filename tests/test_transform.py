@@ -181,6 +181,39 @@ class TestFiniteTransformers:
 
 
 class TestTransportFidelity:
+    def test_unnormalized_parent_output_unchanged(self):
+        """Two parent relations equal up to clause order are two relations
+        to ``Relation.key``, and both are transported verbatim; a relation
+        in normal form that a pair relation repeats, here ``t = 1``, is
+        kept once."""
+        dom = diamond_domain()
+        p = Presentation(
+            PresentationKind.SUP,
+            dom,
+            (
+                Relation(join_of(["b", "a"]), gen_term("t")),
+                Relation(join_of(["a", "b"]), gen_term("t")),
+                Relation(Term((Meet(("a", "a")),)), gen_term("a"), "<="),
+                Relation(gen_term("t"), TERM_ONE),
+            ),
+        )
+        for mode in (QuotientMode.OPEN, QuotientMode.SEMI_OPEN):
+            out = present(p, identity_spec(dom, mode), check=False)
+            assert [str(r) for r in out.relations] == [
+                "dia t = 1",
+                "dia a ^ dia b = dia z",
+                "dia a ^ dia t = dia a",
+                "dia a ^ dia z = dia z",
+                "dia b ^ dia t = dia b",
+                "dia b ^ dia z = dia z",
+                "dia t ^ dia z = dia z",
+                "dia b v dia a = dia t",
+                "dia a v dia b = dia t",
+                "dia a ^ dia a <= dia a",
+            ]
+            frame = eval_frame(out)
+            assert frame.carrier.elements == ("0", "dia z", "dia a", "dia b", "1")
+
     def test_stripping_tags_recovers_parent_relations(self):
         p = two_point_presentation()
         parent = eval_frame(p)
