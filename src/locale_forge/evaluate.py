@@ -157,23 +157,17 @@ class _MeetCarrier:
         self.n = len(self.masks)
         # the element of each generator, by its position
         self.gen_elems = [self.index[m] for m in self.gen_masks]
-        # ``clause(mask)``: the element a clause mask meets to
-        self.clause = _ClauseMeets(self.index, self.gen_masks, full).__getitem__
+        self.full, self._clauses = full, {}
 
     def meet(self, i: int, j: int) -> int:
         return self.index[self.masks[i] & self.masks[j]]
 
-
-class _ClauseMeets(dict):
-    """The element of a meet carrier that each clause mask meets to (the
-    top for none): one AND over the masks of its generators, computed when
-    the clause is first looked up."""
-
-    def __init__(self, index: dict[int, int], gen_masks: Sequence[int], full: int):
-        self.index, self.gen_masks, self.full = index, gen_masks, full
-
-    def __missing__(self, mask: int) -> int:
-        out = self[mask] = self.index[reduce(and_, [self.gen_masks[i] for i in _bits(mask)], self.full)]
+    def clause(self, mask: int) -> int:
+        """The element a clause mask meets to (the top for none): one AND
+        over the masks of its generators, kept per clause."""
+        out = self._clauses.get(mask)
+        if out is None:
+            out = self._clauses[mask] = self.index[reduce(and_, [self.gen_masks[i] for i in _bits(mask)], self.full)]
         return out
 
 

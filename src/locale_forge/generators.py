@@ -100,10 +100,6 @@ class GeneratorDomain:
         """The generators of a finite domain, in the order of its poset."""
         raise DomainError(f"domain {self.name!r} is not finite")
 
-    def up_masks(self, keys: Sequence[str]) -> list[int]:
-        """For each of ``keys``, the mask of the keys above it."""
-        return [sum(1 << j for j, b in enumerate(keys) if self.leq(a, b)) for a in keys]
-
     def sort_key(self, key: str):
         return key
 
@@ -318,13 +314,6 @@ def memoized(owner, key, make: Callable):
     if out is None:
         out = owner.memo[key] = make()
     return out
-
-
-def tagged_domain(parent: GeneratorDomain, tag: str) -> TaggedDomain:
-    """The one ``TaggedDomain`` with ``tag`` over the parent object, so that
-    a mode's strict and semi quotients share its indices, kernel and meet
-    carrier."""
-    return memoized(parent, (TaggedDomain, tag), lambda: TaggedDomain(tag, parent))
 
 
 # populated by the builtin symbolic domains on import

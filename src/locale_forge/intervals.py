@@ -131,30 +131,6 @@ class _EndpointDomain(GeneratorDomain):
     def _in_range(self, x: ExtRat) -> bool:
         return self.LO <= x <= self.HI
 
-    # per endpoint, whether a key above another has it at most (else at
-    # least) the other's
-    _ABOVE_AT_MOST: tuple[bool, bool]
-
-    def up_masks(self, keys: Sequence[str]) -> list[int]:
-        """The keys above each key, read off prefix masks in the order of
-        each endpoint, with no ``leq`` call: a key is above another when
-        both of its endpoints lie on the ``_ABOVE_AT_MOST`` side of the
-        other's.  A key without endpoints lies below every key."""
-        eps = [self.key_endpoints(k) for k in keys]
-        out = [(1 << len(keys)) - 1 if e is None else -1 for e in eps]
-        for c, at_most in enumerate(self._ABOVE_AT_MOST):
-            at: dict[ExtRat, int] = {}
-            for j, e in enumerate(eps):
-                if e is not None:
-                    at[e[c]] = at.get(e[c], 0) | 1 << j
-            reach, acc = {}, 0
-            for x in sorted(at, reverse=not at_most):
-                acc = reach[x] = acc | at[x]
-            for i, e in enumerate(eps):
-                if e is not None:
-                    out[i] &= reach[e[c]]
-        return out
-
     def generic_pattern(self) -> GenPattern:
         return GenPattern(self.ctor, (eparam("p"), eparam("q")))
 
@@ -191,7 +167,6 @@ class OpenIntervalDomain(_EndpointDomain):
     ctor = "OI"
     noun = "an interval"
     LO, HI = NEG_INF, POS_INF
-    _ABOVE_AT_MOST = (True, False)
 
     BOTTOM = "OI()"
 
@@ -251,7 +226,6 @@ class ClosedComplementDomain(_EndpointDomain):
     ctor = "CC"
     noun = "a closed-complement"
     LO, HI = rat(0), rat(1)
-    _ABOVE_AT_MOST = (False, True)
 
     def key(self, p: ExtRat, q: ExtRat) -> str:
         return f"CC({p},{q})"

@@ -205,9 +205,8 @@ class Presentation(Record, compare=("kind", "domain", "relations")):
     def memo(self) -> dict:
         """Facts derived from this presentation object alone: ``check_kind``'s
         reports (under ``"kind reports"``, keyed by ``oracle``), its sides
-        (``relation_sides``) and whether ``saturate`` built each relation in
-        normal form, and its relations as a quotient's parent transports
-        them and the hash that quotient's provenance records
+        (``relation_sides``), and its relations as a quotient's parent
+        transports them and the hash that quotient's provenance records
         (``transform``).  Created on first use; it belongs to the object,
         never to an equal presentation, and dies with it."""
         return {}
@@ -352,8 +351,6 @@ class InstanceKernel:
         if side == ONE:
             return side if v is None else (1 << v if u is None else self.row(None, u)[v],)
         row, out = self._rows.get((v, u)), set()
-        if len(side) == 1 and not side[0] & (side[0] - 1):
-            return (row[side[0].bit_length() - 1],)  # one generator
         for m in side:
             if m & (m - 1):
                 c = 0
@@ -602,9 +599,8 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
                 out.append((l, r, op))
     sat = Presentation(target, domain, tuple([kernel.relation(*s) for s in out]))
     # hand the sides over; folded clauses are single generators, so they
-    # are the unfolded sides too, and every relation is in normal form
+    # are the unfolded sides too
     sat.memo[("sides", fold and domain.has_meet)] = sat.memo[("sides", False)] = out
-    sat.memo["normal form"] = True
     return sat
 
 
@@ -840,7 +836,7 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
                     work.append(c)
         done.append(a)
     ordered = sorted(pool, key=domain.sort_key)
-    up = domain.up_masks(ordered)
+    up = [sum(1 << j for j, b in enumerate(ordered) if domain.leq(a, b)) for a in ordered]
     # inherit exactly the parent's structure: accidental glbs/lubs of the
     # restricted poset are not generator operations
     restricted = FiniteGeneratorDomain(

@@ -7,8 +7,7 @@ meet and/or join relation per generator pair expanded through the chosen
 representations, and the original relations transported.  Over a finite
 domain the tagged generators share the parent's indices (one
 ``TaggedDomain`` per parent object and tag), so the pair relations are
-built and deduped as sides, a relation in normal form is transported by
-relabelling its sides, and the quotient is handed its sides
+built and deduped as sides, and the quotient is handed its sides
 (``presentation.relation_sides``).  A schematic image, such as the
 Z-indexed shift family of the circle, is a ``SchemaTerm`` and yields
 ``RelationSchema`` pair relations.  One engine serves all six modes; it
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from .generators import GeneratorDomain, TaggedDomain, memoized, tagged_domain
+from .generators import GeneratorDomain, TaggedDomain, memoized
 from .lattice import (
     MonotoneMap,
     QuotientMode,
@@ -224,17 +223,16 @@ def _transport_relation(rel, tagged: TaggedDomain):
 
 def _parent_hash(p: Presentation) -> str:
     """The provenance hash of the parent, memoized on the parent object."""
-
-    def digest() -> str:
+    out = p.memo.get("parent hash")
+    if out is None:
         import hashlib
         import json
 
         from .serialize import presentation_to_jsonable
 
         blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    return memoized(p, "parent hash", digest)
+        out = p.memo["parent hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return out
 
 
 def _finite_pair_sides(p: Presentation, spec: QuotientSpec):
@@ -282,22 +280,24 @@ def _transported(p: Presentation, tagged: TaggedDomain) -> list:
     """The parent's relations over the tagged generators, each with its
     dedupe key and its sides (None for a schema); once per parent object
     and tag, in ``p.memo``, for a mode's strict and semi quotients alike.
-    The tagged generators share the parent's indices, so a relation in
-    normal form moves by relabelling its sides and is keyed by them.  Any
-    other moves verbatim, keyed by ``Relation.key``, which no normal form
-    shares."""
-    return memoized(p, ("transported", tagged.tag), lambda: list(_transport(p, tagged)))
+    A relation in normal form is keyed by its sides, which the tagged
+    generators share; any other by ``Relation.key``, which no normal form
+    shares, so two relations equal up to clause order both stay."""
 
-
-def _transport(p: Presentation, tagged: TaggedDomain):
-    finite = p.domain.finite and not p.schematic
-    normal = p.memo.get("normal form", False)
-    for r, s in zip(p.relations, relation_sides(p, False) if finite else [None] * len(p.relations)):
-        if s and (normal or instance_kernel(p.domain).relation(*s) == r):
-            yield _side_key(*s), instance_kernel(tagged).relation(*s), s
-        else:
+    def transport():
+        finite = p.domain.finite and not p.schematic
+        kernel = instance_kernel(p.domain) if finite else None
+        out = []
+        for r, s in zip(p.relations, relation_sides(p, False) if finite else [None] * len(p.relations)):
             moved = _transport_relation(r, tagged)
-            yield ("schema", str(r)) if isinstance(r, RelationSchema) else moved.key(), moved, s
+            if s is None:
+                key = ("schema", str(moved)) if isinstance(r, RelationSchema) else moved.key()
+            else:
+                key = _side_key(*s) if kernel.relation(*s) == r else moved.key()
+            out.append((key, moved, s))
+        return out
+
+    return memoized(p, ("transported", tagged.tag), transport)
 
 
 def _symbolic_pair_schemas(
@@ -355,7 +355,9 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
 
             raise KindCheckError(report)
 
-    tagged = tagged_domain(p.domain, family.tag)
+    # one tagged domain per parent object and tag, so that a mode's strict
+    # and semi quotients share its indices, kernel and meet carrier
+    tagged = memoized(p.domain, (TaggedDomain, family.tag), lambda: TaggedDomain(family.tag, p.domain))
     rels: list = []
     if "meet" in family.ops:
         top = p.domain.top()
