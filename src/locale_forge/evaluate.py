@@ -22,13 +22,14 @@ on it.
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the weaker categories: downsets / upsets (one body, union being
 the join of downsets and the meet of upsets) / the generator poset itself,
-quotiented by the least congruence containing the relations;
-``EVALUATORS`` holds the one of each kind that has a discipline, and
-``verify_coverage`` asserts the canonical comparison with the frame is an
-order isomorphism.  Every evaluation reads the generator order from the
-domain's ``sorted_poset``, one congruence closure serves the meet
-equations and the union quotients, and each returns a frozen
-``PresentedObject`` with the function that evaluates terms in it.
+quotiented by the least congruence containing the relations.  They too
+read a relation only as its sides: meets fold where the domain has them,
+except over upsets, whose unions are formal meets.  ``EVALUATORS`` holds
+the one of each kind that has a discipline, and ``verify_coverage``
+asserts the canonical comparison with the frame is an order isomorphism.
+Every evaluation reads the generator order from the domain's
+``sorted_poset`` and returns a frozen ``PresentedObject`` holding its
+side->value function, through which terms and relations are valued.
 
 Everything here is oracle-scale: carriers are capped (default 2**12) and
 the algorithms favour being obviously exhaustive over being clever.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Optional, Sequence, Union
 
 from .generators import GeneratorDomain, memoized
@@ -55,10 +56,12 @@ from .lattice import (
     unions,
 )
 from .presentation import (
+    ONE,
     Presentation,
     PresentationError,
     PresentationKind,
     Relation,
+    Side,
     check_kind,
     instance_kernel,
     on_grid,
@@ -66,7 +69,7 @@ from .presentation import (
 )
 from .rationals import ExtRat
 from .records import Record
-from .terms import Meet, Term
+from .terms import Term
 
 
 class EvaluationError(PresentationError):
@@ -84,12 +87,15 @@ class PresentedObject(Record, show=("category", "carrier", "interp", "domain")):
 
     ``carrier`` is a FiniteLattice except for dcpo results, which may be a
     bare FinitePoset.  ``interp`` maps generator keys to carrier indices.
-    ``term_value`` maps a term over the generators to its carrier index,
-    or to None where the term has no value (a dcpo side that is not a
-    directed family of generators with a greatest element).
+    ``side_value`` is all an evaluator hands over: it maps a side, as
+    ``relation_sides`` reads it with meets folded where ``fold``, to its
+    carrier index, or to None where the side has no value (a dcpo side
+    that is not a directed family of generators with a greatest element).
+    Terms and relations are read through it, as sides of the domain's
+    ``InstanceKernel``.
     """
 
-    __slots__ = ("category", "carrier", "interp", "domain", "term_value")
+    __slots__ = ("category", "carrier", "interp", "domain", "fold", "side_value")
 
     def __init__(
         self,
@@ -97,26 +103,35 @@ class PresentedObject(Record, show=("category", "carrier", "interp", "domain")):
         carrier: Union[FiniteLattice, FinitePoset],
         interp: dict[str, int],
         domain: GeneratorDomain,
-        term_value: Callable[[Term], Optional[int]],
+        fold: bool,
+        side_value: Callable[[Side], Optional[int]],
     ):
         init = object.__setattr__
         init(self, "category", category)
         init(self, "carrier", carrier)
         init(self, "interp", interp)
         init(self, "domain", domain)
-        init(self, "term_value", term_value)
+        init(self, "fold", fold)
+        init(self, "side_value", side_value)
 
     @property
     def carrier_poset(self) -> FinitePoset:
         return self.carrier.poset if isinstance(self.carrier, FiniteLattice) else self.carrier
 
-    def relation_holds(self, rel: Relation) -> bool:
-        l, r = self.term_value(rel.lhs), self.term_value(rel.rhs)
+    def term_value(self, t: Term) -> Optional[int]:
+        return self.side_value(instance_kernel(self.domain).side(t, self.fold))
+
+    def holds(self, lhs: Side, rhs: Side, op: str) -> bool:
+        l, r = self.side_value(lhs), self.side_value(rhs)
         if l is None or r is None:
             return False
-        if rel.op == "=":
+        if op == "=":
             return l == r
         return self.carrier_poset.leq(l, r)
+
+    def relation_holds(self, rel: Relation) -> bool:
+        kernel = instance_kernel(self.domain)
+        return self.holds(kernel.side(rel.lhs, self.fold), kernel.side(rel.rhs, self.fold), rel.op)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +297,10 @@ class _FrameEngine:
                     queue.append(inst)
 
         # 4. downward closure masks on the classes: class j lies below
-        # class i (cmeet(i, j) == j) exactly when some member of j lies
-        # below the representative of i, for the meet of the two
-        # representatives is one, and any such m has r_i ^ r_j ~ r_i ^ m = m
+        # class i (their class meet ``row(i)[j]`` is j) exactly when some
+        # member of j lies below the representative of i, for the meet of
+        # the two representatives is one, and any such m has
+        # r_i ^ r_j ~ r_i ^ m = m
         self.down = []
         for r in reps:
             m = 0
@@ -313,9 +329,6 @@ class _FrameEngine:
             cls, index, mask = self.cls, self._index, self._rep_masks[i]
             out = self._rows[i] = [cls[index[mask & m]] for m in self._rep_masks]
         return out
-
-    def cmeet(self, i: int, j: int) -> int:
-        return self.row(i)[j]
 
     def close(self, mask: int, base: int = 0) -> int:
         """The least fixed set containing ``base | mask``, where ``base``
@@ -423,14 +436,14 @@ def _structural_rules(p: Presentation, M: _MeetCarrier):
 
 def _relation_rules(p: Presentation, M: _MeetCarrier):
     """The relations' rules on their sides (``relation_sides``), each
-    clause one element of ``M``.  An equation written between two single
-    clauses collapses their meets; any other relation gives covering rules,
-    and a side and its normal form give one stabilised set of those."""
+    clause one element of ``M``.  An equation between two sides of one
+    clause each collapses their meets; any other relation gives covering
+    rules.  So a relation and its normal form give the same rules."""
     covers: list[tuple[int, tuple[int, ...]]] = []
     meet_eqs: list[tuple[int, int]] = []
-    for rel, (l, r, op) in zip(p.concrete_relations(), relation_sides(p, M.fold)):
+    for l, r, op in relation_sides(p, M.fold):
         lhs, rhs = tuple(map(M.clause, l)), tuple(map(M.clause, r))
-        if op == "=" and len(rel.lhs.clauses) == 1 and len(rel.rhs.clauses) == 1:
+        if op == "=" and len(lhs) == len(rhs) == 1:
             meet_eqs.append((lhs[0], rhs[0]))
             continue
         for a in lhs:
@@ -510,11 +523,9 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
                 base = c
         return index[u] if u in index else index[eng.close(u, base)]
 
-    kernel = instance_kernel(p.domain)
-    obj = PresentedObject("frame", carrier, interp, p.domain, lambda t: side_value(kernel.side(t, M.fold)))
-    for rel, (l, r, op) in zip(p.concrete_relations(), relation_sides(p, M.fold)):
-        lv, rv = side_value(l), side_value(r)
-        if not (lv == rv if op == "=" else carrier.poset.leq(lv, rv)):
+    obj = PresentedObject("frame", carrier, interp, p.domain, M.fold, side_value)
+    for rel, sides in zip(p.concrete_relations(), relation_sides(p, M.fold)):
+        if not obj.holds(*sides):
             raise EvaluationError(f"internal: relation {rel} fails in its own frame")
     return obj
 
@@ -536,41 +547,33 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
     reverse inclusion, modulo the least congruence containing the
     relations that respects union with the principal ones.
 
-    Union is the join of downsets and the meet of upsets.  So over
-    downsets a term (a join of meets) must join single generators, and
-    over upsets each meet is a union and the join an intersection."""
+    Union is the join of downsets and the meet of upsets, and each
+    relation is read as its sides (``relation_sides``), so a side's mask is
+    one OR over the principal masks.  Over downsets a side must join single
+    generators: its meets are folded where the domain has them, since
+    ``↓a ∩ ↓b = ↓(a ^ b)``.  Over upsets meets stay formal, each clause the
+    union of its generators' upsets, and the join is an intersection."""
     category = "preframe" if upsets else "suplattice"
     P = _gen_poset(p)
-    gens, seeds = P.elements, (P.up if upsets else P.down)
+    seeds = P.up if upsets else P.down
     family = unions(seeds, 1 << 12, f"free {category}")
     index = {m: i for i, m in enumerate(family)}
-    gen_masks = dict(zip(gens, seeds))
     full = (1 << P.n) - 1
     top, bottom = (0, full) if upsets else (full, 0)
 
-    def clause_mask(cl: Meet) -> int:
-        if not cl.gens:
-            return top
-        if len(cl.gens) > 1 and not upsets:
-            raise EvaluationError("suplattice evaluation needs joins of generators")
-        u = 0
-        for g in cl.gens:
-            u |= gen_masks[g]
-        return u
-
-    def term_mask(t: Term) -> int:
-        if not t.clauses:
-            return bottom
-        acc = clause_mask(t.clauses[0])
-        for cl in t.clauses[1:]:
-            m = clause_mask(cl)
-            acc = (acc & m) if upsets else (acc | m)
+    def side_mask(side: Side) -> int:
+        acc = bottom
+        for m in side:
+            if m & (m - 1) and not upsets:
+                raise EvaluationError("suplattice evaluation needs joins of generators")
+            u = reduce(or_, [seeds[i] for i in _bits(m)]) if m else top
+            acc = (acc & u) if upsets else (acc | u)
         return acc
 
     pairs = []
-    for rel in p.concrete_relations():
-        l, r = term_mask(rel.lhs), term_mask(rel.rhs)
-        if rel.op == "<=":
+    for l, r, op in relation_sides(p, not upsets):
+        l, r = side_mask(l), side_mask(r)
+        if op == "<=":
             # l <= r says that the union of l and r is r over downsets
             # (their join) and l over upsets (their meet)
             l, r = l | r, (l if upsets else r)
@@ -579,7 +582,7 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
 
     def label_of(mask: int) -> str:
         # the maximal generators of a downset, the minimal ones of an upset
-        ends = sorted(gens[i] for i in _bits(maximal(mask, seeds)))
+        ends = sorted(P.elements[i] for i in _bits(maximal(mask, seeds)))
         return (" & " if upsets else " | ").join(ends) or ("1" if upsets else "0")
 
     # each class is named by the union of its members
@@ -593,8 +596,8 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
     def value(mask: int) -> int:
         return pos[cls[rep[index[mask]]]]
 
-    interp = {g: value(m) for g, m in gen_masks.items()}
-    return PresentedObject(category, carrier, interp, p.domain, lambda t: value(term_mask(t)))
+    interp = {g: value(m) for g, m in zip(P.elements, seeds)}
+    return PresentedObject(category, carrier, interp, p.domain, not upsets, lambda s: value(side_mask(s)))
 
 
 def eval_suplattice(p: Presentation) -> PresentedObject:
@@ -611,30 +614,26 @@ def eval_preframe(p: Presentation) -> PresentedObject:
 
 def eval_dcpo(p: Presentation) -> PresentedObject:
     """The generator poset modulo the preorder collapse generated by the
-    relations; each directed-join side is interpreted through its greatest
-    element, recomputed as the preorder grows."""
+    relations, read as their sides with meets folded where the domain has
+    them.  Each side is a directed family of single generators (1 the top,
+    0 the bottom), valued at its greatest element, recomputed as the
+    preorder grows."""
     P = _gen_poset(p)
-    gens, n = P.elements, P.n
-    gen_idx = {g: i for i, g in enumerate(gens)}
+    n = P.n
     reach = list(P.up)  # reach[i] holds j when i <= j
-    top, bottom = p.domain.top(), p.domain.bottom()
+    index = instance_kernel(p.domain).index
+    # the generators that are the empty join and the empty meet
+    ends = {(): ("0", "bottom", p.domain.bottom()), ONE: ("1", "top", p.domain.top())}
 
-    def side(t: Term) -> list[int]:
-        out = []
-        for cl in t.clauses:
-            if not cl.gens:
-                if top is None:
-                    raise EvaluationError("term 1 needs a domain top in dcpo evaluation")
-                out.append(gen_idx[top])
-            elif len(cl.gens) == 1:
-                out.append(gen_idx[cl.gens[0]])
-            else:
-                raise EvaluationError("dcpo evaluation needs directed joins of generators")
-        if not out:
-            if bottom is None:
-                raise EvaluationError("term 0 needs a domain bottom in dcpo evaluation")
-            out.append(gen_idx[bottom])
-        return out
+    def members(side: Side) -> list[int]:
+        if side in ends:
+            term, what, g = ends[side]
+            if g is None:
+                raise EvaluationError(f"term {term} needs a domain {what} in dcpo evaluation")
+            return [index[g]]
+        if any(m & (m - 1) for m in side):
+            raise EvaluationError("dcpo evaluation needs directed joins of generators")
+        return [m.bit_length() - 1 for m in side]
 
     def greatest(idxs: list[int]) -> Optional[int]:
         for m in idxs:
@@ -642,7 +641,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
                 return m
         return None
 
-    rels = [(side(r.lhs), side(r.rhs), r.op) for r in p.concrete_relations()]
+    rels = [(members(l), members(r), op) for l, r, op in relation_sides(p, True)]
     changed = True
     rounds = 0
     while changed:
@@ -674,7 +673,7 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
     leaders = [i for i in range(n) if cls[i] & -cls[i] == 1 << i]
     number = {i: k for k, i in enumerate(leaders)}
     assigned = [number[(c & -c).bit_length() - 1] for c in cls]
-    labels = [" ~ ".join(sorted(gens[j] for j in _bits(cls[i]))) for i in leaders]
+    labels = [" ~ ".join(sorted(P.elements[j] for j in _bits(cls[i]))) for i in leaders]
     # reach is a transitive preorder, so its quotient is the class order
     reach_q = []
     for i in leaders:
@@ -683,18 +682,17 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
             m |= 1 << assigned[j]
         reach_q.append(m)
     poset = FinitePoset(tuple(labels), tuple(reach_q))
-    interp = {g: assigned[i] for i, g in enumerate(gens)}
+    interp = {g: assigned[i] for i, g in enumerate(P.elements)}
 
-    def term_value(t: Term) -> Optional[int]:
+    def side_value(side: Side) -> Optional[int]:
         """The class of the side's greatest generator, if it has one."""
         try:
-            idxs = side(t)
+            m = greatest(members(side))
         except EvaluationError:
             return None
-        m = greatest(idxs)
         return None if m is None else assigned[m]
 
-    return PresentedObject("dcpo", poset, interp, p.domain, term_value)
+    return PresentedObject("dcpo", poset, interp, p.domain, True, side_value)
 
 
 # each kind's own evaluation, which ``verify_coverage`` compares with the

@@ -459,9 +459,11 @@ def relation_sides(p: Presentation, fold: bool) -> list[tuple[Side, Side, str]]:
 def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     """The verdicts on a finite domain.  The one-step instances the kind
     demands send each generator g to g ^ c for each generator c when its
-    operations include meet, to g v c when they include join.  Only the
-    instances the oracle is asked about and the first missing one become
-    ``Relation``s."""
+    operations include meet, to g v c when they include join.  The oracle
+    is asked about an instance as its sides, in the kind's own evaluation
+    of ``p``; where that evaluation raises ``EvaluationError`` the oracle
+    vouches for nothing, as under ``oracle=False``.  Only the first missing
+    instance of a relation becomes a ``Relation``."""
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
     kernel = instance_kernel(domain)
@@ -479,17 +481,19 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
             poly = (i, None) if op == "meet" else (None, i)
             witnesses[poly] = c if len(ops) == 1 else f"{c} ({op})"
 
-    evaluated = None
+    holds = None
 
-    def oracle_holds(rel: Relation) -> bool:
-        nonlocal evaluated
-        if not oracle:
-            return False
-        if evaluated is None:
-            from .evaluate import EVALUATORS
+    def oracle_holds(l: Side, r: Side, op: str) -> bool:
+        # the kind's own evaluation, made once; one that raises vouches for nothing
+        nonlocal holds
+        if holds is None:
+            from .evaluate import EVALUATORS, EvaluationError
 
-            evaluated = EVALUATORS[p.kind](p)
-        return evaluated.relation_holds(rel)
+            try:
+                holds = EVALUATORS[p.kind](p).holds
+            except EvaluationError:
+                holds = lambda *_: False
+        return holds(l, r, op)
 
     verdicts = []
     for idx, (lhs, rhs, op) in enumerate(sides):
@@ -502,13 +506,12 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         for poly, key, l, r in kernel.instances(lhs, rhs, op, witnesses):
             if key in present:
                 continue
-            inst = kernel.relation(l, r, op)
-            if oracle_holds(inst):
+            if oracle and oracle_holds(l, r, op):
                 verdict = "oraclePass"
                 continue
             verdict = "fail"
             witness = witnesses[poly]
-            missing = inst
+            missing = kernel.relation(l, r, op)
             break
         verdicts.append(StabilityVerdict(idx, verdict, witness, missing))
     return StabilityReport(tuple(verdicts), policy)

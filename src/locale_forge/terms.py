@@ -274,10 +274,6 @@ class Term(Record):
             return "0"
         return " v ".join(str(c) for c in self.clauses)
 
-    @property
-    def is_unit(self) -> bool:
-        return len(self.clauses) == 1 and not self.clauses[0].gens
-
     def gens_used(self) -> frozenset[str]:
         out = set()
         for c in self.clauses:

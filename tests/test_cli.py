@@ -264,6 +264,22 @@ class TestMoreVerbs:
         assert rc == 2
         assert json.loads(err)["error"] == "module"
 
+    def test_a_clause_repeating_a_generator(self, tmp_path):
+        # the clause ``a ^ a`` is ``a`` in every category; the check fails
+        # on the missing meet instance z = b
+        domain = {"type": "finite", "elements": ["z", "a", "b", "t"],
+                  "leq": [[0, 1], [0, 2], [1, 3], [2, 3]], "structure": {"meet": True, "join": False}}
+        rel = {"lhs": {"join": [{"meet": ["a", "a"]}]}, "rhs": {"join": [{"meet": ["t"]}]}, "op": "="}
+        f = tmp_path / "repeat.json"
+        f.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": [{"rel": rel}]}))
+        for cat, size in (("sup", 4), ("dcpo", 3)):
+            rc, out, err = run_cli("eval", str(f), "--category", cat, "--format", "json")
+            assert rc == 0, err
+            assert len(json.loads(out)["carrier"]["elements"]) == size
+        rc, out, err = run_cli("check", str(f))
+        assert rc == 1
+        assert "missing z = b" in out
+
     def test_transform_mode_override(self, two_point_file, tmp_path):
         spec = tmp_path / "ident.spec"
         spec.write_text(

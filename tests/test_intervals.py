@@ -29,6 +29,7 @@ from locale_forge.terms import (
     SchemaClause,
     Term,
     TermError,
+    TERM_ONE,
     TERM_ZERO,
     cmp_cond,
     econst,
@@ -176,7 +177,7 @@ class TestRealPresentation:
     def test_top_relation_present(self):
         rp = real_presentation()
         assert rp.relations[0].lhs == gen_term("OI(-inf,+inf)")
-        assert rp.relations[0].rhs.is_unit
+        assert rp.relations[0].rhs == TERM_ONE
 
     def test_no_explicit_zero_collapse_relation(self):
         # kept without one: the circle presentations are built from it

@@ -137,6 +137,25 @@ class TestCheckKind:
         assert rep.ok
         assert any(v.verdict == "oraclePass" for v in rep.verdicts)
 
+    def test_an_evaluation_that_fails_vouches_for_nothing(self):
+        # relation 0 keeps a formal meet over a chain without meets, so the
+        # kind's own evaluation raises; relation 1's missing instance is
+        # then a failure, as under the syntactic policy
+        chain = FiniteGeneratorDomain(
+            FinitePoset.from_pairs(["g0", "g1", "g2"], [(0, 1), (1, 2), (0, 2)]), use_meet=False, use_join=True
+        )
+        rels = (
+            Relation(Term((Meet(("g0", "g1")), Meet(("g0",)))), Term((Meet(("g2",)), Meet(())))),
+            Relation(Term((Meet(()), Meet(()))), TERM_ZERO, "<="),
+            Relation(TERM_ZERO, TERM_ZERO, "<="),
+        )
+        p = Presentation(PresentationKind.SUP, chain, rels)
+        reports = [check_kind(p, oracle=oracle) for oracle in (True, False)]
+        assert reports[0].verdicts == reports[1].verdicts
+        assert [v.verdict for v in reports[0].verdicts] == ["fail", "fail", "syntacticPass"]
+        assert reports[0].verdicts[1].missing == Relation(gen_term("g0"), TERM_ZERO, "<=")
+        assert str(reports[0].verdicts[0].missing) == "g0 v g0 ^ g1 = 1"
+
     def test_modified_reals_on_grid(self):
         grid = [rat(0), rat(Fraction(1, 2)), rat(1)]
         rep = check_kind(real_presentation(), grid=grid)

@@ -87,8 +87,8 @@ RECORDS = [
     ),
     (
         PresentedObject,
-        ("frame", CHAIN, {"0": 0}, DOMAIN, len),
-        ("category", "carrier", "interp", "domain", "term_value"),
+        ("frame", CHAIN, {"0": 0}, DOMAIN, True, len),
+        ("category", "carrier", "interp", "domain", "fold", "side_value"),
     ),
     (Token, ("name", "a", 1, 2), ("kind", "text", "line", "col")),
 ]
@@ -133,7 +133,7 @@ def test_the_repr_names_the_shown_fields():
     assert repr(Relation(gen_term("0"), gen_term("1"))) == (
         "Relation(lhs=Term(clauses=(Meet(gens=('0',)),)), rhs=Term(clauses=(Meet(gens=('1',)),)), op='=')"
     )
-    shown = repr(PresentedObject("frame", CHAIN, {}, DOMAIN, len))
+    shown = repr(PresentedObject("frame", CHAIN, {}, DOMAIN, True, len))
     assert shown.startswith("PresentedObject(category='frame', carrier=FiniteLattice(poset=")
     assert shown.endswith(f", interp={{}}, domain={DOMAIN!r})")
 
