@@ -13,11 +13,13 @@ joins of B), the rules are stabilised under meets with generators, and the
 carrier is the family of downsets closed under all rules, i.e. the fixed
 points of the least nucleus forcing the relations.  The closure engine
 (``_FrameEngine``) works on class masks: the meet equations collapse the
-formal meets into classes, every set of classes is a mask over class
-positions, and each rule is an integer pair of its conclusion class and
-the mask of its premises.  The rules are kept as a set; the order in which
-they fire does not change a least fixed point, so output does not depend
-on it.
+formal meets into classes, and every set of classes is a mask over class
+positions.  Fixed sets are downsets, so ``a <| B`` is the same rule as
+``a <| ↓B ∩ ↓a``, and each rule is the integer pair of its conclusion
+class and that downset: meeting a rule with a generator is one AND, and
+rules whose premises have the same downset are one rule.  The rules are
+kept as a set; the order in which they fire does not change a least fixed
+point, so output does not depend on it.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the weaker categories: downsets / upsets (one body, union being
@@ -224,16 +226,20 @@ class _FrameEngine:
     as a mask over class positions.
 
     ``cls`` gives the position of each formal meet's class; classes are
-    numbered in the order of their least members.  The class meet is read
-    off one row per class, ``row(i)[j]``, built from the representatives'
-    masks when first needed, so each pair of classes is met at most once.
-    A rule ``a <| B`` is the pair of the class ``a`` and the mask of its
-    premises ``B``, each premise met with ``a``; the rules are stabilised
-    under meets with the generators' classes as a set of such integer
-    pairs, with no frozensets and no sorting.  ``close`` fires the rules by
-    premise, in an order that does not change its result, and
-    ``enumerate_carrier`` builds the fixed sets from the join-irreducible
-    ones.
+    numbered in the order of their least members.  ``down`` holds each
+    class's downset, and ``down[a ^ b]`` is ``down[a] & down[b]``.
+
+    A rule ``a <| B`` is the pair of the class ``a`` and the downset
+    ``d = ↓B ∩ ↓a``: every fixed set is a downset, so it contains ``B``
+    exactly when it contains ``d``, and the premises met with ``a`` have
+    that same downset.  The rule is trivial when ``a`` lies in ``d``.
+    Meeting it with a generator ``g`` gives ``a ^ g <| d & down[a ^ g]``,
+    so the rules are stabilised as a set of integer pairs, one AND per
+    rule and generator, and two rules whose premises have the same downset
+    are one.  ``close`` indexes each rule by the maximal members of ``d``
+    only and fires the rules by premise, in an order that does not change
+    its result; ``enumerate_carrier`` builds the fixed sets from the
+    join-irreducible ones.
     """
 
     def __init__(
@@ -253,9 +259,6 @@ class _FrameEngine:
         number = {r: k for k, r in enumerate(reps)}
         self.cls = cls = [number[r] for r in rep]
         self.n = len(reps)
-        self._rep_masks = [M.masks[r] for r in reps]
-        self._index = M.index
-        self._rows: list[Optional[list[int]]] = [None] * self.n
 
         # labels: smallest original label in the class
         best: list[Optional[str]] = [None] * self.n
@@ -264,79 +267,70 @@ class _FrameEngine:
                 best[c] = label
         self.labels = best
 
-        # 2. covers onto classes, each premise met with the conclusion
-        row = self.row
-        seen: set[tuple[int, int]] = set()
-        for a, B in covers:
-            a = cls[a]
-            meet_a = row(a)
-            bm = 0
-            for b in B:
-                bm |= 1 << meet_a[cls[b]]
-            if not bm >> a & 1:
-                seen.add((a, bm))
-
-        # 3. closure of the cover set under meets with generators
-        gen_rows = [row(g) for g in sorted({cls[g] for g in gen_idxs})]
-        queue = list(seen)
-        while queue:
-            a, bm = queue.pop()
-            for meet_g in gen_rows:
-                a2 = meet_g[a]
-                meet_a2 = row(a2)
-                b2, rest = 0, bm
-                while rest:
-                    low = rest & -rest
-                    b2 |= 1 << meet_a2[low.bit_length() - 1]
-                    rest ^= low
-                if b2 >> a2 & 1:
-                    continue
-                inst = (a2, b2)
-                if inst not in seen:
-                    seen.add(inst)
-                    queue.append(inst)
-
-        # 4. downward closure masks on the classes: class j lies below
-        # class i (their class meet ``row(i)[j]`` is j) exactly when some
-        # member of j lies below the representative of i, for the meet of
-        # the two representatives is one, and any such m has
-        # r_i ^ r_j ~ r_i ^ m = m
-        self.down = []
+        # 2. downward closure masks on the classes: class j lies below
+        # class i (their class meet is j) exactly when some member of j
+        # lies below the representative of i, for the meet of the two
+        # representatives is one, and any such m has r_i ^ r_j ~ r_i ^ m = m
+        self.down = down = []
         for r in reps:
             m = 0
             for j in _bits(M.poset.down[r]):
                 m |= 1 << cls[j]
-            self.down.append(m)
+            down.append(m)
+
+        # 3. covers onto classes, each as its conclusion a and the downset
+        # d = ↓B ∩ ↓a of its premises met with a; one with a in d is trivial
+        seen: set[tuple[int, int]] = set()
+        for a, B in covers:
+            a = cls[a]
+            d = 0
+            for b in B:
+                d |= down[cls[b]]
+            d &= down[a]
+            if not d >> a & 1:
+                seen.add((a, d))
+
+        # 4. closure of the rule set under meets with generators: a <| d
+        # met with g is a ^ g <| d ∩ ↓(a ^ g), with the class meets of each
+        # generator read off the representatives' masks
+        masks = [M.masks[r] for r in reps]
+        gen_rows = [[cls[M.index[masks[g] & m]] for m in masks] for g in sorted({cls[g] for g in gen_idxs})]
+        queue = list(seen)
+        while queue:
+            a, d = queue.pop()
+            for meet_g in gen_rows:
+                a2 = meet_g[a]
+                d2 = d & down[a2]
+                if d2 >> a2 & 1:
+                    continue
+                inst = (a2, d2)
+                if inst not in seen:
+                    seen.add(inst)
+                    queue.append(inst)
 
         # 5. trigger index for the closure operator: each rule as the mask
-        # of its premises and the downset of its conclusion
+        # of the maximal members of its premises and the downset of its
+        # conclusion
         self.by_elem: list[list[int]] = [[] for _ in range(self.n)]
         self.premises = []
         self.conclusion = []
         self.always = 0
-        for k, (a, bm) in enumerate(seen):
-            self.premises.append(bm)
-            self.conclusion.append(self.down[a])
-            if not bm:
-                self.always |= self.down[a]
-            for b in _bits(bm):
+        for k, (a, d) in enumerate(seen):
+            tops = maximal(d, down)
+            self.premises.append(tops)
+            self.conclusion.append(down[a])
+            if not d:
+                self.always |= down[a]
+            for b in _bits(tops):
                 self.by_elem[b].append(k)
-
-    def row(self, i: int) -> list[int]:
-        """The class meets of class ``i`` with every class, by position."""
-        out = self._rows[i]
-        if out is None:
-            cls, index, mask = self.cls, self._index, self._rep_masks[i]
-            out = self._rows[i] = [cls[index[mask & m]] for m in self._rep_masks]
-        return out
 
     def close(self, mask: int, base: int = 0) -> int:
         """The least fixed set containing ``base | mask``, where ``base``
         is a fixed set itself (or 0).  A rule whose premises all lie in
         ``base`` already holds there, so only the elements outside it are
         queued, and the queue is a mask.  A rule is looked at whenever one
-        of its premises leaves the queue; once it has fired, it adds
-        nothing more."""
+        of the maximal members of its premises leaves the queue; once it
+        has fired, it adds nothing more."""
         down, by_elem, premises, conclusion = self.down, self.by_elem, self.premises, self.conclusion
         u = base | self.always
         mask &= ~base

@@ -84,6 +84,11 @@ class GeneratorDomain:
     def leq(self, a: str, b: str) -> bool:
         raise NotImplementedError
 
+    def up_masks(self, keys: Sequence[str]) -> list[int]:
+        """For each of ``keys``, the mask of the positions of the keys
+        above it: here one ``leq`` per pair."""
+        return [sum(1 << j for j, b in enumerate(keys) if self.leq(a, b)) for a in keys]
+
     def meet(self, a: str, b: str) -> str:
         raise DomainError(f"domain {self.name!r} has no meet operation")
 

@@ -108,6 +108,7 @@ class _EndpointDomain(GeneratorDomain):
     HI: ExtRat
     noun: str  # what a key is, in error messages
     BOTTOM: Optional[str] = None  # the one key without endpoints, if any
+    SWAP = False  # whether the order reads the pairs (q, p)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -127,6 +128,20 @@ class _EndpointDomain(GeneratorDomain):
                 raise TermError(f"not {self.noun} generator: {key!r}")
             out = memo[key] = parse_extrat(m.group(1)), parse_extrat(m.group(2))
         return out
+
+    def up_masks(self, keys: Sequence[str]) -> list[int]:
+        """The order on ``keys`` read off their endpoints, each key parsed
+        once and each endpoint replaced by its rank among them all.  Both
+        orders are inclusion of intervals: OI(p,q) <= OI(p',q') when [p,q]
+        lies in [p',q'], and CC(p,q) <= CC(p',q') when [p',q'] lies in
+        [p,q], which is the first order on the pairs (q,p) (``SWAP``).  The
+        key without endpoints, below every key, is an interval inside all."""
+        pairs = [self.key_endpoints(k) for k in keys]
+        if self.SWAP:
+            pairs = [pair[::-1] for pair in pairs]
+        rank = {v: r for r, v in enumerate(sorted({v for pair in pairs if pair for v in pair}))}
+        ends = [(rank[pair[0]], rank[pair[1]]) if pair else (len(rank), -1) for pair in pairs]
+        return [sum(1 << j for j, (lo2, hi2) in enumerate(ends) if lo2 <= lo and hi <= hi2) for lo, hi in ends]
 
     def _in_range(self, x: ExtRat) -> bool:
         return self.LO <= x <= self.HI
@@ -226,6 +241,7 @@ class ClosedComplementDomain(_EndpointDomain):
     ctor = "CC"
     noun = "a closed-complement"
     LO, HI = rat(0), rat(1)
+    SWAP = True
 
     def key(self, p: ExtRat, q: ExtRat) -> str:
         return f"CC({p},{q})"

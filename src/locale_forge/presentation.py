@@ -132,9 +132,6 @@ class Relation(Record):
             return ("=", frozenset((self.lhs, self.rhs)))
         return ("<=", self.lhs, self.rhs)
 
-    def trivial(self) -> bool:
-        return self.lhs == self.rhs
-
     def __str__(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
 
@@ -150,13 +147,7 @@ class RelationSchema(Record):
     ):
         if op not in ("=", "<="):
             raise PresentationError(f"bad relation operator {op!r}")
-        used = set()
-        for side in (lhs, rhs):
-            for cl in side.clauses:
-                for pat in cl.meet:
-                    used |= pat.free_params()
-                for c in cl.conds:
-                    used |= c.free_params()
+        used = set().union(*[_clause_params(cl, ()) for side in (lhs, rhs) for cl in side.clauses])
         for p in params:
             if p not in used:
                 raise PresentationError(f"schema parameter {p!r} occurs in neither side")
@@ -748,6 +739,12 @@ def _instantiate_clause(
     return [Meet(tuple(domain.instantiate_pattern(pat, env) for pat in cl.meet))]
 
 
+def _clause_params(cl: SchemaClause, bound: Sequence[str]) -> set[str]:
+    """The parameters that a clause's patterns and side conditions name,
+    less ``bound``."""
+    return set().union(*[x.free_params() for x in cl.meet + cl.conds]).difference(bound)
+
+
 def _key_in_pool(domain: GeneratorDomain, key: str, pool_values: set[ExtRat]) -> bool:
     eps = domain.key_endpoints(key)
     return eps is None or all(e in pool_values for e in eps)
@@ -763,51 +760,45 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
     is tried only at the shifts that can give a member
     (``_family_indices``).  Side conditions are compiled once per clause
     pass (``Cond.compiled``).
+
+    A clause's meets depend only on the schema parameters it reads, those
+    its patterns and side conditions name less the ones it binds (a
+    family's window and pool are fixed for the call).  So each clause is
+    instantiated once per binding of those, in a memo keyed by the tuple of
+    their values that lives in this call only.
     """
     if not grid:
         raise PresentationError("empty instantiation grid")
     values = sorted(set(p.domain.grid_values(list(grid))))
     window = _family_window(values)
     pool_values = set(values)
-    relations: list[Relation] = []
-    mentioned: set[str] = set()
-
     fold = p.kind.folds_meets
-
-    def emit(lhs_meets, rhs_meets, op):
-        lhs = normalize(Term(tuple(lhs_meets)), p.domain, fold)
-        rhs = normalize(Term(tuple(rhs_meets)), p.domain, fold)
-        rel = Relation(lhs, rhs, op)
-        if rel.trivial():
-            return
-        relations.append(rel)
-        mentioned.update(lhs.gens_used() | rhs.gens_used())
-
+    relations: list[Relation] = []
     for r in p.relations:
         if isinstance(r, Relation):
-            rel = r.normalized(p.domain, fold)
-            relations.append(rel)
-            mentioned.update(rel.lhs.gens_used() | rel.rhs.gens_used())
+            relations.append(r.normalized(p.domain, fold))
             continue
+        # per side, each clause with the parameters it reads and its meets
+        # by their values
+        sides = [[(cl, sorted(_clause_params(cl, cl.bound)), {}) for cl in t.clauses] for t in (r.lhs, r.rhs)]
         for env in _bindings(r.params, values, r.conds):
-            lhs_meets = []
-            for cl in r.lhs.clauses:
-                lhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, window, pool_values))
-            rhs_meets = []
-            for cl in r.rhs.clauses:
-                rhs_meets.extend(_instantiate_clause(p.domain, cl, env, values, window, pool_values))
-            emit(lhs_meets, rhs_meets, r.op)
+            meets: tuple[list[Meet], list[Meet]] = ([], [])
+            for out, clauses in zip(meets, sides):
+                for cl, names, memo in clauses:
+                    key = tuple([env.get(name) for name in names])
+                    if key not in memo:
+                        memo[key] = _instantiate_clause(p.domain, cl, env, values, window, pool_values)
+                    out.extend(memo[key])
+            lhs, rhs = [normalize(Term(tuple(m)), p.domain, fold) for m in meets]
+            if lhs != rhs:
+                relations.append(Relation(lhs, rhs, r.op))
 
-    # dedupe, preserving first occurrence
-    seen = set()
-    uniq = []
-    for r in relations:
-        if r.key() not in seen:
-            seen.add(r.key())
-            uniq.append(r)
-
-    restricted = _restrict_domain(p.domain, mentioned)
-    return Presentation(p.kind, restricted, tuple(uniq))
+    # dedupe by key, keeping the first occurrence
+    uniq: dict = {}
+    for rel in relations:
+        uniq.setdefault(rel.key(), rel)
+    mentioned = {g for rel in uniq.values() for g in rel.lhs.gens_used() | rel.rhs.gens_used()}
+    return Presentation(p.kind, _restrict_domain(p.domain, mentioned), tuple(uniq.values()))
 
 
 def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain:
@@ -839,7 +830,7 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
                     work.append(c)
         done.append(a)
     ordered = sorted(pool, key=domain.sort_key)
-    up = [sum(1 << j for j, b in enumerate(ordered) if domain.leq(a, b)) for a in ordered]
+    up = domain.up_masks(ordered)
     # inherit exactly the parent's structure: accidental glbs/lubs of the
     # restricted poset are not generator operations
     restricted = FiniteGeneratorDomain(

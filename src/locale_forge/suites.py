@@ -283,7 +283,9 @@ _OPERATOR_TRIES = 40
 
 def rand_quotient_operator(rng: random.Random, L: FiniteLattice, mode: QuotientMode) -> MonotoneMap:
     """A random operator passing the mode's law suite; falls back to the
-    retraction onto a random sublattice (which always passes).
+    retraction onto a random sublattice, and where that fails the mode's
+    laws (the proper ones need not hold for it), to the identity, which
+    passes every mode's.
 
     The triquotient modes also draw bare monotone idempotents, so the suite
     sees operators that are neither inflationary nor deflationary."""
@@ -317,9 +319,7 @@ def rand_quotient_operator(rng: random.Random, L: FiniteLattice, mode: QuotientM
         if role is Role.CLOSURE_OP
         else interior_onto_sublattice(L, keep)
     )
-    if not check_quotient_operator(cand, mode):
-        raise AssertionError("sublattice retraction failed its own laws")
-    return cand
+    return cand if check_quotient_operator(cand, mode) else MonotoneMap(L, L, tuple(range(L.n)))
 
 
 def check_equivalence(

@@ -225,13 +225,22 @@ def _parent_hash(p: Presentation) -> str:
     """The provenance hash of the parent, memoized on the parent object."""
     out = p.memo.get("parent hash")
     if out is None:
-        import hashlib
         import json
+
+        # the interpreter's own SHA-256, as ``random`` takes its SHA-512:
+        # ``hashlib`` would load OpenSSL into a process that needs one hash
+        try:
+            from _sha256 import sha256  # 3.10, 3.11
+        except ImportError:
+            try:
+                from _sha2 import sha256  # 3.12 and later
+            except ImportError:
+                from hashlib import sha256
 
         from .serialize import presentation_to_jsonable
 
         blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
-        out = p.memo["parent hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        out = p.memo["parent hash"] = sha256(blob.encode()).hexdigest()[:16]
     return out
 
 

@@ -573,7 +573,10 @@ class TestEngineClasses:
         for _ in range(40):
             for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
                 M, eng = _frame_engine(rand_meet_equations(rng, kind), 1 << 12)
-                want = [sum(1 << j for j in range(eng.n) if eng.row(i)[j] == j) for i in range(eng.n)]
+                # class j lies below class i when their meet, taken on the
+                # least member of each class, is in class j
+                reps = [eng.cls.index(i) for i in range(eng.n)]
+                want = [sum(1 << j for j in range(eng.n) if eng.cls[M.meet(r, reps[j])] == j) for r in reps]
                 assert eng.down == want
                 eng.enumerate_carrier()
                 assert eng.principal == [eng.close(1 << i) for i in range(eng.n)]

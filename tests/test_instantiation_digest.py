@@ -19,6 +19,7 @@ from locale_forge.intervals import (
     real_presentation,
     unit_interval_presentation,
 )
+from locale_forge import presentation
 from locale_forge.presentation import Presentation, Relation, RelationSchema, instantiate_schemas
 from locale_forge.rationals import rat
 from locale_forge.terms import TERM_ZERO, gen_term
@@ -103,3 +104,54 @@ def test_the_cases_cover_two_to_six_points():
     sizes = {len(set(grid.split(","))) for _, grids in CASES.values() for grid in grids}
     assert sizes == {2, 3, 4, 5, 6}
     assert sorted(PINNED) == sorted((name, grid) for name, (_, grids) in CASES.items() for grid in grids)
+
+
+class TestClauseMemo:
+    """Each clause is instantiated once per binding of the schema
+    parameters it reads (those its patterns and side conditions name, less
+    the ones it binds), and the output is the pinned one."""
+
+    @staticmethod
+    def reads(cl) -> frozenset:
+        names = set()
+        for pat in cl.meet:
+            names |= pat.free_params()
+        for c in cl.conds:
+            names |= c.free_params()
+        return frozenset(names - set(cl.bound))
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            # the overlap schema: each clause reads two of its four parameters
+            ("real_line", LINE_GRIDS[3]),
+            # the roundedness schema: a bound clause that reads p and q
+            ("real", LINE_GRIDS[2]),
+            # Z-family clauses
+            ("circle_open", LINE_GRIDS[1]),
+        ],
+    )
+    def test_each_clause_once_per_binding_of_what_it_reads(self, name, grid, monkeypatch):
+        calls = []
+        inner = presentation._instantiate_clause
+
+        def counting(domain, cl, env, *rest):
+            calls.append((id(cl), frozenset((k, env[k]) for k in self.reads(cl) if k in env)))
+            return inner(domain, cl, env, *rest)
+
+        monkeypatch.setattr(presentation, "_instantiate_clause", counting)
+        p = CASES[name][0]()
+        points = [rat(Fraction(x)) for x in grid.split(",")]
+        assert digest(instantiate_schemas(p, points)) == PINNED[(name, grid)]
+        assert len(calls) == len(set(calls))
+        # every binding that some environment of the clause's schema gives
+        values = sorted(set(p.domain.grid_values(points)))
+        want, occurrences = set(), 0
+        for r in p.relations:
+            if isinstance(r, RelationSchema):
+                for env in presentation._bindings(r.params, values, r.conds):
+                    for cl in r.lhs.clauses + r.rhs.clauses:
+                        want.add((id(cl), frozenset((k, env[k]) for k in self.reads(cl) if k in env)))
+                        occurrences += 1
+        assert set(calls) == want
+        assert len(calls) < occurrences

@@ -28,8 +28,8 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# standard modules that no verb needs
-WATCHED = ("hashlib", "dataclasses", "inspect")
+# standard modules that no verb needs; ``_hashlib`` is OpenSSL's
+WATCHED = ("hashlib", "_hashlib", "dataclasses", "inspect")
 
 
 def loaded_after_main(*argv: str) -> dict:
@@ -61,6 +61,27 @@ def test_a_text_example_loads_no_oracle_and_no_json_form():
     assert out["code"] == 0
     assert not {"suites", "serialize", "evaluate", "hashlib"} & set(out["modules"])
     assert {"intervals", "dsl", "transform"} <= set(out["modules"])
+
+
+def test_a_json_example_loads_no_openssl():
+    """The provenance hash of a JSON example takes SHA-256 from the
+    interpreter's own module, not through ``hashlib``."""
+    out = loaded_after_main("example", "z2-swap", "--format", "json")
+    assert out["code"] == 0
+    assert "serialize" in out["modules"]
+    assert not {"hashlib", "_hashlib"} & set(out["modules"])
+
+
+def test_the_provenance_hash_is_sha256_of_the_json_form():
+    import hashlib
+
+    from locale_forge.intervals import unit_interval_presentation
+    from locale_forge.serialize import presentation_to_jsonable
+    from locale_forge.transform import _parent_hash
+
+    p = unit_interval_presentation()
+    blob = json.dumps(presentation_to_jsonable(p), sort_keys=True)
+    assert _parent_hash(p) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def test_the_kleene_suite_loads_no_symbolic_layer():

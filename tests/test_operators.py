@@ -281,6 +281,24 @@ class TestQuotientOperatorLaws:
             if check_quotient_operator(e, QuotientMode.TRIQUOTIENT).verdict:
                 assert check_quotient_operator(e, QuotientMode.SEMI_TRIQUOTIENT).verdict
 
+    def test_a_retraction_failing_the_proper_laws_falls_back_to_the_identity(self):
+        """On the 20-element frame of the saturated 3-antichain, seed 1466
+        rejects 40 proper draws, and the interior onto its last random
+        sublattice fails the proper join law; the draw is then the
+        identity, which passes every mode's laws."""
+        from locale_forge.evaluate import eval_frame
+        from locale_forge.generators import FiniteGeneratorDomain
+        from locale_forge.presentation import Presentation, PresentationKind, saturate
+        from locale_forge.suites import rand_quotient_operator
+
+        D = FiniteGeneratorDomain(FinitePoset.from_pairs(["g0", "g1", "g2"], []))
+        L = eval_frame(saturate(Presentation(PresentationKind.PREFRAME, D, ()), PresentationKind.PREFRAME)).carrier
+        assert L.n == 20
+        e = rand_quotient_operator(random.Random(1466), L, QuotientMode.PROPER)
+        assert e.table == ident(L).table
+        for mode in QuotientMode:
+            assert check_quotient_operator(e, mode).verdict
+
 
 class TestFixedPoints:
     def test_identity(self, four_boolean):

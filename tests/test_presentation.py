@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from locale_forge.dsl import print_presentation
-from locale_forge.generators import FiniteGeneratorDomain, TaggedDomain, domain_from_descriptor
+from locale_forge.generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain, domain_from_descriptor
 from locale_forge.intervals import (
     ClosedComplementDomain,
     OpenIntervalDomain,
@@ -586,6 +586,36 @@ class TestRestrictDomain:
                 want = closed_pool_reference(dom, keys)
                 assert list(restricted.poset.elements) == sorted(want, key=dom.sort_key)
                 assert (restricted.has_meet, restricted.has_join) == (dom.has_meet, dom.has_join)
+
+    def test_endpoint_up_masks_match_the_leq_loop(self):
+        """The interval domains read ``up_masks`` off the endpoints; it is
+        the default loop of one ``leq`` per pair, on random key sets in
+        random order, with ``OI()`` among them and CC pairs with p > q."""
+        rng = random.Random(23)
+        pts = [NEG_INF, rat(-2), rat(Fraction(-1, 3)), rat(0), rat(Fraction(1, 2)), rat(1), POS_INF]
+        quarters = [rat(Fraction(a, 4)) for a in range(5)]
+        oi, cc = OpenIntervalDomain(), ClosedComplementDomain()
+        with_bottom = 0
+        for _ in range(200):
+            draws = (
+                (oi, lambda: oi.key(*rng.sample(pts, 2))),
+                (cc, lambda: cc.key(rng.choice(quarters), rng.choice(quarters))),
+            )
+            for dom, draw in draws:
+                keys = list({draw() for _ in range(rng.randint(1, 12))})
+                rng.shuffle(keys)
+                assert dom.up_masks(keys) == GeneratorDomain.up_masks(dom, keys), keys
+                with_bottom += oi.BOTTOM in keys
+        assert with_bottom > 50
+
+    def test_an_endpoint_restriction_calls_no_leq(self, monkeypatch):
+        def no_leq(self, a, b):
+            raise AssertionError("leq called")
+
+        for cls in (OpenIntervalDomain, ClosedComplementDomain):
+            monkeypatch.setattr(cls, "leq", no_leq)
+        for make, grid in ((real_presentation, [0, 1, 2]), (unit_interval_presentation, [0, Fraction(1, 2), 1])):
+            assert instantiate_schemas(make(), [rat(x) for x in grid]).domain.poset.n > 5
 
 
 # ---------------------------------------------------------------------------
