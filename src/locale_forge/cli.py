@@ -171,9 +171,8 @@ def cmd_eval(args) -> int:
 
         _emit_json(presented_to_jsonable(obj))
     else:
-        n = obj.carrier_poset.n
-        sys.stdout.write(f"{obj.category} carrier with {n} elements\n")
-        for e in obj.carrier_poset.elements:
+        sys.stdout.write(f"{obj.category} carrier with {obj.carrier.n} elements\n")
+        for e in obj.carrier.elements:
             sys.stdout.write(f"  {e}\n")
     return 0
 

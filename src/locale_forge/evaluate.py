@@ -19,7 +19,10 @@ positions.  Fixed sets are downsets, so ``a <| B`` is the same rule as
 class and that downset: meeting a rule with a generator is one AND, and
 rules whose premises have the same downset are one rule.  The rules are
 kept as a set; the order in which they fire does not change a least fixed
-point, so output does not depend on it.
+point, so output does not depend on it.  The frame is held as the downsets
+of its join-irreducible fixed sets J (``FiniteLattice.of_downsets``): order,
+meet and join are inclusion, ``&`` and ``|`` of masks over J, and no order
+over the elements is built unless a caller reads ``carrier.poset``.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the weaker categories: downsets / upsets (one body, union being
@@ -48,6 +51,7 @@ from .generators import GeneratorDomain, memoized
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    LatticeError,
     OperatorReport,
     _bits,
     _transitive_closure,
@@ -129,7 +133,7 @@ class PresentedObject(Record, show=("category", "carrier", "interp", "domain")):
             return False
         if op == "=":
             return l == r
-        return self.carrier_poset.leq(l, r)
+        return self.carrier.leq(l, r)
 
     def relation_holds(self, rel: Relation) -> bool:
         kernel = instance_kernel(self.domain)
@@ -396,6 +400,7 @@ class _FrameEngine:
                 position[c] = 1 << len(irreducible)
                 irreducible.append(c)
                 jdown.append(d | position[c])
+        self.jdown = jdown
         closure = {0: bottom}
         self.downset_of = {bottom: 0}
         for d in unions(jdown, self.max_carrier, "presented frame")[1:]:
@@ -482,12 +487,12 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     structure; preframe generators only carry join structure, so their
     meets stay formal.
 
-    The carrier is ordered over the join-irreducible fixed sets ``J``
-    rather than over all classes: ``enumerate_carrier`` has checked that
-    each fixed set is the closure of exactly one downset of ``J``, which is
-    the set of members of ``J`` inside it, so inclusion of fixed sets is
-    inclusion of those downsets.  Elements, labels and order are the ones
-    the class masks give, on |J| points instead of one per class."""
+    The carrier is held as the downsets of the join-irreducible fixed sets
+    ``J`` (``FiniteLattice.of_downsets``): ``enumerate_carrier`` has checked
+    that each fixed set is the closure of exactly one downset of ``J``, the
+    members of ``J`` inside it, so inclusion of fixed sets is inclusion of
+    those downsets, on |J| points instead of one per element.  Labels are
+    the ones the class masks give."""
     M, eng = _frame_engine(p, max_carrier)
     masks = eng.enumerate_carrier()
     index = {m: i for i, m in enumerate(masks)}
@@ -498,9 +503,10 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
         maxs = _bits(maximal(fixed_set[d], eng.down))
         return " | ".join(sorted(eng.labels[e] for e in maxs)) or "0"
 
-    carrier = subset_lattice(downsets, elem_label)
-    if not carrier.frame:
-        raise EvaluationError("presented carrier failed the frame check")
+    try:
+        carrier = FiniteLattice.of_downsets(eng.jdown, downsets, elem_label)
+    except LatticeError:
+        raise EvaluationError("presented carrier failed the frame check") from None
 
     principal, cls = eng.principal, eng.cls
     interp = {g: index[principal[cls[e]]] for g, e in zip(M.gen_keys, M.gen_elems)}

@@ -27,16 +27,20 @@ with O(n²) work; only a poset that fails the test takes an O(n²) pass.
 Both read each element off a neighbour with one point less or more where
 the family has one, as every downset family numbered along a linear
 extension does, which makes them O(n) lookups on the frames the package
-builds.  ``downsets`` of a 12-element antichain (4096 elements) takes about
-0.04 s and of a 14-element antichain (16384 elements, ``cap`` raised) about
-0.3 s; ``eval_frame`` of the 8-point real-line grid without roundedness
-(4181 elements, ``max_carrier`` raised) takes about 0.15 s; best of three on
-a 2-core Intel Xeon.  The grid path on the 7-point real-line grid without
-roundedness, plus ``OI() = 0`` (1597 elements), takes about 14 ms in
-``presentation.instantiate_schemas`` and 39 ms in ``eval_frame``, against
-19 ms and 52 ms before side conditions were compiled and the closure engine
-moved onto class masks (medians of best-of-7 over five alternating runs on
-the same host).
+builds.  A frame that is known as the downsets of a small poset Q (by
+Birkhoff's representation theorem every finite one is, Q its
+join-irreducibles) skips both: ``FiniteLattice.of_downsets`` holds it as
+the downsets themselves, masks over Q's |Q| points, with meet ``&`` and
+join ``|``, checks it by counting Q's downsets, and builds the n-bit order
+only when it is read.  ``downsets`` and ``evaluate.eval_frame`` build
+their frames so.  ``downsets`` of a 12-element antichain (4096 elements)
+takes about 5.5 ms, of a 13-element one (8192) about 12 ms and of a
+14-element one (16384, ``cap`` raised) about 24 ms.  ``eval_frame`` of the
+real line without roundedness, plus ``OI() = 0``, takes about 11 ms on the
+7-point grid 0..6 (1597 elements; 3.6 ms more in
+``presentation.instantiate_schemas``) and about 29 ms on the 8-point grid
+0..7 (4181 elements, ``max_carrier`` raised).  Best of five (``downsets``)
+or seven (grids) runs in one process on a 2-core Intel Xeon.
 
 ``poset_isomorphism`` searches nothing.  Its source must be a distributive
 lattice generated by the pinned elements (every oracle comparison pins the
@@ -166,6 +170,20 @@ def missing_bound(masks: Sequence[int], index: dict[int, int]) -> Optional[int]:
     return None
 
 
+def _labels(masks: Sequence[int], label) -> tuple[str, ...]:
+    """``label(mask)`` for each mask, with primes appended to a name that
+    is already taken."""
+    labels = []
+    taken: set[str] = set()
+    for m in masks:
+        lab = label(m)
+        while lab in taken:
+            lab += "'"
+        taken.add(lab)
+        labels.append(lab)
+    return tuple(labels)
+
+
 def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FinitePoset":
     """The distinct subsets, given as bitmasks in element order, under
     inclusion (reverse inclusion when ``reverse``).  ``label(mask)`` names
@@ -187,14 +205,7 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
     index = {m: i for i, m in enumerate(masks)}
     if len(index) != len(masks):
         raise InvalidPosetError("repeated subset")
-    labels = []
-    taken: set[str] = set()
-    for m in masks:
-        lab = label(m)
-        while lab in taken:
-            lab += "'"
-        taken.add(lab)
-        labels.append(lab)
+    labels = _labels(masks, label)
     ground = 0
     for m in masks:
         ground |= m
@@ -238,7 +249,7 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
             outside |= has[low.bit_length() - 1]
             missing ^= low
         down[i] = everything & ~outside
-    return FinitePoset(tuple(labels), tuple(up), tuple(down))
+    return FinitePoset(labels, tuple(up), tuple(down))
 
 
 class FinitePoset(Record, compare=("elements", "up")):
@@ -366,26 +377,32 @@ class Role(str, Enum):
     DCPO_IDEMPOTENT = "dcpoIdempotent"
 
 
-class FiniteLattice(Record):
-    """A finite lattice presented by its order relation.
+class FiniteLattice(Record, compare=("poset", "distributive", "top", "bottom")):
+    """A finite lattice, held as one mask per element with ``leq`` as
+    inclusion and ``meet`` as ``&``, and no per-pair table.
 
-    It keeps no per-pair table: ``meet(i, j)`` is the element whose
-    down-mask is ``down[i] & down[j]`` and ``join(i, j)`` the one whose
-    up-mask is ``up[i] & up[j]``, one lookup each in the poset's mask
-    index (``FinitePoset.by_down`` / ``by_up``).
-    The ``frame`` flag means: bounded, all binary meets/joins exist and
-    binary meet distributes over binary join (which in the finite case is
-    full frame distributivity).
+    Built from its order (``from_poset``), the masks are the poset's
+    down-masks, and ``join(i, j)`` is the element whose up-mask is
+    ``up[i] & up[j]``.  A lattice of downsets (``of_downsets``) is held as
+    the downsets of a small poset Q, masks over Q's points, with ``join``
+    as ``|``; its n-bit ``poset`` is built from the same masks and labels
+    only when something reads it.  Either way it equals, hashes and
+    pickles as the lattice of its ``poset``.  The ``frame`` flag means:
+    bounded, all binary meets/joins exist and binary meet distributes over
+    binary join (which in the finite case is full frame distributivity).
     """
 
-    __slots__ = ("poset", "distributive", "top", "bottom")
+    __slots__ = ("_poset", "distributive", "top", "bottom", "elements", "_masks", "_index")
 
     def __init__(self, poset: FinitePoset, distributive: bool, top: int = 0, bottom: int = 0):
         init = object.__setattr__
-        init(self, "poset", poset)
+        init(self, "_poset", poset)
         init(self, "distributive", distributive)
         init(self, "top", top)
         init(self, "bottom", bottom)
+        init(self, "elements", poset.elements)
+        init(self, "_masks", poset.down)
+        init(self, "_index", poset.by_down)
 
     @staticmethod
     def from_poset(poset: FinitePoset) -> "FiniteLattice":
@@ -414,27 +431,64 @@ class FiniteLattice(Record):
                 raise NotALatticeError("lattice must be bounded")
         return FiniteLattice(poset, distributive, poset.by_down[full], poset.by_up[full])
 
-    @property
-    def n(self) -> int:
-        return self.poset.n
+    @staticmethod
+    def of_downsets(q_down: Sequence[int], masks: Sequence[int], label) -> "FiniteLattice":
+        """The lattice of all downsets of a poset Q, given each point's
+        principal downset ``q_down`` and the downsets ``masks`` in element
+        order, all as masks over Q's points.  ``label(mask)`` names each
+        element, as ``subset_poset`` does.
+
+        The frame check is Birkhoff's test read off the representation:
+        ``q_down`` is reflexive and transitive, the masks are distinct,
+        and they are exactly the unions of ``q_down``, that is Q's
+        downsets.  A family of sets closed under union and intersection is
+        a distributive lattice under inclusion, so this is at least as
+        strong as ``from_poset``'s test on the order the masks give; a
+        family that fails it raises ``LatticeError``."""
+        n, k = len(masks), len(q_down)
+        index = {m: i for i, m in enumerate(masks)}
+        if (
+            len(index) != n
+            or any(q >> k or not q >> x & 1 for x, q in enumerate(q_down))
+            or any(q_down[y] & ~q for q in q_down for y in _bits(q))
+            or _union_set(q_down, n) != index.keys()
+        ):
+            raise LatticeError("downset lattice failed the frame check")
+        lat = FiniteLattice.__new__(FiniteLattice)
+        values = (None, True, index[(1 << k) - 1], index[0], _labels(masks, label), masks, index)
+        for name, value in zip(FiniteLattice.__slots__, values):
+            object.__setattr__(lat, name, value)
+        return lat
 
     @property
-    def elements(self) -> tuple[str, ...]:
-        return self.poset.elements
+    def poset(self) -> FinitePoset:
+        p = self._poset
+        if p is None:
+            p = subset_poset(self._masks, dict(zip(self._masks, self.elements)).__getitem__)
+            object.__setattr__(self, "_poset", p)
+        return p
+
+    @property
+    def n(self) -> int:
+        return len(self.elements)
 
     @property
     def frame(self) -> bool:
         return self.distributive
 
     def leq(self, i: int, j: int) -> bool:
-        return self.poset.leq(i, j)
+        m = self._masks
+        return not m[i] & ~m[j]
 
     def meet(self, i: int, j: int) -> int:
-        p = self.poset
-        return p.by_down[p.down[i] & p.down[j]]
+        m = self._masks
+        return self._index[m[i] & m[j]]
 
     def join(self, i: int, j: int) -> int:
-        p = self.poset
+        p = self._poset
+        if p is None:  # held as downsets, whose join is their union
+            m = self._masks
+            return self._index[m[i] | m[j]]
         return p.by_up[p.up[i] & p.up[j]]
 
     def meet_all(self, idxs: Iterable[int]) -> int:
@@ -450,7 +504,7 @@ class FiniteLattice(Record):
         return acc
 
     def label(self, i: int) -> str:
-        return self.poset.elements[i]
+        return self.elements[i]
 
 
 class MonotoneMap(Record):
@@ -471,8 +525,8 @@ class MonotoneMap(Record):
         for x in table:
             if not (0 <= x < target.n):
                 raise LatticeError("table value out of range")
-        for i in range(n):
-            for j in _bits(source.poset.up[i]):
+        for i, up in enumerate(source.poset.up):
+            for j in _bits(up):
                 if not target.leq(table[i], table[j]):
                     raise LatticeError(
                         "not monotone at "
@@ -494,7 +548,7 @@ class MonotoneMap(Record):
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     """outer after inner."""
-    if inner.target.poset.elements != outer.source.poset.elements:
+    if inner.target.elements != outer.source.elements:
         raise LatticeError("maps not composable")
     return MonotoneMap(inner.source, outer.target, tuple(outer.table[x] for x in inner.table))
 
@@ -579,7 +633,7 @@ def _law_failures(f: MonotoneMap, law: str, limit: int = 4) -> list[tuple[str, .
     failures = _LAWS.get(law)
     if failures is None:
         raise LatticeError(f"unknown law {law!r}")
-    lab = f.source.poset.elements
+    lab = f.source.elements
     return [tuple(lab[i] for i in w) for w in islice(failures(f.table, f.source, f.target), limit)]
 
 
@@ -598,7 +652,7 @@ def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> boo
         return _adjoint(f, law == "left-adjoint-exists") is None
     if law in ("frobenius", "co-frobenius"):
         left = law == "frobenius"
-        pair = f.target.poset.index(labels[0]), f.source.poset.index(labels[1])
+        pair = f.target.elements.index(labels[0]), f.source.elements.index(labels[1])
         adj = _adjoint(f, left)
         return adj is not None and pair in _frobenius_failures(f, adj, left)
     failures = _law_failures(f, law, limit=f.source.n * f.source.n + 1)
@@ -624,14 +678,12 @@ def subset_lattice(masks: Sequence[int], label, reverse: bool = False) -> Finite
 
 
 def downsets(poset: FinitePoset, cap: int = 1 << 13) -> FiniteLattice:
-    """The frame of down-closed subsets of a poset, ordered by inclusion."""
+    """The frame of down-closed subsets of a poset, ordered by inclusion,
+    held as the downsets themselves (``FiniteLattice.of_downsets``)."""
     masks = unions(poset.down, cap, "downset lattice")
-    lat = subset_lattice(
-        masks, lambda mask: "{" + ",".join(poset.elements[i] for i in _bits(mask)) + "}"
+    return FiniteLattice.of_downsets(
+        poset.down, masks, lambda mask: "{" + ",".join(poset.elements[i] for i in _bits(mask)) + "}"
     )
-    if not lat.frame:
-        raise LatticeError("downset lattice failed the frame check")
-    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +775,7 @@ def classify_proper(fstar: MonotoneMap) -> OperatorReport:
 
 
 def _require_endo(j: MonotoneMap, what: str) -> FiniteLattice:
-    if j.source.poset.elements != j.target.poset.elements or j.source.poset.up != j.target.poset.up:
+    if j.source.elements != j.target.elements or j.source.poset.up != j.target.poset.up:
         raise LatticeError(f"{what} needs an endomorphism")
     return j.source
 
@@ -764,7 +816,7 @@ def prefixed_subframe(j: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
 
 
 def sublattice(L: FiniteLattice, indices: Sequence[str] | Sequence[int]) -> FiniteLattice:
-    idxs = [L.poset.index(i) if isinstance(i, str) else i for i in indices]
+    idxs = [L.elements.index(i) if isinstance(i, str) else i for i in indices]
     pos = {i: a for a, i in enumerate(idxs)}
     up = [sum(1 << pos[k] for k in _bits(L.poset.up[i]) if k in pos) for i in idxs]
     return FiniteLattice.from_poset(FinitePoset(tuple(L.label(i) for i in idxs), tuple(up)))
@@ -779,9 +831,9 @@ def interior_from_pair(
     side condition on maps into a pullback; see
     ``coinserter_transitivity_check`` for the optional witness route.
     """
-    if fstar.target.poset.elements != gstar_radj.source.poset.elements:
+    if fstar.target.elements != gstar_radj.source.elements:
         raise LatticeError("maps not composable")
-    if fstar.source.poset.elements != gstar_radj.target.poset.elements:
+    if fstar.source.elements != gstar_radj.target.elements:
         raise LatticeError("g_* must land back in the domain of f*")
     if not preserves_all_meets(gstar_radj):
         raise RoleError("gstar_radj is not a right adjoint (fails meet preservation)")

@@ -509,9 +509,9 @@ def derive_spec_from_coinserter(
     coequaliser), whose idempotence is checked directly.
     """
     X = parent.carrier
-    if fstar.source.poset.elements != X.poset.elements:
+    if fstar.source.elements != X.elements:
         raise TransformError("fstar must start at the parent carrier")
-    if gstar.source.poset.elements != X.poset.elements:
+    if gstar.source.elements != X.elements:
         raise TransformError("gstar must start at the parent carrier")
 
     role = mode.info.family.role

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from locale_forge.lattice import FiniteLattice, FinitePoset, MonotoneMap, downsets
+from locale_forge.lattice import FiniteLattice, FinitePoset, MonotoneMap, downsets, subset_lattice
 
 
 @pytest.fixture
@@ -103,3 +103,19 @@ def cc_shift_family():
     family = SchemaClause((GenPattern("CC", (econst(0, with_index=True), econst(1))),), int_var="n")
     rel = RelationSchema((), (), SchemaTerm((start,)), SchemaTerm((family,)), "<=")
     return Presentation(PresentationKind.PREFRAME, ClosedComplementDomain(), (rel,))
+
+
+def assert_held_as_its_subset_lattice(q_down, masks, label):
+    """``FiniteLattice.of_downsets(q_down, masks, label)`` answers as the
+    lattice ``subset_lattice(masks, label)`` builds from its order, before
+    and after its own order is read, and equals and hashes as it."""
+    held, built = FiniteLattice.of_downsets(q_down, masks, label), subset_lattice(masks, label)
+    n = built.n
+    assert (held.n, held.elements, held.distributive) == (n, built.elements, built.distributive)
+    assert (held.top, held.bottom) == (built.top, built.bottom)
+    for _ in range(2):  # the second pass after ``held.poset`` is built
+        for i, j in itertools.product(range(n), repeat=2):
+            assert held.leq(i, j) == built.leq(i, j)
+            assert (held.meet(i, j), held.join(i, j)) == (built.meet(i, j), built.join(i, j))
+        assert (held.poset.up, held.poset.down) == (built.poset.up, built.poset.down)
+    assert held == built and hash(held) == hash(built)

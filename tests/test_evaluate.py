@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from locale_forge import lattice
 from locale_forge.evaluate import (
     EvaluationError,
     KindCheckError,
@@ -407,12 +408,13 @@ class TestFrameCheckCanFail:
         assert FamilyEngine(3, CHAIN_AND_SQUARE).enumerate_carrier() == [0, 0b001, 0b011, 0b101, 0b111]
 
     def test_carrier_frame_check_through_eval_frame(self, monkeypatch):
-        """The frame flag of the built carrier is checked too: an engine
-        that hands ``eval_frame`` the fixed sets of M3, each as its own
-        downset, fails it."""
+        """The carrier's own frame check can fail too: an engine that hands
+        ``eval_frame`` the fixed sets of M3, each as its own downset of the
+        3-antichain, fails it, since they are not all of its downsets."""
 
         class M3Engine(FamilyEngine):
             down, labels = [0b001, 0b010, 0b100], ["a", "b", "c"]
+            jdown = down
 
             def enumerate_carrier(self):
                 self.downset_of = {m: m for m in M3}
@@ -422,6 +424,34 @@ class TestFrameCheckCanFail:
         monkeypatch.setattr("locale_forge.evaluate._frame_engine", engine)
         with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
             eval_frame(two_point_presentation())
+
+
+class TestDownsetCarrier:
+    """The grid path builds no order over the carrier's elements: the
+    frame is held as the downsets of its join-irreducibles, and
+    ``downsets`` as the downsets of its poset."""
+
+    def test_the_grid_path_builds_no_order(self, monkeypatch):
+        p = real_line_on_grid(range(6), Relation(gen_term("OI()"), TERM_ZERO))
+        calls = []
+        inner = lattice.subset_poset
+        monkeypatch.setattr(lattice, "subset_poset", lambda *args: calls.append(args) or inner(*args))
+        carriers = [eval_frame(p).carrier, downsets(FinitePoset.from_pairs([f"a{i}" for i in range(8)], []))]
+        assert [c.n for c in carriers] == [610, 256]
+        ups = []
+        for c in carriers:
+            assert len(set(c.elements)) == c.n
+            up = [0] * c.n
+            for i, j in itertools.product(range(c.n), repeat=2):
+                if c.leq(i, j):
+                    up[i] |= 1 << j
+                assert c.leq(c.meet(i, j), i) and c.leq(j, c.join(i, j))
+            ups.append(tuple(up))
+        assert calls == []
+        for c, up in zip(carriers, ups):
+            answered = FinitePoset(c.elements, up)
+            assert c.poset == answered and c.poset.down == answered.down
+        assert len(calls) == 2
 
 
 class TestEnumerateCarrier:

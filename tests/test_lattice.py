@@ -25,10 +25,11 @@ from locale_forge.lattice import (
     poset_isomorphism,
     recheck_witness,
     right_adjoint,
+    subset_lattice,
     unions,
 )
 
-from conftest import galois_left_oracle, galois_right_oracle
+from conftest import assert_held_as_its_subset_lattice, galois_left_oracle, galois_right_oracle
 
 
 def rand_poset(seed: int, n: int) -> FinitePoset:
@@ -90,6 +91,37 @@ class TestDownsets:
         assert downsets(antichain, cap=1 << 4).n == 1 << 4
         with pytest.raises(LatticeError, match="downset lattice exceeds oracle scale"):
             downsets(antichain, cap=(1 << 4) - 1)
+
+
+class TestOfDownsets:
+    """``FiniteLattice.of_downsets`` holds a downset frame as its downsets;
+    its frame check is exact and can fail."""
+
+    @pytest.mark.parametrize("seed", range(35))
+    def test_random_posets_are_held_as_their_subset_lattices(self, seed):
+        q = rand_poset(seed, seed % 7)
+        masks = unions(q.down, 1 << 7, "downsets")
+        # a label by size only, so that the shared prime rule names them
+        assert_held_as_its_subset_lattice(q.down, masks, lambda m: f"d{m.bit_count()}")
+
+    @pytest.mark.parametrize(
+        "q_down, masks",
+        [
+            ([0b001, 0b010, 0b100], [0, 0b001, 0b010, 0b100, 0b111]),  # M3: 5 of the 3-antichain's 8 downsets
+            ([0b01, 0b10], [0, 0b01, 0b10, 0b11, 0b11]),
+            ([0b011, 0b110, 0b100], [0, 0b100, 0b011, 0b110, 0b111]),  # 2 <= 1 <= 0 without 2 <= 0
+            ([0b10, 0b10], [0, 0b10]),  # point 0 is not in its own downset
+            ([0b11], [0, 0b11]),  # a downset holding a point that Q lacks
+        ],
+        ids=["M3", "repeated-mask", "not-transitive", "not-reflexive", "out-of-range"],
+    )
+    def test_a_family_that_is_not_the_downsets_of_an_order_fails_the_frame_check(self, q_down, masks):
+        with pytest.raises(LatticeError, match="downset lattice failed the frame check"):
+            FiniteLattice.of_downsets(q_down, masks, str)
+
+    def test_the_unions_of_a_relation_that_is_no_order_need_not_be_distributive(self):
+        # the not-transitive case above: its unions, under inclusion, are N5
+        assert not subset_lattice([0, 0b100, 0b011, 0b110, 0b111], str).distributive
 
 
 def subset_poset(masks: list[int]) -> FinitePoset:

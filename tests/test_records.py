@@ -21,6 +21,7 @@ from locale_forge.lattice import (
     QuotientFamily,
     QuotientMode,
     Role,
+    subset_lattice,
 )
 from locale_forge.presentation import (
     Presentation,
@@ -125,6 +126,16 @@ def test_pickle_and_copy_rebuild_an_equal_record(cls, args, fields):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is cls
         assert all(getattr(y, name) == getattr(x, name) for name in fields)
+
+
+def test_a_lattice_held_as_downsets_is_the_record_of_its_order():
+    """``of_downsets`` gives the record ``subset_lattice`` builds from the
+    same masks and labels; pickle and copy rebuild it from its order."""
+    held, built = FiniteLattice.of_downsets(POSET.down, [0, 1, 3], str), subset_lattice([0, 1, 3], str)
+    for y in (held, pickle.loads(pickle.dumps(held)), copy.copy(held), copy.deepcopy(held)):
+        assert type(y) is FiniteLattice
+        assert y == built and hash(y) == hash(built) and repr(y) == repr(built)
+        assert (y.poset, y.elements, y.top, y.bottom) == (built.poset, ("0", "1", "3"), 2, 0)
 
 
 def test_the_repr_names_the_shown_fields():

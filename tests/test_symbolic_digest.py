@@ -24,7 +24,7 @@ from locale_forge.evaluate import (
     verify_coverage,
 )
 from locale_forge.generators import DomainError, FiniteGeneratorDomain, domain_from_descriptor
-from locale_forge.lattice import QuotientMode
+from locale_forge.lattice import FiniteLattice, QuotientMode
 from locale_forge.presentation import (
     Presentation,
     PresentationKind,
@@ -44,6 +44,8 @@ from locale_forge.suites import (
 )
 from locale_forge.terms import Meet, Term
 from locale_forge.transform import identity_spec, present, spec_from_operator
+
+from conftest import assert_held_as_its_subset_lattice
 
 KINDS = (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.DCPO)
 
@@ -200,6 +202,22 @@ READS = {
     eval_preframe: lambda p: False,
     eval_dcpo: lambda p: True,
 }
+
+
+class TestDownsetCarrier:
+    def test_eval_frame_carriers_are_held_as_their_subset_lattices(self, monkeypatch):
+        """Every carrier ``eval_frame`` builds over the digest's seeds
+        answers, equals and hashes as the lattice of its order."""
+        held = []
+        inner = FiniteLattice.of_downsets
+        spy = lambda *args: held.append(args) or inner(*args)
+        monkeypatch.setattr(FiniteLattice, "of_downsets", staticmethod(spy))
+        for p in raw_presentations(range(40)):
+            attempt(eval_frame, p)
+        monkeypatch.undo()
+        assert len(held) > 100 and max(len(masks) for _, masks, _ in held) > 8
+        for args in held:
+            assert_held_as_its_subset_lattice(*args)
 
 
 class TestOneReading:
