@@ -25,18 +25,15 @@ _EXPORTS = {
             "QuotientMode",
             "Role",
             "check_quotient_operator",
-            "check_reflexive_section",
             "classify_open",
             "classify_proper",
             "coequaliser_closure",
-            "coinserter_transitivity_check",
             "downsets",
             "fixed_points",
             "interior_from_pair",
             "kleene_closure",
             "left_adjoint",
             "poset_isomorphism",
-            "prefixed_subframe",
             "right_adjoint",
         ),
         "lattice",

@@ -273,7 +273,7 @@ def _z2_swap_artifact():
     closure = kleene_closure(MonotoneMap(X, X, swap.table))
     sub, retr = fixed_points(closure)
     pinned = [
-        (quotient.interp[f"dia {g}"], retr(frame.interp[g])) for g in frame.interp
+        (quotient.interp[out.domain.wrap(g)], retr(frame.interp[g])) for g in frame.interp
     ]
     iso = poset_isomorphism(quotient.carrier.poset, sub.poset, pinned)
     return {

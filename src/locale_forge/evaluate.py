@@ -70,10 +70,8 @@ from .presentation import (
     Side,
     check_kind,
     instance_kernel,
-    on_grid,
     relation_sides,
 )
-from .rationals import ExtRat
 from .records import Record
 from .terms import Term
 
@@ -704,18 +702,15 @@ EVALUATORS = {
 }
 
 
-def verify_coverage(
-    p: Presentation,
-    grid: Optional[Sequence[ExtRat]] = None,
-    oracle: bool = True,
-) -> OperatorReport:
-    """Check that the frame evaluation of ``on_grid(p, grid)`` and the
-    kind's own evaluation are order isomorphic over an isomorphism
-    matching generator images."""
+def verify_coverage(p: Presentation) -> OperatorReport:
+    """Check that the frame evaluation of ``p`` and the kind's own
+    evaluation are order isomorphic over an isomorphism matching generator
+    images.  A schematic ``p``, or one over a non-finite domain, raises
+    ``EvaluationError``: instantiate it on a grid first."""
     if p.kind not in EVALUATORS:
         raise PresentationError("coverage applies to sup/preframe/dcpo presentations")
-    p = on_grid(p, grid, "verify_coverage")
-    report = check_kind(p, oracle=oracle)
+    _require_instantiated(p)
+    report = check_kind(p)
     if not report.ok:
         raise KindCheckError(report)
     frame = eval_frame(p)

@@ -400,7 +400,7 @@ def circle_open_spec() -> QuotientSpec:
 
 def circle_open_presentation() -> TransformedPresentation:
     """The circle as the open quotient of the reals by the shift action."""
-    out = present_open(real_presentation(), circle_open_spec(), check=False)
+    out = present_open(real_presentation(), circle_open_spec())
     assert len(out.relations) == 4, "circle presentation should display four relation families"
     return out
 
@@ -522,7 +522,7 @@ def circle_proper_presentation(simplify: bool = False) -> TransformedPresentatio
     the transported interval relations; simplify mode extends the interior
     pair case to everything except the two mixed boundary configurations
     and merges the residual endpoint cases into a single rule."""
-    out = present_proper(unit_interval_presentation(), _circle_proper_display_spec(), check=False)
+    out = present_proper(unit_interval_presentation(), _circle_proper_display_spec())
     assert len(out.relations) == 8
     if not simplify:
         return out

@@ -659,10 +659,6 @@ def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> boo
     return tuple(labels) in set(failures)
 
 
-def preserves_all_meets(f: MonotoneMap) -> bool:
-    return check_laws(f, MEET_PRESERVING).verdict
-
-
 def as_frame_hom(f: MonotoneMap) -> MonotoneMap:
     check_laws(f, JOIN_PRESERVING + MEET_PRESERVING).require()
     return f.with_role(Role.FRAME_HOM)
@@ -797,45 +793,19 @@ def kleene_closure(j: MonotoneMap) -> MonotoneMap:
     return out.with_role(Role.CLOSURE_OP)
 
 
-def prefixed_subframe(j: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
-    """The elements with j(u) <= u, verified to be a subframe, with its
-    inclusion (a frame homomorphism that has a left adjoint)."""
-    L = _require_endo(j, "prefixed_subframe")
-    check_laws(j, JOIN_PRESERVING).require()
-    keep = [u for u in range(L.n) if L.leq(j(u), u)]
-    for a in keep:
-        for b in keep:
-            if L.meet(a, b) not in keep or L.join(a, b) not in keep:
-                raise LatticeError("pre-fixed points not closed under meet/join")
-    sub = sublattice(L, keep)
-    incl = MonotoneMap(sub, L, tuple(keep))
-    incl = as_frame_hom(incl)
-    if left_adjoint(incl) is None:
-        raise LatticeError("inclusion of pre-fixed points lost its left adjoint")
-    return sub, incl
-
-
-def sublattice(L: FiniteLattice, indices: Sequence[str] | Sequence[int]) -> FiniteLattice:
-    idxs = [L.elements.index(i) if isinstance(i, str) else i for i in indices]
-    pos = {i: a for a, i in enumerate(idxs)}
-    up = [sum(1 << pos[k] for k in _bits(L.poset.up[i]) if k in pos) for i in idxs]
-    return FiniteLattice.from_poset(FinitePoset(tuple(L.label(i) for i in idxs), tuple(up)))
-
-
 def interior_from_pair(
     gstar_radj: MonotoneMap, fstar: MonotoneMap
 ) -> tuple[MonotoneMap, OperatorReport]:
     """Form (g_* . f*) ^ id and grant the interior role iff it is idempotent.
 
     Idempotence is verified directly on the carrier instead of checking any
-    side condition on maps into a pullback; see
-    ``coinserter_transitivity_check`` for the optional witness route.
+    side condition on maps into a pullback.
     """
     if fstar.target.elements != gstar_radj.source.elements:
         raise LatticeError("maps not composable")
     if fstar.source.elements != gstar_radj.target.elements:
         raise LatticeError("g_* must land back in the domain of f*")
-    if not preserves_all_meets(gstar_radj):
+    if not check_laws(gstar_radj, MEET_PRESERVING):
         raise RoleError("gstar_radj is not a right adjoint (fails meet preservation)")
     X = fstar.source
     table = tuple(X.meet(gstar_radj(fstar(x)), x) for x in range(X.n))
@@ -844,40 +814,6 @@ def interior_from_pair(
     if rep:
         cand = cand.with_role(Role.INTERIOR_OP)
     return cand, rep
-
-
-def coinserter_transitivity_check(
-    gstar: MonotoneMap,
-    fstar: MonotoneMap,
-    tstar: MonotoneMap,
-    pi1star: MonotoneMap,
-    pi2star: MonotoneMap,
-) -> OperatorReport:
-    """Optional witness route: caller supplies the frame maps of t, pi1, pi2
-    and we verify pi2*.g* <= t*.g* and t*.f* <= pi1*.f* pointwise."""
-    lhs1, rhs1 = compose(pi2star, gstar), compose(tstar, gstar)
-    lhs2, rhs2 = compose(tstar, fstar), compose(pi1star, fstar)
-    W = tstar.target
-    witnesses = []
-    for x in range(lhs1.source.n):
-        if not W.leq(lhs1(x), rhs1(x)):
-            witnesses.append(("g.pi2 <= g.t", (lhs1.source.label(x),)))
-        if not W.leq(lhs2(x), rhs2(x)):
-            witnesses.append(("f.t <= f.pi1", (lhs2.source.label(x),)))
-    return OperatorReport(not witnesses, tuple(witnesses))
-
-
-def check_reflexive_section(
-    rstar: MonotoneMap, fstar: MonotoneMap, gstar: MonotoneMap
-) -> OperatorReport:
-    """Verify r*.f* = id and r*.g* = id for a caller-supplied common section."""
-    witnesses = []
-    for name, star in (("r.f = id", fstar), ("r.g = id", gstar)):
-        comp = compose(rstar, star)
-        for x in range(comp.source.n):
-            if comp(x) != x:
-                witnesses.append((name, (comp.source.label(x),)))
-    return OperatorReport(not witnesses, tuple(witnesses))
 
 
 def coequaliser_closure(
@@ -997,7 +933,9 @@ def fixed_points(e: MonotoneMap) -> tuple[FiniteLattice, MonotoneMap]:
     L = _require_endo(e, "fixed_points")
     check_laws(e, ["idempotent"]).require()
     keep = [u for u in range(L.n) if e(u) == u]
-    sub = sublattice(L, keep)
+    # inclusion of ``L``'s masks is its order, in either lattice form
+    masks = [L._masks[u] for u in keep]
+    sub = subset_lattice(masks, dict(zip(masks, map(L.label, keep))).__getitem__)
     pos = {u: k for k, u in enumerate(keep)}
     retr = MonotoneMap(L, sub, tuple(pos[e(u)] for u in range(L.n)))
     return sub, retr

@@ -21,6 +21,7 @@ from .lattice import (
     CLOSURE_LAWS,
     FiniteLattice,
     FinitePoset,
+    LatticeError,
     MonotoneMap,
     QuotientMode,
     Role,
@@ -98,7 +99,7 @@ def rand_poset(rng: random.Random, n: int) -> FinitePoset:
     return FinitePoset.from_pairs(labels, pairs)
 
 
-def _subset_domain(rng: random.Random, max_gens: int, closed_under: str) -> FiniteGeneratorDomain:
+def _subset_domain(rng: random.Random, closed_under: str) -> FiniteGeneratorDomain:
     universe = frozenset(range(3))
     for _ in range(64):
         fams = {universe, frozenset()} if closed_under == "join" else {universe}
@@ -113,7 +114,7 @@ def _subset_domain(rng: random.Random, max_gens: int, closed_under: str) -> Fini
                     if c not in fams:
                         fams.add(c)
                         changed = True
-        if len(fams) <= max_gens:
+        if len(fams) <= 5:
             break
     ordered = sorted(fams, key=lambda s: (len(s), sorted(s)))
     masks = [sum(1 << x for x in s) for s in ordered]
@@ -123,20 +124,20 @@ def _subset_domain(rng: random.Random, max_gens: int, closed_under: str) -> Fini
     return FiniteGeneratorDomain(poset, use_meet=False, use_join=True)
 
 
-def rand_meet_semilattice_domain(rng: random.Random, max_gens: int = 5) -> FiniteGeneratorDomain:
-    return _subset_domain(rng, max_gens, "meet")
+def rand_meet_semilattice_domain(rng: random.Random) -> FiniteGeneratorDomain:
+    return _subset_domain(rng, "meet")
 
 
-def rand_join_semilattice_domain(rng: random.Random, max_gens: int = 5) -> FiniteGeneratorDomain:
-    return _subset_domain(rng, max_gens, "join")
+def rand_join_semilattice_domain(rng: random.Random) -> FiniteGeneratorDomain:
+    return _subset_domain(rng, "join")
 
 
-def rand_distributive_domain(rng: random.Random, max_gens: int = 8) -> FiniteGeneratorDomain:
+def rand_distributive_domain(rng: random.Random) -> FiniteGeneratorDomain:
     for _ in range(64):
         base = rand_poset(rng, rng.randint(1, 3))
         # every downset of a poset with n elements: never more than 2**n
         masks = unions(base.down, 1 << base.n, "random distributive domain")
-        if len(masks) <= max_gens:
+        if len(masks) <= 8:
             break
     poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
     return FiniteGeneratorDomain(poset, use_meet=True, use_join=True)
@@ -273,7 +274,7 @@ def rand_monotone_idempotent(rng: random.Random, L: FiniteLattice) -> Optional[M
         table.append(cands[0] if rng.random() < 0.6 else rng.choice(cands))
     try:
         return MonotoneMap(L, L, tuple(table))
-    except Exception:
+    except LatticeError:  # the table is not monotone
         return None
 
 
@@ -341,9 +342,8 @@ def check_equivalence(
         return False, "schema count grew by more than 3", out
     sub, retr = fixed_points(e)
     quotient = eval_frame(out)
-    tag = out.domain.tag
     pinned = [
-        (quotient.interp[f"{tag} {g}"], retr(parent.interp[g])) for g in parent.interp
+        (quotient.interp[out.domain.wrap(g)], retr(parent.interp[g])) for g in parent.interp
     ]
     iso = poset_isomorphism(quotient.carrier.poset, sub.poset, pinned)
     if iso is None:

@@ -293,10 +293,6 @@ def join_of(keys: Iterable[str]) -> Term:
     return Term(tuple(Meet((k,)) for k in keys))
 
 
-def meet_of(keys: Iterable[str]) -> Term:
-    return Term((Meet(tuple(keys)),))
-
-
 def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
     """Canonical form: duplicates removed, clauses in canonical order, and
     meets folded through the domain's meet operation when it has one.

@@ -240,6 +240,29 @@ class TestDerive:
         assert [c["meet"] for c in img_a] == [["a"], ["b"]]
 
 
+    def test_proper_coequaliser_that_is_not_idempotent(self, tmp_path):
+        # the bundle of test_transform's non-idempotent proper coequaliser
+        from locale_forge import serialize
+        from locale_forge.dsl import parse
+        from locale_forge.lattice import FinitePoset, downsets
+
+        target = downsets(FinitePoset.from_pairs(["a", "b"], [(0, 1)]))
+        parent = "domain finite { gens g0, g1, g2; leq g0 <= g1; leq g1 <= g2; ops join }\nkind preframe\n"
+        labels = ["g0", "g1", "g2", "1"]
+        bundle = {
+            "parent": serialize.presentation_to_jsonable(parse(parent)),
+            "target": serialize.lattice_to_jsonable(target),
+            "fstar": {e: target.elements[i] for e, i in zip(labels, (0, 0, 1, 2))},
+            "gstar": {e: target.elements[i] for e, i in zip(labels, (0, 1, 2, 2))},
+        }
+        f = tmp_path / "bundle.json"
+        f.write_text(json.dumps(bundle))
+        rc, out, err = run_cli("derive", str(f), "--mode", "proper", "--coequaliser")
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "module" and "('idempotent', ('g2',))" in doc["detail"]
+
+
 class TestMoreVerbs:
     def test_eval_categories(self, two_point_file, tmp_path):
         for cat, expected in (("sup", 4), ("preframe", 6)):
@@ -367,7 +390,8 @@ def as_json(tmp_path, text_file: str) -> str:
     from locale_forge.dsl import parse
     from locale_forge.transform import QuotientSpec
 
-    doc = parse(open(text_file, encoding="utf-8").read())
+    with open(text_file, encoding="utf-8") as fh:
+        doc = parse(fh.read())
     if isinstance(doc, QuotientSpec):
         out = serialize.spec_to_jsonable(doc)
     else:

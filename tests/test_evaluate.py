@@ -52,7 +52,6 @@ from locale_forge.terms import (
     Term,
     gen_term,
     join_of,
-    meet_of,
 )
 from locale_forge.transform import present, spec_from_operator
 
@@ -335,11 +334,11 @@ class TestVerifyCoverage:
         p = Presentation(
             PresentationKind.SUP,
             dom,
-            (Relation(gen_term("t"), gen_term("z"), "<="),),
+            (Relation(gen_term("a"), gen_term("b"), "<="),),
         )
-        # stability holds only through the oracle; with it off the check fails
+        # the instance a <= z (meet with a) is neither present nor derivable
         with pytest.raises(KindCheckError):
-            verify_coverage(p, oracle=False)
+            verify_coverage(p)
 
     def test_random_stable_sup_presentations(self):
         rng = random.Random(42)

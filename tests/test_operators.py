@@ -12,15 +12,12 @@ from locale_forge.lattice import (
     Role,
     check_laws,
     check_quotient_operator,
-    check_reflexive_section,
     coequaliser_closure,
-    coinserter_transitivity_check,
     downsets,
     fixed_points,
     interior_from_pair,
     kleene_closure,
     left_adjoint,
-    prefixed_subframe,
     right_adjoint,
     as_frame_hom,
 )
@@ -70,39 +67,6 @@ class TestKleene:
         # with j <= k pointwise dominates c
         for u in range(L.n):
             assert L.leq(j(u), c(u))
-
-
-class TestPrefixedSubframe:
-    def test_identity_gives_whole_frame(self, four_boolean):
-        sub, incl = prefixed_subframe(ident(four_boolean))
-        assert sub.n == 4
-
-    def test_atom_swap(self, four_boolean):
-        L = four_boolean
-        idx = {e: i for i, e in enumerate(L.elements)}
-        swap = MonotoneMap(L, L, (idx["{}"], idx["{b}"], idx["{a}"], idx["{a,b}"]))
-        sub, incl = prefixed_subframe(swap)
-        assert sub.elements == ("{}", "{a,b}")
-        assert incl.role is Role.FRAME_HOM
-        assert left_adjoint(incl) is not None
-
-    def test_constant_bottom_gives_whole_frame(self, four_boolean):
-        L = four_boolean
-        sub, _ = prefixed_subframe(MonotoneMap(L, L, (0, 0, 0, 0)))
-        assert sub.n == 4
-
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_closed_under_ambient_operations(self, seed):
-        rng = random.Random(seed)
-        L = downsets(rand_poset(rng, rng.randint(1, 5)))
-        j = rand_join_endo(rng, L)
-        sub, incl = prefixed_subframe(j)
-        members = set(incl.table)
-        for a in members:
-            for b in members:
-                assert L.meet(a, b) in members
-                assert L.join(a, b) in members
 
 
 def gluing_toy():
@@ -173,26 +137,6 @@ class TestInteriorFromPair:
                 break
         assert found is not None
         assert any(law == "idempotent" for law, _ in found.witnesses)
-
-    def test_transitivity_witness_route(self):
-        S, pt, fstar, gstar = gluing_toy()
-        # the pullback of the two points is empty: its frame is the 1-element
-        # lattice, and every map through it satisfies the witness laws
-        one = FiniteLattice.from_poset(FinitePoset.from_pairs(["*"], []))
-        bang = MonotoneMap(pt, one, (0, 0))
-        rep = coinserter_transitivity_check(gstar, fstar, bang, bang, bang)
-        assert rep.verdict
-
-    def test_reflexive_section_check(self, four_boolean):
-        L = four_boolean
-        rep = check_reflexive_section(ident(L), ident(L), ident(L))
-        assert rep.verdict
-        idx = {e: i for i, e in enumerate(L.elements)}
-        swap = as_frame_hom(
-            MonotoneMap(L, L, (idx["{}"], idx["{b}"], idx["{a}"], idx["{a,b}"]))
-        )
-        rep2 = check_reflexive_section(ident(L), ident(L), swap)
-        assert not rep2.verdict
 
 
 class TestCoequaliserClosure:

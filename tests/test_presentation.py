@@ -47,7 +47,6 @@ from locale_forge.terms import (
     eparam,
     gen_term,
     join_of,
-    meet_of,
     normalize,
 )
 
@@ -94,7 +93,7 @@ class TestCheckKind:
                 raw = []
                 for r in p.concrete_relations():
                     gens = sorted(r.lhs.gens_used() | r.rhs.gens_used(), reverse=True)
-                    raw += [r.lhs, r.rhs, Term(tuple(reversed(r.lhs.clauses + r.rhs.clauses))), meet_of(gens)]
+                    raw += [r.lhs, r.rhs, Term(tuple(reversed(r.lhs.clauses + r.rhs.clauses))), Term((Meet(tuple(gens)),))]
                 queries = [(t, f) for t in raw for f in (fold, not fold)]
                 first = [normalize(t, p.domain, f) for t, f in queries]
                 served = [normalize(t, p.domain, f) for t, f in queries]
@@ -170,7 +169,7 @@ class TestCheckKind:
         """The stability instances range over every generator, which a
         symbolic domain lists only on a grid: its default sample of 24
         intervals misses the witness here, OI(1/4,3/4)."""
-        from locale_forge.evaluate import KindCheckError, verify_coverage
+        from locale_forge.evaluate import EvaluationError, KindCheckError, verify_coverage
 
         p = Presentation(
             PresentationKind.SUP,
@@ -188,8 +187,10 @@ class TestCheckKind:
             assert [v.verdict for v in rep.verdicts] == ["fail", "syntacticPass"]
             assert rep.verdicts[0].witness_generator == "OI(1/4,3/4)"
             assert rep.verdicts[0].missing == Relation(gen_term("OI(1/4,3/4)"), gen_term("OI(1/4,1/2)"), "<=")
+        with pytest.raises(EvaluationError, match="instantiate first"):
+            verify_coverage(p)
         with pytest.raises(KindCheckError):
-            verify_coverage(p, grid=grid)
+            verify_coverage(instantiate_schemas(p, grid))
 
 
 class TestKindTable:

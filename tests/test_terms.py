@@ -16,7 +16,6 @@ from locale_forge.terms import (
     TermError,
     gen_term,
     join_of,
-    meet_of,
     normalize,
 )
 
@@ -43,16 +42,16 @@ class TestNormalize:
         assert t3 == TERM_ZERO
 
     def test_meet_folds_through_domain(self, diamond):
-        t = normalize(meet_of(["a", "b"]), diamond)
+        t = normalize(Term((Meet(("a", "b")),)), diamond)
         assert t == gen_term("z")
 
     def test_interval_meet_folds(self):
         dom = OpenIntervalDomain()
-        t = normalize(meet_of(["OI(0,1)", "OI(1/2,2)"]), dom)
+        t = normalize(Term((Meet(("OI(0,1)", "OI(1/2,2)")),)), dom)
         assert t == gen_term("OI(1/2,1)")
 
     def test_no_fold_keeps_formal_meets(self, diamond):
-        t = normalize(meet_of(["a", "b"]), diamond, fold_meets=False)
+        t = normalize(Term((Meet(("a", "b")),)), diamond, fold_meets=False)
         assert t == Term((Meet(("a", "b")),))
 
     def test_foreign_generator_rejected(self, diamond):

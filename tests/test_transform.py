@@ -10,6 +10,7 @@ from locale_forge.lattice import (
     OperatorLawError,
     QuotientMode,
     as_frame_hom,
+    downsets,
     fixed_points,
     kleene_closure,
     left_adjoint,
@@ -326,6 +327,37 @@ class TestDerive:
         spec = derive_spec_from_coinserter(parent, fstar, gstar, QuotientMode.SEMI_PROPER)
         images = dict(spec.image)
         assert images["m"] == gen_term("z")
+
+    @staticmethod
+    def chain_coequaliser(f, g):
+        """The saturated preframe chain g0 < g1 < g2, its frame (carrier
+        g0, g1, g2, 1) and the frame maps with tables ``f`` and ``g`` into
+        the downsets {}, {a}, {a,b} of a 2-chain."""
+        dom = FiniteGeneratorDomain(
+            FinitePoset.from_pairs(["g0", "g1", "g2"], [(0, 1), (1, 2)]), use_join=True, use_meet=False
+        )
+        p = saturate(Presentation(PresentationKind.PREFRAME, dom, ()), PresentationKind.PREFRAME)
+        parent = eval_frame(p)
+        X, T = parent.carrier, downsets(FinitePoset.from_pairs(["a", "b"], [(0, 1)]))
+        assert X.elements == ("g0", "g1", "g2", "1") and T.elements == ("{}", "{a}", "{a,b}")
+        return p, parent, as_frame_hom(MonotoneMap(X, T, f)), as_frame_hom(MonotoneMap(X, T, g))
+
+    def test_proper_coequaliser(self):
+        # the one-step interior (g_* f*) ^ (f_* g*) ^ id, idempotent here;
+        # a coequaliser does not depend on the order of its two maps
+        p, parent, fstar, gstar = self.chain_coequaliser((0, 0, 0, 2), (0, 0, 1, 2))
+        spec = derive_spec_from_coinserter(parent, fstar, gstar, QuotientMode.PROPER, coequaliser=True)
+        assert dict(spec.image) == {"g0": gen_term("g0"), "g1": gen_term("g1"), "g2": gen_term("g1")}
+        assert eval_frame(present(p, spec)).carrier.n == 3
+        assert derive_spec_from_coinserter(parent, gstar, fstar, QuotientMode.PROPER, coequaliser=True) == spec
+
+    def test_proper_coequaliser_that_is_not_idempotent(self):
+        # the one-step interior is the procedure under the paper's side
+        # condition; where it is not idempotent it is refused, not iterated
+        _, parent, fstar, gstar = self.chain_coequaliser((0, 0, 1, 2), (0, 1, 2, 2))
+        with pytest.raises(OperatorLawError) as exc:
+            derive_spec_from_coinserter(parent, fstar, gstar, QuotientMode.PROPER, coequaliser=True)
+        assert exc.value.report.witnesses == (("idempotent", ("g2",)),)
 
     def test_derived_fixed_points_match_coinserter_subframe(self):
         # the fixed points of the derived operator are exactly
