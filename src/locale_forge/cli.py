@@ -61,6 +61,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors raise ``UsageError``, so ``main`` reports them
+    as the ``input`` diagnostic, as it does every other usage error."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _parse_grid(text):
     if text is None:
         return None
@@ -193,6 +201,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode and not args.oracle:
+        raise UsageError("--mode applies only to --oracle")
+    if args.kind and not args.coverage:
+        raise UsageError("--kind applies only to --coverage")
     from . import suites
 
     seed = args.seed
@@ -218,10 +230,8 @@ def cmd_verify(args) -> int:
             for mode in QuotientMode:
                 results.append(suites.suite_oracle_equivalence(mode, seed, args.count))
             results.append(suites.suite_cross_mode(seed, args.count))
-    elif args.kleene:
-        results.append(suites.suite_kleene(seed, args.count))
     else:
-        raise UsageError("pick one of --coverage, --oracle, --kleene")
+        results.append(suites.suite_kleene(seed, args.count))
     ok = all(r.ok for r in results)
     if args.format == "json":
         _emit_json(
@@ -290,6 +300,8 @@ def _z2_swap_artifact():
 
 def cmd_example(args) -> int:
     name = args.name
+    if args.simplify and name != "circle-proper":
+        raise UsageError("--simplify applies only to the circle-proper example")
     if name in ("circle-open", "circle-proper"):
         from . import intervals
 
@@ -417,7 +429,7 @@ def _suite_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="locale-forge",
         description="frame presentations and their open/proper/triquotient locale quotients",
     )
@@ -451,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
-    sp.add_argument("--coverage", action="store_true")
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--kleene", action="store_true")
+    suite = sp.add_mutually_exclusive_group(required=True)
+    for flag in ("--coverage", "--oracle", "--kleene"):
+        suite.add_argument(flag, action="store_true")
     sp.add_argument("--kind", choices=[k.value for k in _DISCIPLINED_KINDS])
     sp.add_argument(
         "--mode", type=_mode_name, choices=[*_MODE_NAMES, "cross"], help="quotient mode, or 'cross'"
@@ -465,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("example", help="emit a built-in golden artifact")
     sp.add_argument("name", choices=["circle-open", "circle-proper", "z2-swap", "nat-reverse"])
-    sp.add_argument("--simplify", action="store_true")
+    sp.add_argument("--simplify", action="store_true", help="circle-proper only")
     add_common(sp)
     sp.set_defaults(fn=cmd_example)
 
@@ -499,13 +511,12 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
         return args.fn(args)
+    except SystemExit as exc:
+        # only --help exits from the parser: its errors raise UsageError
+        return exc.code
     except (UsageError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(_error_doc("input", exc) + "\n")
         return 2

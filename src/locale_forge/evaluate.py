@@ -25,9 +25,13 @@ meet and join are inclusion, ``&`` and ``|`` of masks over J, and no order
 over the elements is built unless a caller reads ``carrier.poset``.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
-data in the weaker categories: downsets / upsets (one body, union being
-the join of downsets and the meet of upsets) / the generator poset itself,
-quotiented by the least congruence containing the relations.  They too
+data in the weaker categories, all three through one closure
+(``_separation``): the sets of generators that no relation separates,
+where ``l <= r`` says that a closed set holding ``r`` holds ``l``.  The
+suplattice is the closed downsets, the preframe the closed upsets (one
+body, union being the join of downsets and the meet of upsets, and over
+upsets a relation read in reverse), and the dcpo the generator poset
+preordered by ``i <= j`` when the closure of ``↓j`` holds ``i``.  They too
 read a relation only as its sides: meets fold where the domain has them,
 except over upsets, whose unions are formal meets.  ``EVALUATORS`` holds
 the one of each kind that has a discipline, and ``verify_coverage``
@@ -54,7 +58,6 @@ from .lattice import (
     LatticeError,
     OperatorReport,
     _bits,
-    _transitive_closure,
     maximal,
     poset_isomorphism,
     subset_lattice,
@@ -540,22 +543,41 @@ def _gen_poset(p: Presentation) -> FinitePoset:
     return P
 
 
+def _separation(sides: Sequence[tuple[int, int, str]]) -> Callable[[int], int]:
+    """The closure whose closed sets are the sets of generators that no
+    relation separates, each relation given as the masks of its sides:
+    ``l <= r`` says that a closed set holding ``r`` holds ``l``, and an
+    equation says both.  Each round adds every ``l`` whose ``r`` the set
+    holds, until a round adds nothing.  When every side is a downset (an
+    upset), so is the closure of one."""
+    pairs = [(l, r) for l, r, _ in sides] + [(r, l) for l, r, op in sides if op == "="]
+
+    def close(x: int) -> int:
+        before = None
+        while before != x:
+            before, x = x, reduce(or_, [l for l, r in pairs if not r & ~x], x)
+        return x
+
+    return close
+
+
 def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
-    """Downsets of the generator poset under inclusion, or upsets under
-    reverse inclusion, modulo the least congruence containing the
-    relations that respects union with the principal ones.
+    """The downsets of the generator poset under inclusion, or its upsets
+    under reverse inclusion, that no relation separates (``_separation``),
+    each side valued at its closure: the greatest member of its class under
+    the least congruence that holds the relations and respects union.
 
     Union is the join of downsets and the meet of upsets, and each
     relation is read as its sides (``relation_sides``), so a side's mask is
     one OR over the principal masks.  Over downsets a side must join single
     generators: its meets are folded where the domain has them, since
     ``↓a ∩ ↓b = ↓(a ^ b)``.  Over upsets meets stay formal, each clause the
-    union of its generators' upsets, and the join is an intersection."""
+    union of its generators' upsets, the join is an intersection, and
+    ``l <= r`` says that a closed upset holding ``l`` holds ``r``."""
     category = "preframe" if upsets else "suplattice"
     P = _gen_poset(p)
     seeds = P.up if upsets else P.down
     family = unions(seeds, 1 << 12, f"free {category}")
-    index = {m: i for i, m in enumerate(family)}
     full = (1 << P.n) - 1
     top, bottom = (0, full) if upsets else (full, 0)
 
@@ -568,31 +590,20 @@ def _eval_union_quotient(p: Presentation, upsets: bool) -> PresentedObject:
             acc = (acc & u) if upsets else (acc | u)
         return acc
 
-    pairs = []
-    for l, r, op in relation_sides(p, not upsets):
-        l, r = side_mask(l), side_mask(r)
-        if op == "<=":
-            # l <= r says that the union of l and r is r over downsets
-            # (their join) and l over upsets (their meet)
-            l, r = l | r, (l if upsets else r)
-        pairs.append((index[l], index[r]))
-    rep = _congruence(len(family), pairs, lambda x: [index[family[x] | s] for s in seeds])
+    sides = [(side_mask(l), side_mask(r), op) for l, r, op in relation_sides(p, not upsets)]
+    close = _separation([(r, l, op) for l, r, op in sides] if upsets else sides)
 
     def label_of(mask: int) -> str:
         # the maximal generators of a downset, the minimal ones of an upset
         ends = sorted(P.elements[i] for i in _bits(maximal(mask, seeds)))
         return (" & " if upsets else " | ").join(ends) or ("1" if upsets else "0")
 
-    # each class is named by the union of its members
-    cls: dict[int, int] = {}
-    for m, r in zip(family, rep):
-        cls[r] = cls.get(r, 0) | m
-    fixed = sorted(set(cls.values()), key=lambda m: (m.bit_count(), m))
+    fixed = [m for m in family if close(m) == m]
     pos = {m: i for i, m in enumerate(fixed)}
     carrier = subset_lattice(fixed, label_of, reverse=upsets)
 
     def value(mask: int) -> int:
-        return pos[cls[rep[index[mask]]]]
+        return pos[close(mask)]
 
     interp = {g: value(m) for g, m in zip(P.elements, seeds)}
     return PresentedObject(category, carrier, interp, p.domain, not upsets, lambda s: value(side_mask(s)))
@@ -611,14 +622,15 @@ def eval_preframe(p: Presentation) -> PresentedObject:
 
 
 def eval_dcpo(p: Presentation) -> PresentedObject:
-    """The generator poset modulo the preorder collapse generated by the
-    relations, read as their sides with meets folded where the domain has
-    them.  Each side is a directed family of single generators (1 the top,
-    0 the bottom), valued at its greatest element, recomputed as the
-    preorder grows."""
+    """The generator poset under the preorder the relations generate,
+    modulo its collapse.  The relations are read as their sides with meets
+    folded where the domain has them, each side a directed family of single
+    generators (1 the top, 0 the bottom) held as its downset.  ``i <= j``
+    holds when the closure of ``↓j`` that no relation separates
+    (``_separation``, ``l <= r`` as over downsets) holds ``i``, and each
+    side is valued at its greatest element in that preorder."""
     P = _gen_poset(p)
     n = P.n
-    reach = list(P.up)  # reach[i] holds j when i <= j
     index = instance_kernel(p.domain).index
     # the generators that are the empty join and the empty meet
     ends = {(): ("0", "bottom", p.domain.bottom()), ONE: ("1", "top", p.domain.top())}
@@ -640,24 +652,15 @@ def eval_dcpo(p: Presentation) -> PresentedObject:
         return None
 
     rels = [(members(l), members(r), op) for l, r, op in relation_sides(p, True)]
-    changed = True
-    rounds = 0
-    while changed:
-        rounds += 1
-        if rounds > 2 * n * max(1, len(rels)) + 4:
-            raise EvaluationError("dcpo preorder saturation failed to stabilise")
-        changed = False
-        for lhs, rhs, op in rels:
-            for a_side, b_side in ((lhs, rhs),) + (((rhs, lhs),) if op == "=" else ()):
-                mb = greatest(b_side)
-                if mb is None:
-                    continue
-                for a in a_side:
-                    if not (reach[a] >> mb) & 1:
-                        reach[a] |= 1 << mb
-                        changed = True
-        if changed:
-            _transitive_closure(reach)
+
+    def down(idxs: list[int]) -> int:
+        return reduce(or_, [P.down[i] for i in idxs])
+
+    close = _separation([(down(l), down(r), op) for l, r, op in rels])
+    reach = [0] * n  # reach[i] holds j when i <= j
+    for j, d in enumerate(P.down):
+        for i in _bits(close(d)):
+            reach[i] |= 1 << j
     for lhs, rhs, op in rels:
         if greatest(rhs) is None or (op == "=" and greatest(lhs) is None):
             raise EvaluationError(

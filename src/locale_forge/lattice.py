@@ -24,23 +24,25 @@ per-pair table: each meet or join is one lookup of a mask.  Birkhoff's test
 O(n·|J|) mask operations, J its join-irreducibles, and ``subset_poset``
 builds the order of n subsets of k points in O(n·k), so no frame is built
 with O(n²) work; only a poset that fails the test takes an O(n²) pass.
-Both read each element off a neighbour with one point less or more where
-the family has one, as every downset family numbered along a linear
-extension does, which makes them O(n) lookups on the frames the package
-builds.  A frame that is known as the downsets of a small poset Q (by
-Birkhoff's representation theorem every finite one is, Q its
-join-irreducibles) skips both: ``FiniteLattice.of_downsets`` holds it as
-the downsets themselves, masks over Q's |Q| points, with meet ``&`` and
-join ``|``, checks it by counting Q's downsets, and builds the n-bit order
-only when it is read.  ``downsets`` and ``evaluate.eval_frame`` build
-their frames so.  ``downsets`` of a 12-element antichain (4096 elements)
-takes about 5.5 ms, of a 13-element one (8192) about 12 ms and of a
-14-element one (16384, ``cap`` raised) about 24 ms.  ``eval_frame`` of the
-real line without roundedness, plus ``OI() = 0``, takes about 11 ms on the
-7-point grid 0..6 (1597 elements; 3.6 ms more in
-``presentation.instantiate_schemas``) and about 29 ms on the 8-point grid
-0..7 (4181 elements, ``max_carrier`` raised).  Best of five (``downsets``)
-or seven (grids) runs in one process on a 2-core Intel Xeon.
+Both take each element's masks as one direct AND, over the elements holding
+each of its points or over the up-masks of its join-irreducibles.  The
+large frames the package builds skip both (below), and no benchmark
+workload hands them more than 29 elements.  A frame that is known as the
+downsets of a small poset Q (by Birkhoff's representation theorem every
+finite one is, Q its join-irreducibles) skips both:
+``FiniteLattice.of_downsets`` holds it as the downsets themselves, masks
+over Q's |Q| points, with meet ``&`` and join ``|``, checks it by counting
+Q's downsets, and builds the n-bit order only when it is read.
+``downsets`` and ``evaluate.eval_frame`` build their frames so.
+``downsets`` of a 12-element antichain (4096 elements) takes about 17 ms,
+of a 13-element one (8192) about 35 ms and of a 14-element one (16384,
+``cap`` raised) about 72 ms.  ``eval_frame`` of the real line without
+roundedness, plus ``OI() = 0``, takes about 29 ms on the 7-point grid 0..6
+(1597 elements; 11 ms more in ``presentation.instantiate_schemas``) and
+about 77 ms on the 8-point grid 0..7 (4181 elements, ``max_carrier``
+raised).  Best of five (``downsets``) or seven (grids) runs in one process
+on a 2-core Intel Xeon, in a spell about three times slower than the one
+in which the same calls took 5.5, 12, 24, 11 and 29 ms.
 
 ``poset_isomorphism`` searches nothing.  Its source must be a distributive
 lattice generated by the pinned elements (every oracle comparison pins the
@@ -60,9 +62,14 @@ Every enumeration is capped at oracle scale and fails with
   2**12 downsets / upsets; ``eval_dcpo``: 16 generators;
 * the completions of ``presentation.saturate``: 2**15 elements.
 
-An input just under its cap is built in seconds at most: ``eval_suplattice``
-of a 12-antichain takes about 0.05 s, and ``saturate`` of a 15-antichain
-(its 2**15-element completion) about 2.4 s and 0.6 GB.
+An input just under its cap is built in seconds at most, with one
+exception: ``eval_suplattice`` of a 12-antichain takes about 0.07 s, but
+``saturate`` of a k-antichain to sup takes about 0.11, 0.5 and 2.7 s at k =
+9, 10 and 11, some 5× per generator, which puts k = 15, under its
+completion cap, near half an hour.  Nearly all of it is the ``subset_poset`` of
+the completion's 2**k down-masks, each over 2**k points, behind
+``FiniteGeneratorDomain.sorted_poset``.  Best of one to five runs, in the
+slow spell above.
 """
 
 from __future__ import annotations
@@ -191,19 +198,11 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
 
     The order comes straight from the subsets.  With ``has[e]`` the
     elements whose subset contains the point ``e``, the elements above
-    ``m`` are the intersection of ``has[e]`` over ``e`` in ``m``, and those
-    below it are the ones in no ``has[e]`` with ``e`` outside ``m``.  Each
-    is read off a neighbour in the family where there is one: the
-    elements above ``m`` are those above ``m`` less its highest point that
-    also contain that point, and the elements below ``m`` are those below
-    ``m`` plus its lowest missing point that do not contain that point.  So
-    each subset costs one lookup, and only a subset without the neighbour
-    takes the O(k) pass over a ground set of k points.  In a family of
-    downsets whose points are numbered along a linear extension (every
-    downset family the package builds) both neighbours always exist.
-    Reverse inclusion is inclusion of the complements."""
-    index = {m: i for i, m in enumerate(masks)}
-    if len(index) != len(masks):
+    ``m`` are the AND of ``has[e]`` over ``e`` in ``m``, and those below
+    it are the ones in no ``has[e]`` with ``e`` outside ``m``: O(k) mask
+    operations per subset of a ground set of k points.  Reverse inclusion
+    is inclusion of the complements."""
+    if len(set(masks)) != len(masks):
         raise InvalidPosetError("repeated subset")
     labels = _labels(masks, label)
     ground = 0
@@ -211,7 +210,6 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
         ground |= m
     if reverse:
         masks = [ground & ~m for m in masks]
-        index = {m: i for i, m in enumerate(masks)}
     has = [0] * ground.bit_length()
     for i, m in enumerate(masks):
         while m:
@@ -219,36 +217,19 @@ def subset_poset(masks: Sequence[int], label, reverse: bool = False) -> "FiniteP
             has[low.bit_length() - 1] |= 1 << i
             m ^= low
     everything = (1 << len(masks)) - 1
-    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
-    up: list[int] = [0] * len(masks)
-    for i in by_size:
-        m = masks[i]
-        top = 1 << (m.bit_length() - 1) if m else 0
-        j = index.get(m ^ top) if m else None
-        if j is not None:
-            up[i] = up[j] & has[top.bit_length() - 1]
-            continue
-        above = everything
+    up, down = [], []
+    for m in masks:
+        above, outside, rest = everything, 0, ground & ~m
         while m:
             low = m & -m
             above &= has[low.bit_length() - 1]
             m ^= low
-        up[i] = above
-    down: list[int] = [0] * len(masks)
-    for i in reversed(by_size):
-        m = masks[i]
-        missing = ground & ~m
-        low = missing & -missing
-        j = index.get(m | low) if missing else None
-        if j is not None:
-            down[i] = down[j] & ~has[low.bit_length() - 1]
-            continue
-        outside = 0
-        while missing:
-            low = missing & -missing
+        while rest:
+            low = rest & -rest
             outside |= has[low.bit_length() - 1]
-            missing ^= low
-        down[i] = everything & ~outside
+            rest ^= low
+        up.append(above)
+        down.append(everything & ~outside)
     return FinitePoset(labels, tuple(up), tuple(down))
 
 
@@ -331,12 +312,7 @@ def is_distributive_lattice(poset: FinitePoset) -> bool:
     ``φ`` is an isomorphism onto the downset lattice of ``J``.  Conversely,
     in a distributive lattice ``J`` is the set of join-irreducibles and
     ``φ`` is that isomorphism.  Reflecting the order implies injectivity,
-    which is tested first because it is cheaper.  The AND for ``x`` is
-    read off the element ``y`` whose ``φ(y)`` is ``φ(x)`` less its highest
-    member, where there is one, once ``y`` has passed: then it is
-    ``up[y]`` AND the up-mask of that member, one operation.  So the
-    elements are checked in order of ``|φ(x)|``, and only an ``x`` without
-    such a ``y`` takes the AND over all of ``φ(x)``.  The downsets are
+    which is tested first because it is cheaper.  The downsets are
     counted by set doubling, which stops at ``n + 1``; here ``φ`` is held
     as masks over all elements, with the bits of ``J`` only."""
     n, up, down = poset.n, poset.up, poset.down
@@ -345,23 +321,16 @@ def is_distributive_lattice(poset: FinitePoset) -> bool:
     for j in irreducible:
         in_j |= 1 << j
     phi = [d & in_j for d in down]
-    by_phi = {f: x for x, f in enumerate(phi)}
-    if len(by_phi) != n:
+    if len(set(phi)) != n:
         return False
     everything = (1 << n) - 1
-    for x in sorted(range(n), key=lambda x: phi[x].bit_count()):
-        rest = phi[x]
-        top = rest.bit_length() - 1
-        y = by_phi.get(rest ^ (1 << top)) if rest else None
-        if y is not None:
-            acc = up[y] & up[top]
-        else:
-            acc = everything
-            while rest:
-                low = rest & -rest
-                acc &= up[low.bit_length() - 1]
-                rest ^= low
-        if acc != up[x]:
+    for f, u in zip(phi, up):
+        acc = everything
+        while f:
+            low = f & -f
+            acc &= up[low.bit_length() - 1]
+            f ^= low
+        if acc != u:
             return False
     downsets_of_j = _union_set((phi[j] for j in irreducible), n)
     return downsets_of_j is not None and len(downsets_of_j) == n
@@ -986,6 +955,9 @@ def poset_isomorphism(
                 join_a &= a.up[j]
                 if img[j] is not None:  # else the None is caught below
                     join_b &= b.up[img[j]]
+            # every element of a finite lattice is the join of the
+            # join-irreducibles below it, so only a source that is no
+            # lattice fails here
             if join_a != a.up[x]:
                 raise LatticeError("pins do not generate the source")
             img[x] = b.by_up.get(join_b)

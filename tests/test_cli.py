@@ -126,6 +126,19 @@ class TestVerbs:
         rc, out, err = run_cli("frobnicate")
         assert rc == 2
 
+    def test_a_declared_meet_that_conflicts_with_the_order(self, tmp_path):
+        f = tmp_path / "wrong_meet.pres"
+        f.write_text(
+            "domain finite { gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t; "
+            "meet a b = a; ops meet }\nkind sup\n"
+        )
+        rc, out, err = run_cli("check", str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "module",
+            "detail": "declared meet a b = a conflicts with the order (expected z)",
+        }
+
     def test_scale_limit_is_a_module_error(self, tmp_path):
         f = tmp_path / "antichain.pres"
         gens = ", ".join(f"g{i}" for i in range(13))
@@ -579,6 +592,49 @@ class TestModeChoices:
         rc, out, err = run_cli(*argv)
         assert rc == 2 and out == ""
         assert "argument --mode: invalid choice: 'bogus'" in err
+
+
+class TestUsageErrorsAreJson:
+    """Every usage error, argparse's own included, exits 2 with the
+    ``input`` diagnostic on stderr, and no option is silently ignored."""
+
+    @staticmethod
+    def detail(*argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input"
+        return doc["detail"]
+
+    def test_an_unknown_verb(self):
+        assert self.detail("frobnicate").startswith("argument verb: invalid choice: 'frobnicate'")
+
+    def test_a_suite_that_runs_nothing(self):
+        assert self.detail("verify", "--kleene", "--count", "0") == "argument --count: must be at least 1, not 0"
+
+    def test_an_unknown_mode(self):
+        assert self.detail("verify", "--oracle", "--mode", "bogus").startswith(
+            "argument --mode: invalid choice: 'bogus'"
+        )
+
+    def test_two_suites_at_once(self):
+        detail = self.detail("verify", "--coverage", "--oracle", "--count", "1")
+        assert detail == "argument --oracle: not allowed with argument --coverage"
+
+    def test_no_suite(self):
+        assert self.detail("verify", "--count", "1") == "one of the arguments --coverage --oracle --kleene is required"
+
+    @pytest.mark.parametrize("suite", ["--coverage", "--kleene"])
+    def test_a_mode_without_the_oracle(self, suite):
+        assert self.detail("verify", suite, "--mode", "open", "--count", "1") == "--mode applies only to --oracle"
+
+    @pytest.mark.parametrize("suite", ["--oracle", "--kleene"])
+    def test_a_kind_without_coverage(self, suite):
+        assert self.detail("verify", suite, "--kind", "sup", "--count", "1") == "--kind applies only to --coverage"
+
+    @pytest.mark.parametrize("name", ["circle-open", "z2-swap", "nat-reverse"])
+    def test_simplify_on_another_example(self, name):
+        assert self.detail("example", name, "--simplify") == "--simplify applies only to the circle-proper example"
 
 
 class TestFamilyInput:

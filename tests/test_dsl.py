@@ -140,3 +140,77 @@ class TestSketchLines:
                 assert back.kind == p.kind
                 assert back.domain == p.domain
                 assert tuple(back.relations) == tuple(p.relations)
+
+
+DIAMOND = "gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t"
+
+
+class TestFiniteDeclarations:
+    """The finite block's declared operations, top and bottom are checked
+    against the order they are declared over."""
+
+    def test_declarations_that_hold_parse(self):
+        p = parse(f"domain finite {{ {DIAMOND}; meet a b = z; join a b = t; top t; bottom z }}\nkind plain\n")
+        d = p.domain
+        assert (d.meet("a", "b"), d.join("a", "b"), d.top(), d.bottom()) == ("z", "t", "t", "z")
+
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            ("top a", "declared top 'a' is not the greatest element"),
+            ("bottom t", "declared bottom 't' is not the least element"),
+        ],
+    )
+    def test_a_wrong_top_or_bottom_is_refused(self, decl, message):
+        with pytest.raises(PresentationError, match=message):
+            parse(f"domain finite {{ {DIAMOND}; {decl} }}\nkind plain\n")
+
+    def test_the_meet_call_syntax(self):
+        # over a bare poset the meet stays formal; over a meet-semilattice
+        # it folds to the glb
+        bare = parse("domain finite { gens a, b, c; ops poset }\nkind plain\nrel meet(a v b, c) <= a\n")
+        assert bare.relations[0].lhs == Term((Meet(("a", "c")), Meet(("b", "c"))))
+        folded = parse(f"domain finite {{ {DIAMOND}; ops meet }}\nkind sup\nrel meet(a, b) = 0\n")
+        assert str(folded.relations[0]) == "z = 0"
+
+
+class TestOffsetsAndNatReverse:
+    OFFSETS = (
+        "domain interval-R\nkind sup\n"
+        "schema (p, q) where p < q : OI(p+1, q-1) <= bigvee n in Z . OI(p+n-1, q+n+2)\n"
+        "schema () : OI(0+1, 2) <= bigvee n in Z . OI(0+n, 1+n)\n"
+    )
+    NAT = (
+        "domain nat-reverse\nkind plain\n"
+        "rel N(<=1) v N(<=3) = N(<=3)\nrel N(all) = 1\nrel N() = 0\nrel N(<=2) v N(all) <= N(<=5)\n"
+    )
+
+    @pytest.mark.parametrize("text", [OFFSETS, NAT], ids=["offsets", "nat-reverse"])
+    def test_text_and_json_round_trips(self, text):
+        from locale_forge import serialize
+
+        p = parse(text)
+        assert print_presentation(p) == text
+        assert parse(text) == p
+        assert serialize.presentation_from_jsonable(json.loads(json.dumps(serialize.presentation_to_jsonable(p)))) == p
+
+    def test_the_offsets_are_read(self):
+        schema = parse(self.OFFSETS).relations[0]
+        (lhs,) = schema.lhs.clauses[0].meet
+        (rhs,) = schema.rhs.clauses[0].meet
+        assert [(e.param, e.with_index, e.offset) for e in lhs.args + rhs.args] == [
+            ("p", False, 1),
+            ("q", False, -1),
+            ("p", True, -1),
+            ("q", True, 2),
+        ]
+
+    def test_the_nat_reverse_operations(self):
+        from locale_forge.intervals import NatReverseDomain
+
+        d = NatReverseDomain()
+        assert (d.meet("N(<=2)", "N(all)"), d.join("N(<=2)", "N(<=5)")) == ("N(<=2)", "N(<=5)")
+        assert (d.top(), d.bottom()) == ("N(all)", "N()")
+        keys = ["N(all)", "N(<=10)", "N()", "N(<=2)"]
+        assert sorted(keys, key=d.sort_key) == ["N()", "N(<=2)", "N(<=10)", "N(all)"]
+        assert d.descriptor() == {"type": "nat-reverse"}

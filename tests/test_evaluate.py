@@ -6,6 +6,7 @@ import pytest
 
 from locale_forge import lattice
 from locale_forge.evaluate import (
+    EVALUATORS,
     EvaluationError,
     KindCheckError,
     _FrameEngine,
@@ -38,6 +39,8 @@ from locale_forge.presentation import (
 from locale_forge.suites import (
     rand_dcpo_presentation,
     rand_distributive_domain,
+    rand_join_semilattice_domain,
+    rand_meet_semilattice_domain,
     rand_preframe_presentation,
     rand_quotient_operator,
     rand_sup_presentation,
@@ -359,6 +362,18 @@ class TestVerifyCoverage:
         assert rep.verdict
         assert rep.notes == ("frame carrier 1025 elements", "suplattice carrier 1025 elements")
 
+    def test_a_kind_evaluation_that_differs_fails_the_report(self, monkeypatch):
+        # the suplattice with the relations dropped has six elements, the
+        # frame four
+        p = saturate(two_point_presentation(), PresentationKind.SUP)
+        monkeypatch.setitem(
+            EVALUATORS, PresentationKind.SUP, lambda q: eval_suplattice(Presentation(q.kind, q.domain, ()))
+        )
+        rep = verify_coverage(p)
+        assert not rep.verdict
+        assert rep.witnesses == (("coverage-isomorphism", ()),)
+        assert rep.notes == ("frame carrier 4 elements", "suplattice carrier 6 elements")
+
     def test_random_stable_preframe_presentations(self):
         rng = random.Random(43)
         for _ in range(10):
@@ -586,6 +601,74 @@ class TestOutputDigest:
         count = 0
         for p in digest_presentations(range(40)):
             for evaluate in (eval_frame, eval_suplattice, eval_preframe, eval_dcpo):
+                h.update(repr(self.record(evaluate, p)).encode())
+                count += 1
+        assert (count, h.hexdigest()) == self.PINNED
+
+
+def rand_raw_relations(rng: random.Random, kind: PresentationKind, domain) -> Presentation:
+    """Unsaturated relations of ``kind`` over ``domain``: sides 0, 1, or
+    joins of one to three clauses that need not form a chain, each clause
+    one generator or the formal meet of two."""
+    gens = domain.enumerate_gens()
+
+    def side() -> Term:
+        r = rng.random()
+        if r < 0.1:
+            return TERM_ZERO
+        if r < 0.2:
+            return TERM_ONE
+        clauses = set()
+        for _ in range(rng.randint(1, 3)):
+            size = 2 if rng.random() < 0.25 else 1
+            clauses.add(tuple(sorted(rng.sample(gens, min(size, len(gens))))))
+        return Term(tuple(Meet(c) for c in sorted(clauses)))
+
+    rels = tuple(Relation(side(), side(), rng.choice(("=", "<="))) for _ in range(rng.randint(1, 3)))
+    return Presentation(kind, domain, rels)
+
+
+def kind_digest_presentations(seeds):
+    """Per seed, each kind's relations raw over a meet-, a join- and a
+    distributive domain, then each kind's saturated suite draw."""
+    domains = (rand_meet_semilattice_domain, rand_join_semilattice_domain, rand_distributive_domain)
+    for seed in seeds:
+        rng = random.Random(seed)
+        for kind, (draw, _) in _QUOTIENT_MODES.items():
+            for domain in domains:
+                yield rand_raw_relations(rng, kind, domain(rng))
+        for draw, _ in _QUOTIENT_MODES.values():
+            yield draw(rng)
+
+
+class TestKindEvaluatorDigest:
+    """The sup, preframe and dcpo evaluators on every presentation of
+    ``kind_digest_presentations(range(1000))``, summarised as one SHA-256
+    over the carrier elements, up-masks, ``interp``, each relation's side
+    values and whether it holds (or the error raised).  The raw
+    presentations reach 0 and 1 sides, formal meets, joins that are not
+    chains and domains without the kind's structure, so the errors are
+    pinned with the values."""
+
+    PINNED = (36000, "203052d8d4ea9745fe26929f9143de24585871aa8ae92a7b35fb3c964cd0b37d")
+
+    @staticmethod
+    def record(evaluate, p):
+        try:
+            obj = evaluate(p)
+            poset = obj.carrier_poset
+            values = [
+                (obj.term_value(r.lhs), obj.term_value(r.rhs), obj.relation_holds(r)) for r in p.concrete_relations()
+            ]
+        except Exception as exc:
+            return (evaluate.__name__, type(exc).__name__, str(exc))
+        return (evaluate.__name__, obj.category, poset.elements, poset.up, sorted(obj.interp.items()), values)
+
+    def test_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for p in kind_digest_presentations(range(1000)):
+            for evaluate in (eval_suplattice, eval_preframe, eval_dcpo):
                 h.update(repr(self.record(evaluate, p)).encode())
                 count += 1
         assert (count, h.hexdigest()) == self.PINNED

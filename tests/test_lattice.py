@@ -596,6 +596,37 @@ class TestOrderIso:
         with pytest.raises(LatticeError, match="pins do not generate the source"):
             poset_isomorphism(L.poset, L.poset, pins(L, L, labels))
 
+    def test_a_target_of_another_size(self, four_boolean):
+        chain = downsets(FinitePoset.from_pairs(["x", "y"], [(0, 1)]))
+        assert poset_isomorphism(four_boolean.poset, chain.poset, []) is None
+
+    def test_images_that_collide(self, four_boolean):
+        L = four_boolean
+        assert poset_isomorphism(L.poset, L.poset, pins(L, L, {"{a}": "{a}", "{b}": "{a}"})) is None
+
+    def test_a_pin_the_forced_map_breaks(self, three_chain):
+        # the pins above m and 1 force the identity, which keeps 0 at 0
+        L = three_chain
+        assert poset_isomorphism(L.poset, L.poset, pins(L, L, {"m": "m", "1": "1", "0": "m"})) is None
+
+    def test_a_bijection_that_does_not_reflect_the_order(self):
+        # M3's atoms are all join-irreducible, so the pins force a bijection
+        # onto the downsets of x0 < x1, x0 < x2, where a's image lies below
+        # the images of b and c
+        m3 = FiniteLattice.from_poset(
+            FinitePoset.from_pairs(["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        )
+        d5 = downsets(FinitePoset.from_pairs(["x0", "x1", "x2"], [(0, 1), (0, 2)]))
+        pinned = pins(m3, d5, {"a": "{x0}", "b": "{x0,x1}", "c": "{x0,x2}"})
+        assert poset_isomorphism(m3.poset, d5.poset, pinned) is None
+
+    def test_a_source_that_is_no_lattice_raises(self):
+        # a and b have two minimal upper bounds, so x is not the join of the
+        # join-irreducibles below it, however it is pinned
+        v = FinitePoset.from_pairs(["0", "a", "b", "x", "y"], [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+        with pytest.raises(LatticeError, match="pins do not generate the source"):
+            poset_isomorphism(v, v, [(i, i) for i in range(v.n)])
+
     def test_pentagon_needs_its_middle_element_pinned(self):
         # N5: 0 < a < b < 1 and 0 < c < 1; a and c meet in 0 and join in 1,
         # so b is no lattice term in them
