@@ -23,7 +23,6 @@ from .lattice import (
     _bits,
     is_distributive_lattice,
     missing_bound,
-    subset_poset,
 )
 from .rationals import ExtRat
 from .terms import GenPattern, TermError
@@ -134,7 +133,8 @@ class GeneratorDomain:
         raise DomainError(f"domain {self.name!r} is not parametric")
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The JSON form that ``domain_from_descriptor`` reads back."""
+        return {"type": self.name}
 
     # equality by descriptor keeps records that hold a domain comparable
     def __eq__(self, other) -> bool:
@@ -230,9 +230,12 @@ class FiniteGeneratorDomain(GeneratorDomain):
 
     @cached_property
     def sorted_poset(self) -> FinitePoset:
-        # the generators' down-masks, in sort order, ordered by inclusion
-        names = dict(zip(self.poset.down, self.poset.elements))
-        return subset_poset(sorted(names, key=lambda m: self.sort_key(names[m])), names.__getitem__)
+        # the poset's own masks, renumbered into sort order
+        p = self.poset
+        order = sorted(range(p.n), key=lambda i: self.sort_key(p.elements[i]))
+        pos = {old: new for new, old in enumerate(order)}
+        renumber = lambda masks: tuple(sum(1 << pos[j] for j in _bits(masks[i])) for i in order)
+        return FinitePoset(tuple(p.elements[i] for i in order), renumber(p.up), renumber(p.down))
 
     def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
         if pat.ctor or pat.tags or pat.args:

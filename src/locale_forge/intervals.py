@@ -10,6 +10,12 @@
 * ``nat-reverse``: the opens of N under the reverse order topology, in the
   three-constructor normal form N() < N(<=0) < N(<=1) < ... < N(all).
 
+The two interval domains are one body, ``_EndpointDomain``, on endpoint
+pairs: its order, intersection, membership, sort order and bounds serve
+both, and each subclass holds only its data.  Every interval has one
+spelling, the one ``key`` writes: ``contains`` refuses any other, such as
+``OI(0,2/2)`` for ``OI(0,1)`` or ``CC(0,2/4)`` for ``CC(0,1/2)``.
+
 The circle is derived twice: as an open quotient of the reals by the shift
 action, and as a proper quotient of [0,1] gluing the endpoints.
 """
@@ -97,22 +103,31 @@ def _simplify_expr(e: EExpr, lo: ExtRat, hi: ExtRat) -> EExpr:
 
 class _EndpointDomain(GeneratorDomain):
     """Generators ``ctor(p,q)`` written with two endpoints in ``[LO, HI]``,
-    whose one binary operation intersects two rational intervals: the
-    greater left endpoint with the lesser right one.  Each domain adds its
-    order, its bounds, ``key`` and ``_instance``, the key of an instantiated
-    pattern: interval-R collapses an empty interval to ``OI()`` there, and
-    interval-01 rejects endpoints outside ``[0,1]``."""
+    ordered by inclusion of intervals under their one binary operation,
+    intersection: the greater left endpoint with the lesser right one.
+    OI(p,q) <= OI(p',q') when [p,q] lies in [p',q'], and CC(p,q) <=
+    CC(p',q') when [p',q'] lies in [p,q], which is the first order on the
+    pairs (q,p) (``SWAP``).  The key without endpoints (``EMPTY``), where a
+    domain has one, is the interval inside all and absorbs intersection;
+    ``key`` collapses every empty interval to it."""
 
     pattern_params = ("p", "q")
     LO: ExtRat
     HI: ExtRat
     noun: str  # what a key is, in error messages
-    BOTTOM: Optional[str] = None  # the one key without endpoints, if any
+    TOP: str
+    BOTTOM: str
+    EMPTY: Optional[str] = None  # the one key without endpoints, if any
     SWAP = False  # whether the order reads the pairs (q, p)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key_re = re.compile(rf"{cls.ctor}\(([^,]+),([^,)]+)\)")
+
+    def key(self, lo: ExtRat, hi: ExtRat) -> str:
+        if self.EMPTY is not None and not lo < hi:
+            return self.EMPTY
+        return f"{self.ctor}({lo},{hi})"
 
     def key_endpoints(self, key: str) -> Optional[tuple[ExtRat, ExtRat]]:
         """The two endpoints written in ``key``, parsed once per domain
@@ -121,7 +136,7 @@ class _EndpointDomain(GeneratorDomain):
         memo = self.memo
         out = memo.get(key)
         if out is None:
-            if key == self.BOTTOM:
+            if key == self.EMPTY:
                 return None
             m = self._key_re.fullmatch(key)
             if not m:
@@ -129,13 +144,27 @@ class _EndpointDomain(GeneratorDomain):
             out = memo[key] = parse_extrat(m.group(1)), parse_extrat(m.group(2))
         return out
 
+    def contains(self, key: str) -> bool:
+        try:
+            eps = self.key_endpoints(key)
+        except (TermError, ValueError):
+            return False
+        return eps is None or (self._in_range(eps[0]) and self._in_range(eps[1]) and self.key(*eps) == key)
+
+    def leq(self, a: str, b: str) -> bool:
+        if a == self.EMPTY:
+            return True
+        if b == self.EMPTY:
+            return False
+        (la, ha), (lb, hb) = self.key_endpoints(a), self.key_endpoints(b)
+        if self.SWAP:
+            (la, ha), (lb, hb) = (ha, la), (hb, lb)
+        return lb <= la and ha <= hb
+
     def up_masks(self, keys: Sequence[str]) -> list[int]:
         """The order on ``keys`` read off their endpoints, each key parsed
-        once and each endpoint replaced by its rank among them all.  Both
-        orders are inclusion of intervals: OI(p,q) <= OI(p',q') when [p,q]
-        lies in [p',q'], and CC(p,q) <= CC(p',q') when [p',q'] lies in
-        [p,q], which is the first order on the pairs (q,p) (``SWAP``).  The
-        key without endpoints, below every key, is an interval inside all."""
+        once and each endpoint replaced by its rank among them all: ``leq``
+        on the ranks."""
         pairs = [self.key_endpoints(k) for k in keys]
         if self.SWAP:
             pairs = [pair[::-1] for pair in pairs]
@@ -143,16 +172,42 @@ class _EndpointDomain(GeneratorDomain):
         ends = [(rank[pair[0]], rank[pair[1]]) if pair else (len(rank), -1) for pair in pairs]
         return [sum(1 << j for j, (lo2, hi2) in enumerate(ends) if lo2 <= lo and hi <= hi2) for lo, hi in ends]
 
+    def _intersect(self, a: str, b: str) -> str:
+        if self.EMPTY in (a, b):
+            return self.EMPTY
+        (la, ha), (lb, hb) = self.key_endpoints(a), self.key_endpoints(b)
+        return self.key(emax(la, lb), emin(ha, hb))
+
+    def top(self) -> Optional[str]:
+        return self.TOP
+
+    def bottom(self) -> Optional[str]:
+        return self.BOTTOM
+
+    def sort_key(self, key: str):
+        if key == self.EMPTY:
+            return (0,)
+        return (1, *self.key_endpoints(key))
+
     def _in_range(self, x: ExtRat) -> bool:
         return self.LO <= x <= self.HI
 
+    def pattern(self, p, q) -> GenPattern:
+        """The pattern ``ctor(p,q)``; an endpoint that is a number becomes
+        a constant."""
+        to_expr = lambda x: x if isinstance(x, (EAtom, EOp)) else econst(rat(x))
+        return GenPattern(self.ctor, (to_expr(p), to_expr(q)))
+
     def generic_pattern(self) -> GenPattern:
-        return GenPattern(self.ctor, (eparam("p"), eparam("q")))
+        return self.pattern(eparam("p"), eparam("q"))
 
     def instantiate_pattern(self, pat: GenPattern, env, n: Optional[int] = None) -> str:
         if pat.tags or pat.ctor != self.ctor or len(pat.args) != 2:
             raise TermError(f"not {self.noun} pattern: {pat}")
-        return self._instance(pat.args[0].evaluate(env, n), pat.args[1].evaluate(env, n))
+        p, q = pat.args[0].evaluate(env, n), pat.args[1].evaluate(env, n)
+        if not (self._in_range(p) and self._in_range(q)):
+            raise TermError(f"endpoints {p},{q} outside [{self.LO},{self.HI}]")
+        return self.key(p, q)
 
     def _intersect_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
         lo = _simplify_expr(EOp("max", a.args[0], b.args[0]), self.LO, self.HI)
@@ -165,9 +220,6 @@ class _EndpointDomain(GeneratorDomain):
             if not self._in_range(v):
                 raise DomainError(f"{self.name} grid value {v} outside [{self.LO},{self.HI}]")
         return vals
-
-    def descriptor(self) -> dict:
-        return {"type": self.name}
 
 
 # ---------------------------------------------------------------------------
@@ -182,51 +234,10 @@ class OpenIntervalDomain(_EndpointDomain):
     ctor = "OI"
     noun = "an interval"
     LO, HI = NEG_INF, POS_INF
-
-    BOTTOM = "OI()"
-
-    def key(self, lo: ExtRat, hi: ExtRat) -> str:
-        if not lo < hi:
-            return self.BOTTOM
-        return f"OI({lo},{hi})"
-
-    # every pair of extended rationals is in range
-    _instance = key
-
-    def contains(self, key: str) -> bool:
-        try:
-            eps = self.key_endpoints(key)
-        except (TermError, ValueError):
-            return False
-        return eps is None or eps[0] < eps[1]
-
-    def leq(self, a: str, b: str) -> bool:
-        if a == self.BOTTOM:
-            return True
-        if b == self.BOTTOM:
-            return False
-        (la, ha), (lb, hb) = self.key_endpoints(a), self.key_endpoints(b)
-        return lb <= la and ha <= hb
-
-    def meet(self, a: str, b: str) -> str:
-        if a == self.BOTTOM or b == self.BOTTOM:
-            return self.BOTTOM
-        (la, ha), (lb, hb) = self.key_endpoints(a), self.key_endpoints(b)
-        return self.key(emax(la, lb), emin(ha, hb))
-
+    TOP = "OI(-inf,+inf)"
+    BOTTOM = EMPTY = "OI()"
+    meet = _EndpointDomain._intersect
     meet_patterns = _EndpointDomain._intersect_patterns
-
-    def top(self) -> Optional[str]:
-        return "OI(-inf,+inf)"
-
-    def bottom(self) -> Optional[str]:
-        return self.BOTTOM
-
-    def sort_key(self, key: str):
-        if key == self.BOTTOM:
-            return (0,)
-        lo, hi = self.key_endpoints(key)
-        return (1, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -241,40 +252,10 @@ class ClosedComplementDomain(_EndpointDomain):
     ctor = "CC"
     noun = "a closed-complement"
     LO, HI = rat(0), rat(1)
+    TOP, BOTTOM = "CC(1,0)", "CC(0,1)"
     SWAP = True
-
-    def key(self, p: ExtRat, q: ExtRat) -> str:
-        return f"CC({p},{q})"
-
-    def _instance(self, p: ExtRat, q: ExtRat) -> str:
-        if not (self._in_range(p) and self._in_range(q)):
-            raise TermError(f"endpoints {p},{q} outside [0,1]")
-        return self.key(p, q)
-
-    def contains(self, key: str) -> bool:
-        try:
-            p, q = self.key_endpoints(key)
-        except (TermError, ValueError):
-            return False
-        return self._in_range(p) and self._in_range(q)
-
-    def join(self, a: str, b: str) -> str:
-        (pa, qa), (pb, qb) = self.key_endpoints(a), self.key_endpoints(b)
-        return self.key(emax(pa, pb), emin(qa, qb))
-
+    join = _EndpointDomain._intersect
     join_patterns = _EndpointDomain._intersect_patterns
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.join(a, b) == b
-
-    def top(self) -> Optional[str]:
-        return "CC(1,0)"
-
-    def bottom(self) -> Optional[str]:
-        return "CC(0,1)"
-
-    def sort_key(self, key: str):
-        return self.key_endpoints(key)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +313,6 @@ class NatReverseDomain(GeneratorDomain):
     def sort_key(self, key: str):
         return self._rank(key)
 
-    def descriptor(self) -> dict:
-        return {"type": "nat-reverse"}
-
 
 DOMAIN_REGISTRY["interval-R"] = OpenIntervalDomain
 DOMAIN_REGISTRY["interval-01"] = ClosedComplementDomain
@@ -360,7 +338,7 @@ def real_presentation() -> Presentation:
     from this one."""
     dom = OpenIntervalDomain()
     p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
-    oi = lambda a, b: GenPattern("OI", (a, b))
+    oi = dom.pattern
     top_rel = Relation(gen_term("OI(-inf,+inf)"), TERM_ONE)
     join_rule = RelationSchema(
         ("p", "q", "p'", "q'"),
@@ -389,9 +367,7 @@ def circle_open_spec() -> QuotientSpec:
     """The closure operator of the integer shift action, restricted to
     generators: OI(p,q) goes to the join over n of OI(p+n, q+n)."""
     dom = OpenIntervalDomain()
-    body = GenPattern(
-        "OI", (EAtom("p", with_index=True), EAtom("q", with_index=True))
-    )
+    body = dom.pattern(EAtom("p", with_index=True), EAtom("q", with_index=True))
     case = SchematicCase(
         (), (), SchemaTerm((SchemaClause((body,), int_var="n"),))
     )
@@ -416,7 +392,7 @@ def unit_interval_presentation() -> Presentation:
     of its strict approximations."""
     dom = ClosedComplementDomain()
     p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
-    cc = lambda a, b: GenPattern("CC", (a, b))
+    cc = dom.pattern
     one = rat(1)
     zero = rat(0)
     bottom_rel = Relation(gen_term("CC(0,1)"), TERM_ZERO)
@@ -467,38 +443,34 @@ def unit_interval_presentation() -> Presentation:
     )
 
 
-def _cc(p, q) -> GenPattern:
-    to_expr = lambda x: x if isinstance(x, (EAtom, EOp)) else econst(rat(x))
-    return GenPattern("CC", (to_expr(p), to_expr(q)))
-
-
 def circle_proper_spec() -> QuotientSpec:
     """The interior operator of the endpoint gluing, by cases on where the
     complemented closed interval touches the boundary: intervals touching
     an endpoint absorb the opposite one."""
     dom = ClosedComplementDomain()
+    cc = dom.pattern
     p, q = eparam("p"), eparam("q")
     one, zero = rat(1), rat(0)
     cases = (
         SchematicCase(
             (),
             (cmp_cond(p, ">", econst(zero)), cmp_cond(q, "<", econst(one))),
-            SchemaTerm((SchemaClause((_cc(p, q),)),)),
+            SchemaTerm((SchemaClause((cc(p, q),)),)),
         ),
         SchematicCase(
             (("p", zero),),
             (cmp_cond(q, "<", econst(one)),),
-            SchemaTerm((SchemaClause((_cc(zero, q), _cc(one, one))),)),
+            SchemaTerm((SchemaClause((cc(zero, q), cc(one, one))),)),
         ),
         SchematicCase(
             (("q", one),),
             (cmp_cond(p, ">", econst(zero)),),
-            SchemaTerm((SchemaClause((_cc(p, one), _cc(zero, zero))),)),
+            SchemaTerm((SchemaClause((cc(p, one), cc(zero, zero))),)),
         ),
         SchematicCase(
             (("p", zero), ("q", one)),
             (),
-            SchemaTerm((SchemaClause((_cc(zero, one),)),)),
+            SchemaTerm((SchemaClause((cc(zero, one),)),)),
         ),
     )
     return QuotientSpec(QuotientMode.PROPER, dom, (), cases)
@@ -529,6 +501,7 @@ def circle_proper_presentation(simplify: bool = False) -> TransformedPresentatio
     rels = list(out.relations)
     p, q, p2, q2 = eparam("p"), eparam("q"), eparam("p'"), eparam("q'")
     zero, one = econst(rat(0)), econst(rat(1))
+    cc = ClosedComplementDomain().pattern
     box = lambda pat: pat.tagged("box")
     extended = RelationSchema(
         ("p", "q", "p'", "q'"),
@@ -543,11 +516,11 @@ def circle_proper_presentation(simplify: bool = False) -> TransformedPresentatio
     merged = RelationSchema(
         ("q", "p'"),
         (),
-        SchemaTerm((SchemaClause((box(_cc(rat(0), q)),)), SchemaClause((box(_cc(p2, rat(1))),)))),
+        SchemaTerm((SchemaClause((box(cc(rat(0), q)),)), SchemaClause((box(cc(p2, rat(1))),)))),
         SchemaTerm(
             (
                 SchemaClause(
-                    (box(_cc(p2, q)), box(_cc(rat(0), rat(0))), box(_cc(rat(1), rat(1))))
+                    (box(cc(p2, q)), box(cc(rat(0), rat(0))), box(cc(rat(1), rat(1))))
                 ),
             )
         ),

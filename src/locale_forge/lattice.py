@@ -60,16 +60,14 @@ Every enumeration is capped at oracle scale and fails with
   presented frame of 2**12 elements (its ``max_carrier`` argument);
 * ``evaluate.eval_suplattice`` / ``eval_preframe``: 16 generators and
   2**12 downsets / upsets; ``eval_dcpo``: 16 generators;
-* the completions of ``presentation.saturate``: 2**15 elements.
+* the completions of ``presentation.saturate``: 2**12 elements.
 
-An input just under its cap is built in seconds at most, with one
-exception: ``eval_suplattice`` of a 12-antichain takes about 0.07 s, but
-``saturate`` of a k-antichain to sup takes about 0.11, 0.5 and 2.7 s at k =
-9, 10 and 11, some 5× per generator, which puts k = 15, under its
-completion cap, near half an hour.  Nearly all of it is the ``subset_poset`` of
-the completion's 2**k down-masks, each over 2**k points, behind
-``FiniteGeneratorDomain.sorted_poset``.  Best of one to five runs, in the
-slow spell above.
+An input just under its cap is built in seconds at most.  ``saturate`` of
+a k-antichain to sup takes about 0.08, 0.28 and 0.9 s at k = 10, 11 and
+12, nearly all of it renumbering the completion's masks into sort order
+(``FiniteGeneratorDomain.sorted_poset``), and to preframe and dcpo 1.4 and
+3.5 s at k = 12; a 13-antichain fails at once.  Best of one or two runs
+on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations

@@ -519,7 +519,7 @@ def _completion(domain: FiniteGeneratorDomain, meets: bool) -> tuple[FiniteGener
     is named by its minimal (maximal) generators."""
     poset = domain.poset
     principal = poset.up if meets else poset.down
-    masks = unions(principal, 1 << 15, "free meet-semilattice" if meets else "free join-semilattice")
+    masks = unions(principal, 1 << 12, "free meet-semilattice" if meets else "free join-semilattice")
 
     def label(m: int) -> str:
         ends = sorted(poset.elements[i] for i in _bits(maximal(m, principal)))

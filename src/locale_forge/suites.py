@@ -327,19 +327,13 @@ def check_equivalence(
     p: Presentation, parent: PresentedObject, e: MonotoneMap, mode: QuotientMode
 ) -> tuple[bool, str, Optional[TransformedPresentation]]:
     """The executable main theorem for one instance: transform then evaluate,
-    against the fixed points of the operator.  Also asserts the size
-    bounds: generator count preserved, schema count grows by at most 3."""
+    against the fixed points of the operator."""
     # imported here, so that the suites that transform nothing (kleene,
     # coverage) do not load the transformers
     from .transform import present, spec_from_operator
 
     spec = spec_from_operator(parent, e, mode)
     out = present(p, spec)
-    if p.domain.finite:
-        if len(out.domain.enumerate_gens()) != len(p.domain.enumerate_gens()):
-            return False, "generator count changed", out
-    if out.schema_count() > p.schema_count() + 3:
-        return False, "schema count grew by more than 3", out
     sub, retr = fixed_points(e)
     quotient = eval_frame(out)
     pinned = [

@@ -222,9 +222,8 @@ def test_criterion_8_nat_counterexample():
 
 def test_criterion_9_size_bounds():
     """Generator count preserved and schema count grows by at most 3 on
-    every transformer run; spot-checked here on top of the per-instance
-    assertions inside the oracle suites (criteria 3-4) and the circle
-    artifacts (criteria 1-2)."""
+    every transformer run: checked on the circle artifacts (criteria 1-2),
+    where the transformers add schemas, and on drawn finite instances."""
     from locale_forge.intervals import real_presentation, unit_interval_presentation
 
     checks = []

@@ -551,6 +551,21 @@ class TestMalformedInput:
         rc, out, err = run_cli(verb, two_point_file)
         assert rc == 0 and err == ""
 
+    @pytest.mark.parametrize("verb", ["eval", "check"])
+    @pytest.mark.parametrize(
+        "domain, kind, gen, twin",
+        [("interval-R", "sup", "OI(0,2/2)", "OI(0,1)"), ("interval-01", "preframe", "CC(0,2/4)", "CC(0,1/2)")],
+    )
+    def test_an_interval_spelled_another_way_is_named(self, tmp_path, verb, domain, kind, gen, twin):
+        """Each interval has one spelling: a document that writes another,
+        beside the canonical one, names it."""
+        rel = {"lhs": {"join": [{"meet": [gen]}]}, "rhs": {"join": [{"meet": [twin]}]}, "op": "<="}
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"kind": kind, "domain": {"type": domain}, "relations": [{"rel": rel}]}))
+        rc, out, err = run_cli(verb, str(f), "--grid", "0,1")
+        assert rc == 2 and out == ""
+        assert json.loads(err)["detail"] == f"generator {gen!r} does not belong to domain {domain!r}"
+
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
         pres = {"kind": "sup", "domain": {"type": "nope"}, "relations": []}

@@ -122,6 +122,52 @@ class TestOpenIntervalDomain:
         assert dom.meet("OI(0,+inf)", "OI(-inf,1)") == "OI(0,1)"
 
 
+class TestOneEndpointBody:
+    """Both interval domains are one endpoint body: each interval has one
+    spelling, and the order, the up-masks, the bounds and the intersection
+    agree."""
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [(OpenIntervalDomain, k) for k in ("OI(0,2/2)", "OI(-inf,inf)", "OI( 0,1)", "OI(0,1.0)")]
+        + [(ClosedComplementDomain, "CC(0,2/4)")],
+    )
+    def test_only_the_canonical_spelling_is_a_generator(self, make, key):
+        dom = make()
+        canonical = dom.key(*dom.key_endpoints(key))
+        assert canonical != key
+        assert not dom.contains(key) and dom.contains(canonical)
+
+    ENDS = {
+        OpenIntervalDomain: st.one_of(st.just(NEG_INF), st.just(POS_INF), rationals.map(rat)),
+        ClosedComplementDomain: st.fractions(min_value=0, max_value=1, max_denominator=4).map(rat),
+    }
+
+    @pytest.mark.parametrize("make", list(ENDS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_order(self, make, data):
+        """``leq`` is the order ``up_masks`` reads off the ranks, and the
+        intersection is the glb of interval-R and the lub of interval-01."""
+        dom = make()
+        ends = self.ENDS[make]
+        drawn = data.draw(st.lists(st.builds(dom.key, ends, ends), min_size=1, max_size=8))
+        keys = list(dict.fromkeys(drawn + [dom.top(), dom.bottom()]))
+        masks = dom.up_masks(keys)
+        if dom.has_meet:
+            op, below = dom.meet, dom.leq
+        else:
+            op, below = dom.join, lambda x, y: dom.leq(y, x)
+        for i, a in enumerate(keys):
+            assert dom.contains(a)
+            assert dom.leq(dom.bottom(), a) and dom.leq(a, dom.top())
+            for j, b in enumerate(keys):
+                assert bool(masks[i] >> j & 1) == dom.leq(a, b)
+                c = op(a, b)
+                assert dom.contains(c) and below(c, a) and below(c, b)
+                assert all(below(d, c) for d in keys if below(d, a) and below(d, b))
+
+
 class TestEndpointMemo:
     """Both interval domains parse a generator key once per domain object."""
 

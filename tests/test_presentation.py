@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,10 +248,20 @@ class TestSaturate:
         [(PresentationKind.SUP, "meet"), (PresentationKind.PREFRAME, "join")],
     )
     def test_completion_cap(self, target, what):
-        # 2**16 upsets or downsets of a 16-antichain against a cap of 2**15
+        # 2**16 upsets or downsets of a 16-antichain against a cap of 2**12
         dom = FiniteGeneratorDomain(FinitePoset.from_pairs([f"g{i}" for i in range(16)], []))
         with pytest.raises(LatticeError, match=f"free {what}-semilattice exceeds oracle scale"):
             saturate(Presentation(PresentationKind.PLAIN, dom, ()), target)
+
+    @pytest.mark.parametrize("target", [PresentationKind.SUP, PresentationKind.PREFRAME])
+    def test_the_first_size_over_the_cap_fails_promptly(self, target):
+        # a 13-antichain has 2**13 upsets and downsets, the first count over
+        # the cap; the count stops there, before any order is built
+        dom = FiniteGeneratorDomain(FinitePoset.from_pairs([f"g{i}" for i in range(13)], []))
+        start = time.perf_counter()
+        with pytest.raises(LatticeError, match="exceeds oracle scale"):
+            saturate(Presentation(PresentationKind.PLAIN, dom, ()), target)
+        assert time.perf_counter() - start < 0.5
 
     def test_symbolic_domains_ship_presaturated(self):
         rp = real_presentation()
