@@ -85,7 +85,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "ClosedComplementDomain",
-            "NatReverseDomain",
             "OpenIntervalDomain",
             "circle_open_presentation",
             "circle_open_spec",

@@ -84,14 +84,14 @@ def _parse_grid(text):
 @contextmanager
 def _document(path: str):
     """Reading the JSON document at ``path``: a missing key, a value of the
-    wrong shape or a domain of unknown type (as in a text file) is an input
-    error."""
+    wrong shape, a domain of unknown type or a generator outside its domain
+    (as in a text file) is an input error."""
     try:
         yield
     except (KeyError, TypeError, AttributeError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UsageError(f"malformed document {path}: {what}") from None
-    except UnknownDomainError as exc:
+    except (UnknownDomainError, TermError) as exc:
         raise UsageError(str(exc)) from None
 
 

@@ -2,7 +2,7 @@
 
 Sketch:
 
-    domain interval-R | interval-01 | nat-reverse
+    domain interval-R | interval-01
            | tagged dia <domain>
            | finite { gens a, b; leq a <= b; meet a b = a; ops meet }
     kind sup | preframe | dcpo | plain
@@ -16,9 +16,11 @@ Sketch:
     image a = a v b
 
 Rationals are ``p/q`` or integers, infinities ``-inf``/``+inf``; the
-tags render as ``dia``/``box``/``boxtimes``.  Parse errors carry line,
-column and the expected token set.  ``print_presentation`` emits the
-canonical form, and parsing it back yields an equal object.
+tags render as ``dia``/``box``/``boxtimes``.  A schema pattern is always
+the domain's constructor on endpoints, so a finite domain takes no
+schemas.  Parse errors carry line, column and the expected token set.
+``print_presentation`` emits the canonical form, and parsing it back
+yields an equal object.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class _Parser:
         make = builtin_domain(t.text) if t.kind == "name" else None
         if make is not None:
             return make()
-        self.fail(t, "a domain (interval-R, interval-01, nat-reverse, tagged, finite)")
+        self.fail(t, "a domain (interval-R, interval-01, tagged, finite)")
 
     def parse_finite_block(self) -> FiniteGeneratorDomain:
         self.expect("{")
@@ -418,20 +420,6 @@ class _Parser:
             if not domain.contains(key):
                 self.fail(t, "a generator inside the domain")
             return key
-        if t.text == "N" and self.at("(") and domain.name == "nat-reverse":
-            self.next()
-            if self.at(")"):
-                self.next()
-                return "N()"
-            inner = self.next()
-            if inner.text == "all":
-                self.expect(")")
-                return "N(all)"
-            if inner.text == "<=":
-                k = self.next()
-                self.expect(")")
-                return f"N(<={k.text})"
-            self.fail(inner, "'all' or '<= k'")
         if not domain.contains(t.text):
             self.fail(t, "a generator of the domain")
         return t.text
@@ -507,8 +495,6 @@ class _Parser:
                 args.append(self.parse_pexpr(params, int_var))
             self.expect(")")
             return GenPattern(t.text, tuple(args))
-        if domain.contains(t.text):
-            return GenPattern(name=t.text)
         self.fail(t, "a generator pattern of the domain")
 
     # -- top level ------------------------------------------------------------
@@ -615,7 +601,7 @@ _NAME_OK = re.compile(r"[A-Za-z][A-Za-z0-9_']*(?:\.[A-Za-z0-9_'][A-Za-z0-9_']*)*
 _RESERVED = {
     "v", "domain", "kind", "rel", "schema", "where", "include", "quotient",
     "image", "finite", "gens", "leq", "meet", "join", "top", "bottom", "ops",
-    "tagged", "bigvee", "dirsup", "in", "Z", "standard", "inf", "oo", "N",
+    "tagged", "bigvee", "dirsup", "in", "Z", "standard", "inf", "oo",
     "OI", "CC", *QUOTIENT_TAGS,
 }
 

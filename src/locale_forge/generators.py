@@ -237,13 +237,6 @@ class FiniteGeneratorDomain(GeneratorDomain):
         renumber = lambda masks: tuple(sum(1 << pos[j] for j in _bits(masks[i])) for i in order)
         return FinitePoset(tuple(p.elements[i] for i in order), renumber(p.up), renumber(p.down))
 
-    def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
-        if pat.ctor or pat.tags or pat.args:
-            raise TermError("finite domains only admit plain named generators")
-        if not self.contains(pat.name):
-            raise TermError(f"generator {pat.name!r} not in finite domain")
-        return pat.name
-
     def descriptor(self) -> dict:
         up = self.poset.up
         pairs = sorted(
@@ -302,7 +295,7 @@ class TaggedDomain(GeneratorDomain):
         if pat.tags:
             if pat.tags[0] != self.tag:
                 raise TermError(f"pattern tag {pat.tags[0]!r} does not match domain tag {self.tag!r}")
-            inner = GenPattern(pat.ctor, pat.args, pat.name, pat.tags[1:])
+            inner = GenPattern(pat.ctor, pat.args, pat.tags[1:])
             return self.wrap(self.parent.instantiate_pattern(inner, env, n))
         raise TermError("untagged pattern in tagged domain")
 

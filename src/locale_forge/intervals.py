@@ -7,8 +7,6 @@
   [0,1]; a join-semilattice under CC(p,q) v CC(p',q') = CC(p v p', q ^ q')
   with bottom CC(0,1).  Pairs with p > q are kept as formal generators
   (they are forced to 1 by a relation, not by the domain).
-* ``nat-reverse``: the opens of N under the reverse order topology, in the
-  three-constructor normal form N() < N(<=0) < N(<=1) < ... < N(all).
 
 The two interval domains are one body, ``_EndpointDomain``, on endpoint
 pairs: its order, intersection, membership, sort order and bounds serve
@@ -17,7 +15,10 @@ spelling, the one ``key`` writes: ``contains`` refuses any other, such as
 ``OI(0,2/2)`` for ``OI(0,1)`` or ``CC(0,2/4)`` for ``CC(0,1/2)``.
 
 The circle is derived twice: as an open quotient of the reals by the shift
-action, and as a proper quotient of [0,1] gluing the endpoints.
+action, and as a proper quotient of [0,1] gluing the endpoints.  The
+counterexample of gluing N along its successor map is checked on the keys
+N(), N(<=k) and N(all) of the opens of N by their ranks alone, with no
+generator domain.
 """
 
 from __future__ import annotations
@@ -258,65 +259,8 @@ class ClosedComplementDomain(_EndpointDomain):
     join_patterns = _EndpointDomain._intersect_patterns
 
 
-# ---------------------------------------------------------------------------
-# nat-reverse
-
-
-class NatReverseDomain(GeneratorDomain):
-    """Downsets of N in three-constructor normal form: every open of the
-    reverse order topology is empty, a finite initial segment, or all."""
-
-    name = "nat-reverse"
-    finite = False
-    has_meet = True
-    has_join = True
-
-    EMPTY = "N()"
-    ALL = "N(all)"
-
-    @staticmethod
-    def down_to(k: int) -> str:
-        return f"N(<={k})"
-
-    def _rank(self, key: str):
-        if key == self.EMPTY:
-            return (-1,)
-        if key == self.ALL:
-            return (float("inf"),)
-        m = re.fullmatch(r"N\(<=(\d+)\)", key)
-        if not m:
-            raise TermError(f"not a nat-reverse generator: {key!r}")
-        return (int(m.group(1)),)
-
-    def contains(self, key: str) -> bool:
-        try:
-            self._rank(key)
-            return True
-        except TermError:
-            return False
-
-    def leq(self, a: str, b: str) -> bool:
-        return self._rank(a) <= self._rank(b)
-
-    def meet(self, a: str, b: str) -> str:
-        return a if self.leq(a, b) else b
-
-    def join(self, a: str, b: str) -> str:
-        return b if self.leq(a, b) else a
-
-    def top(self) -> Optional[str]:
-        return self.ALL
-
-    def bottom(self) -> Optional[str]:
-        return self.EMPTY
-
-    def sort_key(self, key: str):
-        return self._rank(key)
-
-
 DOMAIN_REGISTRY["interval-R"] = OpenIntervalDomain
 DOMAIN_REGISTRY["interval-01"] = ClosedComplementDomain
-DOMAIN_REGISTRY["nat-reverse"] = NatReverseDomain
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +477,33 @@ def circle_proper_presentation(simplify: bool = False) -> TransformedPresentatio
 # the natural numbers counterexample
 
 
+def _nat_rank(key: str):
+    """The place of an open of N, under the reverse order topology, in its
+    chain N() < N(<=0) < N(<=1) < ... < N(all): every open is empty, a
+    finite initial segment, or all."""
+    if key == "N()":
+        return -1
+    if key == "N(all)":
+        return float("inf")
+    m = re.fullmatch(r"N\(<=(\d+)\)", key)
+    if not m:
+        raise TermError(f"not an open of N: {key!r}")
+    return int(m.group(1))
+
+
 def successor_pullback(key: str) -> str:
     """Inverse image of an open under the successor map: initial segments
     shrink by one."""
-    dom = NatReverseDomain()
-    if key in (dom.EMPTY, dom.ALL):
+    if key in ("N()", "N(all)"):
         return key
-    (k,) = dom._rank(key)
-    return dom.EMPTY if k == 0 else dom.down_to(k - 1)
+    k = _nat_rank(key)
+    return "N()" if k == 0 else f"N(<={k - 1})"
 
 
 def point_map_right_adjoint(key: str) -> str:
     """Direct image under the unique map to the point, read on 2 = {0,1}:
     an open maps to 1 exactly when it is everything."""
-    return "1" if key == NatReverseDomain.ALL else "0"
+    return "1" if key == "N(all)" else "0"
 
 
 def nat_reverse_counterexample() -> OperatorReport:
@@ -558,33 +515,32 @@ def nat_reverse_counterexample() -> OperatorReport:
     and the right adjoint of the point map sends the directed family
     N(<=0) <= N(<=1) <= ... to 0 while sending its join N(all) to 1.
     """
-    dom = NatReverseDomain()
+    seg = [f"N(<={k})" for k in range(64)]
+    leq = lambda a, b: _nat_rank(a) <= _nat_rank(b)
     witnesses = []
     # successor pullback sanity on the sampled chain and symbolically at 0
-    if successor_pullback(dom.down_to(0)) != dom.EMPTY:
-        witnesses.append(("successor-pullback-at-0", (dom.down_to(0),)))
+    if successor_pullback(seg[0]) != "N()":
+        witnesses.append(("successor-pullback-at-0", (seg[0],)))
     for k in range(1, 64):
-        if successor_pullback(dom.down_to(k)) != dom.down_to(k - 1):
-            witnesses.append(("successor-pullback", (dom.down_to(k),)))
+        if successor_pullback(seg[k]) != seg[k - 1]:
+            witnesses.append(("successor-pullback", (seg[k],)))
     # coinserter membership by constructor case
     members = []
-    for key in (dom.EMPTY, dom.ALL):
-        if dom.leq(key, successor_pullback(key)):
+    for key in ("N()", "N(all)"):
+        if leq(key, successor_pullback(key)):
             members.append(key)
         else:
             witnesses.append(("coinserter-extremes", (key,)))
     # a segment N(<=k) never satisfies u <= s*(u): s*(u) = N(<=k-1) < u
-    for k in range(0, 64):
-        if dom.leq(dom.down_to(k), successor_pullback(dom.down_to(k))):
-            witnesses.append(("coinserter-segment", (dom.down_to(k),)))
+    for u in seg:
+        if leq(u, successor_pullback(u)):
+            witnesses.append(("coinserter-segment", (u,)))
     # Scott-continuity failure of the point map's right adjoint
-    family = [dom.down_to(k) for k in range(0, 64)]
-    join_of_family = dom.ALL  # no segment bounds all of them
-    images = {point_map_right_adjoint(u) for u in family}
-    image_of_join = point_map_right_adjoint(join_of_family)
-    scott_fails = images == {"0"} and image_of_join == "1"
+    # the join of the segments is N(all): no segment bounds all of them
+    images = {point_map_right_adjoint(u) for u in seg}
+    scott_fails = images == {"0"} and point_map_right_adjoint("N(all)") == "1"
     if not scott_fails:
-        witnesses.append(("scott-continuity-should-fail", (dom.ALL,)))
+        witnesses.append(("scott-continuity-should-fail", ("N(all)",)))
     verdict = not witnesses and len(members) == 2
     notes = (
         "coinserter carrier: N() < N(all)  (size 2, the terminal locale)",

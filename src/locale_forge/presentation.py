@@ -579,15 +579,15 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     gens = [kernel.index[g] for g in domain.enumerate_gens()]
     # Appending the closed instance family in one pass: instances of
     # meet-instances are meet-instances (dually for joins), and dcpo
-    # polynomials (x ^ v) v u compose back into the same family.
-    polynomials = list(
-        itertools.product(*[gens if op in target.ops else [None] for op in ("meet", "join")])
-    )
+    # polynomials (x ^ v) v u compose back into the same family.  The
+    # polynomials (v, u) are drawn afresh for each relation, never listed:
+    # toward dcpo there are n² of them.
+    axes = [gens if op in target.ops else [None] for op in ("meet", "join")]
     for lhs, rhs, op in sides:
         if not _shape_ok(target, lhs, rhs):
             rel = kernel.relation(lhs, rhs, op)
             raise PresentationError(f"relation {rel} cannot be reshaped to {target.value}")
-        for _, key, l, r in kernel.instances(lhs, rhs, op, polynomials):
+        for _, key, l, r in kernel.instances(lhs, rhs, op, itertools.product(*axes)):
             if key not in seen:
                 seen.add(key)
                 out.append((l, r, op))

@@ -28,6 +28,7 @@ from .terms import (
     SchemaClause,
     SchemaTerm,
     Term,
+    TermError,
 )
 
 
@@ -55,22 +56,14 @@ def _expr_from_jsonable(d: dict) -> EExpr:
 
 
 def _pattern_to_jsonable(p: GenPattern) -> Any:
-    out: dict[str, Any] = {}
-    if p.ctor:
-        out["ctor"] = p.ctor
-        out["args"] = [_expr_to_jsonable(a) for a in p.args]
-    else:
-        out["name"] = p.name
+    out: dict[str, Any] = {"ctor": p.ctor, "args": [_expr_to_jsonable(a) for a in p.args]}
     if p.tags:
         out["tags"] = list(p.tags)
     return out
 
 
 def _pattern_from_jsonable(d: dict) -> GenPattern:
-    tags = tuple(d.get("tags", ()))
-    if "ctor" in d:
-        return GenPattern(d["ctor"], tuple(_expr_from_jsonable(a) for a in d["args"]), "", tags)
-    return GenPattern("", (), d["name"], tags)
+    return GenPattern(d["ctor"], tuple(_expr_from_jsonable(a) for a in d["args"]), tuple(d.get("tags", ())))
 
 
 def _cond_to_jsonable(c: Cond) -> Any:
@@ -180,11 +173,14 @@ def presentation_from_jsonable(d: dict) -> Presentation:
     kind = PresentationKind(d["kind"])
     domain = domain_from_descriptor(d["domain"])
     rels = tuple(relation_from_jsonable(r) for r in d["relations"])
-    if domain.finite:
-        for r in rels:
-            if isinstance(r, RelationSchema):
-                # a TypeError, as for a family in a term: a malformed document
-                raise TypeError(f"a finite domain takes no schemas: {r}")
+    for r in rels:
+        if isinstance(r, Relation):
+            foreign = [g for c in r.lhs.clauses + r.rhs.clauses for g in c.gens if not domain.contains(g)]
+            if foreign:
+                raise TermError(f"generator {foreign[0]!r} does not belong to domain {domain.name!r}")
+        elif domain.finite:
+            # a TypeError, as for a family in a term: a malformed document
+            raise TypeError(f"a finite domain takes no schemas: {r}")
     if "provenance" in d:
         from .transform import Provenance, TransformedPresentation
 
@@ -219,6 +215,8 @@ def spec_from_jsonable(d: dict):
     from .transform import QuotientSpec, SchematicCase
 
     domain = domain_from_descriptor(d["domain"])
+    if domain.finite and d.get("cases"):
+        raise TypeError("a finite domain takes no schematic cases")
     image = tuple(
         sorted(
             ((g, term_from_jsonable(t)) for g, t in d.get("image", {}).items()),

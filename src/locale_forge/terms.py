@@ -201,17 +201,15 @@ def cmp_cond(left: EExpr, op: str, right: EExpr) -> Cond:
 class GenPattern(Record):
     """A parametric generator, e.g. ``OI(p v (p'+n), q)``.
 
-    ``ctor`` names the owning domain's constructor; plain named generators
-    (finite domains) use ctor ``""`` with the name in ``name``.
+    ``ctor`` names the owning domain's constructor.
     """
 
-    __slots__ = ("ctor", "args", "name", "tags")
+    __slots__ = ("ctor", "args", "tags")
 
-    def __init__(self, ctor: str = "", args: tuple[EExpr, ...] = (), name: str = "", tags: tuple[str, ...] = ()):
+    def __init__(self, ctor: str, args: tuple[EExpr, ...] = (), tags: tuple[str, ...] = ()):
         init = object.__setattr__
         init(self, "ctor", ctor)
         init(self, "args", args)
-        init(self, "name", name)
         init(self, "tags", tags)
 
     def free_params(self) -> frozenset[str]:
@@ -221,10 +219,10 @@ class GenPattern(Record):
         return out
 
     def tagged(self, tag: str) -> "GenPattern":
-        return GenPattern(self.ctor, self.args, self.name, (tag,) + self.tags)
+        return GenPattern(self.ctor, self.args, (tag,) + self.tags)
 
     def __str__(self) -> str:
-        core = self.name if not self.ctor else f"{self.ctor}({', '.join(str(a) for a in self.args)})"
+        core = f"{self.ctor}({', '.join(str(a) for a in self.args)})"
         for t in self.tags:
             core = f"{t} {core}"
         return core
@@ -398,7 +396,7 @@ def rename_expr(e: EExpr, mapping: dict[str, str], pin: dict[str, ExtRat]) -> EE
 
 
 def rename_pattern(p: GenPattern, mapping: dict[str, str], pin: dict[str, ExtRat]) -> GenPattern:
-    return GenPattern(p.ctor, tuple(rename_expr(a, mapping, pin) for a in p.args), p.name, p.tags)
+    return GenPattern(p.ctor, tuple(rename_expr(a, mapping, pin) for a in p.args), p.tags)
 
 
 def rename_cond(c: Cond, mapping: dict[str, str], pin: dict[str, ExtRat]) -> Cond:

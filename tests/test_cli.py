@@ -564,7 +564,39 @@ class TestMalformedInput:
         f.write_text(json.dumps({"kind": kind, "domain": {"type": domain}, "relations": [{"rel": rel}]}))
         rc, out, err = run_cli(verb, str(f), "--grid", "0,1")
         assert rc == 2 and out == ""
-        assert json.loads(err)["detail"] == f"generator {gen!r} does not belong to domain {domain!r}"
+        assert json.loads(err) == {"error": "input", "detail": f"generator {gen!r} does not belong to domain {domain!r}"}
+
+    @pytest.mark.parametrize("verb", ["eval", "check"])
+    def test_a_generator_outside_a_finite_domain_is_named(self, tmp_path, verb):
+        rel = {"lhs": {"join": [{"meet": ["c"]}]}, "rhs": {"join": []}, "op": "="}
+        domain = {"type": "finite", "elements": ["a", "b"], "leq": []}
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": [{"rel": rel}]}))
+        rc, out, err = run_cli(verb, str(f))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "generator 'c' does not belong to domain 'finite'"}
+
+    def test_the_nat_reverse_domain_is_unknown(self, tmp_path):
+        """Neither reader knows a domain ``nat-reverse``: the counterexample
+        over N is the symbolic ``example nat-reverse``."""
+        text = tmp_path / "a.pres"
+        text.write_text("domain nat-reverse\nkind plain\nrel N(<=3) <= N(all)\n")
+        rc, out, err = run_cli("check", str(text))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "line 1, col 8: expected a builtin domain name, found 'nat'"}
+        doc = tmp_path / "a.json"
+        doc.write_text(json.dumps({"kind": "plain", "domain": {"type": "nat-reverse"}, "relations": []}))
+        rc, out, err = run_cli("check", str(doc))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "unknown domain descriptor 'nat-reverse'"}
+
+    def test_a_pattern_without_a_constructor_is_malformed(self, tmp_path):
+        schema = {"params": [], "conds": [], "lhs": [{"meet": [{"name": "a"}]}], "rhs": [], "op": "="}
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"kind": "sup", "domain": {"type": "interval-R"}, "relations": [{"schema": schema}]}))
+        rc, out, err = run_cli("check", str(f), "--grid", "0,1")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: missing key 'ctor'"}
 
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
@@ -699,10 +731,12 @@ class TestSuiteCount:
 
 class TestFiniteSchemaInput:
     """Only a parametric domain instantiates schemas, so both readers
-    reject a schema over a finite domain, tagged or not, naming it."""
+    reject a schema over a finite domain, tagged or not, naming it, and the
+    JSON reader a quotient spec's schematic cases over one."""
 
     FINITE = {"type": "finite", "elements": ["z", "a", "t"], "leq": [[0, 1], [1, 2]]}
-    SCHEMA = {"schema": {"params": [], "conds": [], "lhs": [{"meet": [{"name": "a"}]}], "rhs": [], "op": "="}}
+    PATTERN = {"ctor": "OI", "args": [{"const": "0"}, {"const": "1"}]}
+    SCHEMA = {"schema": {"params": [], "conds": [], "lhs": [{"meet": [PATTERN]}], "rhs": [], "op": "="}}
 
     @pytest.mark.parametrize(
         "domain", ["finite { gens z, a, t; leq z <= a; leq a <= t; }", "tagged dia finite { gens z, t; leq z <= t; }"]
@@ -729,3 +763,18 @@ class TestFiniteSchemaInput:
         doc = json.loads(err)
         assert doc["error"] == "input"
         assert doc["detail"].startswith(f"malformed document {f}: a finite domain takes no schemas: schema () : ")
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_the_json_reader_refuses_schematic_cases(self, tmp_path, tagged):
+        domain = {"type": "tagged", "tag": "dia", "parent": self.FINITE} if tagged else self.FINITE
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": []}))
+        case = {"pin": [], "conds": [], "term": [{"meet": [self.PATTERN]}]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "open", "domain": domain, "cases": [case]}))
+        rc, out, err = run_cli("transform", str(pres), "--spec", str(spec))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "detail": f"malformed document {spec}: a finite domain takes no schematic cases",
+        }

@@ -122,11 +122,6 @@ class TestSketchLines:
         assert schema.params == ("p", "q", "p'", "q'")
         assert len(schema.conds) == 3
 
-    def test_nat_reverse_domain_parses(self):
-        p = parse("domain nat-reverse\nkind plain\nrel N(<=3) <= N(all)\n")
-        (rel,) = p.relations
-        assert str(rel) == "N(<=3) <= N(all)"
-
     def test_preframe_round_trip_random(self):
         import random
 
@@ -180,12 +175,8 @@ class TestOffsetsAndNatReverse:
         "schema (p, q) where p < q : OI(p+1, q-1) <= bigvee n in Z . OI(p+n-1, q+n+2)\n"
         "schema () : OI(0+1, 2) <= bigvee n in Z . OI(0+n, 1+n)\n"
     )
-    NAT = (
-        "domain nat-reverse\nkind plain\n"
-        "rel N(<=1) v N(<=3) = N(<=3)\nrel N(all) = 1\nrel N() = 0\nrel N(<=2) v N(all) <= N(<=5)\n"
-    )
 
-    @pytest.mark.parametrize("text", [OFFSETS, NAT], ids=["offsets", "nat-reverse"])
+    @pytest.mark.parametrize("text", [OFFSETS], ids=["offsets"])
     def test_text_and_json_round_trips(self, text):
         from locale_forge import serialize
 
@@ -204,13 +195,3 @@ class TestOffsetsAndNatReverse:
             ("p", True, -1),
             ("q", True, 2),
         ]
-
-    def test_the_nat_reverse_operations(self):
-        from locale_forge.intervals import NatReverseDomain
-
-        d = NatReverseDomain()
-        assert (d.meet("N(<=2)", "N(all)"), d.join("N(<=2)", "N(<=5)")) == ("N(<=2)", "N(<=5)")
-        assert (d.top(), d.bottom()) == ("N(all)", "N()")
-        keys = ["N(all)", "N(<=10)", "N()", "N(<=2)"]
-        assert sorted(keys, key=d.sort_key) == ["N()", "N(<=2)", "N(<=10)", "N(all)"]
-        assert d.descriptor() == {"type": "nat-reverse"}

@@ -53,6 +53,7 @@ from locale_forge.terms import (
     TERM_ONE,
     TERM_ZERO,
     Term,
+    econst,
     gen_term,
     join_of,
 )
@@ -296,12 +297,13 @@ class TestRepeatedGenerator:
 
 
 def chain_with_a_zero(schematic: bool) -> Presentation:
-    """The chain z < a < t with the relation a = 0, as a relation or as a
-    schema without parameters."""
+    """The chain z < a < t with the relation a = 0, or in its place a
+    schema without parameters, ``OI(0,1) = 0``: every pattern has a
+    constructor, which a finite domain lacks."""
     dom = FiniteGeneratorDomain(FinitePoset.from_pairs(["z", "a", "t"], [(0, 1), (1, 2)]))
     if schematic:
-        a_term = SchemaTerm((SchemaClause((GenPattern(name="a"),)),))
-        rel = RelationSchema((), (), a_term, SchemaTerm(()))
+        oi_term = SchemaTerm((SchemaClause((GenPattern("OI", (econst(0), econst(1))),)),))
+        rel = RelationSchema((), (), oi_term, SchemaTerm(()))
     else:
         rel = Relation(gen_term("a"), TERM_ZERO)
     return Presentation(PresentationKind.SUP, dom, (rel,))

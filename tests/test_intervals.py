@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from locale_forge.evaluate import eval_frame
 from locale_forge.intervals import (
     ClosedComplementDomain,
-    NatReverseDomain,
     OpenIntervalDomain,
+    _nat_rank,
     circle_open_presentation,
     circle_open_spec,
     circle_proper_presentation,
@@ -525,7 +525,7 @@ class TestCircleProperPresentation:
 
 
 def test_only_finite_domains_list_their_generators():
-    for dom in (OpenIntervalDomain(), ClosedComplementDomain(), NatReverseDomain()):
+    for dom in (OpenIntervalDomain(), ClosedComplementDomain()):
         for d in (dom, TaggedDomain("dia", dom)):
             with pytest.raises(DomainError, match="is not finite"):
                 d.enumerate_gens()
@@ -549,8 +549,10 @@ class TestNatReverse:
         assert any(law == "scott-continuity-failure" for law, _ in rep.witnesses)
 
     def test_domain_is_a_chain(self):
-        dom = NatReverseDomain()
-        gens = [dom.EMPTY] + [dom.down_to(k) for k in range(4)] + [dom.ALL]
-        for a in gens:
-            for b in gens:
-                assert dom.leq(a, b) or dom.leq(b, a)
+        # the opens of N in normal form, written in their order, rank in it
+        keys = ["N()"] + [f"N(<={k})" for k in (0, 1, 2, 10)] + ["N(all)"]
+        ranks = [_nat_rank(k) for k in keys]
+        assert ranks == sorted(set(ranks))
+        for key in ("N(<=-1)", "N(<= 1)", "N", "OI(0,1)"):
+            with pytest.raises(TermError, match="not an open of N"):
+                _nat_rank(key)

@@ -63,7 +63,7 @@ RECORDS = [
     (EAtom, ("p", EAtom().const, True, 1), ("param", "const", "with_index", "offset")),
     (EOp, ("max", P, Q), ("op", "left", "right")),
     (Cond, ("<", (P,), (Q,)), ("op", "left", "right")),
-    (GenPattern, ("OI", (P, Q), "", ("dia",)), ("ctor", "args", "name", "tags")),
+    (GenPattern, ("OI", (P, Q), ("dia",)), ("ctor", "args", "tags")),
     (Meet, (("0", "1"),), ("gens",)),
     (Term, ((Meet(("0",)),),), ("clauses",)),
     (SchemaClause, ((PATTERN,), ("p", "q"), (), None, True), ("meet", "bound", "conds", "int_var", "directed")),

@@ -1,7 +1,9 @@
 import json
 import random
 
-from locale_forge import serialize
+import pytest
+
+from locale_forge import intervals, serialize
 from locale_forge.evaluate import eval_frame
 from locale_forge.lattice import FiniteLattice, FinitePoset, MonotoneMap, Role, downsets
 from locale_forge.suites import rand_sup_presentation
@@ -54,6 +56,27 @@ class TestJsonRoundTrips:
             blob = canon(serialize.spec_to_jsonable(schematic))
             back = serialize.spec_from_jsonable(json.loads(blob))
             assert canon(serialize.spec_to_jsonable(back)) == blob
+
+    @pytest.mark.parametrize(
+        "make, transported",
+        [
+            (intervals.real_presentation, False),
+            (intervals.unit_interval_presentation, False),
+            (intervals.circle_open_presentation, True),
+            (intervals.circle_proper_presentation, True),
+            (lambda: intervals.circle_proper_presentation(simplify=True), True),
+        ],
+        ids=["real-line", "unit-interval", "circle-open", "circle-proper", "circle-proper-simplified"],
+    )
+    def test_the_builtin_presentations(self, make, transported):
+        # the circles' transported schemas write max/min endpoints, which
+        # only a read-back decodes
+        p = make()
+        blob = canon(serialize.presentation_to_jsonable(p))
+        back = serialize.presentation_from_jsonable(json.loads(blob))
+        assert back == p
+        assert canon(serialize.presentation_to_jsonable(back)) == blob
+        assert ('"op": "max"' in blob and '"op": "min"' in blob) == transported
 
     def test_presented_object(self):
         rng = random.Random(7)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -175,10 +176,22 @@ class TestFiniteTransformers:
 
     def test_image_shape_enforced(self):
         dom = diamond_domain()
-        with pytest.raises(TransformError):
+        with pytest.raises(TransformError, match="open image must be a join of generators, got meet a \\^ b"):
             QuotientSpec(
                 QuotientMode.OPEN, dom, (("a", Term((Meet(("a", "b")),))),)
             )
+        with pytest.raises(TransformError, match="triquotient image must be a single generator"):
+            QuotientSpec(QuotientMode.TRIQUOTIENT, dom, (("a", join_of(["a", "b"])),))
+
+    def test_an_image_key_outside_the_domain_is_named(self):
+        with pytest.raises(TransformError, match="image key 'zz' not a generator"):
+            QuotientSpec(QuotientMode.OPEN, diamond_domain(), (("zz", gen_term("a")),))
+
+    def test_a_generator_without_an_image_is_named(self):
+        spec = QuotientSpec(QuotientMode.OPEN, diamond_domain(), (("a", gen_term("a")),))
+        assert spec.image_of("a") == gen_term("a")
+        with pytest.raises(TransformError, match="no image recorded for generator 'b'"):
+            spec.image_of("b")
 
 
 class TestTransportFidelity:
@@ -405,6 +418,25 @@ class TestDerive:
             assert fixed == coinserter
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize(
+        "mode, coequaliser, which, constant, missing",
+        [
+            (QuotientMode.OPEN, False, "fstar", "bottom", "f* has no left adjoint"),
+            (QuotientMode.OPEN, True, "gstar", "bottom", "g* has no left adjoint"),
+            (QuotientMode.PROPER, False, "gstar", "top", "g* has no right adjoint"),
+            (QuotientMode.PROPER, True, "fstar", "top", "f* has no right adjoint"),
+        ],
+    )
+    def test_a_missing_adjoint_is_named(self, mode, coequaliser, which, constant, missing):
+        # the constant bottom map has no left adjoint, the constant top map
+        # no right one; the other map is the identity, which has both
+        parent = eval_frame(two_point_presentation())
+        X = parent.carrier
+        maps = {"fstar": MonotoneMap(X, X, tuple(range(X.n))), "gstar": MonotoneMap(X, X, tuple(range(X.n)))}
+        maps[which] = MonotoneMap(X, X, (getattr(X, constant),) * X.n)
+        with pytest.raises(TransformError, match=re.escape(f"missing adjoint: {missing}")):
+            derive_spec_from_coinserter(parent, maps["fstar"], maps["gstar"], mode, coequaliser=coequaliser)
 
     def test_triquotient_mode_is_caller_data(self):
         p = two_point_presentation()
