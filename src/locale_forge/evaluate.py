@@ -372,7 +372,8 @@ class _FrameEngine:
         downsets close to the same set; the first repeat fails the frame
         check.  More than ``max_carrier`` downsets of ``J`` is an
         oracle-scale overrun.  The principal closures are kept, by
-        element, in ``principal``.
+        element, in ``principal``, and in ``below`` each fixed set's classes
+        below some member: its parts' where closing added nothing.
 
         Once no repeat is found, each fixed set ``c`` is the closure of
         exactly one downset ``D`` of ``J``, and ``J ∩ ↓c`` is ``D``: a
@@ -404,16 +405,19 @@ class _FrameEngine:
         self.jdown = jdown
         closure = {0: bottom}
         self.downset_of = {bottom: 0}
+        # a fixed set is a downset: the classes below its maximal ones
+        self.below = below = {c: c ^ maximal(c, self.down) for c in [bottom, *irreducible]}
         for d in unions(jdown, self.max_carrier, "presented frame")[1:]:
             top = d.bit_length() - 1
             rest = closure[d ^ (1 << top)]
-            c = rest | irreducible[top]
-            if c not in known:
-                c = self.close(irreducible[top], rest)
+            u = rest | irreducible[top]
+            c = u if u in known else self.close(irreducible[top], rest)
             if c in self.downset_of:
                 raise EvaluationError("presented carrier failed the frame check")
             closure[d] = c
             self.downset_of[c] = d
+            if c not in below:
+                below[c] = below[rest] | below[irreducible[top]] if c == u else c ^ maximal(c, self.down)
         return sorted(self.downset_of, key=lambda m: (m.bit_count(), m))
 
 
@@ -501,8 +505,11 @@ def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
     fixed_set = dict(zip(downsets, masks))
 
     def elem_label(d: int) -> str:
-        maxs = _bits(maximal(fixed_set[d], eng.down))
-        return " | ".join(sorted(eng.labels[e] for e in maxs)) or "0"
+        c = fixed_set[d]
+        tops = c & ~eng.below[c]
+        if tops & (tops - 1):
+            return " | ".join(sorted([eng.labels[e] for e in _bits(tops)]))
+        return eng.labels[tops.bit_length() - 1] if tops else "0"
 
     try:
         carrier = FiniteLattice.of_downsets(eng.jdown, downsets, elem_label)

@@ -120,7 +120,15 @@ class GeneratorDomain:
 
     # -- schematic support --------------------------------------------------
     def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
+        return self.ends_key(self.pattern_ends(pat, env, n))
+
+    def pattern_ends(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None):
+        """The values of ``pat`` at ``(env, n)`` that its key is built
+        from (``ends_key``): equal ends give one key, and unequal ones two."""
         raise DomainError(f"domain {self.name!r} has no pattern constructors")
+
+    def ends_key(self, ends) -> str:
+        raise NotImplementedError
 
     def meet_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
         raise DomainError(f"domain {self.name!r} cannot meet patterns symbolically")
@@ -291,13 +299,18 @@ class TaggedDomain(GeneratorDomain):
     def sort_key(self, key: str):
         return self.parent.sort_key(self.unwrap(key))
 
-    def instantiate_pattern(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None) -> str:
-        if pat.tags:
-            if pat.tags[0] != self.tag:
-                raise TermError(f"pattern tag {pat.tags[0]!r} does not match domain tag {self.tag!r}")
-            inner = GenPattern(pat.ctor, pat.args, pat.tags[1:])
-            return self.wrap(self.parent.instantiate_pattern(inner, env, n))
-        raise TermError("untagged pattern in tagged domain")
+    def _untagged(self, pat: GenPattern) -> GenPattern:
+        if not pat.tags:
+            raise TermError("untagged pattern in tagged domain")
+        if pat.tags[0] != self.tag:
+            raise TermError(f"pattern tag {pat.tags[0]!r} does not match domain tag {self.tag!r}")
+        return GenPattern(pat.ctor, pat.args, pat.tags[1:])
+
+    def pattern_ends(self, pat: GenPattern, env: dict[str, ExtRat], n: Optional[int] = None):
+        return self.parent.pattern_ends(self._untagged(pat), env, n)
+
+    def ends_key(self, ends) -> str:
+        return self.wrap(self.parent.ends_key(ends))
 
     def key_endpoints(self, key: str):
         return self.parent.key_endpoints(self.unwrap(key))

@@ -202,13 +202,18 @@ class _EndpointDomain(GeneratorDomain):
     def generic_pattern(self) -> GenPattern:
         return self.pattern(eparam("p"), eparam("q"))
 
-    def instantiate_pattern(self, pat: GenPattern, env, n: Optional[int] = None) -> str:
+    def pattern_ends(self, pat: GenPattern, env, n: Optional[int] = None) -> Optional[tuple[ExtRat, ExtRat]]:
+        """The endpoints of ``pat`` at ``(env, n)``, or None where they
+        bound an empty interval, which has the key ``EMPTY``."""
         if pat.tags or pat.ctor != self.ctor or len(pat.args) != 2:
             raise TermError(f"not {self.noun} pattern: {pat}")
         p, q = pat.args[0].evaluate(env, n), pat.args[1].evaluate(env, n)
         if not (self._in_range(p) and self._in_range(q)):
             raise TermError(f"endpoints {p},{q} outside [{self.LO},{self.HI}]")
-        return self.key(p, q)
+        return None if self.EMPTY is not None and not p < q else (p, q)
+
+    def ends_key(self, ends: Optional[tuple[ExtRat, ExtRat]]) -> str:
+        return self.EMPTY if ends is None else self.key(*ends)
 
     def _intersect_patterns(self, a: GenPattern, b: GenPattern) -> GenPattern:
         lo = _simplify_expr(EOp("max", a.args[0], b.args[0]), self.LO, self.HI)

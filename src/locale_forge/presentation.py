@@ -51,6 +51,7 @@ from .terms import (
     SchemaTerm,
     Term,
     TermError,
+    normal_form,
     normalize,
 )
 
@@ -452,8 +453,11 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     demands send each generator g to g ^ c for each generator c when its
     operations include meet, to g v c when they include join.  The oracle
     is asked about an instance as its sides, in the kind's own evaluation
-    of ``p``; where that evaluation raises ``EvaluationError`` the oracle
-    vouches for nothing, as under ``oracle=False``.  Only the first missing
+    of ``p``.  Over a domain without the kind's structure (as ``eval_frame``
+    requires it), or where that evaluation raises ``EvaluationError``, the
+    oracle vouches for nothing, as under ``oracle=False``: so the two
+    policies reach the same instances, and a domain without an operation
+    they apply raises under both or neither.  Only the first missing
     instance of a relation becomes a ``Relation``."""
     policy = "oracle-allowed" if oracle else "syntactic-only"
     domain = p.domain
@@ -475,12 +479,14 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     holds = None
 
     def oracle_holds(l: Side, r: Side, op: str) -> bool:
-        # the kind's own evaluation, made once; one that raises vouches for nothing
+        # the kind's own evaluation, made once; without the kind's structure,
+        # or where it raises, the oracle vouches for nothing
         nonlocal holds
         if holds is None:
-            from .evaluate import EVALUATORS, EvaluationError
+            from .evaluate import EVALUATORS, EvaluationError, _require_kind_domain
 
             try:
+                _require_kind_domain(p)
                 holds = EVALUATORS[p.kind](p).holds
             except EvaluationError:
                 holds = lambda *_: False
@@ -710,44 +716,43 @@ def _instantiate_clause(
     values: list[ExtRat],
     window: range,
     pool_values: set[ExtRat],
-) -> list[Meet]:
+) -> list[tuple[str, ...]]:
     """The meets of one schema clause at ``env``: the clause itself, one per
     binding of its bound parameters, or the members of its Z-indexed family
-    over ``window`` whose generators lie in the pool, each member at least
-    once (``_family_indices``).  A relation reads its sides through
-    ``normalize``, so only the set of meets matters."""
+    over ``window`` whose generators lie in the pool, each member once
+    (``_family_indices``), each meet as the tuple of its generator keys.
+    A relation reads its sides through ``normal_form``, so only the set of
+    meets matters."""
     out = []
     if cl.int_var is not None:
         tests = [c.compiled() for c in cl.conds]
+        seen = set()
         for n in _family_indices(cl, env, window, pool_values):
             if not all(test(env, n) for test in tests):
                 continue
+            # the endpoints decide, before any key is built, whether the
+            # member is new and in the pool; the empty member has none
             try:
-                keys = [domain.instantiate_pattern(pat, env, n) for pat in cl.meet]
+                ends = tuple([domain.pattern_ends(pat, env, n) for pat in cl.meet])
             except TermError:
                 continue
-            if all(_key_in_pool(domain, k, pool_values) for k in keys):
-                out.append(Meet(tuple(keys)))
+            if ends not in seen and all(e is None or pool_values.issuperset(e) for e in ends):
+                seen.add(ends)
+                out.append(tuple([domain.ends_key(e) for e in ends]))
         return out
     if cl.bound:
         for sub_env in _bindings(cl.bound, values, cl.conds, env):
-            keys = [domain.instantiate_pattern(pat, sub_env) for pat in cl.meet]
-            out.append(Meet(tuple(keys)))
+            out.append(tuple([domain.instantiate_pattern(pat, sub_env) for pat in cl.meet]))
         return out
     if not all(c.holds(env) for c in cl.conds):
         return []
-    return [Meet(tuple(domain.instantiate_pattern(pat, env) for pat in cl.meet))]
+    return [tuple([domain.instantiate_pattern(pat, env) for pat in cl.meet])]
 
 
 def _clause_params(cl: SchemaClause, bound: Sequence[str]) -> set[str]:
     """The parameters that a clause's patterns and side conditions name,
     less ``bound``."""
     return set().union(*[x.free_params() for x in cl.meet + cl.conds]).difference(bound)
-
-
-def _key_in_pool(domain: GeneratorDomain, key: str, pool_values: set[ExtRat]) -> bool:
-    eps = domain.key_endpoints(key)
-    return eps is None or all(e in pool_values for e in eps)
 
 
 def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation:
@@ -773,32 +778,31 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
     window = _family_window(values)
     pool_values = set(values)
     fold = p.kind.folds_meets
-    relations: list[Relation] = []
+    # the sides of each relation as (normal form, term), by the relation's
+    # key on the normal forms, each kept at its first occurrence
+    kept: dict = {}
     for r in p.relations:
         if isinstance(r, Relation):
-            relations.append(r.normalized(p.domain, fold))
+            lhs, rhs = [normal_form(tuple([c.gens for c in t.clauses]), p.domain, fold) for t in (r.lhs, r.rhs)]
+            kept.setdefault(_side_key(lhs[0], rhs[0], r.op), (lhs, rhs, r.op))
             continue
         # per side, each clause with the parameters it reads and its meets
         # by their values
         sides = [[(cl, sorted(_clause_params(cl, cl.bound)), {}) for cl in t.clauses] for t in (r.lhs, r.rhs)]
         for env in _bindings(r.params, values, r.conds):
-            meets: tuple[list[Meet], list[Meet]] = ([], [])
+            meets: tuple[list, list] = ([], [])
             for out, clauses in zip(meets, sides):
                 for cl, names, memo in clauses:
                     key = tuple([env.get(name) for name in names])
                     if key not in memo:
                         memo[key] = _instantiate_clause(p.domain, cl, env, values, window, pool_values)
                     out.extend(memo[key])
-            lhs, rhs = [normalize(Term(tuple(m)), p.domain, fold) for m in meets]
-            if lhs != rhs:
-                relations.append(Relation(lhs, rhs, r.op))
-
-    # dedupe by key, keeping the first occurrence
-    uniq: dict = {}
-    for rel in relations:
-        uniq.setdefault(rel.key(), rel)
-    mentioned = {g for rel in uniq.values() for g in rel.lhs.gens_used() | rel.rhs.gens_used()}
-    return Presentation(p.kind, _restrict_domain(p.domain, mentioned), tuple(uniq.values()))
+            lhs, rhs = [normal_form(tuple(m), p.domain, fold) for m in meets]
+            if lhs[0] != rhs[0]:
+                kept.setdefault(_side_key(lhs[0], rhs[0], r.op), (lhs, rhs, r.op))
+    mentioned = {g for lhs, rhs, _ in kept.values() for cl in lhs[0] + rhs[0] for g in cl}
+    relations = tuple([Relation(lhs[1], rhs[1], op) for lhs, rhs, op in kept.values()])
+    return Presentation(p.kind, _restrict_domain(p.domain, mentioned), relations)
 
 
 def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain:

@@ -19,6 +19,7 @@ from .presentation import (
 )
 from .rationals import parse_extrat
 from .terms import (
+    COND_OPS,
     Cond,
     EAtom,
     EExpr,
@@ -48,9 +49,14 @@ def _expr_to_jsonable(e: EExpr) -> Any:
 
 
 def _expr_from_jsonable(d: dict) -> EExpr:
+    # a value of the wrong type or shape is a TypeError: a malformed document
     if "op" in d:
+        if d["op"] not in ("max", "min"):
+            raise TypeError(f"an endpoint 'op' is 'max' or 'min', not {d['op']!r}")
         return EOp(d["op"], _expr_from_jsonable(d["left"]), _expr_from_jsonable(d["right"]))
     if "param" in d:
+        if not isinstance(d["param"], str):
+            raise TypeError(f"a 'param' is a parameter name, not {d['param']!r}")
         return EAtom(d["param"], with_index=d.get("index", False), offset=d.get("offset", 0))
     return EAtom(None, parse_extrat(d["const"]), d.get("index", False), d.get("offset", 0))
 
@@ -75,11 +81,14 @@ def _cond_to_jsonable(c: Cond) -> Any:
 
 
 def _cond_from_jsonable(d: dict) -> Cond:
-    return Cond(
-        d["op"],
-        tuple(_expr_from_jsonable(e) for e in d["left"]),
-        tuple(_expr_from_jsonable(e) for e in d["right"]),
-    )
+    op = d["op"]
+    if op not in COND_OPS:
+        raise TypeError(f"a condition 'op' is one of {', '.join(COND_OPS)}, not {op!r}")
+    left, right = (tuple(_expr_from_jsonable(e) for e in d[side]) for side in ("left", "right"))
+    arity = 2 if op == "pairneq" else 1
+    if len(left) != arity or len(right) != arity:
+        raise TypeError(f"a condition {op!r} has {arity} expression(s) in 'left' and in 'right'")
+    return Cond(op, left, right)
 
 
 def term_to_jsonable(t: Term) -> Any:
@@ -169,15 +178,21 @@ def presentation_to_jsonable(p: Presentation) -> Any:
     return out
 
 
+def _require_gens(domain, gens) -> None:
+    """The ``TermError`` that ``normalize`` raises, for the first of
+    ``gens`` outside ``domain``."""
+    for g in gens:
+        if not domain.contains(g):
+            raise TermError(f"generator {g!r} does not belong to domain {domain.name!r}")
+
+
 def presentation_from_jsonable(d: dict) -> Presentation:
     kind = PresentationKind(d["kind"])
     domain = domain_from_descriptor(d["domain"])
     rels = tuple(relation_from_jsonable(r) for r in d["relations"])
     for r in rels:
         if isinstance(r, Relation):
-            foreign = [g for c in r.lhs.clauses + r.rhs.clauses for g in c.gens if not domain.contains(g)]
-            if foreign:
-                raise TermError(f"generator {foreign[0]!r} does not belong to domain {domain.name!r}")
+            _require_gens(domain, [g for c in r.lhs.clauses + r.rhs.clauses for g in c.gens])
         elif domain.finite:
             # a TypeError, as for a family in a term: a malformed document
             raise TypeError(f"a finite domain takes no schemas: {r}")
@@ -217,12 +232,9 @@ def spec_from_jsonable(d: dict):
     domain = domain_from_descriptor(d["domain"])
     if domain.finite and d.get("cases"):
         raise TypeError("a finite domain takes no schematic cases")
-    image = tuple(
-        sorted(
-            ((g, term_from_jsonable(t)) for g, t in d.get("image", {}).items()),
-            key=lambda kv: domain.sort_key(kv[0]),
-        )
-    )
+    image = [(g, term_from_jsonable(t)) for g, t in d.get("image", {}).items()]
+    _require_gens(domain, [g for key, t in image for g in (key, *[g for c in t.clauses for g in c.gens])])
+    image = tuple(sorted(image, key=lambda kv: domain.sort_key(kv[0])))
     cases = tuple(
         SchematicCase(
             tuple((k, parse_extrat(v)) for k, v in c["pin"]),

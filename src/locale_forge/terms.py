@@ -138,6 +138,8 @@ _COMPARE = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+# the operators of a condition
+COND_OPS = (*_COMPARE, "pairneq")
 
 
 class Cond(Record):
@@ -291,25 +293,27 @@ def join_of(keys: Iterable[str]) -> Term:
     return Term(tuple(Meet((k,)) for k in keys))
 
 
-def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
-    """Canonical form: duplicates removed, clauses in canonical order, and
-    meets folded through the domain's meet operation when it has one.
+def normal_form(raw: tuple[tuple[str, ...], ...], domain, fold_meets: bool = True) -> tuple[tuple, Term]:
+    """The canonical form of the join of the meets ``raw``, each a tuple
+    of generator keys, as such a tuple and as a ``Term``: duplicates
+    removed, clauses in canonical order, and meets folded through the
+    domain's meet operation when it has one.
 
     ``fold_meets=False`` keeps generator meets formal; preframe-style
     presentations need this, since there the frame meet of two generators
     is not a generator operation.  Raises on foreign generators.
     Idempotent either way.  Results are memoized in ``domain.memo``, the
     domain object's own memo, under ``(raw, fold_meets)`` and, since the
-    form is idempotent, under ``(result, fold_meets)`` too.
+    form is idempotent, under ``(form, fold_meets)`` too, so each ``Term``
+    is built once per form.  Keys are tuples of strings, which hash in C.
     """
     memo = domain.memo
-    key = (raw, fold_meets)
-    out = memo.get(key)
+    out = memo.get((raw, fold_meets))
     if out is not None:
         return out
     meets: set[tuple[str, ...]] = set()
-    for c in raw.clauses:
-        gens = list(dict.fromkeys(c.gens))
+    for gens in raw:
+        gens = list(dict.fromkeys(gens))
         for g in gens:
             if not domain.contains(g):
                 raise TermError(f"generator {g!r} does not belong to domain {domain.name!r}")
@@ -320,12 +324,17 @@ def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
             gens = [acc]
         meets.add(tuple(sorted(gens)))
     # a clause equal to 1 absorbs the whole join
-    if () in meets:
-        out = TERM_ONE
-    else:
-        out = Term(tuple(Meet(gens) for gens in sorted(meets)))
-    memo[key] = memo[(out, fold_meets)] = out
+    form = ((),) if () in meets else tuple(sorted(meets))
+    out = memo.get((form, fold_meets))
+    if out is None:
+        out = memo[(form, fold_meets)] = form, Term(tuple([Meet(gens) for gens in form]))
+    memo[(raw, fold_meets)] = out
     return out
+
+
+def normalize(raw: Term, domain, fold_meets: bool = True) -> Term:
+    """``normal_form`` of a term, as a term."""
+    return normal_form(tuple([c.gens for c in raw.clauses]), domain, fold_meets)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,67 @@ class TestMalformedInput:
         assert rc == 2 and out == ""
         assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: missing key 'ctor'"}
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda rel: rel["conds"][0].update(op="~"), "a condition 'op' is one of <, <=, =, !=, >, >=, pairneq, not '~'"),
+            (lambda rel: rel["conds"][0].update(op=1.5), "a condition 'op' is one of <, <=, =, !=, >, >=, pairneq, not 1.5"),
+            (lambda rel: rel["conds"][0].update(op=["<"]), "a condition 'op' is one of <, <=, =, !=, >, >=, pairneq, not ['<']"),
+            (lambda rel: rel["conds"][1].update(left=[]), "a condition '<' has 1 expression(s) in 'left' and in 'right'"),
+            (
+                lambda rel: rel["conds"][2].update(op="pairneq"),
+                "a condition 'pairneq' has 2 expression(s) in 'left' and in 'right'",
+            ),
+            (lambda rel: rel["lhs"][0]["meet"][0]["args"][0].update(param=3), "a 'param' is a parameter name, not 3"),
+            (lambda rel: rel["conds"][0]["right"][0].update(param=["q"]), "a 'param' is a parameter name, not ['q']"),
+            (
+                lambda rel: rel["rhs"][0]["meet"][0]["args"].__setitem__(
+                    1, {"op": "~", "left": {"param": "q"}, "right": {"param": "q'"}}
+                ),
+                "an endpoint 'op' is 'max' or 'min', not '~'",
+            ),
+        ],
+        ids=["cond-op", "cond-op-number", "cond-op-list", "cond-arity", "pairneq-arity", "param-number", "param-list", "endpoint-op"],
+    )
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_a_wrong_typed_schema_field_is_named(self, tmp_path, verb, edit, detail):
+        """A schema field of the wrong type or shape (a condition's
+        operator or arity, a parameter that is no name, an endpoint
+        operator) is an input error that names the field, where it was
+        an internal error (exit 3) of a later stage."""
+        from locale_forge import serialize
+        from locale_forge.intervals import real_presentation
+
+        doc = serialize.presentation_to_jsonable(real_presentation())
+        edit(doc["relations"][1]["schema"])
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps(doc))
+        rc, out, err = run_cli(verb, str(f), "--grid", "0,1")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
+
+    @pytest.mark.parametrize(
+        "leq, image",
+        [
+            ([[0, 1]], {"a": {"join": [{"meet": ["zz"]}]}}),
+            ([], {"a": {"join": [{"meet": ["zz"]}]}}),
+            ([[0, 1]], {"a": {"join": [{"meet": ["a"]}]}, "zz": {"join": [{"meet": ["b"]}]}}),
+        ],
+        ids=["chain-image", "antichain-image", "image-key"],
+    )
+    def test_a_spec_generator_outside_its_domain_is_named(self, tmp_path, leq, image):
+        """A quotient spec whose image names a generator outside its domain,
+        as a key or inside a term, is an input error naming it, as in a
+        presentation; over the 2-antichain it was "domain top needed for
+        the unit relation"."""
+        domain = {"type": "finite", "elements": ["a", "b"], "leq": leq}
+        pres, spec = tmp_path / "p.json", tmp_path / "s.json"
+        pres.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": []}))
+        spec.write_text(json.dumps({"mode": "open", "domain": domain, "image": image}))
+        rc, out, err = run_cli("transform", str(pres), "--spec", str(spec))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": "generator 'zz' does not belong to domain 'finite'"}
+
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
         pres = {"kind": "sup", "domain": {"type": "nope"}, "relations": []}

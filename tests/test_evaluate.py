@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -385,10 +388,12 @@ class TestVerifyCoverage:
 class FamilyEngine(_FrameEngine):
     """A closure engine on ``n`` points whose fixed sets are a given family
     of subsets (bitmasks) closed under intersection and holding every
-    point: ``close`` gives the least member containing its argument."""
+    point: ``close`` gives the least member containing its argument.  No
+    point lies below another (``down``)."""
 
     def __init__(self, n: int, family: list[int], max_carrier: int = 1 << 12):
         self.n, self.family, self.max_carrier = n, family, max_carrier
+        self.down = [1 << i for i in range(n)]
 
     def close(self, mask: int, base: int = 0) -> int:
         out = (1 << self.n) - 1
@@ -535,6 +540,70 @@ class TestCarrierOrderOverJ:
             kinds.add(p.kind)
         assert kinds == set(PresentationKind)
         assert largest >= 8
+
+
+def kernel_ladder_grids(seed: int) -> dict[int, list]:
+    """The grids of 2..6 points that the kernel-ladder benchmark draws from
+    ``seed``: after its eight two-letter names, distinct rationals a/b with
+    |a| <= 12 and 1 <= b <= 4, sorted."""
+    rng = random.Random(f"kernel-ladder/{seed}")
+    names: list[str] = []
+    while len(names) < 8:
+        name = rng.choice("abcdefghijklmnopqrstuvwxyz") + rng.choice("abcdefghijklmnopqrstuvwxyz")
+        if name not in names:
+            names.append(name)
+    grids = {}
+    for k in range(2, 7):
+        points: set = set()
+        while len(points) < k:
+            points.add(Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+        grids[k] = sorted(points)
+    return grids
+
+
+class TestLabelsFromTheEnumeration:
+    """``enumerate_carrier`` keeps, for each fixed set, the mask of the
+    classes strictly below some member, and ``eval_frame`` reads each
+    label's maximal classes off it.  Every label equals the one rebuilt
+    from scratch from the maximal classes of the fixed set."""
+
+    @staticmethod
+    def check(p) -> tuple[int, int]:
+        """After the checks, how many fixed sets other than the bottom and
+        the join-irreducible ones are the union of the join-irreducible
+        ones below them (whose mask is the union of its parts' masks), and
+        how many are not (whose mask is read off the set)."""
+        _, eng = _frame_engine(p, 1 << 12)
+        masks = eng.enumerate_carrier()
+        for c in masks:
+            below = reduce(or_, [eng.down[x] & ~(1 << x) for x in _bits(c)], 0)
+            assert eng.below[c] == below and c & ~below == maximal(c, eng.down)
+
+        def label(c: int) -> str:
+            return " | ".join(sorted(eng.labels[e] for e in _bits(maximal(c, eng.down)))) or "0"
+
+        assert eval_frame(p).carrier.elements == lattice._labels(masks, label)
+        by_downset = {d: c for c, d in eng.downset_of.items()}
+        irreducible = [by_downset[d] for d in eng.jdown]
+        rest = [d for c, d in eng.downset_of.items() if d & (d - 1) and d not in eng.jdown]
+        unions = sum(by_downset[d] == reduce(or_, [irreducible[j] for j in _bits(d)]) for d in rest)
+        return unions, len(rest) - unions
+
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_kernel_ladder_grids(self, seed):
+        empty = Relation(gen_term("OI()"), TERM_ZERO)
+        counts = [self.check(real_line_on_grid(points, empty)) for points in kernel_ladder_grids(seed).values()]
+        assert [sum(c) for c in counts] == [13 - 6, 34 - 8, 89 - 10, 233 - 12, 610 - 14]
+        assert all(unions and closed for unions, closed in counts[1:])
+
+    def test_seeded_suite_frames(self):
+        rng = random.Random(4343)
+        unions = closed = 0
+        for _ in range(40):
+            for draw in (rand_sup_presentation, rand_preframe_presentation, rand_dcpo_presentation):
+                u, c = self.check(draw(rng))
+                unions, closed = unions + u, closed + c
+        assert unions >= 5 and closed >= 20
 
 
 def rand_meet_equations(rng: random.Random, kind: PresentationKind) -> Presentation:

@@ -156,6 +156,42 @@ class TestCheckKind:
         assert reports[0].verdicts[1].missing == Relation(gen_term("g0"), TERM_ZERO, "<=")
         assert str(reports[0].verdicts[0].missing) == "g0 v g0 ^ g1 = 1"
 
+    def test_both_policies_agree_over_a_domain_without_the_kinds_structure(self):
+        """Over the chain g0 < g1 < g2 with meets and no joins, the dcpo
+        relation g2 v g2 = 0 misses its instance g0 = 0 (meet with g0).
+        The oracle vouches for nothing there, since the domain is no
+        distributive lattice, so it does not go on to the join instances
+        the domain cannot form: both policies report the same failure."""
+        chain = FiniteGeneratorDomain(
+            FinitePoset.from_pairs(["g0", "g1", "g2"], [(0, 1), (1, 2), (0, 2)]), use_meet=True, use_join=False
+        )
+        p = Presentation(PresentationKind.DCPO, chain, (Relation(join_of(["g2", "g2"]), TERM_ZERO),))
+        reports = [check_kind(p, oracle=oracle) for oracle in (True, False)]
+        assert reports[0].verdicts == reports[1].verdicts
+        (verdict,) = reports[0].verdicts
+        assert (verdict.verdict, verdict.witness_generator) == ("fail", "g0 (meet)")
+        assert verdict.missing == Relation(gen_term("g0"), TERM_ZERO)
+
+    @pytest.mark.parametrize("seed", [16, 20, 25, 26, 33])
+    def test_the_symbolic_digest_seeds_agree_under_both_policies(self, seed):
+        """The raw presentations of ``test_symbolic_digest`` at these seeds
+        include a dcpo presentation over a domain without joins on which
+        the oracle policy raised and the syntactic one reported.  Now both
+        raise the same error or neither does, and over a domain without the
+        kind's structure they give the same verdicts."""
+        from test_symbolic_digest import KINDS, attempt, raw_relations
+
+        agreed = 0
+        for domain, rels in raw_relations(random.Random(seed)):
+            for kind in KINDS:
+                p = Presentation(kind, domain, rels)
+                (with_oracle, err), (syntactic, err2) = (attempt(check_kind, p, oracle=o) for o in (True, False))
+                assert err == err2
+                if err is None and not getattr(domain, kind.structure[0]):
+                    assert with_oracle.verdicts == syntactic.verdicts
+                    agreed += 1
+        assert agreed > 0
+
     def test_modified_reals_on_grid(self):
         grid = [rat(0), rat(Fraction(1, 2)), rat(1)]
         rep = check_kind(real_presentation(), grid=grid)
@@ -376,6 +412,32 @@ def rand_schema(rng):
     return params, values, conds
 
 
+class TestInstantiationMemo:
+    """Instantiation keeps its normal forms in the domain's memo, under
+    tuples of generator keys, and ``normalize`` reads the same memo."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [real_presentation, unit_interval_presentation, circle_open_presentation, circle_proper_presentation],
+        ids=["real", "unit", "circle-open", "circle-proper"],
+    )
+    def test_a_second_instantiation_adds_no_memo_entries(self, make):
+        p = make()
+        grid = [rat(0), rat(Fraction(1, 3)), rat(1)]
+        memos = [p.domain.memo] + ([p.domain.parent.memo] if isinstance(p.domain, TaggedDomain) else [])
+        first = instantiate_schemas(p, grid)
+        sizes = [len(m) for m in memos]
+        assert sizes[0] > 0
+        second = instantiate_schemas(p, grid)
+        assert [len(m) for m in memos] == sizes
+        assert second == first
+        # each side is the very term that normalize serves from the memo
+        fold = p.kind.folds_meets
+        for r in second.relations:
+            assert normalize(r.lhs, p.domain, fold) is r.lhs and normalize(r.rhs, p.domain, fold) is r.rhs
+        assert [len(m) for m in memos] == sizes
+
+
 class TestBindings:
     def test_matches_product_then_filter(self):
         """Schema parameters alone, and the ``bigvee (p', q') where ...``
@@ -435,7 +497,7 @@ class TestBindings:
             env = {"p": rng.choice(values), "q": rng.choice(values), "p'": values[0], "q'": values[-1]}
             got = _instantiate_clause(dom, cl, env, values, _family_window(values), set(values))
             want = [
-                Meet((dom.instantiate_pattern(cl.meet[0], sub),))
+                (dom.instantiate_pattern(cl.meet[0], sub),)
                 for sub in product_then_filter(bound, values, conds, env)
             ]
             assert got == want, seed
@@ -459,7 +521,7 @@ def full_window_members(domain, cl, env, window, pool_values):
         except TermError:
             continue
         if all(domain.key_endpoints(k) is None or set(domain.key_endpoints(k)) <= pool_values for k in keys):
-            out.add(Meet(tuple(keys)))
+            out.add(tuple(keys))
     return out
 
 
@@ -509,7 +571,7 @@ class TestFamilyWindow:
             window = _family_window(values)
             want = full_window_members(domain, cl, env, window, pool)
             got = _instantiate_clause(domain, cl, env, values, window, pool)
-            assert set(got) == want, (str(cl), env)
+            assert set(got) == want and len(got) == len(want), (str(cl), env)
             indices = _family_indices(cl, env, window, pool)
             assert indices == sorted(set(indices)) and set(indices) <= set(window)
             kept += len(want)

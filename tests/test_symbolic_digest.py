@@ -9,7 +9,14 @@ in what the symbolic layer computes shows here.  It moved once since, when
 ``check_kind``'s oracle came to read sides and to vouch for nothing where
 the kind's evaluation raises: 92 oracle reports that raised
 ``EvaluationError`` now give a report (81) or the domain's own error (11),
-and no report changed."""
+and no report changed.  It moved again when the oracle came to vouch for
+nothing over a domain without the kind's structure, as under the syntactic
+policy: 20 of the 1830 records changed, all ``check`` records of raw
+presentations over such domains.  In 15 the oracle report's
+``oraclePass`` verdicts became the syntactic report's failures; in 5
+(seeds 16, 20, 25, 26 and 33, dcpo over a domain without joins) the oracle
+policy raised "finite domain is not join-closed" where the syntactic one
+gave a report, and now gives that report too."""
 
 import hashlib
 import random
@@ -130,7 +137,7 @@ def symbolic_records(seed: int):
 
 
 class TestSymbolicDigest:
-    PINNED = (1830, "eef1a8680fccf0527f1795e28f94c4de4236d93102477569688b7bff2b54a0a0")
+    PINNED = (1830, "50ce51d85820c45c4a0a0171cb28a3647def312234448437222e9f78be8e3e77")
 
     def test_outputs_match_the_pinned_digest(self):
         h = hashlib.sha256()

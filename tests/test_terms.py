@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locale_forge.generators import FiniteGeneratorDomain
-from locale_forge.intervals import OpenIntervalDomain
+from locale_forge.intervals import ClosedComplementDomain, OpenIntervalDomain
 from locale_forge.lattice import FinitePoset, subset_poset, unions
 from locale_forge.presentation import instance_kernel
+from locale_forge.rationals import parse_extrat
 from locale_forge.terms import (
     Meet,
     Term,
@@ -16,6 +17,7 @@ from locale_forge.terms import (
     TermError,
     gen_term,
     join_of,
+    normal_form,
     normalize,
 )
 
@@ -84,6 +86,80 @@ class TestNormalize:
         t = normalize(join_of(["a", "b"]), diamond)
         kernel = instance_kernel(diamond)
         assert kernel.free_leq(kernel.side(s), kernel.side(t))
+
+
+def reference_normal_form(raw, domain, fold):
+    """``normalize``'s algorithm, with no memo: each clause's generators
+    deduplicated and checked, folded through the domain's meet where
+    ``fold`` and it has one, the clauses deduplicated and sorted, and the
+    empty meet absorbing the whole join."""
+    meets = set()
+    for gens in raw:
+        gens = list(dict.fromkeys(gens))
+        for g in gens:
+            if not domain.contains(g):
+                raise TermError(g)
+        if fold and domain.has_meet and gens:
+            acc = gens[0]
+            for g in gens[1:]:
+                acc = domain.meet(acc, g)
+            gens = [acc]
+        meets.add(tuple(sorted(gens)))
+    return ((),) if () in meets else tuple(sorted(meets))
+
+
+def rand_raw_side(rng, keys):
+    """Up to four clauses of up to three of ``keys``, with repeated
+    generators, repeated clauses and, now and then, the empty meet."""
+    clauses = []
+    for _ in range(rng.randint(0, 4)):
+        clause = [rng.choice(keys) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        if clause and rng.random() < 0.3:
+            clause.append(clause[0])
+        clauses.append(tuple(clause))
+    if clauses and rng.random() < 0.3:
+        clauses.append(clauses[0])
+    return tuple(clauses)
+
+
+class TestOneNormalFormMemo:
+    """``normal_form`` is memoized in the domain's memo under tuples of
+    generator keys, and ``normalize`` reads the same memo: on seeded raw
+    sides over both interval domains it agrees with the algorithm run from
+    scratch, on a warm domain and a fresh one, under both fold settings
+    asked in turn, and builds one ``Term`` per normal form."""
+
+    VALUES = ["-inf", "-1", "0", "1/3", "1/2", "1", "+inf"]
+
+    @pytest.mark.parametrize("make", [OpenIntervalDomain, ClosedComplementDomain])
+    def test_memoized_forms_match_the_reference(self, make):
+        warm = make()
+        inside = [v for v in self.VALUES if warm._in_range(parse_extrat(v))]
+        keys = sorted({warm.key(parse_extrat(a), parse_extrat(b)) for a in inside for b in inside})
+        rng = random.Random(make.name)
+        terms, seen = {}, {"dup": 0, "fold": 0, "one": 0}
+        for _ in range(600):
+            raw = rand_raw_side(rng, keys)
+            for fold in (rng.random() < 0.5, True, False):
+                want = reference_normal_form(raw, warm, fold)
+                form, term = normal_form(raw, warm, fold)
+                assert form == want == normal_form(raw, make(), fold)[0]
+                assert term == Term(tuple(Meet(c) for c in want))
+                assert normalize(Term(tuple(Meet(c) for c in raw)), warm, fold) is term
+                assert terms.setdefault((form, fold), term) is term
+                seen["dup"] += len(set(raw)) < len(raw) or any(len(set(c)) < len(c) for c in raw)
+                seen["fold"] += fold and warm.has_meet and any(len(set(c)) > 1 for c in raw)
+                seen["one"] += () in raw and len(raw) > 1
+        assert min(seen["dup"], seen["one"]) > 50
+        assert seen["fold"] > 50 or not warm.has_meet
+
+    def test_a_foreign_generator_raises_and_is_not_memoized(self):
+        dom = OpenIntervalDomain()
+        raw = (("OI(0,1)",), ("OI(0,2/2)",))
+        for _ in range(2):
+            with pytest.raises(TermError, match="OI\\(0,2/2\\)"):
+                normal_form(raw, dom)
+        assert (raw, True) not in dom.memo
 
 
 def sixteen_generators(use_meet: bool) -> FiniteGeneratorDomain:
