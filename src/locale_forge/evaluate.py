@@ -1,28 +1,24 @@
 """Brute-force evaluation of finite presentations.
 
-``eval_frame`` builds the presented frame as the closed subsets of a
-finite meet-semilattice of generator meets (``_MeetCarrier``, one per
-domain object and reading of its meets), each a mask over the generators
-with meet ``&``: the generators' down-masks when the domain's meets are
-semantic, the complements of the finitely generated upsets when they are
-formal.  A relation is read as its two sides, sorted tuples of clause
-masks (``presentation.relation_sides``), handed over by ``saturate`` or
-``present`` when they built it; each clause is one AND over generator
-masks.  Relations become covering rules ``a <| B`` (a is covered by the
-joins of B), the rules are stabilised under meets with generators, and the
-carrier is the family of downsets closed under all rules, i.e. the fixed
-points of the least nucleus forcing the relations.  The closure engine
-(``_FrameEngine``) works on class masks: the meet equations collapse the
-formal meets into classes, and every set of classes is a mask over class
-positions.  Fixed sets are downsets, so ``a <| B`` is the same rule as
-``a <| ↓B ∩ ↓a``, and each rule is the integer pair of its conclusion
-class and that downset: meeting a rule with a generator is one AND, and
-rules whose premises have the same downset are one rule.  The rules are
-kept as a set; the order in which they fire does not change a least fixed
-point, so output does not depend on it.  The frame is held as the downsets
-of its join-irreducible fixed sets J (``FiniteLattice.of_downsets``): order,
-meet and join are inclusion, ``&`` and ``|`` of masks over J, and no order
-over the elements is built unless a caller reads ``carrier.poset``.
+``eval_frame`` reads the presented frame off its points.  A finite frame
+is spatial, so the frame a finite presentation presents is the frame of
+opens of its models, all the downsets of the models in their order.  The
+models are principal filters of a finite meet-semilattice of generator
+meets (``_MeetCarrier``, one per domain object and reading of its meets),
+each a mask over the generators with meet ``&``: the generators'
+down-masks when the domain's meets are semantic, the complements of the
+finitely generated upsets when they are formal.  A relation is read as its
+two sides, sorted tuples of clause masks (``presentation.relation_sides``),
+handed over by ``saturate`` or ``present`` when they built it; each clause
+is one AND over generator masks, and the models where a side holds are one
+OR of down-masks.  The frame is held as the downsets of its models
+(``FiniteLattice.of_downsets``): order, meet and join are inclusion, ``&``
+and ``|`` of masks over the models, and no order over the elements is built
+unless a caller reads ``carrier.poset``.  Its elements are numbered and
+labelled by the meet-congruence classes below them, as the closed sets of
+the least nucleus forcing the relations would be; the closure engine that
+computes those closed sets is kept with the tests, as the reference that
+``eval_frame`` is compared against.
 
 ``eval_suplattice`` / ``eval_preframe`` / ``eval_dcpo`` present the same
 data in the weaker categories, all three through one closure
@@ -200,7 +196,7 @@ def _meet_carrier(domain: GeneratorDomain, use_domain_meets: bool) -> _MeetCarri
 
 
 # ---------------------------------------------------------------------------
-# the covering engine
+# the frame of the models
 
 
 def _congruence(n: int, pairs, forced) -> list[int]:
@@ -225,239 +221,6 @@ def _congruence(n: int, pairs, forced) -> list[int]:
     return [find(x) for x in range(n)]
 
 
-class _FrameEngine:
-    """The least nucleus of a set of covering rules, on the classes of the
-    meet congruence of a ``_MeetCarrier``, with every set of classes held
-    as a mask over class positions.
-
-    ``cls`` gives the position of each formal meet's class; classes are
-    numbered in the order of their least members.  ``down`` holds each
-    class's downset, and ``down[a ^ b]`` is ``down[a] & down[b]``.
-
-    A rule ``a <| B`` is the pair of the class ``a`` and the downset
-    ``d = ↓B ∩ ↓a``: every fixed set is a downset, so it contains ``B``
-    exactly when it contains ``d``, and the premises met with ``a`` have
-    that same downset.  The rule is trivial when ``a`` lies in ``d``.
-    Meeting it with a generator ``g`` gives ``a ^ g <| d & down[a ^ g]``,
-    so the rules are stabilised as a set of integer pairs, one AND per
-    rule and generator, and two rules whose premises have the same downset
-    are one.  ``close`` indexes each rule by the maximal members of ``d``
-    only and fires the rules by premise, in an order that does not change
-    its result; ``enumerate_carrier`` builds the fixed sets from the
-    join-irreducible ones.
-    """
-
-    def __init__(
-        self,
-        M: _MeetCarrier,
-        covers: list[tuple[int, Sequence[int]]],
-        meet_eqs: list[tuple[int, int]],
-        max_carrier: int,
-    ):
-        self.max_carrier = max_carrier
-        gen_idxs = sorted(set(M.gen_elems))
-
-        # 1. meet-congruence pre-collapse (pure meet equations); each class
-        # is numbered by the order of its least member
-        rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])
-        reps = sorted(set(rep))
-        number = {r: k for k, r in enumerate(reps)}
-        self.cls = cls = [number[r] for r in rep]
-        self.n = len(reps)
-
-        # labels: smallest original label in the class
-        best: list[Optional[str]] = [None] * self.n
-        for c, label in zip(cls, M.labels):
-            if best[c] is None or (len(label), label) < (len(best[c]), best[c]):
-                best[c] = label
-        self.labels = best
-
-        # 2. downward closure masks on the classes: class j lies below
-        # class i (their class meet is j) exactly when some member of j
-        # lies below the representative of i, for the meet of the two
-        # representatives is one, and any such m has r_i ^ r_j ~ r_i ^ m = m
-        self.down = down = []
-        for r in reps:
-            m = 0
-            for j in _bits(M.poset.down[r]):
-                m |= 1 << cls[j]
-            down.append(m)
-
-        # 3. covers onto classes, each as its conclusion a and the downset
-        # d = ↓B ∩ ↓a of its premises met with a; one with a in d is trivial
-        seen: set[tuple[int, int]] = set()
-        for a, B in covers:
-            a = cls[a]
-            d = 0
-            for b in B:
-                d |= down[cls[b]]
-            d &= down[a]
-            if not d >> a & 1:
-                seen.add((a, d))
-
-        # 4. closure of the rule set under meets with generators: a <| d
-        # met with g is a ^ g <| d ∩ ↓(a ^ g), with the class meets of each
-        # generator read off the representatives' masks
-        masks = [M.masks[r] for r in reps]
-        gen_rows = [[cls[M.index[masks[g] & m]] for m in masks] for g in sorted({cls[g] for g in gen_idxs})]
-        queue = list(seen)
-        while queue:
-            a, d = queue.pop()
-            for meet_g in gen_rows:
-                a2 = meet_g[a]
-                d2 = d & down[a2]
-                if d2 >> a2 & 1:
-                    continue
-                inst = (a2, d2)
-                if inst not in seen:
-                    seen.add(inst)
-                    queue.append(inst)
-
-        # 5. trigger index for the closure operator: each rule as the mask
-        # of the maximal members of its premises and the downset of its
-        # conclusion
-        self.by_elem: list[list[int]] = [[] for _ in range(self.n)]
-        self.premises = []
-        self.conclusion = []
-        self.always = 0
-        for k, (a, d) in enumerate(seen):
-            tops = maximal(d, down)
-            self.premises.append(tops)
-            self.conclusion.append(down[a])
-            if not d:
-                self.always |= down[a]
-            for b in _bits(tops):
-                self.by_elem[b].append(k)
-
-    def close(self, mask: int, base: int = 0) -> int:
-        """The least fixed set containing ``base | mask``, where ``base``
-        is a fixed set itself (or 0).  A rule whose premises all lie in
-        ``base`` already holds there, so only the elements outside it are
-        queued, and the queue is a mask.  A rule is looked at whenever one
-        of the maximal members of its premises leaves the queue; once it
-        has fired, it adds nothing more."""
-        down, by_elem, premises, conclusion = self.down, self.by_elem, self.premises, self.conclusion
-        u = base | self.always
-        mask &= ~base
-        while mask:
-            low = mask & -mask
-            u |= down[low.bit_length() - 1]
-            mask ^= low
-        queue = u & ~base
-        while queue:
-            low = queue & -queue
-            queue ^= low
-            for k in by_elem[low.bit_length() - 1]:
-                if premises[k] & ~u == 0:
-                    add = conclusion[k] & ~u
-                    if add:
-                        u |= add
-                        queue |= add
-        return u
-
-    def enumerate_carrier(self) -> list[int]:
-        """All fixed sets of ``close``, sorted by size then mask, built from
-        the join-irreducible ones (Birkhoff duality).
-
-        Every fixed set is the join of the principal closures below it, so
-        the join-irreducible fixed sets ``J`` are the principal closures
-        that are not the closure of the union of the principal closures
-        strictly inside them.  Each fixed set ``x`` is the join of
-        ``J ∩ ↓x``, so closing the union of each downset ``D`` of ``J``
-        reaches every fixed set; each ``D`` is closed once, as its
-        largest member joined to the closure of the rest, and a union that
-        is already a known fixed set needs no closing.  The fixed sets form
-        a distributive lattice exactly when the join-irreducibles below the
-        closure of every ``D`` are ``D`` itself, that is, when no two
-        downsets close to the same set; the first repeat fails the frame
-        check.  More than ``max_carrier`` downsets of ``J`` is an
-        oracle-scale overrun.  The principal closures are kept, by
-        element, in ``principal``, and in ``below`` each fixed set's classes
-        below some member: its parts' where closing added nothing.
-
-        Once no repeat is found, each fixed set ``c`` is the closure of
-        exactly one downset ``D`` of ``J``, and ``J ∩ ↓c`` is ``D``: a
-        member ``j`` of ``J`` inside ``c`` but outside ``D`` would give the
-        larger downset ``D ∪ ↓j`` the same closure, a repeat.  So
-        ``c ⊆ c'`` exactly when ``D ⊆ D'``, and ``downset_of`` keeps ``D``,
-        as a mask over positions in ``J``, for each fixed set ``c``."""
-        bottom = self.close(0)
-        self.principal = [self.close(1 << i) for i in range(self.n)]
-        principals = sorted(set(self.principal), key=lambda m: (m.bit_count(), m))
-        known = {bottom, *principals}
-        # a closure strictly inside another comes before it, so J comes in
-        # an order where the highest member of a downset of J is maximal in
-        # it; ``jdown`` holds the principal downsets of J as masks over
-        # positions in J
-        irreducible, jdown, position = [], [], {}
-        for k, c in enumerate(principals):
-            below = inner = bottom
-            d = 0
-            for p in principals[:k]:
-                if p & ~c == 0:
-                    below |= p
-                    inner = p
-                    d |= position.get(p, 0)
-            if (below if below in known else self.close(below, inner)) != c:
-                position[c] = 1 << len(irreducible)
-                irreducible.append(c)
-                jdown.append(d | position[c])
-        self.jdown = jdown
-        closure = {0: bottom}
-        self.downset_of = {bottom: 0}
-        # a fixed set is a downset: the classes below its maximal ones
-        self.below = below = {c: c ^ maximal(c, self.down) for c in [bottom, *irreducible]}
-        for d in unions(jdown, self.max_carrier, "presented frame")[1:]:
-            top = d.bit_length() - 1
-            rest = closure[d ^ (1 << top)]
-            u = rest | irreducible[top]
-            c = u if u in known else self.close(irreducible[top], rest)
-            if c in self.downset_of:
-                raise EvaluationError("presented carrier failed the frame check")
-            closure[d] = c
-            self.downset_of[c] = d
-            if c not in below:
-                below[c] = below[rest] | below[irreducible[top]] if c == u else c ^ maximal(c, self.down)
-        return sorted(self.downset_of, key=lambda m: (m.bit_count(), m))
-
-
-def _structural_rules(p: Presentation, M: _MeetCarrier):
-    """Covering rules that force the domain's joins where the kind reads
-    them: each binary join covered by its two generators, and the bottom
-    by nothing."""
-    domain = p.domain
-    covers: list[tuple[int, tuple[int, ...]]] = []
-    if p.kind.uses("join") and domain.has_join:
-        P, elem = domain.sorted_poset, M.gen_elems
-        for a, b in itertools.combinations(range(P.n), 2):
-            j = P.by_up[P.up[a] & P.up[b]]
-            covers.append((elem[j], (elem[a], elem[b])))
-        if domain.bottom() is not None:
-            # the bottom is the generator below every generator
-            covers.append((elem[P.by_up[(1 << P.n) - 1]], ()))
-    return covers
-
-
-def _relation_rules(p: Presentation, M: _MeetCarrier):
-    """The relations' rules on their sides (``relation_sides``), each
-    clause one element of ``M``.  An equation between two sides of one
-    clause each collapses their meets; any other relation gives covering
-    rules.  So a relation and its normal form give the same rules."""
-    covers: list[tuple[int, tuple[int, ...]]] = []
-    meet_eqs: list[tuple[int, int]] = []
-    for l, r, op in relation_sides(p, M.fold):
-        lhs, rhs = tuple(map(M.clause, l)), tuple(map(M.clause, r))
-        if op == "=" and len(lhs) == len(rhs) == 1:
-            meet_eqs.append((lhs[0], rhs[0]))
-            continue
-        for a in lhs:
-            covers.append((a, rhs))
-        if op == "=":
-            for b in rhs:
-                covers.append((b, lhs))
-    return covers, meet_eqs
-
-
 def _require_instantiated(p: Presentation):
     """Evaluation reads concrete relations over a finite domain; a schema
     would otherwise be dropped."""
@@ -474,66 +237,135 @@ def _require_kind_domain(p: Presentation):
         raise EvaluationError(f"{p.kind.value} evaluation needs {need[1]}")
 
 
-def _frame_engine(p: Presentation, max_carrier: int) -> tuple[_MeetCarrier, _FrameEngine]:
-    """The formal meets of ``p``'s generators and the closure engine whose
-    fixed sets are the presented frame."""
-    _require_kind_domain(p)
-    M = _meet_carrier(p.domain, p.kind.folds_meets)
-    covers, meet_eqs = _relation_rules(p, M)
-    covers.extend(_structural_rules(p, M))
-    return M, _FrameEngine(M, covers, meet_eqs, max_carrier)
-
-
 def eval_frame(p: Presentation, max_carrier: int = 1 << 12) -> PresentedObject:
-    """The presented frame: formal meets of generators, quotiented by the
-    least nucleus forcing the relations and the kind's structure.
+    """The presented frame, read off the models of ``p``.
 
-    Generator meets are semantic exactly when the domain declares meet
-    structure; preframe generators only carry join structure, so their
-    meets stay formal.
+    A finite frame is spatial, so the frame that ``p`` presents is the
+    frame of opens of its points, and the points of a presented locale are
+    the models of the theory it presents (Johnstone, *Stone Spaces*, 1982;
+    Vickers, *Topology via Logic*, 1989).  Each model is a principal filter
+    ``↑s`` of the meet carrier M: a generator where meets fold, a finitely
+    generated upset of generators where they are formal.  A clause holds
+    at ``↑s`` when ``s`` lies below its meet, so the models where a side
+    holds are one OR of down-masks of M.  A model satisfies each relation
+    (both sides of an equation or neither; the right side of ``l <= r``
+    wherever the left) and, where the kind reads the domain's joins, is
+    prime for its binary joins and misses its bottom.  Generator meets are
+    semantic exactly when the domain declares meet structure; preframe
+    generators only carry join structure, so their meets stay formal.
 
-    The carrier is held as the downsets of the join-irreducible fixed sets
-    ``J`` (``FiniteLattice.of_downsets``): ``enumerate_carrier`` has checked
-    that each fixed set is the closure of exactly one downset of ``J``, the
-    members of ``J`` inside it, so inclusion of fixed sets is inclusion of
-    those downsets, on |J| points instead of one per element.  Labels are
-    the ones the class masks give."""
-    M, eng = _frame_engine(p, max_carrier)
-    masks = eng.enumerate_carrier()
-    index = {m: i for i, m in enumerate(masks)}
-    downsets = [eng.downset_of[m] for m in masks]
-    fixed_set = dict(zip(downsets, masks))
+    The frame is every downset of the models Q, ordered as in M, held as
+    masks over Q (``FiniteLattice.of_downsets``, whose frame check fails
+    an enumeration that is not exactly those downsets).  A side's value is
+    the union of its clauses' extents, the models where they hold.
+
+    Elements are numbered and labelled as the closed sets of the least
+    nucleus forcing the relations would be: each element's fixed set holds
+    the meet-congruence classes (``_congruence`` of the single-clause
+    equations) whose extent lies in it; elements come in the order of their
+    fixed sets, by size then mask, and each is labelled by the maximal
+    classes of its fixed set.  More than ``max_carrier`` elements is an
+    oracle-scale overrun."""
+    _require_kind_domain(p)
+    domain = p.domain
+    M = _meet_carrier(domain, p.kind.folds_meets)
+    down, up = M.poset.down, M.poset.up
+    sides = relation_sides(p, M.fold)
+
+    def holds_at(side: Side) -> int:
+        # the elements of M below some clause of the side
+        out = 0
+        for c in side:
+            out |= down[M.clause(c)]
+        return out
+
+    # the models, each as the element of M that generates it
+    models = (1 << M.n) - 1
+    meet_eqs = []
+    for l, r, op in sides:
+        tl, tr = holds_at(l), holds_at(r)
+        models &= ~(tl ^ tr) if op == "=" else ~tl | tr
+        if op == "=" and len(l) == len(r) == 1:
+            meet_eqs.append((M.clause(l[0]), M.clause(r[0])))
+    if p.kind.uses("join") and domain.has_join:
+        P, elem = domain.sorted_poset, M.gen_elems
+        for a, b in itertools.combinations(range(P.n), 2):
+            models &= ~down[elem[P.by_up[P.up[a] & P.up[b]]]] | down[elem[a]] | down[elem[b]]
+        if domain.bottom() is not None:
+            models &= ~down[elem[P.by_up[(1 << P.n) - 1]]]
+
+    # the meet-congruence classes, numbered by their least members, each
+    # named by its shortest label and holding the classes strictly below it
+    gen_idxs = sorted(set(M.gen_elems))
+    rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])
+    reps = sorted(set(rep))
+    number = {r: k for k, r in enumerate(reps)}
+    cls = [number[r] for r in rep]
+    names: list[Optional[str]] = [None] * len(reps)
+    for c, label in zip(cls, M.labels):
+        if names[c] is None or (len(label), label) < (len(names[c]), names[c]):
+            names[c] = label
+    strict = []
+    for k, r in enumerate(reps):
+        m = 0
+        for j in _bits(down[r]):
+            m |= 1 << cls[j]
+        strict.append(m ^ 1 << k)
+
+    # the models as points, each after those below it, and the extent of
+    # each element of M as a mask over them
+    Q = sorted(_bits(models), key=lambda q: down[q].bit_count())
+    extent = [0] * M.n
+    for k, q in enumerate(Q):
+        for x in _bits(up[q]):
+            extent[x] |= 1 << k
+    q_down = [extent[q] for q in Q]
+
+    # each downset d of Q with its fixed set and the classes below some
+    # member of that: the classes in d's fixed set and not in that of d
+    # less its top point are those whose extent has that point on top
+    fixed, below = {0: 0}, {0: 0}
+    on_top: list[list[tuple[int, int]]] = [[] for _ in Q]
+    for a, r in enumerate(reps):
+        if extent[r]:
+            on_top[extent[r].bit_length() - 1].append((a, extent[r]))
+        else:
+            fixed[0] |= 1 << a
+            below[0] |= strict[a]
+    enumerated = unions(q_down, max_carrier, "presented frame")
+    for d in enumerated[1:]:
+        top = d.bit_length() - 1
+        rest = d ^ 1 << top
+        c, b = fixed[rest], below[rest]
+        for a, ext in on_top[top]:
+            if not ext & ~d:
+                c |= 1 << a
+                b |= strict[a]
+        fixed[d], below[d] = c, b
+    downsets = sorted(enumerated, key=lambda d: (fixed[d].bit_count(), fixed[d]))
 
     def elem_label(d: int) -> str:
-        c = fixed_set[d]
-        tops = c & ~eng.below[c]
+        tops = fixed[d] & ~below[d]
         if tops & (tops - 1):
-            return " | ".join(sorted([eng.labels[e] for e in _bits(tops)]))
-        return eng.labels[tops.bit_length() - 1] if tops else "0"
+            return " | ".join(sorted([names[e] for e in _bits(tops)]))
+        return names[tops.bit_length() - 1] if tops else "0"
 
     try:
-        carrier = FiniteLattice.of_downsets(eng.jdown, downsets, elem_label)
+        carrier = FiniteLattice.of_downsets(q_down, downsets, elem_label)
     except LatticeError:
         raise EvaluationError("presented carrier failed the frame check") from None
+    index = {d: i for i, d in enumerate(downsets)}
 
-    principal, cls = eng.principal, eng.cls
-    interp = {g: index[principal[cls[e]]] for g, e in zip(M.gen_keys, M.gen_elems)}
+    def side_value(side: Side) -> int:
+        d = 0
+        for c in side:
+            d |= extent[M.clause(c)]
+        return index[d]
 
-    def side_value(side) -> int:
-        # the join of the clauses' principal closures and the least fixed
-        # set: their union when that is fixed, else its closure from the
-        # largest of them
-        u = base = masks[0]
-        for m in side:
-            c = principal[cls[M.clause(m)]]
-            u |= c
-            if c.bit_count() > base.bit_count():
-                base = c
-        return index[u] if u in index else index[eng.close(u, base)]
-
-    obj = PresentedObject("frame", carrier, interp, p.domain, M.fold, side_value)
-    for rel, sides in zip(p.concrete_relations(), relation_sides(p, M.fold)):
-        if not obj.holds(*sides):
+    interp = {g: index[extent[e]] for g, e in zip(M.gen_keys, M.gen_elems)}
+    obj = PresentedObject("frame", carrier, interp, domain, M.fold, side_value)
+    for rel, (l, r, op) in zip(p.concrete_relations(), sides):
+        if not obj.holds(l, r, op):
             raise EvaluationError(f"internal: relation {rel} fails in its own frame")
     return obj
 

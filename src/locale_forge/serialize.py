@@ -153,13 +153,16 @@ def relation_from_jsonable(d: dict):
         r = d["rel"]
         return Relation(term_from_jsonable(r["lhs"]), term_from_jsonable(r["rhs"]), r["op"])
     s = d["schema"]
-    return RelationSchema(
-        tuple(s["params"]),
-        tuple(_cond_from_jsonable(c) for c in s["conds"]),
-        SchemaTerm(tuple(_schema_clause_from_jsonable(c) for c in s["lhs"])),
-        SchemaTerm(tuple(_schema_clause_from_jsonable(c) for c in s["rhs"])),
-        s["op"],
-    )
+    params, conds = tuple(s["params"]), tuple(_cond_from_jsonable(c) for c in s["conds"])
+    lhs, rhs = (tuple(_schema_clause_from_jsonable(c) for c in s[side]) for side in ("lhs", "rhs"))
+    # a parameter that neither the schema nor its clause binds has no value
+    # to instantiate at: a malformed document
+    for scope, exprs in [(params, conds)] + [(params + cl.bound, cl.meet + cl.conds) for cl in lhs + rhs]:
+        for x in exprs:
+            undeclared = x.free_params().difference(scope)
+            if undeclared:
+                raise TypeError(f"schema parameter {min(undeclared)!r} is in neither 'params' nor its clause's 'bound'")
+    return RelationSchema(params, conds, SchemaTerm(lhs), SchemaTerm(rhs), s["op"])
 
 
 def presentation_to_jsonable(p: Presentation) -> Any:

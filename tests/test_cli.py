@@ -638,6 +638,32 @@ class TestMalformedInput:
         assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
 
     @pytest.mark.parametrize(
+        "relation, edit, name",
+        [
+            (1, lambda rel: rel["params"].remove("p"), "'p'"),
+            (2, lambda rel: rel["rhs"][0]["bound"].remove("p'"), '"p\'"'),
+        ],
+        ids=["params", "bound"],
+    )
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_an_undeclared_schema_parameter_is_named(self, tmp_path, verb, relation, edit, name):
+        """A pattern or condition naming a parameter that neither the
+        schema's ``params`` nor its clause's ``bound`` holds is an input
+        error naming it, where instantiation on a grid raised an internal
+        ``KeyError`` (exit 3)."""
+        from locale_forge import serialize
+        from locale_forge.intervals import real_presentation
+
+        doc = serialize.presentation_to_jsonable(real_presentation())
+        edit(doc["relations"][relation]["schema"])
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps(doc))
+        rc, out, err = run_cli(verb, str(f), "--grid", "0,1")
+        assert rc == 2 and out == ""
+        detail = f"malformed document {f}: schema parameter {name} is in neither 'params' nor its clause's 'bound'"
+        assert json.loads(err) == {"error": "input", "detail": detail}
+
+    @pytest.mark.parametrize(
         "leq, image",
         [
             ([[0, 1]], {"a": {"join": [{"meet": ["zz"]}]}}),

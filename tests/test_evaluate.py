@@ -1,19 +1,20 @@
 import hashlib
+import inspect
 import itertools
 import random
+import textwrap
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 import pytest
 
+from locale_forge import evaluate as evaluate_module
 from locale_forge import lattice
 from locale_forge.evaluate import (
     EVALUATORS,
     EvaluationError,
     KindCheckError,
-    _FrameEngine,
-    _frame_engine,
     eval_dcpo,
     eval_frame,
     eval_preframe,
@@ -63,6 +64,7 @@ from locale_forge.terms import (
 from locale_forge.transform import present, spec_from_operator
 
 from conftest import real_line_on_grid
+from frame_reference import FrameEngine, frame_engine, reference_eval_frame
 
 
 def diamond_domain():
@@ -165,6 +167,12 @@ class TestScaleLimits:
         p = Presentation(PresentationKind.PLAIN, antichain_domain(17), ())
         with pytest.raises(PresentationError, match="generator poset exceeds oracle scale"):
             evaluate(p)
+
+    def test_presented_frame_cap_at_ladder_scale(self):
+        # the grid 0..7 has 4,181 open sets (F(19)), past the default cap
+        p = real_line_on_grid(list(range(8)), Relation(gen_term("OI()"), TERM_ZERO))
+        with pytest.raises(LatticeError, match="presented frame exceeds oracle scale"):
+            eval_frame(p)
 
     def test_presented_frame_cap(self):
         p = two_point_presentation()
@@ -385,7 +393,7 @@ class TestVerifyCoverage:
             assert verify_coverage(rand_preframe_presentation(rng)).verdict
 
 
-class FamilyEngine(_FrameEngine):
+class FamilyEngine(FrameEngine):
     """A closure engine on ``n`` points whose fixed sets are a given family
     of subsets (bitmasks) closed under intersection and holding every
     point: ``close`` gives the least member containing its argument.  No
@@ -409,19 +417,30 @@ N5 = [0, 0b001, 0b011, 0b100, 0b111]  # a < ab beside c
 CHAIN_AND_SQUARE = [0, 0b001, 0b011, 0b101, 0b111]  # a below the square ab, ac, abc
 
 
+def three_point_presentation():
+    """The diamond widened to three atoms, each a model of its own: its
+    frame is the 8-element Boolean lattice."""
+    poset = FinitePoset.from_pairs(["z", "a", "b", "c", "t"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    dom = FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
+    rels = (Relation(join_of(["a", "b", "c"]), gen_term("t")), Relation(gen_term("z"), TERM_ZERO))
+    return Presentation(PresentationKind.SUP, dom, rels)
+
+
 class TestFrameCheckCanFail:
     """``enumerate_carrier`` fails the frame check on a closure whose fixed
-    sets are not distributive, and builds the carrier of one that is."""
+    sets are not distributive, and builds the carrier of one that is; and
+    ``eval_frame`` fails the carrier's frame check when its enumeration of
+    the downsets of the models is not exactly those downsets."""
 
     @pytest.mark.parametrize("family", [M3, N5], ids=["M3", "N5"])
     def test_non_distributive_fixed_sets_fail(self, family):
         with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
             FamilyEngine(3, family).enumerate_carrier()
 
-    @pytest.mark.parametrize("family", [M3, N5], ids=["M3", "N5"])
-    def test_through_eval_frame(self, family, monkeypatch):
-        engine = lambda p, cap: (None, FamilyEngine(3, family, cap))
-        monkeypatch.setattr("locale_forge.evaluate._frame_engine", engine)
+    @pytest.mark.parametrize("edit", [lambda ds: ds[:-1], lambda ds: ds[:2] + ds[1:]], ids=["drop", "repeat"])
+    def test_through_eval_frame(self, edit, monkeypatch):
+        """An enumeration that drops the last downset or repeats one."""
+        monkeypatch.setattr("locale_forge.evaluate.unions", lambda *args: edit(lattice.unions(*args)))
         with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
             eval_frame(two_point_presentation())
 
@@ -429,22 +448,13 @@ class TestFrameCheckCanFail:
         assert FamilyEngine(3, CHAIN_AND_SQUARE).enumerate_carrier() == [0, 0b001, 0b011, 0b101, 0b111]
 
     def test_carrier_frame_check_through_eval_frame(self, monkeypatch):
-        """The carrier's own frame check can fail too: an engine that hands
-        ``eval_frame`` the fixed sets of M3, each as its own downset of the
-        3-antichain, fails it, since they are not all of its downsets."""
-
-        class M3Engine(FamilyEngine):
-            down, labels = [0b001, 0b010, 0b100], ["a", "b", "c"]
-            jdown = down
-
-            def enumerate_carrier(self):
-                self.downset_of = {m: m for m in M3}
-                return list(M3)
-
-        engine = lambda p, cap: (None, M3Engine(3, M3, cap))
-        monkeypatch.setattr("locale_forge.evaluate._frame_engine", engine)
+        """An enumeration that hands ``eval_frame`` the family N5 over the
+        three incomparable models of ``three_point_presentation`` fails the
+        check, since it is not all of their downsets."""
+        assert eval_frame(three_point_presentation()).carrier.n == 8
+        monkeypatch.setattr("locale_forge.evaluate.unions", lambda *args: list(N5))
         with pytest.raises(EvaluationError, match="presented carrier failed the frame check"):
-            eval_frame(two_point_presentation())
+            eval_frame(three_point_presentation())
 
 
 class TestDownsetCarrier:
@@ -476,12 +486,12 @@ class TestDownsetCarrier:
 
 
 class TestEnumerateCarrier:
-    """The enumerated carrier is exactly the set of closures of all subsets
-    of the engine's elements."""
+    """The reference engine's enumerated carrier is exactly the set of
+    closures of all subsets of its elements."""
 
     @staticmethod
     def carrier_and_all_closures(p):
-        _, eng = _frame_engine(p, 1 << 12)
+        _, eng = frame_engine(p, 1 << 12)
         closures = {eng.close(s) for s in range(1 << eng.n)}
         return eng.enumerate_carrier(), sorted(closures, key=lambda m: (bin(m).count("1"), m))
 
@@ -507,14 +517,15 @@ class TestEnumerateCarrier:
 
 
 class TestCarrierOrderOverJ:
-    """The carrier ordered over the join-irreducible fixed sets equals the
-    one ordered over all classes, the route ``eval_frame`` took before:
+    """The carrier ordered over the models (``eval_frame``) and over the
+    reference engine's join-irreducible fixed sets (``reference_eval_frame``)
+    each equal the reference's fixed sets ordered over all classes:
     ``subset_poset`` of the fixed sets as class masks, labelled by the
     classes maximal in each."""
 
     @staticmethod
     def class_ordered(p):
-        _, eng = _frame_engine(p, 1 << 12)
+        _, eng = frame_engine(p, 1 << 12)
 
         def label(mask):
             return " | ".join(sorted(eng.labels[e] for e in _bits(maximal(mask, eng.down)))) or "0"
@@ -522,9 +533,11 @@ class TestCarrierOrderOverJ:
         return subset_poset(eng.enumerate_carrier(), label)
 
     def assert_same_order(self, p):
-        got, want = eval_frame(p).carrier_poset, self.class_ordered(p)
-        assert (got.elements, got.up, got.down) == (want.elements, want.up, want.down)
-        return got.n
+        want = self.class_ordered(p)
+        for evaluate in (eval_frame, reference_eval_frame):
+            got = evaluate(p).carrier_poset
+            assert (got.elements, got.up, got.down) == (want.elements, want.up, want.down)
+        return want.n
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_real_line_grids(self, k):
@@ -562,10 +575,12 @@ def kernel_ladder_grids(seed: int) -> dict[int, list]:
 
 
 class TestLabelsFromTheEnumeration:
-    """``enumerate_carrier`` keeps, for each fixed set, the mask of the
-    classes strictly below some member, and ``eval_frame`` reads each
-    label's maximal classes off it.  Every label equals the one rebuilt
-    from scratch from the maximal classes of the fixed set."""
+    """The reference's ``enumerate_carrier`` keeps, for each fixed set, the
+    mask of the classes strictly below some member, and
+    ``reference_eval_frame`` reads each label's maximal classes off it, as
+    ``eval_frame`` reads them off its own enumeration.  Every label of
+    both equals the one rebuilt from scratch from the maximal classes of
+    the reference's fixed set."""
 
     @staticmethod
     def check(p) -> tuple[int, int]:
@@ -573,7 +588,7 @@ class TestLabelsFromTheEnumeration:
         the join-irreducible ones are the union of the join-irreducible
         ones below them (whose mask is the union of its parts' masks), and
         how many are not (whose mask is read off the set)."""
-        _, eng = _frame_engine(p, 1 << 12)
+        _, eng = frame_engine(p, 1 << 12)
         masks = eng.enumerate_carrier()
         for c in masks:
             below = reduce(or_, [eng.down[x] & ~(1 << x) for x in _bits(c)], 0)
@@ -582,7 +597,8 @@ class TestLabelsFromTheEnumeration:
         def label(c: int) -> str:
             return " | ".join(sorted(eng.labels[e] for e in _bits(maximal(c, eng.down)))) or "0"
 
-        assert eval_frame(p).carrier.elements == lattice._labels(masks, label)
+        for evaluate in (eval_frame, reference_eval_frame):
+            assert evaluate(p).carrier.elements == lattice._labels(masks, label)
         by_downset = {d: c for c, d in eng.downset_of.items()}
         irreducible = [by_downset[d] for d in eng.jdown]
         rest = [d for c, d in eng.downset_of.items() if d & (d - 1) and d not in eng.jdown]
@@ -624,25 +640,37 @@ _QUOTIENT_MODES = {
 }
 
 
-def digest_presentations(seeds):
+def seeded_presentations(rng: random.Random):
     """Seeded suite presentations of each kind, each followed by its
-    quotients under a random operator of each mode of its family; meet
-    equations in the sup, preframe and plain kinds; and two real-line
-    grids with and without ``OI() = 0``."""
+    quotients under a random operator of each mode of its family; then
+    meet equations in the sup, preframe and plain kinds."""
+    for draw, modes in _QUOTIENT_MODES.values():
+        p = draw(rng)
+        yield p
+        parent = eval_frame(p)
+        for mode in modes:
+            e = rand_quotient_operator(rng, parent.carrier, mode)
+            yield present(p, spec_from_operator(parent, e, mode))
+    for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
+        yield rand_meet_equations(rng, kind)
+
+
+def named_digest_presentations(seeds):
+    """``seeded_presentations`` of each seed, each named by its seed and
+    its index among them, then two real-line grids with and without
+    ``OI() = 0``, named by their points."""
     for seed in seeds:
-        rng = random.Random(seed)
-        for draw, modes in _QUOTIENT_MODES.values():
-            p = draw(rng)
-            yield p
-            parent = eval_frame(p)
-            for mode in modes:
-                e = rand_quotient_operator(rng, parent.carrier, mode)
-                yield present(p, spec_from_operator(parent, e, mode))
-        for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
-            yield rand_meet_equations(rng, kind)
+        for i, p in enumerate(seeded_presentations(random.Random(seed))):
+            yield f"seed {seed}, presentation {i}", p
     for points in ([0, 1], [-1, 0, 1]):
-        yield real_line_on_grid(points)
-        yield real_line_on_grid(points, Relation(gen_term("OI()"), TERM_ZERO))
+        yield f"grid {points}", real_line_on_grid(points)
+        yield f"grid {points} with OI() = 0", real_line_on_grid(points, Relation(gen_term("OI()"), TERM_ZERO))
+
+
+def digest_presentations(seeds):
+    """The presentations of ``named_digest_presentations``, in order."""
+    for _, p in named_digest_presentations(seeds):
+        yield p
 
 
 class TestOutputDigest:
@@ -746,7 +774,7 @@ class TestKindEvaluatorDigest:
 
 
 class TestEngineClasses:
-    """The closure engine's class order and principal closures against
+    """The reference engine's class order and principal closures against
     their pairwise definitions, on presentations whose meet equations
     merge classes."""
 
@@ -755,7 +783,7 @@ class TestEngineClasses:
         merged = 0
         for _ in range(40):
             for kind in (PresentationKind.SUP, PresentationKind.PREFRAME, PresentationKind.PLAIN):
-                M, eng = _frame_engine(rand_meet_equations(rng, kind), 1 << 12)
+                M, eng = frame_engine(rand_meet_equations(rng, kind), 1 << 12)
                 # class j lies below class i when their meet, taken on the
                 # least member of each class, is in class j
                 reps = [eng.cls.index(i) for i in range(eng.n)]
@@ -765,3 +793,70 @@ class TestEngineClasses:
                 assert eng.principal == [eng.close(1 << i) for i in range(eng.n)]
                 merged += eng.n < M.n
         assert merged > 20
+
+
+def first_difference(evaluate, named, max_carrier: int = 1 << 12):
+    """The name of the first of the ``named`` presentations on which
+    ``evaluate`` and the reference engine give different records (those of
+    ``TestOutputDigest``, less the evaluator's name), or None."""
+
+    def record(frame, p):
+        return TestOutputDigest.record(lambda q: frame(q, max_carrier), p)[1:]
+
+    for name, p in named:
+        if record(evaluate, p) != record(reference_eval_frame, p):
+            return name
+    return None
+
+
+# mutations of eval_frame's models step, each as a line of its source and
+# what replaces it
+MUTANTS = {
+    "equation-as-inequation": ('models &= ~(tl ^ tr) if op == "=" else ~tl | tr', "models &= ~tl | tr"),
+    "bottom-kept": ("models &= ~down[elem[P.by_up[(1 << P.n) - 1]]]", "pass"),
+    "joins-not-prime": ("models &= ~down[elem[P.by_up[P.up[a] & P.up[b]]]] | down[elem[a]] | down[elem[b]]", "pass"),
+    "no-meet-congruence": (
+        "rep = _congruence(M.n, meet_eqs, lambda x: [M.meet(x, g) for g in gen_idxs])",
+        "rep = list(range(M.n))",
+    ),
+}
+
+
+def mutant(old: str, new: str):
+    """``eval_frame`` compiled from its source with the one line ``old``
+    replaced by ``new``, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(evaluate_module.eval_frame))
+    assert source.count(old) == 1
+    scope = dict(vars(evaluate_module))
+    exec(compile(source.replace(old, new), evaluate_module.__file__, "exec"), scope)
+    return scope["eval_frame"]
+
+
+class TestAgainstTheReferenceEngine:
+    """``eval_frame`` reads the frame off its models; the closure engine in
+    ``frame_reference`` builds it as the fixed sets of the least nucleus
+    forcing the relations.  They give the same elements, order, ``interp``
+    and side values, or the same error; a failure names the first
+    presentation on which they differ.  Each mutation of the models step
+    differs from the engine somewhere, so the comparison can fail."""
+
+    def test_digest_presentations(self):
+        assert first_difference(eval_frame, named_digest_presentations(range(40))) is None
+
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_kernel_ladder_grids(self, seed):
+        empty = Relation(gen_term("OI()"), TERM_ZERO)
+        named = (
+            (f"kernel-ladder seed {seed}, grid of {k} points", real_line_on_grid(points, empty))
+            for k, points in kernel_ladder_grids(seed).items()
+        )
+        assert first_difference(eval_frame, named) is None
+
+    def test_eight_point_grid_with_the_cap_raised(self):
+        p = real_line_on_grid(list(range(8)), Relation(gen_term("OI()"), TERM_ZERO))
+        assert first_difference(eval_frame, [("grid 0..7", p)], 1 << 13) is None
+        assert eval_frame(p, 1 << 13).carrier.n == 4181
+
+    @pytest.mark.parametrize("old, new", MUTANTS.values(), ids=MUTANTS)
+    def test_each_mutant_differs(self, old, new):
+        assert first_difference(mutant(old, new), named_digest_presentations(range(40))) is not None
