@@ -257,7 +257,7 @@ def _z2_swap_artifact():
     The document holds the objects themselves, which ``example z2-swap``
     turns into JSON only for JSON output."""
     from .evaluate import eval_frame
-    from .generators import FiniteGeneratorDomain
+    from .generators import finite_domain
     from .lattice import FinitePoset
     from .presentation import Relation
     from .terms import TERM_ZERO, gen_term, join_of
@@ -265,7 +265,7 @@ def _z2_swap_artifact():
 
     # labels must have a text form: "top" is a reserved word of the DSL
     poset = FinitePoset.from_pairs(["bot", "a", "b", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    domain = FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
+    domain = finite_domain(poset, use_meet=True, use_join=False)
     parent = Presentation(
         PresentationKind.SUP,
         domain,

@@ -34,6 +34,8 @@ from .generators import (
     GeneratorDomain,
     TaggedDomain,
     builtin_domain,
+    finite_domain,
+    tagged_domain,
 )
 from .lattice import FinitePoset, QuotientMode, _bits, maximal
 from .presentation import (
@@ -190,7 +192,7 @@ class _Parser:
             return make()
         if t.text == "tagged":
             tag = self.expect_name(f"a tag ({'/'.join(QUOTIENT_TAGS)})").text
-            return TaggedDomain(tag, self.parse_domain())
+            return tagged_domain(tag, self.parse_domain())
         if t.text == "finite":
             return self.parse_finite_block()
         make = builtin_domain(t.text) if t.kind == "name" else None
@@ -247,7 +249,7 @@ class _Parser:
         if ops is not None:
             use_meet = "meet" in ops
             use_join = "join" in ops
-        dom = FiniteGeneratorDomain(poset, decls, use_meet=use_meet, use_join=use_join)
+        dom = finite_domain(poset, use_meet, use_join, decls)
         for x in tops:
             if dom.top() != x:
                 raise PresentationError(f"declared top {x!r} is not the greatest element")

@@ -7,6 +7,13 @@ greatest lower / least upper bounds); the symbolic interval domains live in
 ``intervals`` and register themselves in ``DOMAIN_REGISTRY``, which
 ``builtin_domain`` reads.
 
+Finite domains are interned: ``finite_domain`` hands out one
+``FiniteGeneratorDomain`` per value (elements, up-masks, the structure
+asked for and declared operations) from one bounded table, so everything
+a domain's ``memo`` derives from its value is derived once for all equal
+domains.  The plain constructor builds a fresh object and serves only
+callers that need one, such as a subclass, which is never interned.
+
 Meets of generators written inside terms always mean the domain's meet
 (they fold when the domain has one); joins of generators are formal frame
 joins and never fold.
@@ -14,7 +21,7 @@ joins and never fold.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lattice import (
@@ -67,13 +74,17 @@ class GeneratorDomain:
 
     @cached_property
     def memo(self) -> dict:
-        """Facts derived from this domain object alone: normal forms
-        (``terms.normalize``), the stability-instance kernel of a finite
-        domain with its polynomial image tables
-        (``presentation.instance_kernel``) and, on the interval domains,
-        the parsed endpoints of each generator key (under the key string
-        itself).  Created on first use; it belongs to the object, never to
-        an equal domain, and dies with it."""
+        """Facts derived from this domain's value alone: normal forms
+        (``terms.normalize``), the instance kernel of a finite domain with
+        its image and term tables (``presentation.instance_kernel``), its
+        meet carriers (``evaluate._meet_carrier``), the tagged domains over
+        it (``tagged_domain``) and, on the interval domains, the parsed
+        endpoints of each generator key (under the key string itself).
+        Created on first use and dies with the object.  An interned finite
+        domain (``finite_domain``) is the one object of its value, so its
+        memo serves every presentation over that value: nothing that
+        depends on a presentation or its relations belongs here, but in
+        that presentation's own ``memo``."""
         return {}
 
     # -- generator algebra ------------------------------------------------
@@ -164,7 +175,8 @@ class FiniteGeneratorDomain(GeneratorDomain):
     Distributivity is Birkhoff's exact test
     (``lattice.is_distributive_lattice``), decided once per object; a
     distributive lattice has every glb and lub, so only a poset that fails
-    it takes the O(n²) pass for their existence.
+    it takes the O(n²) pass for their existence.  The program builds its
+    domains through ``finite_domain``, which interns them.
     """
 
     def __init__(
@@ -330,6 +342,33 @@ def memoized(owner, key, make: Callable):
     return out
 
 
+def finite_domain(
+    poset: FinitePoset,
+    use_meet: Optional[bool] = None,
+    use_join: Optional[bool] = None,
+    decls: Iterable[tuple[str, str, str, str]] = (),
+) -> FiniteGeneratorDomain:
+    """``FiniteGeneratorDomain(poset, decls, use_meet, use_join)``, one
+    object per value: the intern table keeps the 256 domains used most
+    recently, by elements, up-masks, the structure asked for (None, "what
+    the order gives", is a value of its own) and declared operations.  A
+    domain whose construction raises is not kept, so its checks run at
+    every call."""
+    return _intern(poset, use_meet, use_join, tuple(decls))
+
+
+# one key form for every call: positional, with the declarations as a tuple
+@lru_cache(maxsize=256)
+def _intern(poset: FinitePoset, use_meet: Optional[bool], use_join: Optional[bool], decls: tuple) -> FiniteGeneratorDomain:
+    return FiniteGeneratorDomain(poset, decls, use_meet, use_join)
+
+
+def tagged_domain(tag: str, parent: GeneratorDomain) -> TaggedDomain:
+    """``TaggedDomain(tag, parent)``, one per parent object and tag, in
+    ``parent.memo``: over an interned parent, one per parent value."""
+    return memoized(parent, (TaggedDomain, tag), lambda: TaggedDomain(tag, parent))
+
+
 # populated by the builtin symbolic domains on import
 DOMAIN_REGISTRY: dict[str, Callable[[], GeneratorDomain]] = {}
 
@@ -347,13 +386,13 @@ def domain_from_descriptor(desc: dict) -> GeneratorDomain:
     kind = desc.get("type")
     if kind == "finite":
         structure = desc.get("structure", {})
-        return FiniteGeneratorDomain(
+        return finite_domain(
             FinitePoset.from_pairs(desc["elements"], [tuple(p) for p in desc["leq"]]),
-            use_meet=structure.get("meet"),
-            use_join=structure.get("join"),
+            structure.get("meet"),
+            structure.get("join"),
         )
     if kind == "tagged":
-        return TaggedDomain(desc["tag"], domain_from_descriptor(desc["parent"]))
+        return tagged_domain(desc["tag"], domain_from_descriptor(desc["parent"]))
     make = builtin_domain(kind)
     if make is not None:
         return make()

@@ -22,10 +22,14 @@ stability instance may still be accepted when it is derivable from the
 others, which the brute-force oracle decides on finite carriers.  Over a
 finite domain every layer reads a relation as two sides, each a sorted
 tuple of clause bitmasks over ``sorted_poset`` indices, through the
-domain's ``InstanceKernel`` (one per domain object, in ``domain.memo``).
-``saturate`` and ``present`` hand the sides of what they build to the
-next reader in its ``memo`` (``relation_sides``), and only the relations
-kept become ``Relation``s.
+domain's ``InstanceKernel`` (one per domain object, in ``domain.memo``;
+finite domains are interned, so one per domain value).  What depends on a
+presentation lives in its own ``memo``, so the memo of a shared domain
+does not grow with the relations read over it: its sides
+(``relation_sides``), which ``saturate`` and ``present`` hand to what they
+build, and the stability instances of its relations (``instance_store``),
+which ``saturate`` hands on.  Only the relations kept become
+``Relation``s.
 A schematic presentation (one holding a ``RelationSchema``) or one over a
 non-finite domain is checked and evaluated on its instantiation on a grid
 (``on_grid``).  Schemas are the one form of rational parameters and of
@@ -40,7 +44,14 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence, Union
 
-from .generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain, memoized
+from .generators import (
+    FiniteGeneratorDomain,
+    GeneratorDomain,
+    TaggedDomain,
+    finite_domain,
+    memoized,
+    tagged_domain,
+)
 from .lattice import FinitePoset, _bits, maximal, subset_poset, unions
 from .rationals import ExtRat
 from .records import Record
@@ -197,7 +208,8 @@ class Presentation(Record, compare=("kind", "domain", "relations")):
     def memo(self) -> dict:
         """Facts derived from this presentation object alone: ``check_kind``'s
         reports (under ``"kind reports"``, keyed by ``oracle``), its sides
-        (``relation_sides``), and its relations as a quotient's parent
+        (``relation_sides``), the stability instances of its relations
+        (``instance_store``), and its relations as a quotient's parent
         transports them and the hash that quotient's provenance records
         (``transform``).  Created on first use; it belongs to the object,
         never to an equal presentation, and dies with it."""
@@ -275,9 +287,13 @@ class InstanceKernel:
     operation raises its own error at the first clause that needs it.
     Where meets fold, the clauses of a normalized relation are single
     generators and stay so.  Whether an instance holds in the free
-    structure is read off the generators' up-masks.  Each instance is
-    computed once per kernel, so ``check_kind`` on the output of
-    ``saturate`` reuses the instances that ``saturate`` computed.
+    structure is read off the generators' up-masks.
+
+    A kernel holds only what its domain's value decides, and is shared by
+    every presentation over an interned domain.  The instances of a
+    relation are kept in a store that the caller owns
+    (``instance_store``), so each is computed once per store and dies with
+    the presentation that holds it.
     """
 
     def __init__(self, domain: GeneratorDomain):
@@ -288,8 +304,8 @@ class InstanceKernel:
         # the generators above the empty meet
         self.top_up = 0 if top is None else P.up[self.index[top]]
         # image tables and the generators each fixes, by polynomial; terms
-        # by side; instances by relation and polynomial
-        self._rows, self._fixed, self._terms, self._instances = {}, {}, {}, {}
+        # by side
+        self._rows, self._fixed, self._terms = {}, {}, {}
 
     def side(self, t: Term, fold: bool = False) -> Side:
         """The normal form of ``t``: each clause folded to the glb of its
@@ -362,14 +378,22 @@ class InstanceKernel:
                 return False
         return True
 
-    def instances(self, lhs: Side, rhs: Side, op: str, polynomials: Iterable[tuple[Optional[int], Optional[int]]]):
+    def instances(
+        self,
+        lhs: Side,
+        rhs: Side,
+        op: str,
+        polynomials: Iterable[tuple[Optional[int], Optional[int]]],
+        store: dict,
+    ):
         """The instances of a normalized relation under each polynomial
         (v, u) that are neither trivial nor free, as (polynomial, key, lhs,
-        rhs), in the order of ``polynomials``; each is computed once.  One
+        rhs), in the order of ``polynomials``; each is computed once per
+        ``store``, which keeps them by relation and polynomial.  One
         that fixes every generator of the relation, and does not send its
         side 1 to v, is the relation itself: it is skipped once the table of
         the polynomial exists, so a domain without the operation raises."""
-        memo = self._instances.setdefault((lhs, rhs, op), {})
+        memo = store.setdefault((lhs, rhs, op), {})
         gens = reduce(or_, lhs + rhs, 0)
         one = ONE in (lhs, rhs)
         for poly in polynomials:
@@ -397,6 +421,12 @@ def _side_key(lhs: Side, rhs: Side, op: str):
 def instance_kernel(domain: GeneratorDomain) -> InstanceKernel:
     """The domain object's instance kernel, built once, in ``domain.memo``."""
     return memoized(domain, InstanceKernel, lambda: InstanceKernel(domain))
+
+
+def instance_store(p: Presentation) -> dict:
+    """The store of ``p``'s stability instances (``InstanceKernel.instances``),
+    in ``p.memo``: left there by ``saturate`` for what it builds."""
+    return p.memo.setdefault("instances", {})
 
 
 def on_grid(p: Presentation, grid: Optional[Sequence[ExtRat]], verb: str) -> Presentation:
@@ -463,6 +493,7 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
     domain = p.domain
     kernel = instance_kernel(domain)
     sides = relation_sides(p, p.kind.folds_meets)
+    store = instance_store(p)
     present = set()
     for lhs, rhs, op in sides:
         present.add(_side_key(lhs, rhs, op))
@@ -500,7 +531,7 @@ def _check_kind(p: Presentation, oracle: bool) -> StabilityReport:
         verdict = "syntacticPass"
         witness = None
         missing = None
-        for poly, key, l, r in kernel.instances(lhs, rhs, op, witnesses):
+        for poly, key, l, r in kernel.instances(lhs, rhs, op, witnesses, store):
             if key in present:
                 continue
             if oracle and oracle_holds(l, r, op):
@@ -534,7 +565,7 @@ def _completion(domain: FiniteGeneratorDomain, meets: bool) -> tuple[FiniteGener
     completed = subset_poset(masks, label, reverse=meets)
     pos = {m: k for k, m in enumerate(masks)}
     mapping = {g: completed.elements[pos[principal[i]]] for i, g in enumerate(poset.elements)}
-    return FiniteGeneratorDomain(completed), mapping
+    return finite_domain(completed), mapping
 
 
 def _map_term(t: Term, mapping: dict[str, str]) -> Term:
@@ -573,10 +604,13 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
 
     fold = target.folds_meets
     kernel = instance_kernel(domain)
-    sides = relation_sides(p, fold) if domain is p.domain else [
-        (kernel.side(_map_term(r.lhs, mapping), fold), kernel.side(_map_term(r.rhs, mapping), fold), r.op)
-        for r in p.concrete_relations()
-    ]
+    if domain is p.domain:
+        sides, store = relation_sides(p, fold), instance_store(p)
+    else:
+        sides, store = [
+            (kernel.side(_map_term(r.lhs, mapping), fold), kernel.side(_map_term(r.rhs, mapping), fold), r.op)
+            for r in p.concrete_relations()
+        ], {}
     if p.schematic:
         raise PresentationError("cannot saturate schematic relations; instantiate first")
 
@@ -593,14 +627,15 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
         if not _shape_ok(target, lhs, rhs):
             rel = kernel.relation(lhs, rhs, op)
             raise PresentationError(f"relation {rel} cannot be reshaped to {target.value}")
-        for _, key, l, r in kernel.instances(lhs, rhs, op, itertools.product(*axes)):
+        for _, key, l, r in kernel.instances(lhs, rhs, op, itertools.product(*axes), store):
             if key not in seen:
                 seen.add(key)
                 out.append((l, r, op))
     sat = Presentation(target, domain, tuple([kernel.relation(*s) for s in out]))
-    # hand the sides over; folded clauses are single generators, so they
-    # are the unfolded sides too
+    # hand the sides and the instances over; folded clauses are single
+    # generators, so they are the unfolded sides too
     sat.memo[("sides", fold and domain.has_meet)] = sat.memo[("sides", False)] = out
+    sat.memo["instances"] = store
     return sat
 
 
@@ -808,7 +843,7 @@ def instantiate_schemas(p: Presentation, grid: Sequence[ExtRat]) -> Presentation
 def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain:
     if isinstance(domain, TaggedDomain):
         inner = {domain.unwrap(k) for k in keys}
-        return TaggedDomain(domain.tag, _restrict_domain(domain.parent, inner))
+        return tagged_domain(domain.tag, _restrict_domain(domain.parent, inner))
     pool = set(keys)
     for extreme in (domain.top(), domain.bottom()):
         if extreme is not None:
@@ -837,11 +872,7 @@ def _restrict_domain(domain: GeneratorDomain, keys: set[str]) -> GeneratorDomain
     up = domain.up_masks(ordered)
     # inherit exactly the parent's structure: accidental glbs/lubs of the
     # restricted poset are not generator operations
-    restricted = FiniteGeneratorDomain(
-        FinitePoset(tuple(ordered), tuple(up)),
-        use_meet=domain.has_meet,
-        use_join=domain.has_join,
-    )
+    restricted = finite_domain(FinitePoset(tuple(ordered), tuple(up)), domain.has_meet, domain.has_join)
     # the restriction's glbs/lubs must be the parent's operations on every
     # pair; a failure names the first pair in sort order
     for name, _, made in ops:

@@ -16,7 +16,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from .evaluate import PresentedObject, eval_frame, verify_coverage
-from .generators import FiniteGeneratorDomain
+from .generators import FiniteGeneratorDomain, finite_domain
 from .lattice import (
     CLOSURE_LAWS,
     FiniteLattice,
@@ -120,8 +120,8 @@ def _subset_domain(rng: random.Random, closed_under: str) -> FiniteGeneratorDoma
     masks = [sum(1 << x for x in s) for s in ordered]
     poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
     if closed_under == "meet":
-        return FiniteGeneratorDomain(poset, use_meet=True, use_join=False)
-    return FiniteGeneratorDomain(poset, use_meet=False, use_join=True)
+        return finite_domain(poset, use_meet=True, use_join=False)
+    return finite_domain(poset, use_meet=False, use_join=True)
 
 
 def rand_meet_semilattice_domain(rng: random.Random) -> FiniteGeneratorDomain:
@@ -140,7 +140,7 @@ def rand_distributive_domain(rng: random.Random) -> FiniteGeneratorDomain:
         if len(masks) <= 8:
             break
     poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
-    return FiniteGeneratorDomain(poset, use_meet=True, use_join=True)
+    return finite_domain(poset, use_meet=True, use_join=True)
 
 
 def _rand_join_term(rng: random.Random, gens: list[str]) -> Term:

@@ -6,9 +6,9 @@ quotient frame over tagged generators: the unit and/or zero relation, one
 meet and/or join relation per generator pair expanded through the chosen
 representations, and the original relations transported.  Over a finite
 domain the tagged generators share the parent's indices (one
-``TaggedDomain`` per parent object and tag), so the pair relations are
-built and deduped as sides, and the quotient is handed its sides
-(``presentation.relation_sides``).  A schematic image, such as the
+``TaggedDomain`` per parent object and tag, ``tagged_domain``), so the
+pair relations are built and deduped as sides, and the quotient is handed
+its sides (``presentation.relation_sides``).  A schematic image, such as the
 Z-indexed shift family of the circle, is a ``SchemaTerm`` and yields
 ``RelationSchema`` pair relations.  One engine serves all six modes; it
 reads every difference between them (tag, parent kind, unit/zero
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from .generators import GeneratorDomain, TaggedDomain, memoized
+from .generators import GeneratorDomain, TaggedDomain, memoized, tagged_domain
 from .lattice import (
     MonotoneMap,
     QuotientMode,
@@ -366,7 +366,7 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
 
     # one tagged domain per parent object and tag, so that a mode's strict
     # and semi quotients share its indices, kernel and meet carrier
-    tagged = memoized(p.domain, (TaggedDomain, family.tag), lambda: TaggedDomain(family.tag, p.domain))
+    tagged = tagged_domain(family.tag, p.domain)
     rels: list = []
     if "meet" in family.ops:
         top = p.domain.top()

@@ -3,13 +3,24 @@ import random
 
 import pytest
 
-from locale_forge.generators import DomainError, FiniteGeneratorDomain, TaggedDomain
+from locale_forge.dsl import parse
+from locale_forge.generators import (
+    DomainError,
+    FiniteGeneratorDomain,
+    TaggedDomain,
+    _intern,
+    domain_from_descriptor,
+    finite_domain,
+)
 from locale_forge.lattice import FinitePoset, QuotientMode
+from locale_forge.presentation import PresentationError, _restrict_domain
 from locale_forge.suites import (
     rand_distributive_domain,
     rand_join_semilattice_domain,
     rand_meet_semilattice_domain,
 )
+
+from test_presentation import WrongMeetChain
 
 
 def lattice_domain(elements, pairs):
@@ -133,3 +144,77 @@ class TestDomainEquality:
         twin = lattice_domain(["z", "a", "t"], [(0, 1), (1, 2)])
         assert dom == twin and built == [dom, twin]
         assert dom != lattice_domain(["z", "a", "t"], [(0, 2), (2, 1)])
+
+
+# the structure is named, as a descriptor names it, so the text and the
+# descriptor ask for the same domain
+DIAMOND = "domain finite { gens z, a, b, t; leq z <= a; leq z <= b; leq a <= t; leq b <= t; ops meet }\nkind sup\n"
+
+
+class TestIntern:
+    """``finite_domain`` hands out one object per domain value, at every
+    site that builds one, and keeps a bounded number of them."""
+
+    @pytest.mark.parametrize(
+        "draw", [rand_meet_semilattice_domain, rand_join_semilattice_domain, rand_distributive_domain]
+    )
+    def test_equal_random_draws_are_one_object(self, draw):
+        for seed in range(20):
+            first = draw(random.Random(seed))
+            assert draw(random.Random(seed)) is first
+            assert domain_from_descriptor(first.descriptor()) is first
+
+    def test_equal_restrictions_are_one_object(self):
+        for seed in range(20):
+            dom = rand_distributive_domain(random.Random(seed))
+            pool = set(random.Random(seed).sample(dom.enumerate_gens(), 1))
+            restricted = _restrict_domain(dom, pool)
+            assert _restrict_domain(dom, set(pool)) is restricted
+            assert _restrict_domain(TaggedDomain("dia", dom), {f"dia {g}" for g in pool}).parent is restricted
+
+    def test_equal_texts_parse_to_one_domain(self):
+        first = parse(DIAMOND).domain
+        assert parse(DIAMOND).domain is first
+        assert domain_from_descriptor(first.descriptor()) is first
+        tagged = parse(DIAMOND.replace("domain finite", "domain tagged dia finite")).domain
+        assert tagged.parent is first
+        assert parse(DIAMOND.replace("domain finite", "domain tagged dia finite")).domain is tagged
+
+    def test_declared_operations_are_never_merged_with_a_plain_domain(self):
+        declared = parse(DIAMOND.replace("ops meet", "meet a b = z; ops meet")).domain
+        plain = parse(DIAMOND).domain
+        assert declared == plain and declared is not plain
+        assert parse(DIAMOND.replace("ops meet", "meet a b = z; ops meet")).domain is declared
+        # a conflicting declaration is checked at every call
+        for _ in range(2):
+            with pytest.raises(DomainError, match="declared meet a b = a conflicts"):
+                parse(DIAMOND.replace("ops meet", "meet a b = a; ops meet"))
+
+    def test_a_subclass_is_never_merged_with_a_plain_domain(self):
+        wrong = WrongMeetChain()
+        plain = finite_domain(wrong.poset, True, False)
+        assert type(plain) is FiniteGeneratorDomain and plain is not wrong
+        assert (wrong.meet("a", "b"), plain.meet("a", "b")) == ("z", "a")
+        assert finite_domain(WrongMeetChain().poset, True, False) is plain
+        # the restriction of the subclass is checked against its own meet,
+        # although the plain chain that the restriction builds is interned
+        for _ in range(2):
+            with pytest.raises(PresentationError, match="not closed compatibly at 'a','b'"):
+                _restrict_domain(WrongMeetChain(), {"a", "b"})
+
+    def test_the_least_recently_used_domain_is_evicted_past_the_bound(self):
+        bound = _intern.cache_parameters()["maxsize"]
+        fresh = iter(FinitePoset((f"lru{i}",), (1,)) for i in itertools.count())
+        kept = finite_domain(next(fresh))
+        for _ in range(bound - 1):
+            finite_domain(next(fresh))
+        # the table is full with ``kept`` least recent; using it again saves
+        # it from the next eviction
+        assert finite_domain(kept.poset) is kept
+        finite_domain(next(fresh))
+        assert finite_domain(kept.poset) is kept
+        assert _intern.cache_info().currsize == bound
+        for _ in range(bound):
+            finite_domain(next(fresh))
+        back = finite_domain(kept.poset)
+        assert back is not kept and back == kept

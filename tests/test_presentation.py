@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from locale_forge.dsl import print_presentation
-from locale_forge.generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain, domain_from_descriptor
+from locale_forge.generators import FiniteGeneratorDomain, GeneratorDomain, TaggedDomain, finite_domain
 from locale_forge.intervals import (
     ClosedComplementDomain,
     OpenIntervalDomain,
@@ -43,6 +43,7 @@ from locale_forge.terms import (
     SchemaClause,
     Term,
     TermError,
+    TERM_ONE,
     TERM_ZERO,
     econst,
     eparam,
@@ -83,8 +84,8 @@ class TestCheckKind:
 
     def test_memos_match_a_fresh_structural_copy(self):
         """Kind reports and normal forms served from the memos equal those
-        computed on a copy whose domain, rebuilt from its descriptor, shares
-        no memo with the original."""
+        computed on a copy whose domain, built by the plain constructor and
+        so not interned, shares no memo with the original."""
         for make in _RAND_BY_KIND.values():
             for seed in range(40):
                 p = make(random.Random(seed))
@@ -99,7 +100,7 @@ class TestCheckKind:
                 first = [normalize(t, p.domain, f) for t, f in queries]
                 served = [normalize(t, p.domain, f) for t, f in queries]
 
-                fresh = domain_from_descriptor(p.domain.descriptor())
+                fresh = FiniteGeneratorDomain(p.domain.poset, use_meet=p.domain.has_meet, use_join=p.domain.has_join)
                 assert fresh == p.domain and "memo" not in vars(fresh)
                 copy = Presentation(p.kind, fresh, p.relations)
                 # the other order on the copy, so a memo that mixed up the
@@ -304,6 +305,40 @@ class TestSaturate:
         assert saturate(rp, PresentationKind.SUP) is rp
         with pytest.raises(PresentationError):
             saturate(rp, PresentationKind.PREFRAME)
+
+
+def domain_footprint(domain) -> int:
+    """The entries of the domain's memo and of the tables that each object
+    in it keeps."""
+    tables = [getattr(obj, "__dict__", {}).values() for obj in domain.memo.values()]
+    return len(domain.memo) + sum(len(t) for values in tables for t in values if isinstance(t, dict))
+
+
+class TestSharedDomainMemo:
+    def test_no_relation_keyed_memo_lives_in_a_shared_domain(self):
+        """Saturating and checking more presentations over one interned
+        domain, once each of its sides has been read, adds nothing to its
+        memo: the stability instances of a presentation's relations live in
+        the presentation's own memo."""
+        dom = finite_domain(FinitePoset.from_pairs(list("zabt"), [(0, 1), (0, 2), (1, 3), (2, 3)]), True, False)
+        terms = [join_of(c) for k in range(5) for c in itertools.combinations("zabt", k)] + [TERM_ONE]
+        rng = random.Random(11)
+
+        def check(relations):
+            p = Presentation(PresentationKind.SUP, dom, tuple(relations))
+            for q in (p, saturate(p, PresentationKind.SUP)):
+                for oracle in (True, False):
+                    check_kind(q, oracle=oracle)
+
+        # every side once, and the oracle's evaluation built once
+        check([Relation(t, t, "<=") for t in terms])
+        check([Relation(gen_term("t"), gen_term("z"), "<=")])
+        sizes = []
+        for n in (10, 40):
+            for _ in range(n):
+                check([Relation(rng.choice(terms), rng.choice(terms), rng.choice(("=", "<="))) for _ in range(3)])
+            sizes.append(domain_footprint(dom))
+        assert sizes[0] == sizes[1]
 
 
 class TestInstantiate:
