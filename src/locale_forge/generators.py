@@ -84,7 +84,10 @@ class GeneratorDomain:
         domain (``finite_domain``) is the one object of its value, so its
         memo serves every presentation over that value: nothing that
         depends on a presentation or its relations belongs here, but in
-        that presentation's own ``memo``."""
+        that presentation's own ``memo``.  The normal forms, the kernel's
+        terms and the carriers' clauses are kept by term, side and clause,
+        so the memo grows with the distinct terms read over the domain for
+        as long as the object lives, never with the presentations."""
         return {}
 
     # -- generator algebra ------------------------------------------------
@@ -353,7 +356,9 @@ def finite_domain(
     recently, by elements, up-masks, the structure asked for (None, "what
     the order gives", is a value of its own) and declared operations.  A
     domain whose construction raises is not kept, so its checks run at
-    every call."""
+    every call.  The bound is on domains, not bytes: a kept domain's
+    ``memo`` grows with the distinct terms read over it until the domain
+    is evicted."""
     return _intern(poset, use_meet, use_join, tuple(decls))
 
 

@@ -290,7 +290,9 @@ class InstanceKernel:
     structure is read off the generators' up-masks.
 
     A kernel holds only what its domain's value decides, and is shared by
-    every presentation over an interned domain.  The instances of a
+    every presentation over an interned domain: its image tables are
+    bounded by the polynomials, its term table grows with the distinct
+    sides turned into terms over the domain.  The instances of a
     relation are kept in a store that the caller owns
     (``instance_store``), so each is computed once per store and dies with
     the presentation that holds it.
@@ -635,7 +637,7 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     # hand the sides and the instances over; folded clauses are single
     # generators, so they are the unfolded sides too
     sat.memo[("sides", fold and domain.has_meet)] = sat.memo[("sides", False)] = out
-    sat.memo["instances"] = store
+    instance_store(sat).update(store)
     return sat
 
 

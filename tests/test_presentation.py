@@ -29,6 +29,7 @@ from locale_forge.presentation import (
     _family_window,
     _instantiate_clause,
     check_kind,
+    instance_kernel,
     instantiate_schemas,
     saturate,
 )
@@ -339,6 +340,43 @@ class TestSharedDomainMemo:
                 check([Relation(rng.choice(terms), rng.choice(terms), rng.choice(("=", "<="))) for _ in range(3)])
             sizes.append(domain_footprint(dom))
         assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize(
+        "kind, use_meet, use_join", [(PresentationKind.SUP, True, False), (PresentationKind.PREFRAME, False, True)]
+    )
+    def test_a_shared_domain_memo_grows_only_with_new_sides(self, kind, use_meet, use_join):
+        """With no side read beforehand: from one point to the next, the
+        memo of an interned domain grows by at most the sides and clauses
+        read over it for the first time, however many relations were
+        checked, so it is bounded by the distinct terms read over the
+        domain and not by the presentations."""
+        dom = finite_domain(FinitePoset.from_pairs(list("zabt"), [(0, 1), (0, 2), (1, 3), (2, 3)]), use_meet, use_join)
+        kernel, fold, gens = instance_kernel(dom), kind.folds_meets, dom.enumerate_gens()
+        rng = random.Random(12)
+        seen = set()
+
+        def term():
+            return Term(tuple(Meet(tuple(rng.sample(gens, rng.randint(1, 2)))) for _ in range(rng.randint(1, 3))))
+
+        def check(relations):
+            p = Presentation(kind, dom, tuple(relations))
+            for q in (p, saturate(p, kind)):
+                for r in q.concrete_relations():
+                    for t in (r.lhs, r.rhs):
+                        side = kernel.side(t, fold)
+                        seen.add(side)
+                        seen.update(side)
+                for oracle in (True, False):
+                    check_kind(q, oracle=oracle)
+
+        check([Relation(gen_term("t"), gen_term("z"), "<=")])
+        grown = []
+        for n in (10, 40):
+            before, known = domain_footprint(dom), len(seen)
+            for _ in range(n):
+                check([Relation(term(), term(), rng.choice(("=", "<="))) for _ in range(3)])
+            grown.append((domain_footprint(dom) - before, len(seen) - known))
+        assert all(memo <= new for memo, new in grown)
 
 
 class TestInstantiate:

@@ -30,7 +30,7 @@ from locale_forge.evaluate import (
     eval_suplattice,
     verify_coverage,
 )
-from locale_forge.generators import DomainError, FiniteGeneratorDomain, domain_from_descriptor
+from locale_forge.generators import DomainError, FiniteGeneratorDomain
 from locale_forge.lattice import FiniteLattice, QuotientMode
 from locale_forge.presentation import (
     Presentation,
@@ -38,6 +38,7 @@ from locale_forge.presentation import (
     Relation,
     check_kind,
     instance_kernel,
+    instance_store,
     relation_sides,
     saturate,
 )
@@ -152,9 +153,9 @@ class TestSymbolicDigest:
 class TestHandOff:
     """``saturate`` hands its sides and its stability instances to the
     ``check_kind`` that follows, in the memo of the presentation it
-    returns; a fresh presentation over the domain read back from its
-    descriptor has neither, though that domain may be the same interned
-    object, and must get the same reports."""
+    returns; a copy over a fresh domain object, built by the plain
+    constructor and so not interned, shares no memo with it, has neither,
+    and must get the same reports."""
 
     def test_handoff_digest_matches_a_fresh_domain(self):
         checked = 0
@@ -165,8 +166,13 @@ class TestHandOff:
                     sat, err = attempt(saturate, Presentation(kind, domain, rels), kind)
                     if err:
                         continue
-                    fresh = Presentation(kind, domain_from_descriptor(sat.domain.descriptor()), sat.relations)
-                    assert ("sides", False) in sat.memo and "instances" in sat.memo and not fresh.memo
+                    dom = sat.domain
+                    twin = FiniteGeneratorDomain(dom.poset, use_meet=dom.has_meet, use_join=dom.has_join)
+                    assert twin == dom and "memo" not in vars(twin)
+                    fresh = Presentation(kind, twin, sat.relations)
+                    # an instance entry for each relation saturate started from
+                    handed = instance_store(sat)
+                    assert all(s in handed for s in sat.memo[("sides", False)][: len(rels)]) and not fresh.memo
                     for oracle in (True, False):
                         assert check_kind(sat, oracle=oracle) == check_kind(fresh, oracle=oracle)
                     checked += 1
