@@ -34,15 +34,13 @@ finite one is, Q its join-irreducibles) skips both:
 over Q's |Q| points, with meet ``&`` and join ``|``, checks it by counting
 Q's downsets, and builds the n-bit order only when it is read.
 ``downsets`` and ``evaluate.eval_frame`` build their frames so.
-``downsets`` of a 12-element antichain (4096 elements) takes about 17 ms,
-of a 13-element one (8192) about 35 ms and of a 14-element one (16384,
-``cap`` raised) about 72 ms.  ``eval_frame`` of the real line without
-roundedness, plus ``OI() = 0``, takes about 29 ms on the 7-point grid 0..6
-(1597 elements; 11 ms more in ``presentation.instantiate_schemas``) and
-about 77 ms on the 8-point grid 0..7 (4181 elements, ``max_carrier``
-raised).  Best of five (``downsets``) or seven (grids) runs in one process
-on a 2-core Intel Xeon, in a spell about three times slower than the one
-in which the same calls took 5.5, 12, 24, 11 and 29 ms.
+``downsets`` of a 12-, 13- and 14-element antichain (4096, 8192 and 16384
+elements, the last with ``cap`` raised) takes 5.4, 11.6 and 24.1 ms, and
+``eval_frame`` of the real line without roundedness, plus ``OI() = 0``, on
+the grids 0..6, 0..7 and 0..8 (1597, 4181 and 10946 elements,
+``max_carrier`` raised to 2**14) 7.5, 19.0 and 52.5 ms.  Best of five or
+seven runs in one process on a 2-core Intel Xeon; another spell read 7.8,
+16.9 and 36.5 ms and 6.2, 17.0 and 49.8 ms.
 
 ``poset_isomorphism`` searches nothing.  Its source must be a distributive
 lattice generated by the pinned elements (every oracle comparison pins the
@@ -108,21 +106,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _transitive_closure(rel: list[int]) -> None:
-    """Close the relation masks ``rel`` under transitivity in place: bit
-    ``j`` of ``rel[i]`` brings in every bit of ``rel[j]``."""
-    changed = True
-    while changed:
-        changed = False
-        for i, mask in enumerate(rel):
-            acc = mask
-            for j in _bits(mask):
-                acc |= rel[j]
-            if acc != mask:
-                rel[i] = acc
-                changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +243,9 @@ class FinitePoset(Record, compare=("elements", "up")):
     @staticmethod
     def from_pairs(elements: Sequence[str], pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Build from a relation given as index pairs; reflexive-transitive
-        closure is taken, antisymmetry is checked."""
+        closure is taken, antisymmetry is checked.  The closure is
+        Warshall's, on rows: for each ``k`` in turn, every row holding
+        ``k`` takes in row ``k``."""
         n = len(elements)
         if len(set(elements)) != n:
             raise InvalidPosetError("duplicate element labels")
@@ -269,7 +254,11 @@ class FinitePoset(Record, compare=("elements", "up")):
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidPosetError(f"index pair ({i},{j}) out of range")
             up[i] |= 1 << j
-        _transitive_closure(up)
+        for k in range(n):
+            bit, row = 1 << k, up[k]
+            for i in range(n):
+                if up[i] & bit:
+                    up[i] |= row
         for i in range(n):
             for j in _bits(up[i]):
                 if i != j and (up[j] >> i) & 1:

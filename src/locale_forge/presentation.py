@@ -431,6 +431,13 @@ def instance_store(p: Presentation) -> dict:
     return p.memo.setdefault("instances", {})
 
 
+def hand_over_sides(p: Presentation, sides: list, fold: bool = False) -> None:
+    """Leave ``sides`` in ``p.memo`` as ``relation_sides(p, False)`` and
+    ``relation_sides(p, fold)``: the builder of ``p`` vouches that they are
+    its sides both ways."""
+    p.memo["sides", False] = p.memo["sides", fold and p.domain.has_meet] = sides
+
+
 def on_grid(p: Presentation, grid: Optional[Sequence[ExtRat]], verb: str) -> Presentation:
     """``p`` as checking and evaluation see it: itself over a finite domain
     without schemas, else its instantiation on ``grid``, for only a finite
@@ -469,8 +476,8 @@ def check_kind(
 def relation_sides(p: Presentation, fold: bool) -> list[tuple[Side, Side, str]]:
     """The sides of ``p``'s concrete relations, meets folded where ``fold``
     and the domain has a meet, in ``p.memo`` under ``("sides", fold)``:
-    left there by ``saturate`` or ``present`` for what they build, else
-    derived once through the domain's kernel."""
+    left there by ``saturate`` or ``present`` for what they build
+    (``hand_over_sides``), else derived once through the domain's kernel."""
     fold = fold and p.domain.has_meet
 
     def derive():
@@ -636,7 +643,7 @@ def saturate(p: Presentation, target: PresentationKind) -> Presentation:
     sat = Presentation(target, domain, tuple([kernel.relation(*s) for s in out]))
     # hand the sides and the instances over; folded clauses are single
     # generators, so they are the unfolded sides too
-    sat.memo[("sides", fold and domain.has_meet)] = sat.memo[("sides", False)] = out
+    hand_over_sides(sat, out, fold)
     instance_store(sat).update(store)
     return sat
 

@@ -40,7 +40,7 @@ from .presentation import (
     Relation,
     saturate,
 )
-from .terms import Meet, Term, TERM_ONE, TERM_ZERO
+from .terms import Meet, Term, TERM_ONE, TERM_ZERO, gen_term
 
 if TYPE_CHECKING:
     from .transform import TransformedPresentation
@@ -100,28 +100,22 @@ def rand_poset(rng: random.Random, n: int) -> FinitePoset:
 
 
 def _subset_domain(rng: random.Random, closed_under: str) -> FiniteGeneratorDomain:
-    universe = frozenset(range(3))
+    """Subsets of three points closed under union (``"join"``) or under
+    intersection (``"meet"``), at most five of them.  The intersection
+    closure is the complements of the union closure of the complements."""
+    meet = closed_under == "meet"
+    flip = 0b111 if meet else 0  # complements within the three points, or none
     for _ in range(64):
-        fams = {universe, frozenset()} if closed_under == "join" else {universe}
+        draws = [0b111]
         for _ in range(rng.randint(1, 3)):
-            fams.add(frozenset(x for x in universe if rng.random() < 0.5))
-        changed = True
-        while changed:
-            changed = False
-            for a in list(fams):
-                for b in list(fams):
-                    c = (a & b) if closed_under == "meet" else (a | b)
-                    if c not in fams:
-                        fams.add(c)
-                        changed = True
-        if len(fams) <= 5:
+            draws.append(sum(1 << x for x in range(3) if rng.random() < 0.5))
+        masks = [flip ^ m for m in unions([flip ^ m for m in draws], 8, "subsets")]
+        if len(masks) <= 5:
             break
-    ordered = sorted(fams, key=lambda s: (len(s), sorted(s)))
-    masks = [sum(1 << x for x in s) for s in ordered]
+    # by size, then as sets of points, which for three points is the mask order
+    masks.sort(key=lambda m: (m.bit_count(), m))
     poset = subset_poset(masks, lambda m: f"g{masks.index(m)}")
-    if closed_under == "meet":
-        return finite_domain(poset, use_meet=True, use_join=False)
-    return finite_domain(poset, use_meet=False, use_join=True)
+    return finite_domain(poset, use_meet=meet, use_join=not meet)
 
 
 def rand_meet_semilattice_domain(rng: random.Random) -> FiniteGeneratorDomain:
@@ -223,20 +217,23 @@ def rand_join_endo(rng: random.Random, L: FiniteLattice) -> MonotoneMap:
 
 
 def rand_sublattice(rng: random.Random, L: FiniteLattice) -> list[int]:
+    """The 0,1-sublattice generated by a random half of the elements of
+    the frame ``L``, ascending.  In a distributive lattice that is the
+    joins of the meets of the chosen elements, each closure taken by set
+    doubling; ``L`` must be a frame, else ``LatticeError``."""
+    if not L.frame:
+        raise LatticeError("rand_sublattice needs a frame")
     keep = {L.top, L.bottom}
     for x in range(L.n):
         if rng.random() < 0.5:
             keep.add(x)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(keep):
-            for b in list(keep):
-                for c in (L.meet(a, b), L.join(a, b)):
-                    if c not in keep:
-                        keep.add(c)
-                        changed = True
-    return sorted(keep)
+    meets = {L.top}
+    for s in keep:
+        meets |= {L.meet(m, s) for m in meets}
+    joins = {L.bottom}
+    for s in meets:
+        joins |= {L.join(m, s) for m in joins}
+    return sorted(joins)
 
 
 def closure_onto_sublattice(L: FiniteLattice, keep: list[int]) -> MonotoneMap:
@@ -375,54 +372,32 @@ def suite_cross_mode(seed: int, count: int) -> SuiteResult:
     for k in range(count):
         domain = rand_distributive_domain(rng)
         gens = domain.enumerate_gens()
-        sup_rels = [Relation(Term((Meet((domain.bottom(),)),)), TERM_ZERO)]
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                sup_rels.append(
-                    Relation(
-                        Term((Meet((a,)), Meet((b,)))),
-                        Term((Meet((domain.join(a, b),)),)),
-                    )
-                )
-        p_sup = saturate(
-            Presentation(PresentationKind.SUP, domain, tuple(sup_rels)),
-            PresentationKind.SUP,
-        )
-        pre_rels = [Relation(Term((Meet((domain.top(),)),)), TERM_ONE)]
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                pre_rels.append(
-                    Relation(
-                        Term((Meet((a, b)),)),
-                        Term((Meet((domain.meet(a, b),)),)),
-                    )
-                )
-        p_pre = saturate(
-            Presentation(PresentationKind.PREFRAME, domain, tuple(pre_rels)),
-            PresentationKind.PREFRAME,
-        )
         p_dcpo = Presentation(PresentationKind.DCPO, domain, ())
         frame_dcpo = eval_frame(p_dcpo)
-        views = {QuotientMode.OPEN: p_sup, QuotientMode.PROPER: p_pre}
+        # each view: its strict mode and kind, the end generator and the
+        # unit it equals, and the term of two generators with the domain
+        # operation it equals
+        views = (
+            (QuotientMode.OPEN, PresentationKind.SUP, domain.bottom(), TERM_ZERO,
+             lambda a, b: Term((Meet((a,)), Meet((b,)))), domain.join),
+            (QuotientMode.PROPER, PresentationKind.PREFRAME, domain.top(), TERM_ONE,
+             lambda a, b: Term((Meet((a, b)),)), domain.meet),
+        )
         ok_all, why_all = True, ""
-        for strict_mode, p_view in views.items():
+        for strict_mode, kind, end, unit, pair, op in views:
+            rels = [Relation(gen_term(end), unit)]
+            rels += [Relation(pair(a, b), gen_term(op(a, b)))
+                     for i, a in enumerate(gens) for b in gens[i + 1:]]
+            p_view = saturate(Presentation(kind, domain, tuple(rels)), kind)
             frame_view = eval_frame(p_view)
-            base = poset_isomorphism(
-                frame_view.carrier.poset,
-                frame_dcpo.carrier.poset,
-                [(frame_view.interp[g], frame_dcpo.interp[g]) for g in gens],
-            )
+            pins = [(frame_view.interp[g], frame_dcpo.interp[g]) for g in gens]
+            base = poset_isomorphism(frame_view.carrier.poset, frame_dcpo.carrier.poset, pins)
             if base is None:
                 ok_all, why_all = False, "parent views disagree on the frame"
                 break
             e = rand_quotient_operator(rng, frame_dcpo.carrier, strict_mode)
-            e_view = MonotoneMap(
-                frame_view.carrier,
-                frame_view.carrier,
-                tuple(
-                    base.index(e(base[x])) for x in range(frame_view.carrier.n)
-                ),
-            )
+            view = frame_view.carrier
+            e_view = MonotoneMap(view, view, tuple(base.index(e(base[x])) for x in range(view.n)))
             ok1, why1, _ = check_equivalence(p_view, frame_view, e_view, strict_mode)
             ok2, why2, _ = check_equivalence(
                 p_dcpo, frame_dcpo, e, QuotientMode.TRIQUOTIENT

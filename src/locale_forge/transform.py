@@ -48,6 +48,7 @@ from .presentation import (
     RelationSchema,
     _side_key,
     check_kind,
+    hand_over_sides,
     instance_kernel,
     relation_sides,
 )
@@ -150,7 +151,7 @@ def identity_spec(domain: GeneratorDomain, mode: QuotientMode) -> QuotientSpec:
     return QuotientSpec(mode, domain, image)
 
 
-class Provenance:
+class Provenance(Record, compare=("parent_hash", "mode", "image")):
     """How a quotient was built: the transformer's ``mode``, the ``image``
     table of the spec, and ``parent_hash``, 16 hex digits of the SHA-256 of
     the parent's JSON form.  ``present`` hands over the parent itself, and
@@ -161,25 +162,14 @@ class Provenance:
     __slots__ = ("_parent", "mode", "image")
 
     def __init__(self, parent: Union[str, Presentation], mode: str, image: tuple[tuple[str, str], ...]):
-        self._parent = parent
-        self.mode = mode
-        self.image = image
+        init = object.__setattr__
+        init(self, "_parent", parent)
+        init(self, "mode", mode)
+        init(self, "image", image)
 
     @property
     def parent_hash(self) -> str:
         return self._parent if isinstance(self._parent, str) else _parent_hash(self._parent)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Provenance):
-            return NotImplemented
-        return (self.mode, self.image, self.parent_hash) == (other.mode, other.image, other.parent_hash)
-
-    def __hash__(self) -> int:
-        # equal provenances agree on these two, so no hash is computed
-        return hash((self.mode, self.image))
-
-    def __repr__(self) -> str:
-        return f"Provenance(parent_hash={self.parent_hash!r}, mode={self.mode!r}, image={self.image!r})"
 
 
 class TransformedPresentation(Presentation, compare=("kind", "domain", "relations", "provenance")):
@@ -404,7 +394,7 @@ def _present(p: Presentation, spec: QuotientSpec, mode: QuotientMode, check: boo
     prov = Provenance(p, mode.value, image)
     out = TransformedPresentation(PresentationKind.PLAIN, tagged, tuple(uniq), prov)
     if None not in sides:
-        out.memo[("sides", False)] = sides
+        hand_over_sides(out, sides)
     return out
 
 

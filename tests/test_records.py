@@ -81,6 +81,7 @@ RECORDS = [
     (StabilityReport, ((VERDICT,), "oracle-allowed"), ("verdicts", "policy")),
     (SchematicCase, ((), (), SCHEMA_TERM), ("pin", "conds", "term")),
     (QuotientSpec, (QuotientMode.OPEN, DOMAIN, (("0", gen_term("0")),)), ("mode", "domain", "image", "cases")),
+    (Provenance, ("0" * 16, "open", ()), ("parent_hash", "mode", "image")),
     (
         TransformedPresentation,
         (PresentationKind.PLAIN, DOMAIN, (), Provenance("0" * 16, "open", ())),
