@@ -18,7 +18,9 @@ Sketch:
 Rationals are ``p/q`` or integers, infinities ``-inf``/``+inf``; the
 tags render as ``dia``/``box``/``boxtimes``.  A schema pattern is always
 the domain's constructor on endpoints, so a finite domain takes no
-schemas.  Parse errors carry line, column and the expected token set.
+schemas.  A newline is a blank, except that a ``-`` continues a dashed
+name (``interval-R``, ``semi-open``) only on the line where the name so
+far ends.  Parse errors carry line, column and the expected token set.
 ``print_presentation`` emits the canonical form, and parsing it back
 yields an equal object.
 """
@@ -90,7 +92,7 @@ class Token(Record):
 
     def __init__(self, kind: str, text: str, line: int, col: int):
         init = object.__setattr__
-        init(self, "kind", kind)  # name | number | op | nl | eof
+        init(self, "kind", kind)  # name | number | op | eof
         init(self, "text", text)
         init(self, "line", line)
         init(self, "col", col)
@@ -106,13 +108,11 @@ def tokenize(source: str) -> list[Token]:
             raise ParseError(line, col, ("a token",), source[pos])
         kind = m.lastgroup
         text = m.group()
+        if kind not in ("ws", "comment", "nl"):
+            out.append(Token(kind, text, line, col))
         if kind == "nl":
-            out.append(Token("nl", "\n", line, col))
             line += 1
             col = 1
-        elif kind not in ("ws", "comment"):
-            out.append(Token(kind, text, line, col))
-            col += len(text)
         else:
             col += len(text)
         pos = m.end()
@@ -122,19 +122,14 @@ def tokenize(source: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, source: str):
-        self.toks = [t for t in tokenize(source)]
+        self.toks = tokenize(source)
         self.i = 0
 
     # -- token plumbing ---------------------------------------------------
-    def peek(self, skip_nl: bool = True) -> Token:
-        j = self.i
-        while skip_nl and self.toks[j].kind == "nl":
-            j += 1
-        return self.toks[j]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
-    def next(self, skip_nl: bool = True) -> Token:
-        while skip_nl and self.toks[self.i].kind == "nl":
-            self.i += 1
+    def next(self) -> Token:
         t = self.toks[self.i]
         if t.kind != "eof":
             self.i += 1
@@ -174,7 +169,7 @@ class _Parser:
 
     def parse_dashed_name(self, first: Token) -> str:
         name = first.text
-        while self.peek(skip_nl=False).text == "-":
+        while self.peek().text == "-" and self.peek().line == self.toks[self.i - 1].line:
             self.next()
             part = self.next()
             if part.kind not in ("name", "number"):
@@ -185,7 +180,7 @@ class _Parser:
     # -- domains ------------------------------------------------------------
     def parse_domain(self) -> GeneratorDomain:
         t = self.next()
-        if t.kind == "name" and self.peek(skip_nl=False).text == "-":
+        if t.kind == "name" and self.peek().text == "-" and self.peek().line == t.line:
             make = builtin_domain(self.parse_dashed_name(t))
             if make is None:
                 self.fail(t, "a builtin domain name")
@@ -370,7 +365,7 @@ class _Parser:
                 inner = inner + self.parse_mterm(domain)
             self.expect(")")
             return inner
-        if t.text in ("join", "meet") and self.toks_ahead_is_call():
+        if t.text in ("join", "meet") and self.toks[self.i + 1].text == "(":
             fn = self.next().text
             self.expect("(")
             args = [self.parse_term(domain)]
@@ -389,15 +384,6 @@ class _Parser:
             return out
         key = self.parse_generator_key(domain)
         return (Meet((key,)),)
-
-    def toks_ahead_is_call(self) -> bool:
-        j = self.i
-        while self.toks[j].kind == "nl":
-            j += 1
-        j += 1
-        while self.toks[j].kind == "nl":
-            j += 1
-        return self.toks[j].text == "("
 
     def parse_generator_key(self, domain: GeneratorDomain) -> str:
         t = self.next()

@@ -390,12 +390,16 @@ def builtin_domain(name: str) -> Optional[Callable[[], GeneratorDomain]]:
 def domain_from_descriptor(desc: dict) -> GeneratorDomain:
     kind = desc.get("type")
     if kind == "finite":
-        structure = desc.get("structure", {})
-        return finite_domain(
-            FinitePoset.from_pairs(desc["elements"], [tuple(p) for p in desc["leq"]]),
-            structure.get("meet"),
-            structure.get("join"),
-        )
+        # a field of the wrong type is a TypeError: a malformed document
+        elements, leq, structure = desc["elements"], desc["leq"], desc.get("structure", {})
+        if not all(isinstance(e, str) for e in elements) or len(set(elements)) != len(elements):
+            raise TypeError(f"'elements' are distinct strings, not {elements!r}")
+        if not all(len(p) == 2 and all(type(i) is int for i in p) for p in leq):
+            raise TypeError(f"'leq' entries are pairs of integers, not {leq!r}")
+        flags = structure.get("meet"), structure.get("join")
+        if not all(f is None or isinstance(f, bool) for f in flags):
+            raise TypeError(f"'structure' flags are true, false or null, not {structure!r}")
+        return finite_domain(FinitePoset.from_pairs(elements, [tuple(p) for p in leq]), *flags)
     if kind == "tagged":
         return tagged_domain(desc["tag"], domain_from_descriptor(desc["parent"]))
     make = builtin_domain(kind)

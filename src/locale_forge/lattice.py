@@ -4,7 +4,8 @@ This is the exact kernel every symbolic construction is checked against:
 downset frames, Galois adjoints, open/proper map classification, Kleene
 closures, interior operators, quotient-operator law suites and fixed-point
 subframes.  Everything is verified exhaustively on the finite carrier; no
-law is ever assumed.
+law is ever assumed, and a map carries no tag saying it was checked: each
+construction checks the laws it needs on the map it is given.
 
 Each law is one entry of one table, ``_LAWS``: a generator expression of
 the index tuples where the law fails, in index order, of which
@@ -87,10 +88,6 @@ class InvalidPosetError(LatticeError):
 
 class NotALatticeError(LatticeError):
     pass
-
-
-class RoleError(LatticeError):
-    """A map was used in a role it has not been verified for."""
 
 
 class OperatorLawError(LatticeError):
@@ -324,10 +321,6 @@ def is_distributive_lattice(poset: FinitePoset) -> bool:
 
 
 class Role(str, Enum):
-    PLAIN = "plain"
-    SUPLATTICE_HOM = "suplatticeHom"
-    PREFRAME_HOM = "preframeHom"
-    FRAME_HOM = "frameHom"
     CLOSURE_OP = "closureOp"
     INTERIOR_OP = "interiorOp"
     DCPO_IDEMPOTENT = "dcpoIdempotent"
@@ -464,17 +457,12 @@ class FiniteLattice(Record, compare=("poset", "distributive", "top", "bottom")):
 
 
 class MonotoneMap(Record):
-    """A monotone map between finite lattices, given by its value table.
+    """A monotone map between finite lattices, given by its value table;
+    the constructor checks only that it is monotone."""
 
-    The ``role`` tag is only ever set by the verification helpers below;
-    constructing a map directly leaves it at PLAIN.
-    """
+    __slots__ = ("source", "target", "table")
 
-    __slots__ = ("source", "target", "table", "role")
-
-    def __init__(
-        self, source: FiniteLattice, target: FiniteLattice, table: tuple[int, ...], role: Role = Role.PLAIN
-    ):
+    def __init__(self, source: FiniteLattice, target: FiniteLattice, table: tuple[int, ...]):
         n = source.n
         if len(table) != n:
             raise LatticeError("table length mismatch")
@@ -492,14 +480,9 @@ class MonotoneMap(Record):
         init(self, "source", source)
         init(self, "target", target)
         init(self, "table", table)
-        init(self, "role", role)
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    def with_role(self, role: Role) -> "MonotoneMap":
-        """The same map tagged with ``role``; the checks run again."""
-        return MonotoneMap(self.source, self.target, self.table, role)
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
@@ -616,8 +599,10 @@ def recheck_witness(f: MonotoneMap, witness: tuple[str, tuple[str, ...]]) -> boo
 
 
 def as_frame_hom(f: MonotoneMap) -> MonotoneMap:
+    """``f``, once it is checked to preserve finite joins and meets;
+    ``OperatorLawError`` names the first laws it breaks."""
     check_laws(f, JOIN_PRESERVING + MEET_PRESERVING).require()
-    return f.with_role(Role.FRAME_HOM)
+    return f
 
 
 def subset_lattice(masks: Sequence[int], label, reverse: bool = False) -> FiniteLattice:
@@ -653,9 +638,9 @@ def _adjoint(f: MonotoneMap, left: bool) -> Optional[MonotoneMap]:
     set.  A candidate that passes is monotone, as every adjoint is."""
     src, tgt = f.source, f.target
     if left:
-        src_masks, tgt_masks, bound, role = src.poset.up, tgt.poset.up, src.meet_all, Role.SUPLATTICE_HOM
+        src_masks, tgt_masks, bound = src.poset.up, tgt.poset.up, src.meet_all
     else:
-        src_masks, tgt_masks, bound, role = src.poset.down, tgt.poset.down, src.join_all, Role.PREFRAME_HOM
+        src_masks, tgt_masks, bound = src.poset.down, tgt.poset.down, src.join_all
     t = f.table
     table = []
     for b in range(tgt.n):
@@ -664,7 +649,7 @@ def _adjoint(f: MonotoneMap, left: bool) -> Optional[MonotoneMap]:
         if src_masks[adj] != sum(1 << a for a in over):
             return None
         table.append(adj)
-    return MonotoneMap(tgt, src, tuple(table), role)
+    return MonotoneMap(tgt, src, tuple(table))
 
 
 def left_adjoint(f: MonotoneMap) -> Optional[MonotoneMap]:
@@ -694,10 +679,10 @@ def _frobenius_failures(fstar: MonotoneMap, adj: MonotoneMap, left: bool):
 def _classify(fstar: MonotoneMap, left: bool) -> OperatorReport:
     """``classify_open`` (``left``) or ``classify_proper``: the adjoint on
     that side exists and satisfies its Frobenius law; at most four failing
-    pairs are reported."""
-    name, side, law = ("classify_open", "left", "frobenius") if left else ("classify_proper", "right", "co-frobenius")
-    if fstar.role != Role.FRAME_HOM:
-        raise RoleError(f"{name} needs a verified frame homomorphism")
+    pairs are reported.  ``fstar`` must be a frame homomorphism
+    (``as_frame_hom``)."""
+    side, law = ("left", "frobenius") if left else ("right", "co-frobenius")
+    as_frame_hom(fstar)
     adj = _adjoint(fstar, left)
     if adj is None:
         return OperatorReport(False, ((f"{side}-adjoint-exists", ()),))
@@ -746,30 +731,27 @@ def kleene_closure(j: MonotoneMap) -> MonotoneMap:
         cur = nxt
     out = MonotoneMap(L, L, tuple(cur))
     check_laws(out, CLOSURE_LAWS).require()
-    return out.with_role(Role.CLOSURE_OP)
+    return out
 
 
 def interior_from_pair(
     gstar_radj: MonotoneMap, fstar: MonotoneMap
 ) -> tuple[MonotoneMap, OperatorReport]:
-    """Form (g_* . f*) ^ id and grant the interior role iff it is idempotent.
+    """Form (g_* . f*) ^ id and report whether it is an interior operator.
 
     Idempotence is verified directly on the carrier instead of checking any
-    side condition on maps into a pullback.
+    side condition on maps into a pullback.  ``gstar_radj`` must preserve
+    meets, as a right adjoint does (``OperatorLawError`` otherwise).
     """
     if fstar.target.elements != gstar_radj.source.elements:
         raise LatticeError("maps not composable")
     if fstar.source.elements != gstar_radj.target.elements:
         raise LatticeError("g_* must land back in the domain of f*")
-    if not check_laws(gstar_radj, MEET_PRESERVING):
-        raise RoleError("gstar_radj is not a right adjoint (fails meet preservation)")
+    check_laws(gstar_radj, MEET_PRESERVING).require()
     X = fstar.source
     table = tuple(X.meet(gstar_radj(fstar(x)), x) for x in range(X.n))
     cand = MonotoneMap(X, X, table)
-    rep = check_laws(cand, INTERIOR_LAWS)
-    if rep:
-        cand = cand.with_role(Role.INTERIOR_OP)
-    return cand, rep
+    return cand, check_laws(cand, INTERIOR_LAWS)
 
 
 def coequaliser_closure(

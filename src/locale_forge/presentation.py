@@ -63,7 +63,6 @@ from .terms import (
     Term,
     TermError,
     normal_form,
-    normalize,
 )
 
 
@@ -131,13 +130,6 @@ class Relation(Record):
         init(self, "lhs", lhs)
         init(self, "rhs", rhs)
         init(self, "op", op)  # "=" or "<="
-
-    def normalized(self, domain: GeneratorDomain, fold_meets: bool = True) -> "Relation":
-        return Relation(
-            normalize(self.lhs, domain, fold_meets),
-            normalize(self.rhs, domain, fold_meets),
-            self.op,
-        )
 
     def key(self):
         if self.op == "=":

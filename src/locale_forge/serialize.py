@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any
 
 from .generators import domain_from_descriptor
-from .lattice import FiniteLattice, FinitePoset, MonotoneMap, OperatorReport, QuotientMode, Role, _bits
+from .lattice import FiniteLattice, FinitePoset, MonotoneMap, OperatorReport, QuotientMode, _bits
 from .presentation import (
     Presentation,
     PresentationKind,
@@ -278,11 +278,7 @@ def lattice_from_jsonable(d: dict) -> FiniteLattice:
 
 
 def map_to_jsonable(f: MonotoneMap) -> Any:
-    return {"table": list(f.table), "role": f.role.value}
-
-
-def map_from_jsonable(d: dict, source: FiniteLattice, target: FiniteLattice) -> MonotoneMap:
-    return MonotoneMap(source, target, tuple(d["table"]), Role(d.get("role", "plain")))
+    return {"table": list(f.table)}
 
 
 def presented_to_jsonable(obj) -> Any:

@@ -274,12 +274,6 @@ class Term(Record):
             return "0"
         return " v ".join(str(c) for c in self.clauses)
 
-    def gens_used(self) -> frozenset[str]:
-        out = set()
-        for c in self.clauses:
-            out.update(c.gens)
-        return frozenset(out)
-
 
 TERM_ZERO = Term(())
 TERM_ONE = Term((Meet(()),))

@@ -685,6 +685,29 @@ class TestMalformedInput:
         assert rc == 2 and out == ""
         assert json.loads(err) == {"error": "input", "detail": "generator 'zz' does not belong to domain 'finite'"}
 
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("structure", {"meet": "yes"}, "'structure' flags are true, false or null, not {'meet': 'yes'}"),
+            ("elements", [1, 2], "'elements' are distinct strings, not [1, 2]"),
+            ("leq", [[0, 1, 1]], "'leq' entries are pairs of integers, not [[0, 1, 1]]"),
+        ],
+        ids=["structure-flag", "element-numbers", "leq-triple"],
+    )
+    @pytest.mark.parametrize("verb", ["check", "eval"])
+    def test_a_wrong_typed_domain_field_is_named(self, tmp_path, verb, field, value, detail):
+        """A finite domain descriptor's elements are distinct strings, its
+        ``leq`` entries pairs of integers and its structure flags true,
+        false or null; anything else is an input error naming the field,
+        where a flag ``"yes"`` passed ``check``, integer elements gave an
+        ``eval`` carrier of mixed labels, and a triple was a module error."""
+        domain = {"type": "finite", "elements": ["a", "b"], "leq": [], field: value}
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"kind": "sup", "domain": domain, "relations": []}))
+        rc, out, err = run_cli(verb, str(f), *(["--format", "json"] if verb == "eval" else []))
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "detail": f"malformed document {f}: {detail}"}
+
     @pytest.mark.parametrize("verb", ["check", "derive"])
     def test_an_unknown_domain_type_is_an_input_error(self, tmp_path, verb):
         pres = {"kind": "sup", "domain": {"type": "nope"}, "relations": []}

@@ -195,3 +195,61 @@ class TestOffsetsAndNatReverse:
             ("p", True, -1),
             ("q", True, 2),
         ]
+
+
+def _parsed_or_error(source: str):
+    """The canonical text of what ``source`` parses to, or its
+    ``ParseError`` as ``(line, col, expected, found)``."""
+    try:
+        out = parse(source)
+    except ParseError as exc:
+        return exc.line, exc.col, exc.expected, exc.found
+    return print_spec(out) if isinstance(out, QuotientSpec) else print_presentation(out)
+
+
+class TestLineRule:
+    """A newline is a blank everywhere but inside a dashed name, where a
+    ``-`` continues the name only on the line the name so far ends on; an
+    error names the line and column of its token, the end of input
+    included.  The parser that kept a token for each newline gave the
+    same results."""
+
+    @pytest.mark.parametrize(
+        "source, result",
+        [
+            ("domain interval-\nR", "domain interval-R\nkind plain\n"),
+            (
+                "domain interval\n-R",
+                (1, 8, ("a domain (interval-R, interval-01, tagged, finite)",), "interval"),
+            ),
+            (
+                "domain interval-R\nkind sup\nrel OI(0, 1) <= join\n(OI(0, 1), OI(1, 2))\n",
+                "domain interval-R\nkind sup\nrel OI(0,1) <= OI(0,1) v OI(1,2)\n",
+            ),
+            (
+                "domain finite { gens a, b }\nkind sup\nrel join\n(a, b) = meet\n(\na, b)\n",
+                "domain finite { gens a, b; ops poset }\nkind sup\nrel a v b = a ^ b\n",
+            ),
+            ("domain interval-R\nkind sup\nrel OI(0, 1) = $\n", (3, 16, ("a token",), "$")),
+            ("domain interval-R\n\nkind sup\n  rel OI(0, 1) = # nothing\n", (5, 1, ("a generator",), "end of input")),
+            ("domain interval-R\nquotient semi-\nopen\n", "domain interval-R\nquotient semi-open\n"),
+            ("domain interval-R\nquotient semi\n-open\n", (2, 10, tuple(m.cli_name for m in QuotientMode), "semi")),
+            (
+                "domain finite {\n gens a,\n b; leq a\n <= b }\nkind sup\nrel a\n v b = b\n",
+                "domain finite { gens a, b; leq a <= b; ops meet join }\nkind sup\nrel a v b = b\n",
+            ),
+        ],
+        ids=[
+            "dash-then-newline",
+            "newline-then-dash",
+            "join-call-across-lines",
+            "finite-calls-across-lines",
+            "bad-token-on-line-3",
+            "end-of-input",
+            "mode-dash-then-newline",
+            "mode-newline-then-dash",
+            "finite-block-across-lines",
+        ],
+    )
+    def test_parse_result_or_error_position(self, source, result):
+        assert _parsed_or_error(source) == result

@@ -1,12 +1,14 @@
 """Every module-level import in ``src/locale_forge`` is used by its module,
-and every private top-level function or class is read somewhere in the
-package.
+every private top-level function or class is read somewhere in the
+package, and every top-level function or class is named somewhere else in
+it, exported from its root or reached by the benchmark in ``perfbench/``.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -75,3 +77,41 @@ def test_the_guard_sees_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def unnamed_names(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the modules (name to source),
+    dunders aside, whose name occurs as a word nowhere in the package but
+    in their own definition: in no code, comment or docstring."""
+    out = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            name = getattr(node, "name", "")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("__"):
+                rest = lines[: node.lineno - 1] + lines[node.end_lineno :]
+                text = "\n".join([*rest, *(text for other, text in sources.items() if other != module)])
+                if not re.search(rf"\b{re.escape(name)}\b", text):
+                    out.append(f"{module}.{name}")
+    return out
+
+
+def test_the_scan_sees_an_unnamed_name():
+    sources = {"a": "def f(): pass\ndef g():\n    return g()\n# f\n", "b": "class C: pass\nclass __D: pass\n"}
+    assert unnamed_names(sources) == ["a.g", "b.C"]
+
+
+def test_every_public_name_is_named_exported_or_benchmarked(monkeypatch):
+    """A name that nothing else in the package names is kept only as the
+    package's interface: exported from the root, or named by the
+    benchmark's tracer (``TARGETS``, ``SERIALIZE_PUBLIC``) or its oracle
+    workload (``Recorder.NAMES``), read as ``test_bench_names`` reads them."""
+    import locale_forge
+    from test_bench_names import BENCH, load_bench
+
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling ``outside``
+    tracing, workloads = load_bench("tracing"), load_bench("workloads")
+    kept = {*locale_forge.__all__, *tracing.SERIALIZE_PUBLIC, *workloads.Recorder.NAMES}
+    kept |= {part for _module, path, _layer in tracing.TARGETS for part in path.split(".")}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name in unnamed_names(sources) if name.split(".")[-1] not in kept] == []

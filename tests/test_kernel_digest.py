@@ -8,7 +8,10 @@ reported witness.
 
 The pinned value was taken before the law checks, the adjoints and the
 two classifications were each reduced to one body, so any change in what
-the kernel reports, or in the order it reports it, shows here."""
+the kernel reports, or in the order it reports it, shows here.  It was
+re-pinned when an adjoint's record became its table alone, once maps had
+no verification tag; the kernel that still had the tag gives the same
+value with its records so reduced."""
 
 import hashlib
 import random
@@ -93,7 +96,7 @@ def adjoint_record(f: MonotoneMap):
     out = []
     for adjoint in (left_adjoint, right_adjoint):
         adj = adjoint(f)
-        out.append(None if adj is None else (adj.table, adj.role.value))
+        out.append(None if adj is None else adj.table)
     return out
 
 
@@ -140,7 +143,7 @@ def kernel_records(seed: int):
 
 
 class TestKernelDigest:
-    PINNED = (5973, "75740761a4829a85ade57d492dfe29072f83464f859416966a2a18eea1ac6eb7")
+    PINNED = (5973, "dde43c0b11f4090c3a0818d4e66af953fac05d91ea71bbb15431ad308ba81804")
 
     def test_outputs_match_the_pinned_digest(self):
         h = hashlib.sha256()

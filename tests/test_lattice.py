@@ -12,8 +12,7 @@ from locale_forge.lattice import (
     LatticeError,
     MonotoneMap,
     NotALatticeError,
-    Role,
-    RoleError,
+    OperatorLawError,
     as_frame_hom,
     classify_open,
     classify_proper,
@@ -541,10 +540,19 @@ class TestClassification:
         assert classify_open(f).verdict
         assert classify_proper(f).verdict
 
-    def test_role_precondition(self, four_boolean):
-        f = MonotoneMap(four_boolean, four_boolean, tuple(range(4)))
-        with pytest.raises(RoleError):
-            classify_open(f)
+    @pytest.mark.parametrize("classify", [classify_open, classify_proper], ids=["open", "proper"])
+    def test_a_map_is_checked_not_trusted(self, two_chain, four_boolean, classify):
+        """A frame homomorphism built directly is classified; a map that
+        is none is refused with the law it breaks, whatever built it."""
+        assert classify(MonotoneMap(two_chain, four_boolean, (0, 3))).verdict
+        for table, law in (((1, 3), "preserves-empty-join"), ((0, 1), "preserves-empty-meet")):
+            with pytest.raises(OperatorLawError) as exc:
+                classify(MonotoneMap(two_chain, four_boolean, table))
+            assert [name for name, _ in exc.value.report.witnesses] == [law]
+        # monotone and bounded, but the join of the atoms is not preserved
+        with pytest.raises(OperatorLawError) as exc:
+            classify(MonotoneMap(four_boolean, four_boolean, (0, 1, 1, 3)))
+        assert "preserves-binary-join" in {name for name, _ in exc.value.report.witnesses}
 
     def test_point_inclusion_into_boolean_is_open(self, two_chain, four_boolean):
         # q*: 2-chain -> 4-Boolean, 0 |-> 0, 1 |-> top

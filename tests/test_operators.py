@@ -9,7 +9,8 @@ from locale_forge.lattice import (
     MonotoneMap,
     OperatorLawError,
     QuotientMode,
-    Role,
+    CLOSURE_LAWS,
+    INTERIOR_LAWS,
     check_laws,
     check_quotient_operator,
     coequaliser_closure,
@@ -35,7 +36,7 @@ class TestKleene:
     def test_atom_swap(self, four_boolean, swap_closure):
         L = four_boolean
         assert [L.label(swap_closure(i)) for i in range(4)] == ["{}", "{a,b}", "{a,b}", "{a,b}"]
-        assert swap_closure.role is Role.CLOSURE_OP
+        assert check_laws(swap_closure, CLOSURE_LAWS).verdict
 
     def test_constant_bottom(self, four_boolean):
         L = four_boolean
@@ -89,10 +90,16 @@ class TestInteriorFromPair:
         g_st = right_adjoint(gstar)
         p, rep = interior_from_pair(g_st, fstar)
         assert rep.verdict
-        assert p.role is Role.INTERIOR_OP
+        assert check_laws(p, INTERIOR_LAWS).verdict
         assert [S.label(p(i)) for i in range(3)] == ["0", "0", "1"]
         fp, _ = fixed_points(p)
         assert fp.elements == ("0", "1")
+
+    def test_a_map_that_breaks_meets_is_refused(self):
+        S, pt, fstar, _ = gluing_toy()
+        with pytest.raises(OperatorLawError) as exc:
+            interior_from_pair(MonotoneMap(pt, S, (0, 1)), fstar)  # 1 |-> m
+        assert exc.value.report.witnesses == (("preserves-empty-meet", ("1",)),)
 
     def test_idempotence_failure_found_by_search(self):
         # randomized search for a pair violating idempotence on a 5-element frame

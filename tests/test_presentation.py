@@ -95,7 +95,7 @@ class TestCheckKind:
                 assert all(check_kind(p, oracle=o) is rep for o, rep in reports.items())
                 raw = []
                 for r in p.concrete_relations():
-                    gens = sorted(r.lhs.gens_used() | r.rhs.gens_used(), reverse=True)
+                    gens = sorted({g for c in r.lhs.clauses + r.rhs.clauses for g in c.gens}, reverse=True)
                     raw += [r.lhs, r.rhs, Term(tuple(reversed(r.lhs.clauses + r.rhs.clauses))), Term((Meet(tuple(gens)),))]
                 queries = [(t, f) for t in raw for f in (fold, not fold)]
                 first = [normalize(t, p.domain, f) for t, f in queries]

@@ -14,7 +14,6 @@ from locale_forge.generators import FiniteGeneratorDomain
 from locale_forge.lattice import (
     FiniteLattice,
     FinitePoset,
-    LatticeError,
     ModeInfo,
     MonotoneMap,
     OperatorReport,
@@ -70,7 +69,7 @@ RECORDS = [
     (SchemaTerm, ((CLAUSE,),), ("clauses",)),
     (FinitePoset, (("0", "1"), (3, 2)), ("elements", "up")),
     (FiniteLattice, (POSET, True, 1, 0), ("poset", "distributive", "top", "bottom")),
-    (MonotoneMap, (CHAIN, CHAIN, (0, 1), Role.CLOSURE_OP), ("source", "target", "table", "role")),
+    (MonotoneMap, (CHAIN, CHAIN, (0, 1)), ("source", "target", "table")),
     (OperatorReport, (False, (("idempotent", ("0",)),), ("a note",)), ("verdict", "witnesses", "notes")),
     (QuotientFamily, ("open", "dia", Role.CLOSURE_OP, ("meet",)), ("name", "tag", "role", "ops")),
     (ModeInfo, (FAMILY, True, ("idempotent",)), ("family", "semi", "laws")),
@@ -161,14 +160,6 @@ def test_a_quotient_never_equals_its_parent_presentation():
     assert parent != quotient and quotient != parent
     assert quotient.provenance is None
     assert parent.memo is parent.memo and quotient.memo is not parent.memo
-
-
-def test_with_role_checks_the_map_again():
-    m = MonotoneMap(CHAIN, CHAIN, (0, 1))
-    assert m.with_role(Role.CLOSURE_OP) == MonotoneMap(CHAIN, CHAIN, (0, 1), Role.CLOSURE_OP)
-    object.__setattr__(m, "table", (1, 0))
-    with pytest.raises(LatticeError, match="not monotone"):
-        m.with_role(Role.CLOSURE_OP)
 
 
 def test_construction_checks_keep_their_text():
